@@ -40,7 +40,7 @@
 //! is timed on each — every rung's restored state is asserted
 //! bit-identical to the oracle on exactly the prefix its
 //! `RecoveryReport` claims durable. A CPU micro-benchmark prices the
-//! KJRN v2 checksummed frame encode against the plain v1 record encode;
+//! KJRN v3 checksummed delta-frame encode against the plain v1 record encode;
 //! `--max-append-overhead-ratio R` gates that ratio.
 //!
 //! The observability layer contributes an **observability** section:
@@ -49,14 +49,6 @@
 //! with `--max-obs-overhead-ratio R` gating the throughput ratio; the
 //! metrics-on run's Prometheus `render_text()` exposition is validated
 //! line-by-line and its registry JSON dump is embedded in the output.
-//!
-//! The sharded deployment contributes a **shards** section: the
-//! identical churn stream routed through a [`ShardRouter`] at 1, 2, and
-//! 4 hash-partitioned shards (per-shard wall-clock writers, periodic
-//! `merged_cut()` barriers), reporting events/sec, merged-cut and
-//! merged-read costs, and the cross-shard traffic + boundary-exchange
-//! counters that bound the achievable speedup. `--min-shard-scaling R`
-//! gates the best multi-shard events/sec ratio over the 1-shard router.
 //!
 //! Every section's final core numbers are asserted equal to the
 //! recompute oracle before any number is reported. `--min-ingest-throughput R`
@@ -68,13 +60,12 @@
 
 use kcore_decomp::core_decomposition;
 use kcore_gen::{barabasi_albert, churn_stream, timestamp_edges, SlidingWindow};
-use kcore_graph::{DynamicGraph, HashShardMap, ShardMap};
+use kcore_graph::DynamicGraph;
 use kcore_ingest::durability::{encode_frame, snapshot_generation_path, DurabilityConfig};
 use kcore_ingest::sources::{apply_events, churn_events, window_event};
-use kcore_ingest::{recover, GraphEvent, IngestConfig, IngestService, ObsConfig, ShardRouter};
+use kcore_ingest::{recover, GraphEvent, IngestConfig, IngestService, ObsConfig};
 use kcore_maint::PlannerConfig;
 use std::io::Write;
-use std::sync::Arc;
 use std::time::Instant;
 
 struct Args {
@@ -92,12 +83,9 @@ struct Args {
     /// `0.0` disables the gate (publish p50 growth ratio, largest |V|
     /// over smallest, in the scaling section).
     max_publish_cost_ratio: f64,
-    /// `0.0` disables the gate (v2 checksummed journal encode cost over
+    /// `0.0` disables the gate (v3 checksummed journal encode cost over
     /// the plain v1 encode, in the recovery section).
     max_append_overhead_ratio: f64,
-    /// `0.0` disables the gate (best multi-shard events/sec over the
-    /// 1-shard router baseline, in the shards section).
-    min_shard_scaling: f64,
     /// `0.0` disables the gate (metrics-off over metrics-on churn
     /// events/sec, in the observability section).
     max_obs_overhead_ratio: f64,
@@ -118,7 +106,6 @@ impl Args {
             min_ingest_throughput: 0.0,
             max_publish_cost_ratio: 0.0,
             max_append_overhead_ratio: 0.0,
-            min_shard_scaling: 0.0,
             max_obs_overhead_ratio: 0.0,
         };
         let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -153,9 +140,6 @@ impl Args {
                     a.max_append_overhead_ratio =
                         need(i).parse().expect("bad --max-append-overhead-ratio")
                 }
-                "--min-shard-scaling" => {
-                    a.min_shard_scaling = need(i).parse().expect("bad --min-shard-scaling")
-                }
                 "--max-obs-overhead-ratio" => {
                     a.max_obs_overhead_ratio =
                         need(i).parse().expect("bad --max-obs-overhead-ratio")
@@ -165,8 +149,7 @@ impl Args {
                         "flags: --n N  --attach M  --batches B  --inserts-per-batch I  \
                          --removes-per-batch R  --max-batch S  --queue Q  --seed S  \
                          --out FILE  --min-ingest-throughput EPS  --max-publish-cost-ratio R  \
-                         --max-append-overhead-ratio R  --min-shard-scaling R  \
-                         --max-obs-overhead-ratio R"
+                         --max-append-overhead-ratio R  --max-obs-overhead-ratio R"
                     );
                     std::process::exit(0);
                 }
@@ -412,97 +395,6 @@ fn run_section(
     }
 }
 
-/// One row of the shard-scaling experiment: the identical churn stream
-/// routed through a `ShardRouter` at a given shard count.
-struct ShardPoint {
-    shards: usize,
-    events: usize,
-    secs: f64,
-    events_per_sec: f64,
-    cuts: u64,
-    /// Wall time of one `merged_cut()` — flush barrier + window replay +
-    /// cross-shard boundary repair + COW publication.
-    cut_p50_ns: u64,
-    cut_p99_ns: u64,
-    /// What a concurrent reader pays for `load()` + 64 chunked core
-    /// lookups against the merged snapshot.
-    read_p50_ns: u64,
-    cross_shard_events: u64,
-    boundary_exchanges: u64,
-    repair_rounds: u64,
-}
-
-/// Drives `events` through a hash-partitioned router at `shards`
-/// shards with wall-clock per-shard writers, cutting a merged snapshot
-/// every `cut_every` submissions; asserts the final cut against the
-/// recompute oracle.
-fn run_shard_point(
-    base: &DynamicGraph,
-    events: &[GraphEvent],
-    shards: usize,
-    cfg: IngestConfig,
-    seed: u64,
-    cut_every: usize,
-) -> ShardPoint {
-    let map: Arc<dyn ShardMap> = Arc::new(HashShardMap::new(shards));
-    let mut router = ShardRouter::spawn(base.clone(), map, seed, cfg).expect("spawn router");
-    let handle = router.subscribe();
-    let mut cut_ns: Vec<u64> = Vec::new();
-    let t0 = Instant::now();
-    for (i, &e) in events.iter().enumerate() {
-        router.submit(e).expect("shard writers alive");
-        if i % cut_every == cut_every - 1 {
-            let c0 = Instant::now();
-            router.merged_cut().expect("merged cut");
-            cut_ns.push(c0.elapsed().as_nanos() as u64);
-        }
-    }
-    let c0 = Instant::now();
-    let last = router.merged_cut().expect("final merged cut");
-    cut_ns.push(c0.elapsed().as_nanos() as u64);
-    let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        last.cores.to_vec(),
-        oracle_cores(base, events),
-        "{shards}-shard merged cut diverged from the recompute oracle"
-    );
-    router.validate().expect("router invariants");
-
-    // Reader probe against the published handle (not the router): a
-    // handle clone + 64 strided chunked lookups per rep.
-    const READ_REPS: usize = 256;
-    let nv = (base.num_vertices() as u32).max(1);
-    let mut read_ns: Vec<u64> = Vec::with_capacity(READ_REPS);
-    for r in 0..READ_REPS as u32 {
-        let p0 = Instant::now();
-        let snap = handle.load();
-        let mut acc = 0u64;
-        let mut v = r.wrapping_mul(2_654_435_761) % nv;
-        for _ in 0..64 {
-            acc += snap.core(v) as u64;
-            v = (v + 127) % nv;
-        }
-        std::hint::black_box(acc);
-        read_ns.push(p0.elapsed().as_nanos() as u64);
-    }
-
-    let stats = router.stats();
-    router.shutdown();
-    ShardPoint {
-        shards,
-        events: events.len(),
-        secs,
-        events_per_sec: events.len() as f64 / secs,
-        cuts: stats.cuts,
-        cut_p50_ns: percentile(&mut cut_ns, 50.0),
-        cut_p99_ns: percentile(&mut cut_ns, 99.0),
-        read_p50_ns: percentile(&mut read_ns, 50.0),
-        cross_shard_events: stats.cross_shard_events,
-        boundary_exchanges: stats.repair.boundary_exchanges,
-        repair_rounds: stats.repair.rounds,
-    }
-}
-
 /// One row of the publish-cost scaling experiment: the same per-batch
 /// change volume over a growing vertex universe.
 struct ScalePoint {
@@ -622,7 +514,7 @@ fn flip_last_byte(path: &std::path::Path) {
 }
 
 /// The plain v1 journal encoding (`seq u64 | kind u8 | u u32 | v u32`,
-/// no checksums, no frame header) — the baseline the v2 checksummed
+/// no checksums, no frame header) — the baseline the v3 checksummed
 /// frame's append cost is measured against.
 fn encode_plain_v1(entries: &[kcore_maint::journal::JournalEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(entries.len() * 17);
@@ -739,60 +631,6 @@ fn main() {
         churn_obs_off_report.events_per_sec,
         obs_overhead_ratio,
         churn_report.exposition_lines,
-    );
-
-    // ---- shards: the same churn stream through the ShardRouter ----
-    // Identical events, identical wall-clock per-shard config; only the
-    // shard count varies. Cross-shard edges are applied on BOTH owner
-    // shards (the mirrored-endpoint layout), so at a cross fraction c
-    // the ideal speedup at s shards is s / (1 + c), not s — the JSON
-    // records cross_shard_events so the ratio can be judged honestly.
-    let shard_cut_every = 8 * (args.inserts_per_batch + args.removes_per_batch);
-    {
-        // Untimed warm-up (fresh router threads per point).
-        let quarter = &churn[..churn.len() / 4];
-        let _ = run_shard_point(&base, quarter, 2, wall_cfg(), args.seed, shard_cut_every);
-    }
-    let mut shard_points: Vec<ShardPoint> = Vec::new();
-    for &shards in &[1usize, 2, 4] {
-        let p = run_shard_point(
-            &base,
-            &churn,
-            shards,
-            wall_cfg(),
-            args.seed,
-            shard_cut_every,
-        );
-        println!(
-            "shards {:>2}: {:>8} events in {:>7.3}s = {:>10.0} events/sec | {:>3} cuts, \
-             cut p50 {:>8}ns p99 {:>9}ns | read p50 {:>6}ns | {:>6} cross-shard events, \
-             {:>5} boundary exchanges over {:>4} repair rounds",
-            p.shards,
-            p.events,
-            p.secs,
-            p.events_per_sec,
-            p.cuts,
-            p.cut_p50_ns,
-            p.cut_p99_ns,
-            p.read_p50_ns,
-            p.cross_shard_events,
-            p.boundary_exchanges,
-            p.repair_rounds,
-        );
-        shard_points.push(p);
-    }
-    let shard_scaling = |s: usize| -> f64 {
-        let base_eps = shard_points[0].events_per_sec;
-        shard_points
-            .iter()
-            .find(|p| p.shards == s)
-            .map(|p| p.events_per_sec / base_eps)
-            .unwrap_or(1.0)
-    };
-    let scaling_2x = shard_scaling(2);
-    let scaling_4x = shard_scaling(4);
-    println!(
-        "shard scaling over 1-shard router: 2 shards {scaling_2x:.2}x, 4 shards {scaling_4x:.2}x"
     );
 
     // ---- window: admit/expire over a timestamped stream ----
@@ -1096,16 +934,6 @@ fn main() {
     } else {
         "enforced".to_string()
     };
-    let shard_gate_status = if args.min_shard_scaling <= 0.0 {
-        "disabled".to_string()
-    } else if host < GATE_CORES {
-        format!(
-            "waived (host_parallelism {host} < {GATE_CORES} required: per-shard writers are \
-             independent threads, a 1-core host time-slices them and cannot scale)"
-        )
-    } else {
-        "enforced".to_string()
-    };
     let obs_gate_status = if args.max_obs_overhead_ratio <= 0.0 {
         "disabled".to_string()
     } else if host < GATE_CORES {
@@ -1181,37 +1009,6 @@ fn main() {
          \"append_gate\": \"{append_gate_status}\"\n  }},\n",
         args.max_append_overhead_ratio
     ));
-    json.push_str("  \"shards\": {\n");
-    json.push_str(&format!(
-        "    \"cut_every_events\": {shard_cut_every},\n    \"points\": [\n"
-    ));
-    for (i, p) in shard_points.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{ \"shards\": {}, \"events\": {}, \"secs\": {:.4}, \
-             \"events_per_sec\": {:.0}, \"cuts\": {}, \
-             \"merged_cut_ns\": {{ \"p50\": {}, \"p99\": {} }}, \
-             \"merged_read_ns\": {{ \"p50\": {} }}, \
-             \"cross_shard_events\": {}, \"boundary_exchanges\": {}, \
-             \"repair_rounds\": {} }}{}\n",
-            p.shards,
-            p.events,
-            p.secs,
-            p.events_per_sec,
-            p.cuts,
-            p.cut_p50_ns,
-            p.cut_p99_ns,
-            p.read_p50_ns,
-            p.cross_shard_events,
-            p.boundary_exchanges,
-            p.repair_rounds,
-            if i + 1 < shard_points.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "    ],\n    \"scaling_2x\": {scaling_2x:.3},\n    \"scaling_4x\": {scaling_4x:.3},\n    \
-         \"min_shard_scaling\": {:.2},\n    \"shard_gate\": \"{shard_gate_status}\"\n  }},\n",
-        args.min_shard_scaling
-    ));
     json.push_str("  \"publish_scaling\": [\n");
     for (i, p) in scaling.iter().enumerate() {
         json.push_str(&format!(
@@ -1253,8 +1050,7 @@ fn main() {
         .expect("write BENCH_ingest.json");
     println!(
         "wrote {} (gate: {gate_status}, publish_gate: {publish_gate_status}, \
-         append_gate: {append_gate_status}, shard_gate: {shard_gate_status}, \
-         obs_gate: {obs_gate_status})",
+         append_gate: {append_gate_status}, obs_gate: {obs_gate_status})",
         args.out
     );
 
@@ -1280,18 +1076,6 @@ fn main() {
             "GATE FAILED: v3 checksummed append costs {append_overhead_ratio:.2}x the plain v1 \
              encode (allowed {:.2}x)",
             args.max_append_overhead_ratio
-        );
-        failed = true;
-    }
-    // Best observed multi-shard ratio: on a 2-core host the 4-shard
-    // point over-subscribes, so either ratio clearing the bar proves the
-    // sharded pipeline scales.
-    let best_scaling = scaling_2x.max(scaling_4x);
-    if shard_gate_status == "enforced" && best_scaling < args.min_shard_scaling {
-        eprintln!(
-            "GATE FAILED: best shard scaling {best_scaling:.2}x (2 shards {scaling_2x:.2}x, \
-             4 shards {scaling_4x:.2}x) < required {:.2}x over the 1-shard router",
-            args.min_shard_scaling
         );
         failed = true;
     }

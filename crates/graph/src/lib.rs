@@ -34,7 +34,6 @@ pub mod graph;
 pub mod hash;
 pub mod io;
 pub mod mapped;
-pub mod shard;
 pub mod stats;
 
 pub use arena::AdjArena;
@@ -45,4 +44,3 @@ pub use graph::{
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use mapped::{load_csr_mapped, save_csr, CsrLoadError, MappedCsr};
-pub use shard::{BoundaryTable, HashShardMap, RangeShardMap, ShardMap};

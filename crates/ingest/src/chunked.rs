@@ -284,97 +284,6 @@ impl CoreMirror {
     }
 }
 
-/// A published, immutable view of the order-index maintenance metrics:
-/// the `deg⁺` and `mcd` arrays of the source paper, chunk-shared with
-/// the writer's [`MetricMirror`] exactly like cores are.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoreMetrics {
-    /// `deg⁺(v)`: neighbours after `v` in the k-order with equal-or-
-    /// higher core (the promotion-pass budget).
-    pub deg_plus: ChunkedCores,
-    /// `mcd(v)`: neighbours with core `>= core(v)` (the Lemma 5.2
-    /// short-circuit bound).
-    pub mcd: ChunkedCores,
-}
-
-/// Writer-side chunked-COW mirrors of `deg⁺` and `mcd` — the same trick
-/// [`CoreMirror`] plays for cores, so cross-epoch readers (the sharded
-/// boundary-table repair among them) see the metrics snapshot-visible
-/// without an `O(n)` copy per epoch: untouched chunks stay shared
-/// between consecutive snapshots.
-///
-/// The engines expose no change tracking for these arrays, so syncing
-/// is always the chunk-compare fallback: `O(n)` compare, `O(changed)`
-/// copy.
-#[derive(Debug, Clone)]
-pub struct MetricMirror {
-    deg_plus: ChunkedCores,
-    mcd: ChunkedCores,
-}
-
-/// Chunk-compare sync shared by both metric arrays: equal chunks keep
-/// their (possibly snapshot-shared) allocation, differing ones are
-/// rewritten via `Arc::make_mut`. Returns chunks copied (COW breaks).
-fn sync_chunked(dst: &mut ChunkedCores, new: &[u32]) -> usize {
-    if new.len() > dst.len() {
-        dst.grow(new.len());
-    }
-    assert_eq!(new.len(), dst.len, "metric arrays never shrink");
-    let mut copied = 0usize;
-    for ci in 0..dst.chunks.len() {
-        let start = ci * CHUNK;
-        let end = (start + CHUNK).min(new.len());
-        if start >= end {
-            break;
-        }
-        let fresh = &new[start..end];
-        let chunk = &mut dst.chunks[ci];
-        if &chunk[..fresh.len()] == fresh {
-            continue;
-        }
-        if Arc::strong_count(chunk) > 1 {
-            copied += 1;
-        }
-        Arc::make_mut(chunk)[..fresh.len()].copy_from_slice(fresh);
-    }
-    copied
-}
-
-impl MetricMirror {
-    /// Builds from the engine's current arrays (`O(n)`, once at spawn).
-    pub fn from_slices(deg_plus: &[u32], mcd: &[u32]) -> Self {
-        assert_eq!(deg_plus.len(), mcd.len());
-        MetricMirror {
-            deg_plus: ChunkedCores::from_slice(deg_plus),
-            mcd: ChunkedCores::from_slice(mcd),
-        }
-    }
-
-    /// Vertices covered.
-    pub fn len(&self) -> usize {
-        self.deg_plus.len()
-    }
-
-    /// True when no vertex is covered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Brings both mirrors up to date; returns chunks copied (the COW
-    /// publish cost, reported alongside the core mirror's).
-    pub fn sync_full(&mut self, deg_plus: &[u32], mcd: &[u32]) -> usize {
-        sync_chunked(&mut self.deg_plus, deg_plus) + sync_chunked(&mut self.mcd, mcd)
-    }
-
-    /// A publishable view (`O(chunks)` `Arc` bumps, no value copies).
-    pub fn snapshot(&self) -> CoreMetrics {
-        CoreMetrics {
-            deg_plus: self.deg_plus.clone(),
-            mcd: self.mcd.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,41 +413,5 @@ mod tests {
         assert!(!m.apply(6, 1), "unchanged value is free");
         assert_eq!(snap.get(4), 1);
         let _ = snap;
-    }
-
-    #[test]
-    fn metric_mirror_shares_untouched_chunks() {
-        let n = 3 * CHUNK + 5;
-        let dp: Vec<u32> = (0..n as u32).map(|i| i % 5).collect();
-        let mcd: Vec<u32> = (0..n as u32).map(|i| i % 3).collect();
-        let mut m = MetricMirror::from_slices(&dp, &mcd);
-        let before = m.snapshot();
-
-        // Change one value in chunk 1 of deg_plus only.
-        let mut dp2 = dp.clone();
-        dp2[CHUNK + 3] = 99;
-        let copied = m.sync_full(&dp2, &mcd);
-        assert_eq!(copied, 1, "exactly one chunk diverged");
-        let after = m.snapshot();
-        assert_eq!(after.deg_plus.to_vec(), dp2);
-        assert_eq!(after.mcd.to_vec(), mcd);
-        // Untouched chunks are shared across epochs; the dirty one is not.
-        assert!(!before.deg_plus.chunk_ptr_eq(&after.deg_plus, 1));
-        assert!(before.deg_plus.chunk_ptr_eq(&after.deg_plus, 0));
-        assert!(before.deg_plus.chunk_ptr_eq(&after.deg_plus, 2));
-        assert!(before.mcd.chunk_ptr_eq(&after.mcd, 0));
-
-        // No-op sync is free.
-        assert_eq!(m.sync_full(&dp2, &mcd), 0);
-
-        // Growth zero-fills and stays consistent.
-        let mut dp3 = dp2.clone();
-        let mut mcd3 = mcd.clone();
-        dp3.resize(n + CHUNK, 7);
-        mcd3.resize(n + CHUNK, 2);
-        m.sync_full(&dp3, &mcd3);
-        assert_eq!(m.len(), n + CHUNK);
-        assert_eq!(m.snapshot().deg_plus.to_vec(), dp3);
-        assert_eq!(m.snapshot().mcd.to_vec(), mcd3);
     }
 }

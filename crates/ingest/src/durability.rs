@@ -15,7 +15,7 @@
 //!
 //! ## File formats (little-endian)
 //!
-//! Journal **v3** (written): header
+//! Journal **v3**: header
 //! `"KJRN" u32 | version=3 u32 | n u32 | base u64 | header_crc u32`
 //! (24 bytes; `base` is the seq of the first record, non-zero after a
 //! snapshot-only recovery reset; `header_crc` covers the first 20
@@ -26,32 +26,25 @@
 //! `kind u8 (0 insert / 1 remove) | zigzag-LEB128(u − prev_u) |
 //! zigzag-LEB128(v − u)` — seqs are implicit (`first_seq + i`, the
 //! journal is gap-free by construction) and vertex ids are stored as
-//! signed deltas, so a typical record is 3–6 bytes instead of v2's 21.
+//! signed deltas, so a typical record is 3–6 bytes instead of the 17 an
+//! absolute `seq | kind | u | v` record takes.
 //! The frame CRC covers everything after the marker (count, first_seq,
 //! payload_len, payload). The reader validates frame-by-frame: any
 //! corruption (bad marker, bad CRC, broken seq continuity, torn frame)
 //! ends the readable prefix at the last fully-valid frame instead of
 //! silently replaying garbage.
 //!
-//! Journal **v2** (still read): same 24-byte header with `version=2`;
-//! frames are `"FRAM" u32 | count u32` followed by `count` absolute
-//! 21-byte records (`seq u64 | kind u8 | u u32 | v u32 | crc u32`, the
-//! trailing CRC covering the record's first 17 bytes).
-//!
-//! Journal **v1** (still read): 12-byte header without `base`/CRC and
-//! bare 17-byte records with no frames — only a torn *tail* is
-//! detectable. [`JournalSink::open`] transparently upgrades a v1 or v2
-//! file to v3 (atomic rewrite) before appending.
-//!
-//! Snapshot **v2** (written): `"KSNP" u32 | version=2 u32 | ops u64 |
-//! crc u32` then the checksummed [`OrderCore::save`] payload; the CRC
-//! covers `ops` + payload, closing the v1 hole where a flipped `ops`
-//! field silently shifted the replay point. v1 (16-byte header, no CRC)
-//! still loads. Snapshots are written temp-file + fsync + rename +
+//! Snapshot **v2**: `"KSNP" u32 | version=2 u32 | ops u64 | crc u32`
+//! then the checksummed [`OrderCore::save`] payload; the CRC covers
+//! `ops` + payload, so a flipped `ops` field cannot silently shift the
+//! replay point. Snapshots are written temp-file + fsync + rename +
 //! parent-directory fsync — durable across power loss, not just process
 //! crash — and rotated: `ingest.ksnp` is the newest generation,
 //! `ingest.ksnp.1` the previous, up to
 //! [`DurabilityConfig::snapshot_generations`].
+//!
+//! These are the only versions read: a journal or snapshot whose header
+//! declares any other version is refused, never upgraded in place.
 
 use crate::faults::StorageHandle;
 use kcore_graph::DynamicGraph;
@@ -63,20 +56,14 @@ use std::path::{Path, PathBuf};
 const JOURNAL_MAGIC: u32 = 0x4B4A_524E; // "KJRN"
 const SNAPSHOT_MAGIC: u32 = 0x4B53_4E50; // "KSNP"
 const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"FRAM");
-const VERSION_1: u32 = 1;
-const VERSION_2: u32 = 2;
-const VERSION_3: u32 = 3;
-/// v1 record: `seq u64 | kind u8 | u u32 | v u32`.
-const RECORD_BYTES: usize = 8 + 1 + 4 + 4;
-/// v2 record: v1 record + trailing CRC32.
-const RECORD_V2_BYTES: usize = RECORD_BYTES + 4;
-const HEADER_V1_BYTES: usize = 12;
-const HEADER_V2_BYTES: usize = 24;
-const FRAME_HEADER_BYTES: usize = 8;
-/// v3 frame header: marker, count, first_seq, payload_len, crc.
-const FRAME_V3_HEADER_BYTES: usize = 4 + 4 + 8 + 4 + 4;
-const SNAP_HEADER_V1_BYTES: usize = 16;
-const SNAP_HEADER_V2_BYTES: usize = 20;
+const JOURNAL_VERSION: u32 = 3;
+const SNAPSHOT_VERSION: u32 = 2;
+/// Journal header: magic, version, n, base, header_crc.
+const HEADER_BYTES: usize = 4 + 4 + 4 + 8 + 4;
+/// Frame header: marker, count, first_seq, payload_len, crc.
+const FRAME_HEADER_BYTES: usize = 4 + 4 + 8 + 4 + 4;
+/// Snapshot header: magic, version, ops, crc.
+const SNAP_HEADER_BYTES: usize = 4 + 4 + 8 + 4;
 
 // ---------------------------------------------------------------- CRC32
 
@@ -247,20 +234,6 @@ impl From<io::Error> for RecoverError {
 
 // ------------------------------------------------------ journal: write
 
-/// Encodes one v1-layout record (no CRC) into `out` — only the
-/// compatibility fixtures write this layout now.
-#[cfg(test)]
-fn encode_record(out: &mut Vec<u8>, seq: u64, event: GraphEvent) {
-    let (kind, u, v) = match event {
-        GraphEvent::EdgeInserted(u, v) => (0u8, u, v),
-        GraphEvent::EdgeRemoved(u, v) => (1u8, u, v),
-    };
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&u.to_le_bytes());
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Zigzag-maps a signed delta into the unsigned LEB128 domain.
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -322,7 +295,7 @@ pub fn encode_frame(entries: &[JournalEntry]) -> Vec<u8> {
         prev_u = u;
     }
     let first_seq = entries.first().map_or(0, |e| e.seq);
-    let mut out = Vec::with_capacity(FRAME_V3_HEADER_BYTES + payload.len());
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
     out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     out.extend_from_slice(&first_seq.to_le_bytes());
@@ -335,9 +308,9 @@ pub fn encode_frame(entries: &[JournalEntry]) -> Vec<u8> {
 }
 
 fn encode_journal_header(n: usize, base: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_V2_BYTES);
+    let mut out = Vec::with_capacity(HEADER_BYTES);
     out.extend_from_slice(&JOURNAL_MAGIC.to_le_bytes());
-    out.extend_from_slice(&VERSION_3.to_le_bytes());
+    out.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
     out.extend_from_slice(&(n as u32).to_le_bytes());
     out.extend_from_slice(&base.to_le_bytes());
     let crc = crc32(&out[..20]);
@@ -346,8 +319,7 @@ fn encode_journal_header(n: usize, base: u64) -> Vec<u8> {
 }
 
 /// Atomically (re)writes a journal file: temp file + fsync + rename +
-/// parent-directory fsync. Used for the v1 → v2 upgrade and for the
-/// snapshot-only journal reset.
+/// parent-directory fsync. Used for the snapshot-only journal reset.
 fn write_journal_atomic(storage: &StorageHandle, path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("kjrn.tmp");
     storage.with(|io| {
@@ -377,10 +349,10 @@ pub struct JournalSink {
 }
 
 impl JournalSink {
-    /// Creates the journal (writing a v2 header) or re-opens an existing
-    /// one for append after validating its header against `n`. A v1 file
-    /// is upgraded to v2 in place (atomic rewrite); a damaged suffix is
-    /// truncated so resumed appends continue the intact prefix.
+    /// Creates the journal (writing a v3 header) or re-opens an existing
+    /// one for append after validating its header against `n`. A file of
+    /// any other version is refused; a damaged suffix is truncated so
+    /// resumed appends continue the intact prefix.
     pub fn open(
         path: &Path,
         n: usize,
@@ -404,7 +376,7 @@ impl JournalSink {
                 fsync,
                 existing: 0,
                 appended: 0,
-                intact_len: HEADER_V2_BYTES as u64,
+                intact_len: HEADER_BYTES as u64,
             });
         }
         let contents = parse_journal(&bytes).map_err(|e| match e {
@@ -417,27 +389,7 @@ impl JournalSink {
                 format!("journal declares {} vertices, engine has {n}", contents.n),
             ));
         }
-        let mut intact_len = contents.intact_bytes;
-        if contents.version != VERSION_3 {
-            // Upgrade: re-encode the intact prefix as one v3 delta frame
-            // under a v3 header, atomically, so this file's future
-            // appends share one format (and v1 gains checksums).
-            let entries: Vec<JournalEntry> = contents
-                .events
-                .iter()
-                .map(|&(seq, event)| JournalEntry {
-                    seq,
-                    event,
-                    transitions: Vec::new(),
-                })
-                .collect();
-            let mut rewritten = encode_journal_header(n, contents.base);
-            if !entries.is_empty() {
-                rewritten.extend_from_slice(&encode_frame(&entries));
-            }
-            intact_len = rewritten.len() as u64;
-            write_journal_atomic(storage, path, &rewritten)?;
-        } else if contents.damage.is_some() {
+        if contents.damage.is_some() {
             // Drop the damaged bytes so resumed appends continue the
             // intact prefix instead of landing behind garbage.
             storage.with(|io| io.truncate(path, contents.intact_bytes))?;
@@ -448,7 +400,7 @@ impl JournalSink {
             fsync,
             existing: contents.base + contents.events.len() as u64,
             appended: 0,
-            intact_len,
+            intact_len: contents.intact_bytes,
         })
     }
 
@@ -500,9 +452,10 @@ impl JournalSink {
 pub struct JournalContents {
     /// Vertex universe the journal was created over.
     pub n: usize,
-    /// Format version the file carries (1 or 2).
+    /// Format version the file carries (always 3: other versions are
+    /// refused).
     pub version: u32,
-    /// Seq of the first record (v1 files are always 0-based).
+    /// Seq of the first record (non-zero after a snapshot-only reset).
     pub base: u64,
     /// Intact events, gap-free from `base`.
     pub events: Vec<(u64, GraphEvent)>,
@@ -521,7 +474,7 @@ impl JournalContents {
     }
 }
 
-/// Reads and validates a journal file (either version) via real
+/// Reads and validates a v3 journal file via real
 /// storage. Corruption past the header ends the readable prefix
 /// (`damage`) instead of failing — the intact prefix is still a valid
 /// recovery source. A corrupt *header* is an error: nothing in the file
@@ -541,75 +494,23 @@ fn read_journal_with(
 }
 
 fn parse_journal(bytes: &[u8]) -> Result<JournalContents, RecoverError> {
-    if bytes.len() < HEADER_V1_BYTES {
+    if bytes.len() < HEADER_BYTES {
         return Err(RecoverError::BadJournal("shorter than the header"));
     }
     let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
     if word(0) != JOURNAL_MAGIC {
         return Err(RecoverError::BadJournal("not a kcore journal"));
     }
-    match word(4) {
-        VERSION_1 => parse_journal_v1(bytes),
-        VERSION_2 => parse_journal_v2(bytes),
-        VERSION_3 => parse_journal_v3(bytes),
-        _ => Err(RecoverError::BadJournal("unknown journal version")),
-    }
-}
-
-fn parse_journal_v1(bytes: &[u8]) -> Result<JournalContents, RecoverError> {
-    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-    let n = word(8) as usize;
-    let mut events = Vec::with_capacity((bytes.len() - HEADER_V1_BYTES) / RECORD_BYTES);
-    let mut at = HEADER_V1_BYTES;
-    let mut damage = None;
-    let mut expected_seq = 0u64;
-    while at + RECORD_BYTES <= bytes.len() {
-        let seq = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        let kind = bytes[at + 8];
-        let u = word(at + 9);
-        let v = word(at + 13);
-        // Seqs are gap-free from 0 by construction; anything else is a
-        // torn or corrupted tail, so the readable prefix ends here.
-        if seq != expected_seq || kind > 1 {
-            damage = Some("torn tail");
-            break;
-        }
-        expected_seq += 1;
-        events.push((
-            seq,
-            if kind == 0 {
-                GraphEvent::EdgeInserted(u, v)
-            } else {
-                GraphEvent::EdgeRemoved(u, v)
-            },
-        ));
-        at += RECORD_BYTES;
-    }
-    if damage.is_none() && at != bytes.len() {
-        damage = Some("trailing partial record");
-    }
-    Ok(JournalContents {
-        n,
-        version: VERSION_1,
-        base: 0,
-        intact_bytes: (HEADER_V1_BYTES + events.len() * RECORD_BYTES) as u64,
-        events,
-        damage,
-    })
-}
-
-fn parse_journal_v2(bytes: &[u8]) -> Result<JournalContents, RecoverError> {
-    if bytes.len() < HEADER_V2_BYTES {
-        return Err(RecoverError::BadJournal("shorter than the v2 header"));
-    }
-    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
     if word(20) != crc32(&bytes[..20]) {
         return Err(RecoverError::BadJournal("journal header checksum mismatch"));
+    }
+    if word(4) != JOURNAL_VERSION {
+        return Err(RecoverError::BadJournal("unsupported journal version"));
     }
     let n = word(8) as usize;
     let base = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
     let mut events = Vec::new();
-    let mut at = HEADER_V2_BYTES;
+    let mut at = HEADER_BYTES;
     let mut intact = at;
     let mut damage = None;
     let mut expected_seq = base;
@@ -623,88 +524,9 @@ fn parse_journal_v2(bytes: &[u8]) -> Result<JournalContents, RecoverError> {
             break;
         }
         let count = word(at + 4) as usize;
-        let Some(body) = count
-            .checked_mul(RECORD_V2_BYTES)
-            .and_then(|b| b.checked_add(at + FRAME_HEADER_BYTES))
-        else {
-            damage = Some("frame count overflow");
-            break;
-        };
-        if body > bytes.len() {
-            damage = Some("torn frame body");
-            break;
-        }
-        // Validate the whole frame before committing any of it: a frame
-        // is one shipped batch, and a half-valid frame means the append
-        // was torn.
-        let mut frame_events = Vec::with_capacity(count);
-        let mut r = at + FRAME_HEADER_BYTES;
-        for _ in 0..count {
-            if word(r + RECORD_BYTES) != crc32(&bytes[r..r + RECORD_BYTES]) {
-                damage = Some("record checksum mismatch");
-                break 'frames;
-            }
-            let seq = u64::from_le_bytes(bytes[r..r + 8].try_into().unwrap());
-            let kind = bytes[r + 8];
-            if seq != expected_seq + frame_events.len() as u64 || kind > 1 {
-                damage = Some("sequence break");
-                break 'frames;
-            }
-            let u = word(r + 9);
-            let v = word(r + 13);
-            frame_events.push((
-                seq,
-                if kind == 0 {
-                    GraphEvent::EdgeInserted(u, v)
-                } else {
-                    GraphEvent::EdgeRemoved(u, v)
-                },
-            ));
-            r += RECORD_V2_BYTES;
-        }
-        expected_seq += frame_events.len() as u64;
-        events.extend(frame_events);
-        at = body;
-        intact = at;
-    }
-    Ok(JournalContents {
-        n,
-        version: VERSION_2,
-        base,
-        events,
-        intact_bytes: intact as u64,
-        damage,
-    })
-}
-
-fn parse_journal_v3(bytes: &[u8]) -> Result<JournalContents, RecoverError> {
-    if bytes.len() < HEADER_V2_BYTES {
-        return Err(RecoverError::BadJournal("shorter than the v3 header"));
-    }
-    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-    if word(20) != crc32(&bytes[..20]) {
-        return Err(RecoverError::BadJournal("journal header checksum mismatch"));
-    }
-    let n = word(8) as usize;
-    let base = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let mut events = Vec::new();
-    let mut at = HEADER_V2_BYTES;
-    let mut intact = at;
-    let mut damage = None;
-    let mut expected_seq = base;
-    'frames: while at < bytes.len() {
-        if at + FRAME_V3_HEADER_BYTES > bytes.len() {
-            damage = Some("torn frame header");
-            break;
-        }
-        if word(at) != FRAME_MAGIC {
-            damage = Some("bad frame marker");
-            break;
-        }
-        let count = word(at + 4) as usize;
         let first_seq = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap());
         let payload_len = word(at + 16) as usize;
-        let Some(end) = payload_len.checked_add(at + FRAME_V3_HEADER_BYTES) else {
+        let Some(end) = payload_len.checked_add(at + FRAME_HEADER_BYTES) else {
             damage = Some("frame length overflow");
             break;
         };
@@ -712,7 +534,7 @@ fn parse_journal_v3(bytes: &[u8]) -> Result<JournalContents, RecoverError> {
             damage = Some("torn frame body");
             break;
         }
-        let payload = &bytes[at + FRAME_V3_HEADER_BYTES..end];
+        let payload = &bytes[at + FRAME_HEADER_BYTES..end];
         let mut crc = Crc32::new();
         crc.update(&bytes[at + 4..at + 20]).update(payload);
         if word(at + 20) != crc.finish() {
@@ -772,7 +594,7 @@ fn parse_journal_v3(bytes: &[u8]) -> Result<JournalContents, RecoverError> {
     }
     Ok(JournalContents {
         n,
-        version: VERSION_3,
+        version: JOURNAL_VERSION,
         base,
         events,
         intact_bytes: intact as u64,
@@ -783,9 +605,9 @@ fn parse_journal_v3(bytes: &[u8]) -> Result<JournalContents, RecoverError> {
 // ----------------------------------------------------------- snapshots
 
 fn encode_snapshot(ops: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SNAP_HEADER_V2_BYTES + payload.len());
+    let mut out = Vec::with_capacity(SNAP_HEADER_BYTES + payload.len());
     out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&VERSION_2.to_le_bytes());
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&ops.to_le_bytes());
     let mut crc = Crc32::new();
     crc.update(&ops.to_le_bytes()).update(payload);
@@ -836,9 +658,9 @@ pub fn save_index_snapshot(path: &Path, ops: u64, index: &TreapOrderCore) -> io:
     persist_index_snapshot(&d, ops, &payload)
 }
 
-/// Loads an index snapshot (either version): `(ops covered, restored
-/// index)`. A v2 snapshot's CRC is verified over `ops` + payload before
-/// the payload's own structural validation runs.
+/// Loads a v2 index snapshot: `(ops covered, restored index)`. The CRC
+/// is verified over `ops` + payload before the payload's own structural
+/// validation runs.
 pub fn load_index_snapshot(path: &Path, seed: u64) -> Result<(u64, TreapOrderCore), RecoverError> {
     load_snapshot_with(&StorageHandle::real(), path, seed)
 }
@@ -849,34 +671,24 @@ fn load_snapshot_with(
     seed: u64,
 ) -> Result<(u64, TreapOrderCore), RecoverError> {
     let bytes = storage.with(|io| io.read(path))?;
-    if bytes.len() < SNAP_HEADER_V1_BYTES {
+    if bytes.len() < SNAP_HEADER_BYTES {
         return Err(RecoverError::BadSnapshot(PersistError::BadHeader));
     }
     let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if magic != SNAPSHOT_MAGIC {
+    if magic != SNAPSHOT_MAGIC || version != SNAPSHOT_VERSION {
         return Err(RecoverError::BadSnapshot(PersistError::BadHeader));
     }
     let ops = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let payload = match version {
-        VERSION_1 => &bytes[SNAP_HEADER_V1_BYTES..],
-        VERSION_2 => {
-            if bytes.len() < SNAP_HEADER_V2_BYTES {
-                return Err(RecoverError::BadSnapshot(PersistError::BadHeader));
-            }
-            let stored = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-            let payload = &bytes[SNAP_HEADER_V2_BYTES..];
-            let mut crc = Crc32::new();
-            crc.update(&ops.to_le_bytes()).update(payload);
-            if stored != crc.finish() {
-                return Err(RecoverError::BadSnapshot(PersistError::Corrupted(
-                    "snapshot checksum mismatch",
-                )));
-            }
-            payload
-        }
-        _ => return Err(RecoverError::BadSnapshot(PersistError::BadHeader)),
-    };
+    let stored = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
+    let payload = &bytes[SNAP_HEADER_BYTES..];
+    let mut crc = Crc32::new();
+    crc.update(&ops.to_le_bytes()).update(payload);
+    if stored != crc.finish() {
+        return Err(RecoverError::BadSnapshot(PersistError::Corrupted(
+            "snapshot checksum mismatch",
+        )));
+    }
     let index = TreapOrderCore::load(payload, seed).map_err(RecoverError::BadSnapshot)?;
     Ok((ops, index))
 }
@@ -929,13 +741,13 @@ pub struct RecoveryReport {
     pub durable_ops: u64,
     /// Events replayed from the journal on top of the snapshot.
     pub replayed: usize,
-    /// Journal format version read (1 or 2; 0 = missing/unreadable).
+    /// Journal format version read (3; 0 = missing/unreadable).
     pub journal_version: u32,
     /// Why the journal's readable prefix ended early, if it did.
     pub journal_damage: Option<&'static str>,
     /// Journal bytes discarded past the last checksummed frame.
     pub journal_truncated_bytes: u64,
-    /// Whether the journal was reset (fresh v2 header at
+    /// Whether the journal was reset (fresh v3 header at
     /// `base = durable_ops`) because it could not be repaired in place.
     pub journal_reset: bool,
     /// Wall-clock time the whole ladder took, nanoseconds. Purely
@@ -1180,7 +992,7 @@ fn recover_impl(
     }
 
     if let Some((generation, ops, index)) = ahead {
-        // Snapshot-only: reset the journal to an empty v2 file based at
+        // Snapshot-only: reset the journal to an empty v3 file based at
         // the snapshot's coverage, so the resumed service appends from a
         // consistent seq.
         let n = index.graph().num_vertices();
@@ -1277,41 +1089,6 @@ mod tests {
         g
     }
 
-    /// Writes a v1-format journal byte-for-byte like the PR-5 code did.
-    fn write_v1_journal(path: &Path, n: usize, events: &[(u64, GraphEvent)]) {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&JOURNAL_MAGIC.to_le_bytes());
-        bytes.extend_from_slice(&VERSION_1.to_le_bytes());
-        bytes.extend_from_slice(&(n as u32).to_le_bytes());
-        for &(seq, event) in events {
-            encode_record(&mut bytes, seq, event);
-        }
-        std::fs::write(path, bytes).unwrap();
-    }
-
-    /// Writes a v2-format journal byte-for-byte like the PR-7 code did:
-    /// v2 header, then one absolute-record frame per `frames` element.
-    fn write_v2_journal(path: &Path, n: usize, frames: &[Vec<(u64, GraphEvent)>]) {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&JOURNAL_MAGIC.to_le_bytes());
-        bytes.extend_from_slice(&VERSION_2.to_le_bytes());
-        bytes.extend_from_slice(&(n as u32).to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        let crc = crc32(&bytes[..20]);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        for frame in frames {
-            bytes.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-            bytes.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-            for &(seq, event) in frame {
-                let at = bytes.len();
-                encode_record(&mut bytes, seq, event);
-                let crc = crc32(&bytes[at..at + RECORD_BYTES]);
-                bytes.extend_from_slice(&crc.to_le_bytes());
-            }
-        }
-        std::fs::write(path, bytes).unwrap();
-    }
-
     #[test]
     fn journal_roundtrip_and_reopen_append() {
         let dir = tmpdir("roundtrip");
@@ -1334,7 +1111,7 @@ mod tests {
 
         let contents = read_journal(&jp).unwrap();
         assert_eq!(contents.n, 6);
-        assert_eq!(contents.version, VERSION_3);
+        assert_eq!(contents.version, JOURNAL_VERSION);
         assert_eq!(contents.base, 0);
         assert!(contents.damage.is_none());
         assert_eq!(
@@ -1418,108 +1195,36 @@ mod tests {
     }
 
     #[test]
-    fn fault_v1_journal_still_loads_and_upgrades_on_append() {
-        let dir = tmpdir("v1compat");
-        let jp = dir.join("j.kjrn");
-        let events = vec![
-            (0, GraphEvent::EdgeInserted(0, 1)),
-            (1, GraphEvent::EdgeInserted(1, 2)),
-            (2, GraphEvent::EdgeRemoved(0, 1)),
-        ];
-        write_v1_journal(&jp, 4, &events);
-
-        // The version-aware reader accepts v1 …
-        let contents = read_journal(&jp).unwrap();
-        assert_eq!(contents.version, VERSION_1);
-        assert_eq!(contents.events, events);
-        assert!(contents.damage.is_none());
-
-        // … recovery replays it …
-        let d = DurabilityConfig {
-            journal_path: jp.clone(),
-            snapshot_path: dir.join("none.ksnp"),
-            ..DurabilityConfig::in_dir(&dir)
-        };
-        let rec = recover(&d, 3, PlannerConfig::default(), 64).unwrap();
-        assert_eq!(rec.next_seq, 3);
-        assert_eq!(rec.report.journal_version, VERSION_1);
-        let mut oracle = DynamicGraph::with_vertices(4);
-        oracle.insert_edge(1, 2).unwrap();
-        assert_eq!(
-            rec.engine.cores(),
-            &kcore_decomp::core_decomposition(&oracle)[..]
-        );
-
-        // … and re-opening for append upgrades the file to v3 in place.
+    fn fault_pre_v3_journal_versions_are_refused() {
+        let dir = tmpdir("old_versions");
         let storage = StorageHandle::real();
-        let mut sink = JournalSink::open(&jp, 4, false, &storage).unwrap();
-        assert_eq!(sink.existing(), 3);
-        let mut j = Journaled::with_start_seq(TreapOrderCore::new(path_graph(4), 1), 3);
-        j.insert_edge(0, 2).unwrap();
-        sink.append(&j.drain_since(3)).unwrap();
-        drop(sink);
-        let upgraded = read_journal(&jp).unwrap();
-        assert_eq!(upgraded.version, VERSION_3);
-        assert_eq!(upgraded.events.len(), 4);
-        assert!(upgraded.damage.is_none());
+        for version in [1u32, 2] {
+            // A well-formed v3 file whose header declares an older version
+            // (header CRC recomputed, so only the version can be at fault).
+            let jp = dir.join(format!("v{version}.kjrn"));
+            let mut j = Journaled::new(TreapOrderCore::new(DynamicGraph::with_vertices(4), 1));
+            let mut sink = JournalSink::open(&jp, 4, false, &storage).unwrap();
+            j.insert_edge(0, 1).unwrap();
+            sink.append(&j.drain_since(0)).unwrap();
+            drop(sink);
+            let mut bytes = std::fs::read(&jp).unwrap();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let crc = crc32(&bytes[..20]);
+            bytes[20..24].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&jp, &bytes).unwrap();
 
-        // A torn v1 tail upgrades to just the intact prefix.
-        write_v1_journal(&jp.with_extension("torn"), 4, &events);
-        let tp = jp.with_extension("torn");
-        let raw = std::fs::read(&tp).unwrap();
-        std::fs::write(&tp, &raw[..raw.len() - 3]).unwrap();
-        let sink = JournalSink::open(&tp, 4, false, &storage).unwrap();
-        assert_eq!(sink.existing(), 2);
-    }
-
-    #[test]
-    fn fault_v2_journal_still_loads_and_upgrades_on_append() {
-        let dir = tmpdir("v2compat");
-        let jp = dir.join("j.kjrn");
-        let frames = vec![
-            vec![
-                (0, GraphEvent::EdgeInserted(0, 1)),
-                (1, GraphEvent::EdgeInserted(1, 2)),
-            ],
-            vec![(2, GraphEvent::EdgeRemoved(0, 1))],
-        ];
-        write_v2_journal(&jp, 4, &frames);
-
-        // The version-aware reader accepts v2 …
-        let contents = read_journal(&jp).unwrap();
-        assert_eq!(contents.version, VERSION_2);
-        let flat: Vec<(u64, GraphEvent)> = frames.iter().flatten().copied().collect();
-        assert_eq!(contents.events, flat);
-        assert!(contents.damage.is_none());
-
-        // … recovery replays it …
-        let d = DurabilityConfig {
-            journal_path: jp.clone(),
-            snapshot_path: dir.join("none.ksnp"),
-            ..DurabilityConfig::in_dir(&dir)
-        };
-        let rec = recover(&d, 3, PlannerConfig::default(), 64).unwrap();
-        assert_eq!(rec.next_seq, 3);
-        assert_eq!(rec.report.journal_version, VERSION_2);
-        let mut oracle = DynamicGraph::with_vertices(4);
-        oracle.insert_edge(1, 2).unwrap();
-        assert_eq!(
-            rec.engine.cores(),
-            &kcore_decomp::core_decomposition(&oracle)[..]
-        );
-
-        // … and re-opening for append upgrades the file to v3 in place.
-        let storage = StorageHandle::real();
-        let mut sink = JournalSink::open(&jp, 4, false, &storage).unwrap();
-        assert_eq!(sink.existing(), 3);
-        let mut j = Journaled::with_start_seq(TreapOrderCore::new(path_graph(4), 1), 3);
-        j.insert_edge(0, 2).unwrap();
-        sink.append(&j.drain_since(3)).unwrap();
-        drop(sink);
-        let upgraded = read_journal(&jp).unwrap();
-        assert_eq!(upgraded.version, VERSION_3);
-        assert_eq!(upgraded.events.len(), 4);
-        assert!(upgraded.damage.is_none());
+            assert!(
+                matches!(read_journal(&jp), Err(RecoverError::BadJournal(_))),
+                "read_journal accepted a v{version} header"
+            );
+            let err = JournalSink::open(&jp, 4, false, &storage).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                std::fs::read(&jp).unwrap(),
+                bytes,
+                "a refused v{version} journal must be left untouched"
+            );
+        }
     }
 
     #[test]
@@ -1554,7 +1259,7 @@ mod tests {
         let jp = dir.join("j.kjrn");
         std::fs::write(&jp, &bytes).unwrap();
         let contents = read_journal(&jp).unwrap();
-        assert_eq!(contents.version, VERSION_3);
+        assert_eq!(contents.version, JOURNAL_VERSION);
         assert!(contents.damage.is_none());
         let expect: Vec<(u64, GraphEvent)> = entries.iter().map(|e| (e.seq, e.event)).collect();
         assert_eq!(contents.events, expect);
@@ -1582,7 +1287,7 @@ mod tests {
         // reader must either still return a strict prefix of the clean
         // events (damage reported) or keep the file fully intact only
         // when the flip cancels out — which a single XOR never does.
-        for at in HEADER_V2_BYTES..clean.len() {
+        for at in HEADER_BYTES..clean.len() {
             for mask in [0x01u8, 0x80, 0xFF] {
                 let mut corrupt = clean.clone();
                 corrupt[at] ^= mask;
@@ -1605,7 +1310,7 @@ mod tests {
         }
 
         // Header flips are fatal (nothing in the file can be trusted).
-        for at in 0..HEADER_V2_BYTES {
+        for at in 0..HEADER_BYTES {
             let mut corrupt = clean.clone();
             corrupt[at] ^= 0x01;
             std::fs::write(&jp, &corrupt).unwrap();

@@ -17,13 +17,14 @@
 //!   publishes an immutable, epoch-versioned [`CoreSnapshot`] (cores,
 //!   histogram, degeneracy, k-core membership) through an
 //!   epoch-validated double buffer: any number of reader threads load
-//!   consistent state without blocking the writer. Publication is
-//!   `O(changed)`, not `O(n)` — cores live in a chunked persistent
-//!   array ([`chunked::ChunkedCores`]) and consecutive epochs share
-//!   every chunk the flush did not dirty.
+//!   consistent state without waiting on the writer's batch work (a
+//!   publish can briefly wait on a slow load — see [`SnapshotHandle`]).
+//!   Publication is `O(changed)`, not `O(n)` — cores live in a chunked
+//!   persistent array ([`chunked::ChunkedCores`]) and consecutive epochs
+//!   share every chunk the flush did not dirty.
 //! * **Durability** — the writer ships the [`kcore_maint::journal`]
-//!   tail into an append-only, per-record-checksummed journal file
-//!   (KJRN v2) and periodically persists the full index into a rotated
+//!   tail into an append-only, per-frame-checksummed journal file
+//!   (KJRN v3) and periodically persists the full index into a rotated
 //!   set of snapshot generations; [`recover`] restores snapshot +
 //!   journal tail (replayed in planner-priced batches) after a crash,
 //!   escalating down a ladder of fallbacks (truncate torn tail → older
@@ -45,9 +46,7 @@
 //!   / [`IngestService::spans`], render with
 //!   [`MetricsSnapshot::render_text`] (Prometheus) or
 //!   [`MetricsSnapshot::to_json`]; opt out per service with
-//!   [`ObsConfig::disabled`]. The [`ShardRouter`] layers its own
-//!   registry on top: merged-cut phase spans and a cross-shard lag
-//!   gauge.
+//!   [`ObsConfig::disabled`].
 //!
 //! ```
 //! use kcore_ingest::{GraphEvent, IngestConfig, IngestService};
@@ -72,12 +71,11 @@
 pub mod chunked;
 pub mod durability;
 pub mod faults;
-pub mod router;
 pub mod service;
 pub mod snapshot;
 pub mod sources;
 
-pub use chunked::{ChunkedCores, CoreMetrics, CoreMirror, MetricMirror, CHUNK};
+pub use chunked::{ChunkedCores, CoreMirror, CHUNK};
 pub use durability::{
     persist_index_snapshot, read_journal, recover, snapshot_generation_path, DurabilityConfig,
     JournalContents, JournalSink, RecoverError, Recovered, RecoveryReport, RecoveryRung,
@@ -90,7 +88,6 @@ pub use kcore_obs::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
     Span, SpanRecorder,
 };
-pub use router::{MergedHandle, MergedSnapshot, RouterStats, ShardRouter};
 pub use service::{
     ClockMode, IngestConfig, IngestEngine, IngestError, IngestPause, IngestReport, IngestService,
     ObsConfig, RecoveryPolicy, RetryBudget, ServiceHealth,

@@ -12,7 +12,8 @@
 //! [`replay_batched`], so mixed insert/remove runs group correctly),
 //! ships the journal tail to the durability sink, and publishes a fresh
 //! epoch-versioned [`CoreSnapshot`] — readers never observe a
-//! half-applied batch and never block the writer.
+//! half-applied batch (see [`SnapshotHandle`] for what a load and a
+//! publish can wait on).
 //!
 //! ## Clocks and determinism
 //!
@@ -43,7 +44,7 @@
 //! not the engine. Only when every rung of the recovery ladder is
 //! exhausted does the service park in `Failed`, still serving reads.
 
-use crate::chunked::{CoreMirror, MetricMirror};
+use crate::chunked::CoreMirror;
 use crate::durability::{
     persist_index_snapshot, recover, DurabilityConfig, JournalSink, Recovered,
 };
@@ -104,15 +105,6 @@ pub trait IngestEngine: CoreMaintainer + Send + 'static {
         false
     }
 
-    /// The engine's `deg⁺` and `mcd` arrays, when it maintains them —
-    /// feeds the opt-in [`crate::chunked::MetricMirror`] publication
-    /// ([`IngestConfig::publish_metrics`]). `&mut` because order-based
-    /// engines may refresh a deferred index first. `None` (the default)
-    /// publishes no metrics.
-    fn metric_slices(&mut self) -> Option<(&[u32], &[u32])> {
-        None
-    }
-
     /// The engine's planner decision counters and cost-model EWMAs, when
     /// it is planner-driven — exported as `planner_*` metrics by the
     /// writer after every flush. `None` (the default) exports nothing.
@@ -147,10 +139,6 @@ impl IngestEngine for PlannedCore {
         true
     }
 
-    fn metric_slices(&mut self) -> Option<(&[u32], &[u32])> {
-        Some(PlannedCore::metric_slices(self))
-    }
-
     fn planner_stats(&self) -> Option<&PlannerStats> {
         Some(PlannedCore::planner_stats(self))
     }
@@ -168,10 +156,6 @@ impl IngestEngine for TreapOrderCore {
 
     fn persist_index(&mut self, out: &mut dyn io::Write) -> io::Result<()> {
         self.save(out)
-    }
-
-    fn metric_slices(&mut self) -> Option<(&[u32], &[u32])> {
-        Some((self.deg_plus_slice(), self.mcd_slice()))
     }
 }
 
@@ -385,11 +369,6 @@ pub struct IngestConfig {
     /// writer parks in [`ServiceHealth::Failed`] and keeps serving
     /// reads instead of dying.
     pub recovery: Option<RecoveryPolicy>,
-    /// Publish the engine's `deg⁺`/`mcd` arrays with every snapshot
-    /// (chunked, COW-shared across epochs). Off by default: keeping
-    /// them costs a chunk-compare per flush, and on a planner engine a
-    /// deferred k-order rebuild per flush that touched the order.
-    pub publish_metrics: bool,
     /// Observability wiring: metrics registry + flush-stage span tracer
     /// ([`IngestService::metrics`] / [`IngestService::spans`]).
     pub obs: ObsConfig,
@@ -407,7 +386,6 @@ impl Default for IngestConfig {
             planner: PlannerConfig::default(),
             parallelism: None,
             recovery: None,
-            publish_metrics: false,
             obs: ObsConfig::default(),
         }
     }
@@ -457,12 +435,6 @@ impl IngestConfig {
     /// Enables thread-parallel maintenance in spawned engines.
     pub fn parallel(mut self, par: Parallelism) -> Self {
         self.parallelism = Some(par);
-        self
-    }
-
-    /// Publishes `deg⁺`/`mcd` metric mirrors with every snapshot.
-    pub fn publish_metrics(mut self, on: bool) -> Self {
-        self.publish_metrics = on;
         self
     }
 
@@ -555,64 +527,6 @@ pub struct IngestReport {
     /// Health at shutdown.
     pub final_health: ServiceHealth,
 }
-
-impl IngestReport {
-    /// Aggregates the per-writer reports of a multi-writer deployment
-    /// (one per shard) into one: counters sum, engine stats absorb,
-    /// health takes the worst, and the latency histograms merge by
-    /// bucket addition — exactly percentile-safe (to bucket
-    /// resolution): no writer's tail disappears and no writer's volume
-    /// drowns another's percentiles beyond its true event share.
-    pub fn merge(reports: &[IngestReport]) -> IngestReport {
-        let mut out = IngestReport::default();
-        for r in reports {
-            out.events += r.events;
-            out.batches += r.batches;
-            out.update_stats.absorb(r.update_stats);
-            out.epochs_published += r.epochs_published;
-            out.entries_shipped += r.entries_shipped;
-            out.snapshots_persisted += r.snapshots_persisted;
-            out.chunks_copied += r.chunks_copied;
-            out.mirror_chunks += r.mirror_chunks;
-            out.tracked_drains += r.tracked_drains;
-            out.full_syncs += r.full_syncs;
-            out.engine_panics += r.engine_panics;
-            out.recoveries += r.recoveries;
-            out.recovery_retries += r.recovery_retries;
-            out.recovery_failures += r.recovery_failures;
-            out.journal_ship_failures += r.journal_ship_failures;
-            out.checkpoint_failures += r.checkpoint_failures;
-            out.events_lost += r.events_lost;
-            if r.final_health as u8 > out.final_health as u8 {
-                out.final_health = r.final_health;
-            }
-            out.batch_apply.absorb(&r.batch_apply);
-            out.publish.absorb(&r.publish);
-        }
-        out
-    }
-
-    /// Representative per-flush apply latency samples, rank-ordered and
-    /// capped at [`LATENCY_SAMPLE_CAP`] — reconstructed from the
-    /// bounded histogram's buckets.
-    #[deprecated(note = "use the `batch_apply` histogram's p50()/p99()/quantile() directly")]
-    pub fn batch_apply_ns(&self) -> Vec<u64> {
-        self.batch_apply.samples(LATENCY_SAMPLE_CAP)
-    }
-
-    /// Representative per-flush publish-cost samples, rank-ordered and
-    /// capped at [`LATENCY_SAMPLE_CAP`] — reconstructed from the
-    /// bounded histogram's buckets.
-    #[deprecated(note = "use the `publish` histogram's p50()/p99()/quantile() directly")]
-    pub fn publish_ns(&self) -> Vec<u64> {
-        self.publish.samples(LATENCY_SAMPLE_CAP)
-    }
-}
-
-/// Cap on reconstructed latency-sample vectors returned by the
-/// deprecated [`IngestReport::batch_apply_ns`] / [`IngestReport::publish_ns`]
-/// accessors (the histograms themselves are bounded by construction).
-pub const LATENCY_SAMPLE_CAP: usize = 4096;
 
 /// While `Recovering`, buffered events are capped at this multiple of
 /// `max(queue_capacity, max_batch)`; overflow is dropped and counted in
@@ -714,13 +628,6 @@ impl<M: IngestEngine> IngestService<M> {
         // back to a chunk-compare sync per flush.
         let tracking = engine.enable_core_change_tracking();
         let mirror = CoreMirror::from_slice(engine.core_slice());
-        let metrics = if cfg.publish_metrics {
-            engine
-                .metric_slices()
-                .map(|(dp, mcd)| MetricMirror::from_slices(dp, mcd))
-        } else {
-            None
-        };
         let journaled = Journaled::with_start_seq(engine, start_seq);
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
         let health = Arc::new(AtomicU8::new(ServiceHealth::Healthy as u8));
@@ -746,7 +653,6 @@ impl<M: IngestEngine> IngestService<M> {
             subscribers: Vec::new(),
             mirror,
             tracking,
-            metrics,
             change_buf: Vec::new(),
             health: health.clone(),
             unshipped: Vec::new(),
@@ -1155,8 +1061,6 @@ struct Writer<M: IngestEngine> {
     mirror: CoreMirror,
     /// Whether the engine records core changes for us.
     tracking: bool,
-    /// Opt-in `deg⁺`/`mcd` mirrors, synced per flush by chunk-compare.
-    metrics: Option<MetricMirror>,
     /// Reused drain buffer (no steady-state allocation per flush).
     change_buf: Vec<VertexId>,
     /// Shared with [`IngestService::health`].
@@ -1265,7 +1169,6 @@ impl<M: IngestEngine> Writer<M> {
             histogram: self.mirror.histogram(),
             degeneracy: self.mirror.degeneracy(),
             published_at_ns: self.now(),
-            metrics: self.metrics.as_ref().map(|m| Arc::new(m.snapshot())),
         }
     }
 
@@ -1301,13 +1204,6 @@ impl<M: IngestEngine> Writer<M> {
             copied += c as u64;
         }
         self.change_buf = buf;
-        if let Some(metrics) = &mut self.metrics {
-            // No change tracking exists for these arrays — always the
-            // chunk-compare path; copies still price out as the diff.
-            if let Some((dp, mcd)) = self.engine.engine_mut().metric_slices() {
-                copied += metrics.sync_full(dp, mcd) as u64;
-            }
-        }
         self.report.chunks_copied += copied;
         debug_assert!(
             self.mirror.snapshot_cores().to_vec() == self.engine.engine().core_slice(),

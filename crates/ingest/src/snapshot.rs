@@ -4,9 +4,9 @@
 //! The writer publishes a fresh [`CoreSnapshot`] after (a configurable
 //! number of) flushed micro-batches; readers [`SnapshotHandle::load`]
 //! whichever epoch is current and then work on an immutable object — no
-//! torn reads, no blocking the writer, and two loads in a row may
-//! observe different epochs but never a half-applied batch (snapshots
-//! are only cut at micro-batch boundaries).
+//! torn reads, and two loads in a row may observe different epochs but
+//! never a half-applied batch (snapshots are only cut at micro-batch
+//! boundaries).
 //!
 //! Two layers keep both sides cheap:
 //!
@@ -19,11 +19,14 @@
 //!   an atomic version *after* the swap; a reader snapshots the
 //!   version, clones from the active slot, and retries on the (rare)
 //!   torn window where the version moved mid-clone. The slots are
-//!   `Mutex`-held `Arc`s, but the writer only ever locks the *inactive*
-//!   slot — a reader's lock on the active slot is uncontended in
-//!   steady state, so loads never wait on the writer's batch work.
+//!   `Mutex`-held `Arc`s, and the writer only ever locks the *inactive*
+//!   slot, so a load never waits on the writer's batch work. The two
+//!   sides can still contend: the inactive slot is the one that was
+//!   active two publications ago, so a publish waits (for one `Arc`
+//!   clone) on a reader still cloning out of it, and that reader then
+//!   sees the version move and retries.
 
-use crate::chunked::{ChunkedCores, CoreMetrics};
+use crate::chunked::ChunkedCores;
 use kcore_graph::VertexId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -55,12 +58,6 @@ pub struct CoreSnapshot {
     /// Publication time (writer-clock nanoseconds: wall elapsed, or the
     /// scripted clock's value — the staleness metric of the bench).
     pub published_at_ns: u64,
-    /// Order-index maintenance metrics (`deg⁺`/`mcd`), published only
-    /// when [`crate::IngestConfig::publish_metrics`] opted in — chunked
-    /// and COW-shared like [`CoreSnapshot::cores`], so the sharded
-    /// boundary-table repair reads them snapshot-visible without the
-    /// writer copying either array per epoch.
-    pub metrics: Option<Arc<CoreMetrics>>,
 }
 
 impl CoreSnapshot {
@@ -105,9 +102,10 @@ struct Slots {
 }
 
 /// Shared slot pair the writer publishes through; clone freely across
-/// reader threads. Readers validate an atomic epoch around an
-/// uncontended slot clone (the writer only writes the slot readers are
-/// *not* directed at), so loads never wait on the writer's batch work.
+/// reader threads. Readers validate an atomic epoch around a slot clone.
+/// The writer only writes the slot readers are *not* directed at, so
+/// loads never wait on the writer's batch work; a publish can briefly
+/// wait on a reader still cloning from two publications ago.
 #[derive(Debug, Clone)]
 pub struct SnapshotHandle {
     shared: Arc<Slots>,
@@ -188,7 +186,6 @@ mod tests {
             histogram,
             degeneracy,
             published_at_ns: 0,
-            metrics: None,
         }
     }
 

@@ -547,133 +547,6 @@ fn recovery_preserves_writer_parallelism() {
 }
 
 #[test]
-fn report_merge_sums_counters_and_takes_worst_health() {
-    use crate::service::{IngestReport, ServiceHealth};
-    let mut a = IngestReport {
-        events: 10,
-        batches: 3,
-        epochs_published: 3,
-        entries_shipped: 10,
-        snapshots_persisted: 1,
-        chunks_copied: 4,
-        mirror_chunks: 2,
-        tracked_drains: 3,
-        events_lost: 1,
-        final_health: ServiceHealth::Degraded,
-        ..IngestReport::default()
-    };
-    a.update_stats.changed = 7;
-    for v in [10, 30, 20] {
-        a.batch_apply.record(v);
-    }
-    let mut b = IngestReport {
-        events: 5,
-        batches: 2,
-        epochs_published: 2,
-        full_syncs: 2,
-        engine_panics: 1,
-        recoveries: 1,
-        final_health: ServiceHealth::Healthy,
-        ..IngestReport::default()
-    };
-    b.update_stats.changed = 3;
-    for v in [100, 5] {
-        b.batch_apply.record(v);
-    }
-    let m = IngestReport::merge(&[a, b]);
-    assert_eq!(m.events, 15);
-    assert_eq!(m.batches, 5);
-    assert_eq!(m.epochs_published, 5);
-    assert_eq!(m.update_stats.changed, 10);
-    assert_eq!(m.chunks_copied, 4);
-    assert_eq!(m.tracked_drains, 3);
-    assert_eq!(m.full_syncs, 2);
-    assert_eq!(m.engine_panics, 1);
-    assert_eq!(m.recoveries, 1);
-    assert_eq!(m.events_lost, 1);
-    assert_eq!(m.final_health, ServiceHealth::Degraded);
-    // Latency histograms merge by bucket addition — every sample from
-    // both writers is kept (values < 8 land in exact unit buckets, so
-    // min is exact here; larger ones are exact at bucket granularity).
-    assert_eq!(m.batch_apply.count(), 5);
-    assert_eq!(m.batch_apply.min(), 5);
-    assert_eq!(m.batch_apply.max(), 100);
-    assert!(m.publish.is_empty());
-}
-
-#[test]
-fn report_merge_latency_histograms_are_percentile_safe() {
-    use crate::service::{IngestReport, LATENCY_SAMPLE_CAP};
-    // One writer with uniformly low latencies, one with uniformly high:
-    // the merged histogram keeps every sample (bucket addition, no
-    // subsampling), so the median sits at the population boundary and
-    // the p99 comes from the slow writer's tail.
-    let n = LATENCY_SAMPLE_CAP as u64;
-    let fast = IngestReport::default();
-    for v in 0..n {
-        fast.batch_apply.record(v);
-    }
-    let slow = IngestReport::default();
-    for v in 0..n {
-        slow.batch_apply.record(1_000_000 + v);
-    }
-    let m = IngestReport::merge(&[fast, slow]);
-    assert_eq!(m.batch_apply.count(), 2 * n, "no sample is dropped");
-    let p50 = m.batch_apply.p50();
-    let p99 = m.batch_apply.p99();
-    // Log-bucketed quantiles are exact to ≤12.5% relative bucket width.
-    assert!(p50 < 1_000_000, "median left the fast population: {p50}");
-    assert!(
-        p50 >= n / 2,
-        "median fell below the fast population's middle: {p50}"
-    );
-    assert!(p99 >= 1_000_000, "tail lost the slow population: {p99}");
-    // The deprecated shim still reconstructs a rank-ordered vector.
-    #[allow(deprecated)]
-    let samples = m.batch_apply_ns();
-    assert_eq!(samples.len(), LATENCY_SAMPLE_CAP);
-    assert!(
-        samples.is_sorted(),
-        "reconstructed samples are rank-ordered"
-    );
-}
-
-#[test]
-fn published_metrics_track_engine_and_share_chunks() {
-    use kcore_maint::CoreMaintainer;
-    let base = barabasi_albert(40, 3, 11);
-    let svc = IngestService::spawn_planned(
-        base.clone(),
-        11,
-        IngestConfig::scripted().max_batch(4).publish_metrics(true),
-    )
-    .unwrap();
-    let mut events = Vec::new();
-    for b in churn_stream(&base, 3, 6, 3, 21) {
-        for e in churn_events(&b) {
-            events.push(e);
-            svc.submit(e).unwrap();
-        }
-        svc.flush().unwrap();
-    }
-    let snap = svc.snapshots().load();
-    let metrics = snap.metrics.as_ref().expect("metrics published");
-    let (_, mut engine) = svc.shutdown();
-    let (dp, mcd) = engine.metric_slices();
-    assert_eq!(metrics.deg_plus.to_vec(), dp);
-    assert_eq!(metrics.mcd.to_vec(), mcd);
-    // Snapshot-visible semantics: the engine's own mcd/deg_plus for the
-    // final state agree with a from-scratch engine over the same prefix.
-    let oracle = apply_events(&base, &events);
-    assert_eq!(engine.graph_ref().num_edges(), oracle.num_edges());
-
-    // Without the opt-in, no metrics ride along.
-    let svc2 = IngestService::spawn_planned(base, 11, IngestConfig::scripted()).unwrap();
-    assert!(svc2.snapshots().load().metrics.is_none());
-    svc2.shutdown();
-}
-
-#[test]
 fn scripted_flush_trace_is_bit_exact_across_runs() {
     use crate::service::ObsConfig;
     // Two identical scripted runs must produce byte-identical span

@@ -30,7 +30,6 @@
 //! baseline and a naive recompute baseline for the benchmark harness.
 
 pub mod batch;
-pub mod boundary;
 pub mod components;
 pub mod journal;
 pub mod maintainer;
@@ -44,7 +43,6 @@ mod insert;
 mod par_pass;
 mod remove;
 
-pub use boundary::{BoundaryPassStats, BoundaryRepair};
 pub use components::BatchOptions;
 pub use kcore_traversal::UpdateStats;
 pub use maintainer::{CoreMaintainer, RecomputeCore};

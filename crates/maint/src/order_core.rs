@@ -308,18 +308,6 @@ impl<S: OrderSeq> OrderCore<S> {
         self.mcd[v as usize]
     }
 
-    /// The full `deg⁺` array (one slot per vertex).
-    #[inline]
-    pub fn deg_plus_slice(&self) -> &[u32] {
-        &self.deg_plus
-    }
-
-    /// The full `mcd` array (one slot per vertex).
-    #[inline]
-    pub fn mcd_slice(&self) -> &[u32] {
-        &self.mcd
-    }
-
     /// Turns on core-change tracking: from now on every vertex whose
     /// core number changes (promotion, dismissal, or recompute) is
     /// recorded, and [`OrderCore::drain_core_changes`] hands the set

@@ -889,15 +889,6 @@ impl<S: OrderSeq> PlannedCore<S> {
         &mut self.engine
     }
 
-    /// The engine's `deg⁺` and `mcd` arrays, refreshed first if a
-    /// recompute left the order index (and with it these metrics)
-    /// stale. Costs a k-order rebuild in that case — callers that poll
-    /// every flush should opt in deliberately.
-    pub fn metric_slices(&mut self) -> (&[u32], &[u32]) {
-        self.ensure_order_fresh();
-        (self.engine.deg_plus_slice(), self.engine.mcd_slice())
-    }
-
     /// Full cross-check: refreshes the order index if needed, then runs
     /// [`OrderCore::validate`] (tests only).
     pub fn validate(&mut self) {

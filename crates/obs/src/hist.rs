@@ -174,33 +174,6 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// Reconstruct up to `cap` rank-ordered representative samples
-    /// (bucket lower bounds). Back-compat shim for callers that used to
-    /// consume the raw `Vec<u64>` latency rings.
-    pub fn samples(&self, cap: usize) -> Vec<u64> {
-        let n = self.count();
-        if n == 0 || cap == 0 {
-            return Vec::new();
-        }
-        let stride = n.div_ceil(cap.min(n as usize) as u64).max(1);
-        let mut out = Vec::with_capacity(cap.min(n as usize));
-        let mut rank = 0u64; // ranks 0..n; emit ranks ≡ 0 (mod stride)
-        let mut next = 0u64;
-        for (idx, b) in self.0.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c == 0 {
-                continue;
-            }
-            let (lo, _) = bucket_bounds(idx);
-            while next < rank + c {
-                out.push(lo.min(self.max()));
-                next += stride;
-            }
-            rank += c;
-        }
-        out
-    }
-
     /// Non-empty buckets as `(upper_bound, cumulative_count)` pairs —
     /// the shape Prometheus `_bucket{le=...}` lines want.
     pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {

@@ -67,22 +67,6 @@ fn histogram_clone_shares_cells_and_eq_compares_contents() {
 }
 
 #[test]
-fn histogram_samples_shim_is_rank_ordered_and_capped() {
-    let h = Histogram::new();
-    for v in (0..1000u64).rev() {
-        h.record(v * 3);
-    }
-    let all = h.samples(4096);
-    assert_eq!(all.len(), 1000);
-    let mut sorted = all.clone();
-    sorted.sort_unstable();
-    assert_eq!(all, sorted, "samples come out rank-ordered");
-    let capped = h.samples(100);
-    assert!(capped.len() <= 100);
-    assert!(!capped.is_empty());
-}
-
-#[test]
 fn registry_snapshot_render_and_json() {
     let reg = MetricsRegistry::new();
     let c = reg.counter("ingest_events_total");

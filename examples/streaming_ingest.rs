@@ -1,7 +1,7 @@
 //! Streaming-ingest scenario: a writer thread maintains core numbers
 //! under a live churn stream while reader threads answer "who is in the
-//! engaged community right now?" from epoch snapshots — never blocking
-//! the writer, never seeing a half-applied batch. A journal + checkpoint
+//! engaged community right now?" from epoch snapshots — never waiting
+//! on the writer's batch work, never seeing a half-applied batch. A journal + checkpoint
 //! make the stream survive a crash.
 //!
 //! Run with: `cargo run --release --example streaming_ingest`

@@ -56,11 +56,7 @@ pub use kcore_traversal as traversal;
 
 pub use kcore_decomp::{core_decomposition, korder_decomposition, Heuristic};
 pub use kcore_graph::{DynamicGraph, VertexId};
-pub use kcore_graph::{HashShardMap, RangeShardMap, ShardMap};
-pub use kcore_ingest::{
-    CoreSnapshot, GraphEvent, IngestConfig, IngestService, MergedHandle, MergedSnapshot, ObsConfig,
-    ShardRouter,
-};
+pub use kcore_ingest::{CoreSnapshot, GraphEvent, IngestConfig, IngestService, ObsConfig};
 pub use kcore_maint::{
     CoreMaintainer, PlanPolicy, PlannedTreapCore, PlannerConfig, RecomputeCore, SkipOrderCore,
     TagOrderCore, TreapOrderCore, UpdateStats,
