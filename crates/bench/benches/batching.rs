@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcore_bench::degree_weighted_fresh_edges;
 use kcore_gen::{barabasi_albert, churn_stream};
-use kcore_maint::TreapOrderCore;
+use kcore_maint::OrderCore;
 use std::hint::black_box;
 
 fn bench_batching(c: &mut Criterion) {
@@ -19,7 +19,7 @@ fn bench_batching(c: &mut Criterion) {
     let mut group = c.benchmark_group("insert_remove_stream");
     group.sample_size(10);
 
-    let mut single = TreapOrderCore::new(g.clone(), 7);
+    let mut single: OrderCore = OrderCore::new(g.clone(), 7);
     group.bench_with_input(BenchmarkId::new("single", "2k"), &stream, |b, stream| {
         b.iter(|| {
             for &(u, v) in stream {
@@ -33,7 +33,7 @@ fn bench_batching(c: &mut Criterion) {
     });
 
     for bs in [100usize, 1_000, 2_000] {
-        let mut batched = TreapOrderCore::new(g.clone(), 7);
+        let mut batched: OrderCore = OrderCore::new(g.clone(), 7);
         group.bench_with_input(BenchmarkId::new("batched", bs), &stream, |b, stream| {
             b.iter(|| {
                 for chunk in stream.chunks(bs) {
@@ -58,7 +58,7 @@ fn bench_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("churn_stream");
     group.sample_size(10);
 
-    let mut single = TreapOrderCore::new(g.clone(), 7);
+    let mut single: OrderCore = OrderCore::new(g.clone(), 7);
     group.bench_with_input(BenchmarkId::new("single", "2k"), &stream, |b, stream| {
         b.iter(|| {
             for batch in stream {
@@ -82,7 +82,7 @@ fn bench_churn(c: &mut Criterion) {
         });
     });
 
-    let mut batched = TreapOrderCore::new(g.clone(), 7);
+    let mut batched: OrderCore = OrderCore::new(g.clone(), 7);
     group.bench_with_input(BenchmarkId::new("batched", "2k"), &stream, |b, stream| {
         b.iter(|| {
             for batch in stream {

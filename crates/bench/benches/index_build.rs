@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcore_decomp::{core_decomposition, core_decomposition_csr, korder_decomposition, Heuristic};
 use kcore_gen::{load_dataset, Scale};
 use kcore_graph::CsrGraph;
-use kcore_maint::TreapOrderCore;
+use kcore_maint::OrderCore;
 use kcore_traversal::TraversalCore;
 use std::hint::black_box;
 
@@ -27,7 +27,7 @@ fn bench_index_build(c: &mut Criterion) {
             b.iter(|| black_box(korder_decomposition(g, Heuristic::SmallDegFirst, 1)));
         });
         group.bench_with_input(BenchmarkId::new("order_index", name), &g, |b, g| {
-            b.iter(|| black_box(TreapOrderCore::new(g.clone(), 1)));
+            b.iter(|| black_box(<OrderCore>::new(g.clone(), 1)));
         });
         for h in [2usize, 4, 6] {
             group.bench_with_input(

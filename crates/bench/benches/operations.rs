@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcore_gen::{load_dataset, Scale};
-use kcore_maint::{CoreMaintainer, TreapOrderCore};
+use kcore_maint::{CoreMaintainer, OrderCore};
 use kcore_traversal::TraversalCore;
 
 fn bench_update_pair(c: &mut Criterion) {
@@ -15,7 +15,7 @@ fn bench_update_pair(c: &mut Criterion) {
         let ds = load_dataset(name, Scale::Tiny, 64);
         let stream = ds.stream.clone();
 
-        let mut order = TreapOrderCore::new(ds.base.clone(), 1);
+        let mut order: OrderCore = OrderCore::new(ds.base.clone(), 1);
         group.bench_with_input(BenchmarkId::new("order", name), &stream, |b, stream| {
             let mut i = 0usize;
             b.iter(|| {

@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the order-maintenance substrates: the
-//! treap `A_k` vs the tag list (the ablation's data-structure level), and
-//! the jump heap.
+//! label-list `A_k` vs the paper's treap (the ablation's data-structure
+//! level), and the jump heap.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kcore_order::{MinRankHeap, OrderSeq, OrderTreap, SkipList, TagList};
+use kcore_order::{MinRankHeap, OrderSeq, OrderTreap, TagList};
 use std::hint::black_box;
 
 const N: usize = 10_000;
@@ -55,7 +55,6 @@ fn bench_seq<S: OrderSeq>(c: &mut Criterion, label: &str) {
 fn bench_structures(c: &mut Criterion) {
     bench_seq::<OrderTreap>(c, "treap");
     bench_seq::<TagList>(c, "taglist");
-    bench_seq::<SkipList>(c, "skiplist");
 
     c.bench_function("jump_heap/push_pop_1k", |b| {
         b.iter(|| {

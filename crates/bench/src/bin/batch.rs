@@ -6,7 +6,7 @@
 //!
 //! * **batched** — `OrderCore::insert_edges` / `remove_edges` in chunks
 //!   of `batch_size` (adjacency pre-reservation, level-sorted
-//!   application, rank caching, one multi-seed pass per affected level,
+//!   application, `O(1)` order tests, one multi-seed pass per affected level,
 //!   one compaction opportunity per removal batch);
 //! * **single** — the classic `insert_edge` / `remove_edge` loop;
 //! * **recompute** — mutate the graph and rerun the `O(m + n)`
@@ -28,7 +28,7 @@ use kcore_bench::{degree_weighted_fresh_edges, fmt_ratio, row};
 use kcore_decomp::core_decomposition;
 use kcore_gen::{barabasi_albert, churn_stream, ChurnBatch};
 use kcore_graph::{CsrGraph, CsrLayout, DynamicGraph};
-use kcore_maint::{PlanPolicy, PlannedTreapCore, TreapOrderCore, UpdateStats};
+use kcore_maint::{OrderCore, PlanPolicy, PlannedCore, UpdateStats};
 use std::io::Write;
 use std::time::Instant;
 
@@ -208,7 +208,7 @@ fn measure_inserts(
     let mut batched_cores: Vec<u32> = Vec::new();
     for _ in 0..REPS {
         // One-at-a-time reference (batch size is irrelevant to it).
-        let mut engine = TreapOrderCore::new(g.clone(), seed);
+        let mut engine: OrderCore = OrderCore::new(g.clone(), seed);
         let t = Instant::now();
         for &(u, v) in stream {
             engine.insert_edge(u, v).expect("fresh edge");
@@ -216,7 +216,7 @@ fn measure_inserts(
         single_secs = single_secs.min(t.elapsed().as_secs_f64());
 
         for (bi, &bs) in batch_sizes.iter().enumerate() {
-            let mut engine = TreapOrderCore::new(g.clone(), seed);
+            let mut engine: OrderCore = OrderCore::new(g.clone(), seed);
             let t = Instant::now();
             let mut stats = UpdateStats::default();
             for chunk in stream.chunks(bs) {
@@ -272,7 +272,7 @@ fn measure_removals(
     let mut single_secs = f64::INFINITY;
     let mut batched_secs = vec![f64::INFINITY; batch_sizes.len()];
     for _ in 0..REPS {
-        let mut engine = TreapOrderCore::new(g_full.clone(), seed);
+        let mut engine: OrderCore = OrderCore::new(g_full.clone(), seed);
         let t = Instant::now();
         for &(u, v) in stream {
             engine.remove_edge(u, v).expect("stream edge present");
@@ -281,7 +281,7 @@ fn measure_removals(
         assert_eq!(engine.cores(), &base_cores_after[..]);
 
         for (bi, &bs) in batch_sizes.iter().enumerate() {
-            let mut engine = TreapOrderCore::new(g_full.clone(), seed);
+            let mut engine: OrderCore = OrderCore::new(g_full.clone(), seed);
             let t = Instant::now();
             let mut stats = UpdateStats::default();
             for chunk in stream.chunks(bs) {
@@ -336,7 +336,7 @@ fn measure_churn(
         let mut single_cores: Vec<u32> = Vec::new();
         let mut batched_cores: Vec<u32> = Vec::new();
         for _ in 0..REPS {
-            let mut engine = TreapOrderCore::new(g.clone(), seed);
+            let mut engine: OrderCore = OrderCore::new(g.clone(), seed);
             let t = Instant::now();
             for b in &stream {
                 for &(u, v) in &b.inserts {
@@ -349,7 +349,7 @@ fn measure_churn(
             single_secs = single_secs.min(t.elapsed().as_secs_f64());
             single_cores = engine.cores().to_vec();
 
-            let mut engine = TreapOrderCore::new(g.clone(), seed);
+            let mut engine: OrderCore = OrderCore::new(g.clone(), seed);
             let t = Instant::now();
             let mut stats = UpdateStats::default();
             for b in &stream {
@@ -437,7 +437,7 @@ impl PlannerMeasurement {
     }
 }
 
-/// One timed pass of an insert/removal stream through a [`PlannedTreapCore`]
+/// One timed pass of an insert/removal stream through a [`PlannedCore`]
 /// under `policy`. Returns `(edges processed, secs)`; asserts the final
 /// cores against `expected` when the whole stream was processed.
 fn planner_stream_pass(
@@ -456,7 +456,7 @@ fn planner_stream_pass(
     } else {
         chunks_total
     };
-    let mut pc = PlannedTreapCore::with_policy(g.clone(), seed, policy);
+    let mut pc: PlannedCore = PlannedCore::with_policy(g.clone(), seed, policy);
     let t = Instant::now();
     let mut processed = 0usize;
     let mut stats = UpdateStats::default();
@@ -506,7 +506,7 @@ fn measure_planner_stream(
         .collect()
 }
 
-/// One timed pass of a churn stream through [`PlannedTreapCore::apply_churn`]
+/// One timed pass of a churn stream through [`PlannedCore::apply_churn`]
 /// (one stage-1 decision per micro-batch over both halves).
 fn planner_churn_pass(
     g: &DynamicGraph,
@@ -521,7 +521,7 @@ fn planner_churn_pass(
     } else {
         stream.len()
     };
-    let mut pc = PlannedTreapCore::with_policy(g.clone(), seed, policy);
+    let mut pc: PlannedCore = PlannedCore::with_policy(g.clone(), seed, policy);
     let t = Instant::now();
     let mut ops = 0usize;
     let mut stats = UpdateStats::default();
@@ -657,7 +657,7 @@ fn main() {
     // Untimed warm-up: touches every structure once so the first timed
     // measurement does not pay cold caches / CPU frequency ramp.
     {
-        let mut warm = TreapOrderCore::new(g.clone(), args.seed);
+        let mut warm: OrderCore = OrderCore::new(g.clone(), args.seed);
         for &(u, v) in &stream {
             warm.insert_edge(u, v).expect("fresh edge");
         }

@@ -7,7 +7,7 @@
 use kcore_bench::{time_insertions, Cli};
 use kcore_gen::sample::{induced_vertex_sample, sample_edge_subgraph, sample_edges};
 use kcore_graph::DynamicGraph;
-use kcore_maint::TreapOrderCore;
+use kcore_maint::OrderCore;
 
 const RATIOS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
 
@@ -66,7 +66,7 @@ fn run_point(g: &DynamicGraph, updates: usize, seed: u64) -> f64 {
     for &(u, v) in &stream {
         base.remove_edge(u, v).unwrap();
     }
-    let mut engine = TreapOrderCore::new(base, seed);
+    let mut engine: OrderCore = OrderCore::new(base, seed);
     let r = time_insertions(&mut engine, &stream);
     r.secs() * 1000.0
 }

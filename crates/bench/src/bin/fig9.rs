@@ -6,7 +6,7 @@
 
 use kcore_bench::{fmt_ratio, row, time_insertions, Cli};
 use kcore_decomp::Heuristic;
-use kcore_maint::{OrderCore, TreapOrderCore};
+use kcore_maint::OrderCore;
 
 fn main() {
     let cli = Cli::parse();
@@ -28,8 +28,7 @@ fn main() {
         let ds = cli.load(name);
         let mut cells = vec![name.to_string()];
         for h in Heuristic::ALL {
-            let mut engine: TreapOrderCore =
-                OrderCore::with_heuristic(ds.base.clone(), h, cli.seed);
+            let mut engine: OrderCore = OrderCore::with_heuristic(ds.base.clone(), h, cli.seed);
             let r = time_insertions(&mut engine, &ds.stream);
             cells.push(fmt_ratio(r.stats.visited as f64, r.stats.changed as f64));
         }

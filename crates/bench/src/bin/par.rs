@@ -28,7 +28,7 @@ use kcore_decomp::{
 };
 use kcore_gen::{barabasi_albert, churn_stream, rmat};
 use kcore_graph::{CsrGraph, DynamicGraph};
-use kcore_maint::{BatchOptions, TreapOrderCore};
+use kcore_maint::{BatchOptions, OrderCore};
 use std::io::Write;
 use std::time::Instant;
 
@@ -274,7 +274,7 @@ fn measure_maint(base: &DynamicGraph, args: &Args) -> MaintReport {
     // One full churn run: fresh engine over the base graph, every
     // batch's inserts then removes, the two phases timed separately.
     let run = |opts: &BatchOptions| -> (f64, f64, Vec<u32>) {
-        let mut eng = TreapOrderCore::new(base.clone(), args.seed);
+        let mut eng: OrderCore = OrderCore::new(base.clone(), args.seed);
         let (mut ti, mut tr) = (0.0f64, 0.0f64);
         for b in &stream {
             let t0 = Instant::now();

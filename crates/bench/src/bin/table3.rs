@@ -1,11 +1,11 @@
 //! Table III: index construction time (seconds) — the order-based index
-//! (core decomposition + k-order + treaps + mcd) vs `Trav-h` (core
+//! (core decomposition + k-order + `A_k` lists + mcd) vs `Trav-h` (core
 //! decomposition + `cd_1..cd_h`).
 //!
 //! `cargo run --release -p kcore-bench --bin table3`
 
 use kcore_bench::{fmt_secs, row, Cli};
-use kcore_maint::TreapOrderCore;
+use kcore_maint::OrderCore;
 use kcore_traversal::TraversalCore;
 use std::time::Instant;
 
@@ -23,7 +23,7 @@ fn main() {
     for name in cli.dataset_names() {
         let g = cli.load(name).full_graph();
         let start = Instant::now();
-        let oc = TreapOrderCore::new(g.clone(), cli.seed);
+        let oc: OrderCore = OrderCore::new(g.clone(), cli.seed);
         let order_time = start.elapsed();
         std::hint::black_box(&oc);
         let mut cells = vec![name.to_string(), fmt_secs(order_time)];

@@ -9,7 +9,7 @@
 
 use kcore_gen::{load_dataset, Dataset, Scale, DATASETS};
 use kcore_graph::{edge_key, DynamicGraph, FxHashSet, VertexId};
-use kcore_maint::{CoreMaintainer, TreapOrderCore};
+use kcore_maint::{CoreMaintainer, OrderCore};
 use kcore_traversal::{TraversalCore, UpdateStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -157,8 +157,8 @@ pub fn per_update_visited<M: CoreMaintainer>(
 }
 
 /// Builds the order-based engine over a dataset's base graph.
-pub fn order_engine(ds: &Dataset, seed: u64) -> TreapOrderCore {
-    TreapOrderCore::new(ds.base.clone(), seed)
+pub fn order_engine(ds: &Dataset, seed: u64) -> OrderCore {
+    OrderCore::new(ds.base.clone(), seed)
 }
 
 /// Builds a `Trav-h` engine over a dataset's base graph.

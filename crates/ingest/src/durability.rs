@@ -49,7 +49,7 @@
 use crate::faults::StorageHandle;
 use kcore_graph::DynamicGraph;
 use kcore_maint::journal::{replay_batched, GraphEvent, JournalEntry};
-use kcore_maint::{PersistError, PlannedCore, Planner, PlannerConfig, TreapOrderCore, UpdateStats};
+use kcore_maint::{OrderCore, PersistError, PlannedCore, Planner, PlannerConfig, UpdateStats};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -644,7 +644,7 @@ pub fn persist_index_snapshot(d: &DurabilityConfig, ops: u64, payload: &[u8]) ->
 /// Persists a single snapshot file (no rotation) through real storage —
 /// the standalone form of [`persist_index_snapshot`], same temp-file +
 /// fsync + rename + directory-fsync protocol.
-pub fn save_index_snapshot(path: &Path, ops: u64, index: &TreapOrderCore) -> io::Result<()> {
+pub fn save_index_snapshot(path: &Path, ops: u64, index: &OrderCore) -> io::Result<()> {
     let mut payload = Vec::new();
     index.save(&mut payload)?;
     let d = DurabilityConfig {
@@ -661,7 +661,7 @@ pub fn save_index_snapshot(path: &Path, ops: u64, index: &TreapOrderCore) -> io:
 /// Loads a v2 index snapshot: `(ops covered, restored index)`. The CRC
 /// is verified over `ops` + payload before the payload's own structural
 /// validation runs.
-pub fn load_index_snapshot(path: &Path, seed: u64) -> Result<(u64, TreapOrderCore), RecoverError> {
+pub fn load_index_snapshot(path: &Path, seed: u64) -> Result<(u64, OrderCore), RecoverError> {
     load_snapshot_with(&StorageHandle::real(), path, seed)
 }
 
@@ -669,7 +669,7 @@ fn load_snapshot_with(
     storage: &StorageHandle,
     path: &Path,
     seed: u64,
-) -> Result<(u64, TreapOrderCore), RecoverError> {
+) -> Result<(u64, OrderCore), RecoverError> {
     let bytes = storage.with(|io| io.read(path))?;
     if bytes.len() < SNAP_HEADER_BYTES {
         return Err(RecoverError::BadSnapshot(PersistError::BadHeader));
@@ -689,7 +689,7 @@ fn load_snapshot_with(
             "snapshot checksum mismatch",
         )));
     }
-    let index = TreapOrderCore::load(payload, seed).map_err(RecoverError::BadSnapshot)?;
+    let index: OrderCore = OrderCore::load(payload, seed).map_err(RecoverError::BadSnapshot)?;
     Ok((ops, index))
 }
 
@@ -900,8 +900,8 @@ fn recover_impl(
     // the newest candidate that is *ahead* of the journal's durable
     // prefix (usable only by resetting the journal).
     let mut rejected = 0usize;
-    let mut replayable: Option<(usize, u64, TreapOrderCore)> = None;
-    let mut ahead: Option<(usize, u64, TreapOrderCore)> = None;
+    let mut replayable: Option<(usize, u64, OrderCore)> = None;
+    let mut ahead: Option<(usize, u64, OrderCore)> = None;
     for g in 0..d.snapshot_generations.max(1) {
         let p = snapshot_generation_path(&d.snapshot_path, g);
         if !p.exists() {
@@ -1094,7 +1094,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let jp = dir.join("j.kjrn");
         let storage = StorageHandle::real();
-        let mut j = Journaled::new(TreapOrderCore::new(path_graph(6), 1));
+        let mut j: Journaled<OrderCore> = Journaled::new(OrderCore::new(path_graph(6), 1));
         let mut sink = JournalSink::open(&jp, 6, false, &storage).unwrap();
         j.insert_edge(0, 2).unwrap();
         j.insert_edge(0, 3).unwrap();
@@ -1135,7 +1135,8 @@ mod tests {
         // Journal-only recovery (no checkpoint): the engine must start
         // from the empty universe, since only events are journaled.
         let storage = StorageHandle::real();
-        let mut j = Journaled::new(TreapOrderCore::new(DynamicGraph::with_vertices(5), 1));
+        let mut j: Journaled<OrderCore> =
+            Journaled::new(OrderCore::new(DynamicGraph::with_vertices(5), 1));
         let mut sink = JournalSink::open(&jp, 5, false, &storage).unwrap();
         j.insert_edge(0, 2).unwrap();
         sink.append(&j.drain_since(0)).unwrap();
@@ -1177,7 +1178,7 @@ mod tests {
     fn snapshot_rejects_garbage_and_survives_rename_protocol() {
         let dir = tmpdir("snap");
         let sp = dir.join("s.ksnp");
-        let index = TreapOrderCore::new(path_graph(4), 9);
+        let index: OrderCore = OrderCore::new(path_graph(4), 9);
         save_index_snapshot(&sp, 7, &index).unwrap();
         assert!(
             !sp.with_extension("ksnp.tmp").exists(),
@@ -1202,7 +1203,8 @@ mod tests {
             // A well-formed v3 file whose header declares an older version
             // (header CRC recomputed, so only the version can be at fault).
             let jp = dir.join(format!("v{version}.kjrn"));
-            let mut j = Journaled::new(TreapOrderCore::new(DynamicGraph::with_vertices(4), 1));
+            let mut j: Journaled<OrderCore> =
+                Journaled::new(OrderCore::new(DynamicGraph::with_vertices(4), 1));
             let mut sink = JournalSink::open(&jp, 4, false, &storage).unwrap();
             j.insert_edge(0, 1).unwrap();
             sink.append(&j.drain_since(0)).unwrap();
@@ -1270,7 +1272,8 @@ mod tests {
         let dir = tmpdir("flip_sweep");
         let jp = dir.join("j.kjrn");
         let storage = StorageHandle::real();
-        let mut j = Journaled::new(TreapOrderCore::new(DynamicGraph::with_vertices(8), 1));
+        let mut j: Journaled<OrderCore> =
+            Journaled::new(OrderCore::new(DynamicGraph::with_vertices(8), 1));
         let mut sink = JournalSink::open(&jp, 8, false, &storage).unwrap();
         j.insert_edge(0, 1).unwrap();
         j.insert_edge(1, 2).unwrap();
@@ -1328,7 +1331,8 @@ mod tests {
         let storage = StorageHandle::real();
 
         // Build a journal of 4 inserts and snapshots at ops 2 and 4.
-        let mut j = Journaled::new(TreapOrderCore::new(DynamicGraph::with_vertices(6), 7));
+        let mut j: Journaled<OrderCore> =
+            Journaled::new(OrderCore::new(DynamicGraph::with_vertices(6), 7));
         let mut sink = JournalSink::open(&d.journal_path, 6, false, &storage).unwrap();
         j.insert_edge(0, 1).unwrap();
         j.insert_edge(1, 2).unwrap();
@@ -1379,7 +1383,8 @@ mod tests {
         let dir = tmpdir("snaponly");
         let d = DurabilityConfig::in_dir(&dir);
         let storage = StorageHandle::real();
-        let mut j = Journaled::new(TreapOrderCore::new(DynamicGraph::with_vertices(5), 7));
+        let mut j: Journaled<OrderCore> =
+            Journaled::new(OrderCore::new(DynamicGraph::with_vertices(5), 7));
         let mut sink = JournalSink::open(&d.journal_path, 5, false, &storage).unwrap();
         j.insert_edge(0, 1).unwrap();
         j.insert_edge(1, 2).unwrap();
@@ -1417,7 +1422,8 @@ mod tests {
             1,
             FaultKind::ShortWrite { keep: 10 },
         ));
-        let mut j = Journaled::new(TreapOrderCore::new(DynamicGraph::with_vertices(4), 1));
+        let mut j: Journaled<OrderCore> =
+            Journaled::new(OrderCore::new(DynamicGraph::with_vertices(4), 1));
         let mut sink = JournalSink::open(&jp, 4, false, &storage).unwrap();
         j.insert_edge(0, 1).unwrap();
         let tail = j.drain_since(0);

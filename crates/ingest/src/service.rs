@@ -53,8 +53,7 @@ use kcore_decomp::Parallelism;
 use kcore_graph::{DynamicGraph, VertexId};
 use kcore_maint::journal::{replay_batched, GraphEvent, Journaled};
 use kcore_maint::{
-    CoreMaintainer, PlannedCore, PlannerConfig, PlannerStats, RecomputeCore, TreapOrderCore,
-    UpdateStats,
+    CoreMaintainer, OrderCore, PlannedCore, PlannerConfig, PlannerStats, RecomputeCore, UpdateStats,
 };
 use kcore_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanRecorder};
 use std::io;
@@ -144,14 +143,14 @@ impl IngestEngine for PlannedCore {
     }
 }
 
-impl IngestEngine for TreapOrderCore {
+impl IngestEngine for OrderCore {
     fn enable_core_change_tracking(&mut self) -> bool {
-        TreapOrderCore::enable_core_change_tracking(self);
+        OrderCore::enable_core_change_tracking(self);
         true
     }
 
     fn drain_core_changes(&mut self, out: &mut Vec<VertexId>) -> bool {
-        TreapOrderCore::drain_core_changes(self, out)
+        OrderCore::drain_core_changes(self, out)
     }
 
     fn persist_index(&mut self, out: &mut dyn io::Write) -> io::Result<()> {
@@ -277,7 +276,7 @@ pub struct RecoveryPolicy {
     pub backoff_base_ns: u64,
     /// Multiplier between consecutive attempt delays.
     pub backoff_factor: u32,
-    /// Treap seed for the rebuilt index.
+    /// Seed for the rebuilt index.
     pub seed: u64,
     /// Micro-batch size for the recovery replay.
     pub replay_batch: usize,

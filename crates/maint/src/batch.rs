@@ -13,11 +13,10 @@
 //!   with an upward cascade), and all dismissible vertices of a level by
 //!   a single multi-seed dismissal pass (descending, with a downward
 //!   cascade) — instead of one pass per edge;
-//! * **rank caching** — between promotion/dismissal passes the k-order
-//!   is frozen, so the `O(log n)` `A_k` rank walk behind every
-//!   same-level root test is computed once per vertex per frozen window
-//!   ([`OrderCore::cached_rank`]) instead of once per edge — hubs in
-//!   power-law batches hit this constantly;
+//! * **`O(1)` root tests** — between promotion/dismissal passes the
+//!   k-order is frozen, and every same-level root test compares two
+//!   `A_k` labels ([`kcore_order::TagList`]) instead of walking a tree —
+//!   hubs in power-law batches hit this constantly;
 //! * **Lemma 5.2 short-circuit** — no-op edges (the vast majority, see
 //!   Fig 10b of the paper) are counted and dropped before any order
 //!   structure is touched;
@@ -57,7 +56,7 @@ impl<S: OrderSeq> OrderCore<S> {
     /// Works in two phases. The **apply phase** admits every edge into
     /// the (pre-reserved) adjacency arena, updates `mcd`, and bumps the
     /// root's `deg⁺` — all against the *frozen* k-order, so every
-    /// same-level root test is answered by the rank cache. Roots left
+    /// same-level root test is one `A_k` order-key compare. Roots left
     /// violating Lemma 5.1 (`deg⁺ > core`) are collected as dirty. The
     /// **pass phase** then runs one multi-seed promotion pass per dirty
     /// level, ascending, instead of one pass per edge: seeds at the
@@ -135,7 +134,7 @@ impl<S: OrderSeq> OrderCore<S> {
         }
         self.endpoint_scratch = endpoints;
 
-        // ---- apply phase (k-order frozen; rank cache fully valid) ----
+        // ---- apply phase (k-order frozen) ----
         let dirty_epoch = self.bump_epoch();
         self.batch_seeds.clear();
         for &(u, v) in &batch {
@@ -154,13 +153,13 @@ impl<S: OrderSeq> OrderCore<S> {
                 self.mcd[v as usize] += 1;
             }
 
-            // Root = earlier endpoint in k-order; same-level ties resolve
-            // through the rank cache instead of a fresh A_k walk.
+            // Root = earlier endpoint in k-order; same-level ties compare
+            // A_k order keys.
             let root = if cu < cv {
                 u
             } else if cv < cu {
                 v
-            } else if self.cached_rank(u) < self.cached_rank(v) {
+            } else if self.order_key(u) < self.order_key(v) {
                 u
             } else {
                 v
@@ -251,8 +250,7 @@ impl<S: OrderSeq> OrderCore<S> {
     /// The mirror image of [`OrderCore::insert_edges`]. The **apply
     /// phase** deletes every batch edge from the graph and repairs `mcd`
     /// plus the earlier endpoint's `deg⁺` against the *frozen* k-order
-    /// (same-level ties resolve through the rank cache — one `A_k` walk
-    /// per hub per batch, not per edge), collecting the union of
+    /// (same-level ties compare `A_k` order keys), collecting the union of
     /// dismissible vertices as per-level seed sets. The **pass phase**
     /// then runs **one multi-seed dismissal pass per affected level,
     /// descending**: all seeds of a level peel together into one `V*`
@@ -296,7 +294,7 @@ impl<S: OrderSeq> OrderCore<S> {
     ) {
         let n = self.graph.num_vertices() as VertexId;
 
-        // ---- apply phase (k-order frozen; rank cache fully valid) ----
+        // ---- apply phase (k-order frozen) ----
         let dirty_epoch = self.bump_epoch();
         self.batch_seeds.clear();
         for &(u, v) in edges {
@@ -321,12 +319,12 @@ impl<S: OrderSeq> OrderCore<S> {
                 self.mcd[v as usize] -= 1;
             }
             // The earlier endpoint counted the later one in deg⁺;
-            // same-level ties resolve through the rank cache.
+            // same-level ties compare A_k order keys.
             let earlier = if cu < cv {
                 u
             } else if cv < cu {
                 v
-            } else if self.cached_rank(u) < self.cached_rank(v) {
+            } else if self.order_key(u) < self.order_key(v) {
                 u
             } else {
                 v
@@ -417,7 +415,7 @@ impl<S: OrderSeq> OrderCore<S> {
 
 #[cfg(test)]
 mod tests {
-    use crate::TreapOrderCore;
+    use crate::OrderCore;
     use kcore_decomp::core_decomposition;
     use kcore_graph::fixtures;
 
@@ -425,10 +423,10 @@ mod tests {
     fn batch_insert_matches_sequential() {
         let g = fixtures::path(12);
         let edges: Vec<(u32, u32)> = vec![(0, 11), (2, 9), (3, 8), (1, 10), (4, 7)];
-        let mut batched = TreapOrderCore::new(g.clone(), 1);
+        let mut batched: OrderCore = OrderCore::new(g.clone(), 1);
         let stats = batched.insert_edges(&edges);
         assert_eq!(stats.skipped, 0);
-        let mut seq = TreapOrderCore::new(g, 1);
+        let mut seq: OrderCore = OrderCore::new(g, 1);
         for &(u, v) in &edges {
             seq.insert_edge(u, v).unwrap();
         }
@@ -438,7 +436,7 @@ mod tests {
 
     #[test]
     fn batch_insert_skips_invalid_entries() {
-        let mut oc = TreapOrderCore::new(fixtures::triangle(), 1);
+        let mut oc: OrderCore = OrderCore::new(fixtures::triangle(), 1);
         // self loop, duplicate of an existing edge, in-batch duplicate,
         // out-of-range endpoint — all skipped, the one good edge lands.
         let stats = oc.insert_edges(&[(0, 0), (0, 1), (99, 1), (2, 2)]);
@@ -456,7 +454,7 @@ mod tests {
         // Close a long cycle and add chords: multiple promotions in one
         // batch, compared against a from-scratch decomposition.
         let g = fixtures::path(30);
-        let mut oc = TreapOrderCore::new(g, 7);
+        let mut oc: OrderCore = OrderCore::new(g, 7);
         let mut batch = vec![(0u32, 29u32)];
         for i in 0..28 {
             batch.push((i, i + 2));
@@ -475,10 +473,10 @@ mod tests {
             let _ = g.insert_edge(i, i + 1); // already present; no-ops
         }
         let edges: Vec<(u32, u32)> = vec![(0, 1), (2, 3), (4, 5), (0, 2), (1, 3)];
-        let mut batched = TreapOrderCore::new(g.clone(), 3);
+        let mut batched: OrderCore = OrderCore::new(g.clone(), 3);
         let stats = batched.remove_edges(&edges);
         assert_eq!(stats.skipped, 0);
-        let mut seq = TreapOrderCore::new(g, 3);
+        let mut seq: OrderCore = OrderCore::new(g, 3);
         for &(u, v) in &edges {
             seq.remove_edge(u, v).unwrap();
         }
@@ -488,7 +486,7 @@ mod tests {
 
     #[test]
     fn batch_remove_skips_invalid_entries() {
-        let mut oc = TreapOrderCore::new(fixtures::clique(4), 1);
+        let mut oc: OrderCore = OrderCore::new(fixtures::clique(4), 1);
         let stats = oc.remove_edges(&[(0, 1), (0, 1), (3, 3), (0, 99)]);
         // second (0,1) is already gone, (3,3) self loop, (0,99) range
         assert_eq!(stats.skipped, 3);
@@ -510,7 +508,7 @@ mod tests {
             g.add_vertex();
             let _ = g.insert_edge(i, 5);
         }
-        let mut oc = TreapOrderCore::new(g, 2);
+        let mut oc: OrderCore = OrderCore::new(g, 2);
         assert_eq!(oc.core(5), 5);
         // Remove every clique edge not touching vertex 5: its core falls
         // 5 -> 1 in one batch.
@@ -531,7 +529,7 @@ mod tests {
         let batch: Vec<(u32, u32)> = g.edge_vec().into_iter().step_by(15).take(1_000).collect();
         assert_eq!(batch.len(), 1_000);
 
-        let mut batched = TreapOrderCore::new(g.clone(), 9);
+        let mut batched: OrderCore = OrderCore::new(g.clone(), 9);
         let stats = batched.remove_edges(&batch);
         assert_eq!(stats.skipped, 0);
         assert!(
@@ -543,7 +541,7 @@ mod tests {
         assert!(stats.merged_seeds >= stats.passes);
 
         // The sequential loop runs exactly one pass per removal.
-        let mut seq = TreapOrderCore::new(g, 9);
+        let mut seq: OrderCore = OrderCore::new(g, 9);
         let mut seq_stats = kcore_traversal::UpdateStats::default();
         for &(u, v) in &batch {
             seq_stats.absorb(seq.remove_edge(u, v).unwrap());
@@ -558,7 +556,7 @@ mod tests {
         // a large batch: per-edge removal must never compact mid-batch —
         // the policy hook runs once, between apply and pass phases.
         let g = kcore_gen::barabasi_albert(2_000, 8, 4);
-        let mut oc = TreapOrderCore::new(g, 1);
+        let mut oc: OrderCore = OrderCore::new(g, 1);
         let before = oc.graph().adjacency_compactions();
         let batch: Vec<(u32, u32)> = oc.graph().edge_vec().into_iter().step_by(2).collect();
         let stats = oc.remove_edges(&batch);
@@ -593,9 +591,9 @@ mod tests {
         // Lemma 5.1 at two different levels in one batch.
         let batch: Vec<(u32, u32)> = vec![(9, 0), (9, 1), (9, 2), (9, 5), (9, 6), (9, 7)];
 
-        let mut split = TreapOrderCore::new(g.clone(), 3);
+        let mut split: OrderCore = OrderCore::new(g.clone(), 3);
         let split_stats = split.insert_edges_with(&batch, &crate::BatchOptions::component_split());
-        let mut merged = TreapOrderCore::new(g.clone(), 3);
+        let mut merged: OrderCore = OrderCore::new(g.clone(), 3);
         let merged_stats = merged.insert_edges(&batch);
         assert_eq!(split_stats.passes, merged_stats.passes);
         assert_eq!(split_stats.merged_seeds, merged_stats.merged_seeds);
@@ -634,9 +632,9 @@ mod tests {
         ga.add_vertex();
         let batch: Vec<(u32, u32)> = vec![(8, 0), (8, 1), (8, 2), (9, 4), (9, 5), (9, 6)];
 
-        let mut split = TreapOrderCore::new(ga.clone(), 3);
+        let mut split: OrderCore = OrderCore::new(ga.clone(), 3);
         let split_stats = split.insert_edges_with(&batch, &crate::BatchOptions::component_split());
-        let mut merged = TreapOrderCore::new(ga, 3);
+        let mut merged: OrderCore = OrderCore::new(ga, 3);
         let merged_stats = merged.insert_edges(&batch);
         assert_eq!(split.cores(), merged.cores());
         assert_eq!(split_stats.merged_seeds, merged_stats.merged_seeds);
@@ -651,7 +649,7 @@ mod tests {
 
     #[test]
     fn interleaved_batches_stay_valid() {
-        let mut oc = TreapOrderCore::new(fixtures::two_cliques_bridge(), 5);
+        let mut oc: OrderCore = OrderCore::new(fixtures::two_cliques_bridge(), 5);
         let inserts: Vec<(u32, u32)> = vec![(0, 5), (1, 6), (2, 7), (3, 4)];
         oc.insert_edges(&inserts);
         oc.validate();
@@ -663,7 +661,7 @@ mod tests {
 
     #[test]
     fn empty_batches_are_free() {
-        let mut oc = TreapOrderCore::new(fixtures::triangle(), 1);
+        let mut oc: OrderCore = OrderCore::new(fixtures::triangle(), 1);
         let stats = oc.insert_edges(&[]);
         assert_eq!(stats, Default::default());
         let stats = oc.remove_edges(&[]);

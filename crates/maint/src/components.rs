@@ -185,7 +185,7 @@ impl<S: OrderSeq> OrderCore<S> {
 
 #[cfg(test)]
 mod tests {
-    use crate::TreapOrderCore;
+    use crate::OrderCore;
     use kcore_graph::DynamicGraph;
 
     /// Two disjoint cliques with an extra path dangling off the first.
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn seeds_split_by_level_component() {
-        let oc = TreapOrderCore::new(two_islands(), 3);
+        let oc: OrderCore = OrderCore::new(two_islands(), 3);
         // Both cliques sit at core 3; they are disconnected within the
         // level-3 subgraph (the bridge path has core 1).
         assert_eq!(oc.core(0), 3);
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn connected_seeds_stay_merged() {
-        let oc = TreapOrderCore::new(two_islands(), 3);
+        let oc: OrderCore = OrderCore::new(two_islands(), 3);
         let groups = oc.split_level_seeds(&[0, 3], 3);
         assert_eq!(groups, vec![vec![0, 3]]);
         let single = oc.split_level_seeds(&[6], 3);
@@ -239,7 +239,7 @@ mod tests {
 
     /// Oracle: component id per level-`k` vertex by plain BFS over the
     /// level-induced subgraph.
-    fn level_component_oracle(oc: &TreapOrderCore, k: u32) -> Vec<Option<u32>> {
+    fn level_component_oracle(oc: &OrderCore, k: u32) -> Vec<Option<u32>> {
         let n = oc.cores().len();
         let mut comp: Vec<Option<u32>> = vec![None; n];
         let mut next = 0u32;
@@ -284,7 +284,7 @@ mod tests {
                     g.insert_edge_unchecked(a, b);
                 }
             }
-            let oc = TreapOrderCore::new(g, 11);
+            let oc: OrderCore = OrderCore::new(g, 11);
             // Exercise every populated level, not just one.
             let levels: std::collections::BTreeSet<u32> =
                 oc.cores().iter().copied().collect();
@@ -350,7 +350,7 @@ mod tests {
                     g.insert_edge_unchecked(a, b);
                 }
             }
-            let oc = TreapOrderCore::new(g, 5);
+            let oc: OrderCore = OrderCore::new(g, 5);
             let k = oc.core(0);
             let groups = oc.split_level_seeds(&perm, k);
             prop_assert_eq!(groups.len(), 1);

@@ -110,7 +110,7 @@ impl<S: OrderSeq> OrderCore<S> {
             let root = seeds[i];
             debug_assert_eq!(self.core[root as usize], k);
             debug_assert!(self.deg_plus[root as usize] > k);
-            let rank = self.cached_rank(root);
+            let rank = self.order_key(root);
             heap.push(rank, root);
         }
 
@@ -131,15 +131,13 @@ impl<S: OrderSeq> OrderCore<S> {
                 self.vc.push(w);
                 // Grant candidate degree to later same-core neighbours.
                 // All order tests during the pass compare pass-start
-                // positions (A_K is frozen until the ending phase), which
-                // is exactly what the rank cache holds — so a neighbour
-                // touched by several candidates pays its treap walk once.
-                let rank_w = self.cached_rank(w);
+                // positions: A_K is frozen until the ending phase.
+                let rank_w = self.order_key(w);
                 for i in 0..self.graph.degree(w) {
                     let z = self.graph.neighbors(w)[i];
                     let zi = z as usize;
                     if self.core[zi] == k {
-                        let rank_z = self.cached_rank(z);
+                        let rank_z = self.order_key(z);
                         if rank_w < rank_z {
                             let new = self.star_add(z, epoch, 1);
                             if new == 1 {
@@ -235,12 +233,6 @@ impl<S: OrderSeq> OrderCore<S> {
             self.node[w as usize] = self.seqs[k as usize + 1].insert_first(w);
             self.lists.push_front(k + 1, w);
         }
-        if !self.demotions.is_empty() || !vstar.is_empty() {
-            self.bump_seq_version(k);
-        }
-        if !vstar.is_empty() {
-            self.bump_seq_version(k + 1);
-        }
 
         self.vstar = vstar;
     }
@@ -263,9 +255,9 @@ impl<S: OrderSeq> OrderCore<S> {
                 }
             }
         }
-        // Order tests below compare pass-start positions (A_K frozen
-        // during the pass), so they go through the rank cache.
-        let rank_w = self.cached_rank(w);
+        // Order tests below compare pass-start positions (A_K is frozen
+        // during the pass).
+        let rank_w = self.order_key(w);
         let mut cursor = w;
         let mut qi = 0;
         while qi < self.queue.len() {
@@ -282,14 +274,14 @@ impl<S: OrderSeq> OrderCore<S> {
             self.demotions.push((d, cursor));
             cursor = d;
 
-            let rank_d = self.cached_rank(d);
+            let rank_d = self.order_key(d);
             for i in 0..self.graph.degree(d) {
                 let z = self.graph.neighbors(d)[i];
                 let zi = z as usize;
                 if self.core[zi] != k {
                     continue;
                 }
-                let rank_z = self.cached_rank(z);
+                let rank_z = self.order_key(z);
                 if rank_w < rank_z {
                     // Unvisited vertex after the frontier: loses one
                     // candidate-granted degree (heap entry goes stale

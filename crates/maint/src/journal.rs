@@ -39,9 +39,9 @@ pub struct JournalEntry {
 /// ```
 /// use kcore_graph::fixtures;
 /// use kcore_maint::journal::{GraphEvent, Journaled};
-/// use kcore_maint::TreapOrderCore;
+/// use kcore_maint::OrderCore;
 ///
-/// let engine = TreapOrderCore::new(fixtures::path(3), 1);
+/// let engine: OrderCore = OrderCore::new(fixtures::path(3), 1);
 /// let mut j = Journaled::new(engine);
 /// j.insert_edge(2, 0).unwrap();
 /// let entry = j.entries().last().unwrap();
@@ -316,7 +316,7 @@ impl<M: CoreMaintainer> CoreMaintainer for Journaled<M> {
 /// consecutive same-kind events are grouped (up to `max_batch` edges per
 /// group) and applied through the engine's batch entry points, which for
 /// [`crate::OrderCore`] means adjacency pre-reservation, level-sorted
-/// application, and rank caching instead of per-edge setup. Returns
+/// application, and merged passes instead of per-edge setup. Returns
 /// aggregate stats.
 ///
 /// Replay order across groups preserves the journal order, so the final
@@ -361,12 +361,12 @@ pub fn replay_batched<M: CoreMaintainer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TreapOrderCore;
+    use crate::OrderCore;
     use kcore_graph::fixtures;
 
     #[test]
     fn records_promotions_and_demotions() {
-        let engine = TreapOrderCore::new(fixtures::path(4), 1);
+        let engine: OrderCore = OrderCore::new(fixtures::path(4), 1);
         let mut j = Journaled::new(engine);
         j.insert_edge(3, 0).unwrap();
         j.remove_edge(1, 2).unwrap();
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn empty_vstar_yields_empty_transitions() {
         let pg = fixtures::PaperGraph::small();
-        let engine = TreapOrderCore::new(pg.graph.clone(), 1);
+        let engine: OrderCore = OrderCore::new(pg.graph.clone(), 1);
         let mut j = Journaled::new(engine);
         // joining the two 4-cliques changes no core number
         j.insert_edge(pg.v(6), pg.v(10)).unwrap();
@@ -392,7 +392,7 @@ mod tests {
 
     #[test]
     fn threshold_crossings_detect_joins_and_leaves() {
-        let engine = TreapOrderCore::new(fixtures::path(4), 1);
+        let engine: OrderCore = OrderCore::new(fixtures::path(4), 1);
         let mut j = Journaled::new(engine);
         j.insert_edge(3, 0).unwrap(); // everyone joins the 2-core
         j.remove_edge(0, 1).unwrap(); // everyone leaves it
@@ -405,7 +405,7 @@ mod tests {
 
     #[test]
     fn drain_preserves_sequence_numbers() {
-        let engine = TreapOrderCore::new(fixtures::path(5), 1);
+        let engine: OrderCore = OrderCore::new(fixtures::path(5), 1);
         let mut j = Journaled::new(engine);
         j.insert_edge(0, 2).unwrap();
         let first = j.drain();
@@ -420,7 +420,7 @@ mod tests {
         // Journal a mixed stream on one engine, replay it batched onto a
         // fresh engine: cores must agree at the end.
         let base = fixtures::two_cliques_bridge();
-        let mut j = Journaled::new(TreapOrderCore::new(base.clone(), 1));
+        let mut j: Journaled<OrderCore> = Journaled::new(OrderCore::new(base.clone(), 1));
         j.insert_edge(0, 5).unwrap();
         j.insert_edge(1, 6).unwrap();
         j.insert_edge(2, 7).unwrap();
@@ -429,7 +429,7 @@ mod tests {
         j.remove_edge(1, 6).unwrap();
 
         for max_batch in [1, 2, 64] {
-            let mut replayed = TreapOrderCore::new(base.clone(), 9);
+            let mut replayed: OrderCore = OrderCore::new(base.clone(), 9);
             let stats = replay_batched(&mut replayed, j.events(), max_batch);
             assert_eq!(stats.skipped, 0, "journaled events are always valid");
             assert_eq!(replayed.cores(), j.engine().cores());
@@ -439,11 +439,11 @@ mod tests {
 
     #[test]
     fn drain_since_ships_each_entry_exactly_once() {
-        let engine = TreapOrderCore::new(fixtures::path(8), 1);
+        let engine: OrderCore = OrderCore::new(fixtures::path(8), 1);
         let mut j = Journaled::new(engine);
         let mut cursor = j.next_seq();
         let mut shipped: Vec<u64> = Vec::new();
-        let mut ship = |j: &mut Journaled<TreapOrderCore>, cursor: &mut u64| {
+        let mut ship = |j: &mut Journaled<OrderCore>, cursor: &mut u64| {
             let tail = j.drain_since(*cursor);
             for e in &tail {
                 shipped.push(e.seq);
@@ -468,7 +468,7 @@ mod tests {
         // The ingest shape: ship, persist the index, keep updating, ship
         // again — and after a restore, resume the sequence where the old
         // journal left off via `with_start_seq`.
-        let mut j = Journaled::new(TreapOrderCore::new(fixtures::path(6), 2));
+        let mut j: Journaled<OrderCore> = Journaled::new(OrderCore::new(fixtures::path(6), 2));
         j.insert_edge(0, 2).unwrap();
         j.insert_edge(3, 5).unwrap();
         let mut cursor = 0u64;
@@ -486,7 +486,7 @@ mod tests {
 
         // Restore from the snapshot + resume at the shipped cursor: new
         // entries continue the sequence with no overlap and no gap.
-        let restored = TreapOrderCore::load(&buf[..], 2).unwrap();
+        let restored: OrderCore = OrderCore::load(&buf[..], 2).unwrap();
         let mut resumed = Journaled::with_start_seq(restored, cursor);
         assert_eq!(resumed.next_seq(), 3);
         resumed.insert_edge(1, 3).unwrap();
@@ -496,7 +496,7 @@ mod tests {
 
     #[test]
     fn batch_journaling_records_events_and_net_transitions() {
-        let mut j = Journaled::new(TreapOrderCore::new(fixtures::path(4), 1));
+        let mut j: Journaled<OrderCore> = Journaled::new(OrderCore::new(fixtures::path(4), 1));
         // Closing the cycle promotes all four vertices to the 2-core.
         let stats = j.insert_batch(&[(3, 0), (0, 2), (2, 2)]);
         assert_eq!(stats.skipped, 1, "self-loop skipped by the engine");
@@ -509,7 +509,7 @@ mod tests {
         assert_eq!(es[2].transitions.len(), 4);
         assert!(es[2].transitions.iter().all(|&(_, o, n)| o == 1 && n == 2));
         // And the events replay to the same engine state.
-        let mut replayed = TreapOrderCore::new(fixtures::path(4), 7);
+        let mut replayed: OrderCore = OrderCore::new(fixtures::path(4), 7);
         let rs = replay_batched(&mut replayed, j.events(), 64);
         assert_eq!(rs.skipped, 1, "journaled dup skipped identically");
         assert_eq!(replayed.cores(), j.engine().cores());
@@ -521,22 +521,23 @@ mod tests {
         // the planner. Replaying through a `PlannedCore` under
         // `PlanPolicy::Auto` (every batch priced, possibly recomputed)
         // must be bit-identical to an event-at-a-time sequential replay.
-        use crate::{PlanPolicy, PlannedTreapCore};
+        use crate::{PlanPolicy, PlannedCore};
         use kcore_gen::{barabasi_albert, churn_stream};
 
         let base = barabasi_albert(120, 3, 21);
-        let mut j = Journaled::new(TreapOrderCore::new(base.clone(), 1));
+        let mut j: Journaled<OrderCore> = Journaled::new(OrderCore::new(base.clone(), 1));
         for b in churn_stream(&base, 12, 9, 6, 33) {
             j.insert_batch(&b.inserts);
             j.remove_batch(&b.removes);
         }
 
         // Sequential oracle: one event at a time on a plain engine.
-        let mut seq_engine = TreapOrderCore::new(base.clone(), 5);
+        let mut seq_engine: OrderCore = OrderCore::new(base.clone(), 5);
         let seq_stats = replay_batched(&mut seq_engine, j.events(), 1);
 
         for max_batch in [4, 64, 1024] {
-            let mut planned = PlannedTreapCore::with_policy(base.clone(), 9, PlanPolicy::Auto);
+            let mut planned: PlannedCore =
+                PlannedCore::with_policy(base.clone(), 9, PlanPolicy::Auto);
             let stats = replay_batched(&mut planned, j.events(), max_batch);
             assert_eq!(stats.skipped, seq_stats.skipped);
             assert_eq!(
@@ -554,7 +555,7 @@ mod tests {
 
     #[test]
     fn shadow_tracks_engine_exactly_under_churn() {
-        let engine = TreapOrderCore::new(fixtures::clique(6), 1);
+        let engine: OrderCore = OrderCore::new(fixtures::clique(6), 1);
         let mut j = Journaled::new(engine);
         let edges: Vec<(u32, u32)> = (0..6u32)
             .flat_map(|a| ((a + 1)..6).map(move |b| (a, b)))

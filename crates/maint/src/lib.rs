@@ -5,8 +5,9 @@
 //! [`OrderCore`] owns a dynamic graph plus the *k-order index*:
 //!
 //! * per core value `k`, the sequence `O_k` as an intrusive doubly-linked
-//!   list and an order-statistics structure `A_k` (treap by default,
-//!   tag-list for the ablation) answering `u ⪯ v` and rank queries;
+//!   list and an order structure `A_k` (the `O(1)` label list by default,
+//!   the paper's treap for the ablation) answering `u ⪯ v` through a
+//!   monotone order key;
 //! * per vertex, `core`, `deg⁺` (remaining degree, Definition 5.2) and
 //!   `mcd` (needed by removals).
 //!
@@ -51,17 +52,12 @@ pub use persist::PersistError;
 pub use planner::{PlanPolicy, PlannedCore, Planner, PlannerConfig, PlannerStats, Strategy};
 pub use vertex::BatchOp;
 
-/// `OrderCore` instantiated with the paper's treap-backed `A_k`.
+/// `OrderCore` instantiated with the paper's treap-backed `A_k` (the
+/// ablation variant).
 pub type TreapOrderCore = OrderCore<kcore_order::OrderTreap>;
 
-/// `OrderCore` instantiated with the tag-list `A_k` (ablation variant).
-pub type TagOrderCore = OrderCore<kcore_order::TagList>;
-
-/// `OrderCore` instantiated with the skip-list `A_k` (ablation variant).
-pub type SkipOrderCore = OrderCore<kcore_order::SkipList>;
-
-/// [`PlannedCore`] over the paper's treap-backed `A_k` — the adaptive
-/// engine the batch benchmarks drive.
+/// [`PlannedCore`] over the paper's treap-backed `A_k` (the ablation
+/// variant).
 pub type PlannedTreapCore = PlannedCore<kcore_order::OrderTreap>;
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use kcore_decomp::{
     core_decomposition, korder_decomposition, korder_from_cores, Heuristic, KOrder,
 };
 use kcore_graph::{DynamicGraph, VertexId};
-use kcore_order::{MinRankHeap, OrderSeq, OrderTreap, VertexLists, NONE};
+use kcore_order::{MinRankHeap, OrderSeq, TagList, VertexLists, NONE};
 
 /// Opt-in record of which vertices changed core number since the last
 /// drain — the `O(changed)` feed for copy-on-write snapshot publication
@@ -48,9 +48,10 @@ impl CoreChangeLog {
 }
 
 /// A dynamic graph whose core numbers are maintained by the order-based
-/// algorithms of the paper. `S` is the `A_k` order structure (treap by
-/// default; see [`crate::TagOrderCore`] for the ablation variant).
-pub struct OrderCore<S: OrderSeq = OrderTreap> {
+/// algorithms of the paper. `S` is the `A_k` order structure: the `O(1)`
+/// label list [`TagList`] by default; [`crate::TreapOrderCore`] runs the
+/// paper's treap for the ablation.
+pub struct OrderCore<S: OrderSeq = TagList> {
     pub(crate) graph: DynamicGraph,
     pub(crate) core: Vec<u32>,
     /// `deg⁺` — neighbours after the vertex in the global k-order.
@@ -64,16 +65,6 @@ pub struct OrderCore<S: OrderSeq = OrderTreap> {
     /// Handle of each vertex's node inside `seqs[core[v]]`.
     pub(crate) node: Vec<u32>,
     pub(crate) seed: u64,
-    /// Structural version of each `A_k`, bumped whenever `seqs[k]`
-    /// mutates. Backs the batch-scoped rank cache: a cached `order_key`
-    /// is valid exactly while its level's version is unchanged.
-    pub(crate) seq_version: Vec<u64>,
-    /// Cached `order_key` per vertex (see [`OrderCore::cached_rank`]).
-    pub(crate) rank_cache: Vec<u64>,
-    /// `seq_version` value at cache time (0 = never cached).
-    pub(crate) rank_stamp: Vec<u64>,
-    /// Core level at cache time.
-    pub(crate) rank_level: Vec<u32>,
     /// `level_counts[k]` = number of vertices with core number exactly
     /// `k`, maintained incrementally by the promote/dismiss passes and
     /// the recompute fallback — so [`OrderCore::core_histogram`] and
@@ -135,8 +126,8 @@ impl<S: OrderSeq> OrderCore<S> {
     /// Assembles the full index from a precomputed [`KOrder`] of `graph`
     /// (shared by [`OrderCore::with_heuristic`] and the persistence
     /// loader). `A_k` structures are built by chaining `insert_after` at
-    /// the current tail — `O(1)` expected rotations per element — instead
-    /// of paying `insert_last`'s right-spine walk per vertex.
+    /// the current tail: one stride step per element for the label list
+    /// (never a relabel), and no right-spine walk for the treap.
     pub(crate) fn from_korder(graph: DynamicGraph, ko: KOrder, seed: u64) -> Self {
         let n = graph.num_vertices();
         let mcd = compute_mcd(&graph, &ko.core);
@@ -149,10 +140,6 @@ impl<S: OrderSeq> OrderCore<S> {
             seqs: Vec::new(),
             node: Vec::new(),
             seed,
-            seq_version: Vec::new(),
-            rank_cache: vec![0; n],
-            rank_stamp: vec![0; n],
-            rank_level: vec![0; n],
             level_counts: Vec::new(),
             edge_scratch: Vec::new(),
             endpoint_scratch: Vec::new(),
@@ -179,11 +166,11 @@ impl<S: OrderSeq> OrderCore<S> {
 
     /// Rebuilds the entire order index **in place** from a fresh
     /// [`KOrder`] of the *current* graph: `O_k` lists, `A_k` structures,
-    /// node handles, `core`/`deg⁺`/`mcd`, the per-level counts, and every
-    /// rank-cache stamp. Per-vertex scratch keeps its allocations — this
-    /// is the recompute fallback's re-entry point into order-based
-    /// maintenance, so it must leave the engine exactly as a fresh build
-    /// would (asserted by [`OrderCore::validate`] in tests).
+    /// node handles, `core`/`deg⁺`/`mcd`, and the per-level counts.
+    /// Per-vertex scratch keeps its allocations — this is the recompute
+    /// fallback's re-entry point into order-based maintenance, so it must
+    /// leave the engine exactly as a fresh build would (asserted by
+    /// [`OrderCore::validate`] in tests).
     pub fn rebuild_from_korder(&mut self, ko: KOrder) {
         assert_eq!(ko.core.len(), self.graph.num_vertices());
         // The rebuild replaces `core` wholesale; tracking needs the diff.
@@ -248,12 +235,6 @@ impl<S: OrderSeq> OrderCore<S> {
         }
         self.core = ko.core;
         self.deg_plus = ko.deg_plus;
-        self.seq_version.clear();
-        self.seq_version.resize(max_k + 1, 1);
-        // Stamp 0 = never cached: old stamps must not alias the reset
-        // versions.
-        self.rank_stamp.clear();
-        self.rank_stamp.resize(n, 0);
         self.level_counts.clear();
         self.level_counts.resize(max_k + 1, 0);
         for &c in &self.core {
@@ -371,7 +352,6 @@ impl<S: OrderSeq> OrderCore<S> {
         self.ensure_level(0);
         self.lists.push_back(0, v);
         let h = self.seqs[0].insert_last(v);
-        self.bump_seq_version(0);
         self.level_counts[0] += 1;
         self.node.push(h);
         self.deg_star.push(0);
@@ -381,9 +361,6 @@ impl<S: OrderSeq> OrderCore<S> {
         self.vc_pos.push(0);
         self.cd_work.push(0);
         self.touch_mark.push(0);
-        self.rank_cache.push(0);
-        self.rank_stamp.push(0);
-        self.rank_level.push(0);
         v
     }
 
@@ -397,7 +374,6 @@ impl<S: OrderSeq> OrderCore<S> {
         debug_assert_eq!(self.core[v as usize], 0);
         self.lists.remove(v);
         self.seqs[0].remove(self.node[v as usize]);
-        self.bump_seq_version(0);
         self.node[v as usize] = NONE;
         true
     }
@@ -410,7 +386,6 @@ impl<S: OrderSeq> OrderCore<S> {
             self.seqs.push(S::with_seed(
                 self.seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ));
-            self.seq_version.push(1);
             self.level_counts.push(0);
         }
     }
@@ -456,31 +431,12 @@ impl<S: OrderSeq> OrderCore<S> {
             + self.demotions.capacity()
     }
 
-    /// Marks `seqs[k]` as structurally changed, invalidating every rank
-    /// cached against it.
+    /// `order_key` of `v` inside its level's `A_k`: same-level vertices
+    /// compare by it while `A_k` is unmutated, which holds for an apply
+    /// phase and for a whole promotion/dismissal pass.
     #[inline]
-    pub(crate) fn bump_seq_version(&mut self, k: u32) {
-        self.seq_version[k as usize] += 1;
-    }
-
-    /// `order_key` of `v` inside its level's `A_k`, cached until that
-    /// level next mutates. The batch entry points lean on this: between
-    /// promotion/dismissal passes the k-order is frozen, so a hub vertex
-    /// that appears in many batch edges pays the `O(log n)` treap walk
-    /// once instead of once per edge.
-    #[inline]
-    pub(crate) fn cached_rank(&mut self, v: VertexId) -> u64 {
-        let vi = v as usize;
-        let k = self.core[vi];
-        let ver = self.seq_version[k as usize];
-        if self.rank_level[vi] == k && self.rank_stamp[vi] == ver {
-            return self.rank_cache[vi];
-        }
-        let r = self.seqs[k as usize].order_key(self.node[vi]);
-        self.rank_cache[vi] = r;
-        self.rank_level[vi] = k;
-        self.rank_stamp[vi] = ver;
-        r
+    pub(crate) fn order_key(&self, v: VertexId) -> u64 {
+        self.seqs[self.core[v as usize] as usize].order_key(self.node[v as usize])
     }
 
     #[inline]
@@ -529,6 +485,7 @@ impl<S: OrderSeq> OrderCore<S> {
         let max_level = self.lists.num_lists() as u32;
         for k in 0..max_level {
             let seq_vec = if (k as usize) < self.seqs.len() {
+                self.seqs[k as usize].validate();
                 self.seqs[k as usize].to_vec()
             } else {
                 Vec::new()

@@ -20,7 +20,7 @@
 //!    each plan **serially, in component order** — replay the recorded
 //!    `O_k` list operations, write the surviving `deg⁺` overlays, then
 //!    run the serial ending phase verbatim (fused `deg⁺`/`mcd` repair
-//!    scan, treap repairs, level counts, core-change log).
+//!    scan, `A_k` repairs, level counts, core-change log).
 //!
 //! ## Why this is bit-identical to the serial component loop
 //!
@@ -31,10 +31,11 @@
 //!   `mcd += 1` / `mcd -= 1` on neighbours at adjacent levels, which the
 //!   plan phase never reads and the serial-order applies reproduce
 //!   exactly.
-//! * Order tests compare pass-start ranks. Treap removals by earlier
-//!   components do not reorder survivors, and the serial path only ever
-//!   compares ranks of *same-component* vertices — so the frozen
-//!   pre-batch ranks the plan phase reads order identically.
+//! * Order tests compare pass-start order keys, and the serial path only
+//!   ever compares keys of *same-component* vertices. An earlier
+//!   component's `A_k` edits can rewrite keys (a relabel, a shifted treap
+//!   rank) but never reorder the survivors — so the frozen pre-batch keys
+//!   the plan phase reads order identically.
 //! * Applies run in the deterministic component order of
 //!   [`OrderCore::split_level_seeds`], so `UpdateStats`, the core-change
 //!   log, and every `A_k` mutation land in the serial sequence.
@@ -56,7 +57,7 @@ pub(crate) const PAR_PASS_SEED_CUTOFF: usize = 32;
 
 /// One deferred `O_k` list mutation, replayed verbatim at apply time.
 /// The `InsertAfter` subsequence doubles as the demotion log for the
-/// Observation 6.1 treap repositionings.
+/// Observation 6.1 `A_k` repositionings.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PlanOp {
     /// `lists.remove(w)` — a Case-1 candidate left `O_k`.
@@ -139,21 +140,6 @@ impl PromoteOverlay {
     }
 }
 
-/// Frozen pass-start rank of a level-`k` vertex, memoised per plan. The
-/// shared rank cache is deliberately *not* touched (it is engine state);
-/// a plan pays each treap walk once into its private memo instead.
-#[inline]
-fn frozen_rank<S: OrderSeq>(
-    core: &OrderCore<S>,
-    memo: &mut FxHashMap<VertexId, u64>,
-    k: u32,
-    v: VertexId,
-) -> u64 {
-    *memo
-        .entry(v)
-        .or_insert_with(|| core.seqs[k as usize].order_key(core.node[v as usize]))
-}
-
 impl<S: OrderSeq> OrderCore<S> {
     /// Read-only mirror of [`OrderCore::promote_pass`]'s core phase
     /// (Algorithm 2 + `RemoveCandidates`, Algorithm 3) over one
@@ -163,12 +149,11 @@ impl<S: OrderSeq> OrderCore<S> {
     /// does it once before planning).
     pub(crate) fn plan_promote(&self, seeds: &[VertexId], k: u32) -> PromotePlan {
         let mut ov = PromoteOverlay::default();
-        let mut rank_memo: FxHashMap<VertexId, u64> = FxHashMap::default();
         let mut heap = MinRankHeap::new();
         for &root in seeds {
             debug_assert_eq!(self.core[root as usize], k);
             debug_assert!(self.deg_plus[root as usize] > k);
-            let rank = frozen_rank(self, &mut rank_memo, k, root);
+            let rank = self.order_key(root);
             heap.push(rank, root);
         }
 
@@ -183,11 +168,11 @@ impl<S: OrderSeq> OrderCore<S> {
                 ov.ops.push(PlanOp::Remove(w));
                 ov.vc_set.insert(w);
                 ov.vc.push(w);
-                let rank_w = frozen_rank(self, &mut rank_memo, k, w);
+                let rank_w = self.order_key(w);
                 for i in 0..self.graph.degree(w) {
                     let z = self.graph.neighbors(w)[i];
                     if self.core[z as usize] == k {
-                        let rank_z = frozen_rank(self, &mut rank_memo, k, z);
+                        let rank_z = self.order_key(z);
                         if rank_w < rank_z {
                             let new = ov.star_add(z, 1);
                             if new == 1 {
@@ -201,7 +186,7 @@ impl<S: OrderSeq> OrderCore<S> {
                 debug_assert!(star_w > 0);
                 ov.deg_add(self, w, star_w as i64);
                 ov.star_add(w, -(star_w as i64));
-                self.plan_remove_candidates(&mut ov, &mut rank_memo, w, k);
+                self.plan_remove_candidates(&mut ov, w, k);
             }
         }
 
@@ -230,13 +215,7 @@ impl<S: OrderSeq> OrderCore<S> {
     }
 
     /// Read-only mirror of `OrderCore::remove_candidates` (Algorithm 3).
-    fn plan_remove_candidates(
-        &self,
-        ov: &mut PromoteOverlay,
-        rank_memo: &mut FxHashMap<VertexId, u64>,
-        w: VertexId,
-        k: u32,
-    ) {
+    fn plan_remove_candidates(&self, ov: &mut PromoteOverlay, w: VertexId, k: u32) {
         let mut queue: Vec<VertexId> = Vec::new();
         for i in 0..self.graph.degree(w) {
             let z = self.graph.neighbors(w)[i];
@@ -248,7 +227,7 @@ impl<S: OrderSeq> OrderCore<S> {
                 }
             }
         }
-        let rank_w = frozen_rank(self, rank_memo, k, w);
+        let rank_w = self.order_key(w);
         let mut cursor = w;
         let mut qi = 0;
         while qi < queue.len() {
@@ -261,13 +240,13 @@ impl<S: OrderSeq> OrderCore<S> {
             ov.ops.push(PlanOp::InsertAfter(cursor, d));
             cursor = d;
 
-            let rank_d = frozen_rank(self, rank_memo, k, d);
+            let rank_d = self.order_key(d);
             for i in 0..self.graph.degree(d) {
                 let z = self.graph.neighbors(d)[i];
                 if self.core[z as usize] != k {
                     continue;
                 }
-                let rank_z = frozen_rank(self, rank_memo, k, z);
+                let rank_z = self.order_key(z);
                 if rank_w < rank_z {
                     ov.star_add(z, -1);
                 } else if ov.vc_set.contains(&z) {
@@ -300,14 +279,10 @@ impl<S: OrderSeq> OrderCore<S> {
         stats.visited += plan.visited;
         let epoch = self.bump_epoch();
 
-        let mut had_demotions = false;
         for op in &plan.ops {
             match *op {
                 PlanOp::Remove(w) => self.lists.remove(w),
-                PlanOp::InsertAfter(pred, d) => {
-                    self.lists.insert_after(k, pred, d);
-                    had_demotions = true;
-                }
+                PlanOp::InsertAfter(pred, d) => self.lists.insert_after(k, pred, d),
             }
         }
         for &(v, d) in &plan.stayer_deg {
@@ -371,12 +346,6 @@ impl<S: OrderSeq> OrderCore<S> {
         for &w in vstar.iter().rev() {
             self.node[w as usize] = self.seqs[k as usize + 1].insert_first(w);
             self.lists.push_front(k + 1, w);
-        }
-        if had_demotions || !vstar.is_empty() {
-            self.bump_seq_version(k);
-        }
-        if !vstar.is_empty() {
-            self.bump_seq_version(k + 1);
         }
     }
 
@@ -494,9 +463,6 @@ impl<S: OrderSeq> OrderCore<S> {
             self.seqs[k as usize].remove(self.node[wi]);
             self.node[wi] = self.seqs[k as usize - 1].insert_last(w);
         }
-
-        self.bump_seq_version(k);
-        self.bump_seq_version(k - 1);
     }
 
     /// Plans every component's promotion pass on the worker team, then

@@ -7,8 +7,8 @@
 //! global k-order, and the three per-vertex arrays (`core`, `deg⁺`,
 //! `mcd`), all little-endian `u32`, guarded by a magic header and an
 //! Fx-hash checksum. Loading re-validates the cheap structural facts
-//! (grouping, Lemma 5.1) and rebuilds the treaps by chaining at the tail
-//! (`O(1)` expected rotations per vertex).
+//! (grouping, Lemma 5.1) and rebuilds the `A_k` lists by tail appends
+//! (one stride step per vertex, no relabel).
 
 use crate::order_core::OrderCore;
 use kcore_decomp::validate::compute_mcd;
@@ -92,7 +92,7 @@ impl<S: OrderSeq> OrderCore<S> {
     }
 
     /// Deserialises an index previously written by [`OrderCore::save`].
-    /// Treaps and lists are rebuilt from the stored k-order; the stored
+    /// `A_k` and `O_k` are rebuilt from the stored k-order; the stored
     /// arrays are structurally validated (checksum, permutation, core
     /// grouping, Lemma 5.1, `mcd` definition).
     pub fn load<R: Read>(mut input: R, seed: u64) -> Result<Self, PersistError> {
@@ -188,19 +188,19 @@ impl<S: OrderSeq> OrderCore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TreapOrderCore;
+    use crate::OrderCore;
     use kcore_graph::fixtures;
 
-    fn roundtrip(oc: &TreapOrderCore) -> TreapOrderCore {
+    fn roundtrip(oc: &OrderCore) -> OrderCore {
         let mut buf = Vec::new();
         oc.save(&mut buf).unwrap();
-        TreapOrderCore::load(&buf[..], 99).unwrap()
+        OrderCore::load(&buf[..], 99).unwrap()
     }
 
     #[test]
     fn save_load_roundtrip_preserves_everything() {
         let pg = fixtures::PaperGraph::small();
-        let mut oc = TreapOrderCore::new(pg.graph.clone(), 5);
+        let mut oc: OrderCore = OrderCore::new(pg.graph.clone(), 5);
         oc.insert_edge(pg.v(4), pg.u(0)).unwrap();
         let loaded = roundtrip(&oc);
         assert_eq!(loaded.cores(), oc.cores());
@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn loaded_engine_keeps_working() {
-        let mut oc = TreapOrderCore::new(fixtures::path(20), 3);
+        let mut oc: OrderCore = OrderCore::new(fixtures::path(20), 3);
         oc.insert_edge(0, 19).unwrap();
         let mut loaded = roundtrip(&oc);
         loaded.insert_edge(0, 10).unwrap();
@@ -220,12 +220,12 @@ mod tests {
 
     #[test]
     fn rejects_bad_header_and_truncation() {
-        let oc = TreapOrderCore::new(fixtures::triangle(), 1);
+        let oc: OrderCore = OrderCore::new(fixtures::triangle(), 1);
         let mut buf = Vec::new();
         oc.save(&mut buf).unwrap();
 
         // truncation
-        let err = TreapOrderCore::load(&buf[..buf.len() - 5], 1).unwrap_err();
+        let err = <OrderCore>::load(&buf[..buf.len() - 5], 1).unwrap_err();
         assert!(matches!(
             err,
             PersistError::BadHeader | PersistError::Corrupted(_)
@@ -235,7 +235,7 @@ mod tests {
         let mut bad = buf.clone();
         bad[0] ^= 0xFF;
         assert!(matches!(
-            TreapOrderCore::load(&bad[..], 1).unwrap_err(),
+            <OrderCore>::load(&bad[..], 1).unwrap_err(),
             PersistError::BadHeader
         ));
 
@@ -244,25 +244,25 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x01;
         assert!(matches!(
-            TreapOrderCore::load(&bad[..], 1).unwrap_err(),
+            <OrderCore>::load(&bad[..], 1).unwrap_err(),
             PersistError::Corrupted(_)
         ));
 
         // empty input
         assert!(matches!(
-            TreapOrderCore::load(&[][..], 1).unwrap_err(),
+            <OrderCore>::load(&[][..], 1).unwrap_err(),
             PersistError::BadHeader
         ));
     }
 
     #[test]
     fn file_roundtrip() {
-        let oc = TreapOrderCore::new(fixtures::petersen(), 2);
+        let oc: OrderCore = OrderCore::new(fixtures::petersen(), 2);
         let dir = std::env::temp_dir().join("kcore_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("petersen.kord");
         oc.save_to_path(&path).unwrap();
-        let loaded = TreapOrderCore::load_from_path(&path, 2).unwrap();
+        let loaded: OrderCore = OrderCore::load_from_path(&path, 2).unwrap();
         assert_eq!(loaded.cores(), oc.cores());
         loaded.validate();
         std::fs::remove_file(path).ok();

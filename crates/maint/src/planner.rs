@@ -41,8 +41,8 @@
 //! counts serving histogram/degeneracy queries) but leaves the k-order
 //! index stale: a stream of recompute-priced batches pays **zero** order
 //! maintenance. The index is rebuilt lazily — through the
-//! [`korder_from_cores`] bridge, `O(m + n)` plus `O(1)` expected treap
-//! rotations per vertex — the moment order-based work resumes (a
+//! [`korder_from_cores`] bridge, `O(m + n)` plus one `A_k` tail append
+//! per vertex — the moment order-based work resumes (a
 //! single-edge update, a batched-strategy batch, or an explicit
 //! [`PlannedCore::ensure_order_fresh`]). After the rebuild the engine is
 //! indistinguishable from a freshly built [`OrderCore`]
@@ -53,7 +53,7 @@ use crate::components::BatchOptions;
 use crate::order_core::OrderCore;
 use kcore_decomp::{core_decomposition, korder_from_cores, par_core_decomposition, Parallelism};
 use kcore_graph::{DynamicGraph, EdgeListError, VertexId, DEFAULT_MAX_HOLE_RATIO};
-use kcore_order::{OrderSeq, OrderTreap};
+use kcore_order::{OrderSeq, TagList};
 use kcore_traversal::UpdateStats;
 
 /// Which algorithm the planner dispatches a batch to.
@@ -726,7 +726,7 @@ impl Planner {
 /// points dispatch per the cost model, single-edge updates run the plain
 /// order-based algorithms (re-freshening the order index first when a
 /// recompute left it stale).
-pub struct PlannedCore<S: OrderSeq = OrderTreap> {
+pub struct PlannedCore<S: OrderSeq = TagList> {
     engine: OrderCore<S>,
     planner: Planner,
     /// Runs recompute decompositions on the parallel peel when set.
@@ -1182,7 +1182,7 @@ mod tests {
     use super::*;
     use kcore_graph::fixtures;
 
-    type Planned = PlannedCore<OrderTreap>;
+    type Planned = PlannedCore;
 
     #[test]
     fn force_recompute_defers_then_rebuilds_on_demand() {

@@ -97,13 +97,13 @@ impl<S: OrderSeq> OrderCore<S> {
 
 #[cfg(test)]
 mod tests {
-    use crate::TreapOrderCore;
+    use crate::OrderCore;
     use kcore_graph::fixtures;
 
     #[test]
     fn kcore_queries_on_paper_graph() {
         let pg = fixtures::PaperGraph::small();
-        let oc = TreapOrderCore::new(pg.graph.clone(), 1);
+        let oc: OrderCore = OrderCore::new(pg.graph.clone(), 1);
         assert_eq!(oc.degeneracy(), 3);
         assert_eq!(oc.kcore_members(3).len(), 8);
         assert_eq!(oc.kcore_members(2).len(), 13);
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn queries_track_updates() {
-        let mut oc = TreapOrderCore::new(fixtures::path(4), 1);
+        let mut oc: OrderCore = OrderCore::new(fixtures::path(4), 1);
         assert_eq!(oc.degeneracy(), 1);
         oc.insert_edge(3, 0).unwrap();
         assert_eq!(oc.degeneracy(), 2);
@@ -132,7 +132,7 @@ mod tests {
     #[test]
     fn subcore_matches_example_3_1() {
         let pg = fixtures::PaperGraph::full();
-        let oc = TreapOrderCore::new(pg.graph.clone(), 1);
+        let oc: OrderCore = OrderCore::new(pg.graph.clone(), 1);
         let mut sc2 = oc.subcore(pg.v(3));
         sc2.sort_unstable();
         let mut expected: Vec<u32> = (1..=5).map(|j| pg.v(j)).collect();
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn global_order_is_a_permutation_grouped_by_core() {
         let pg = fixtures::PaperGraph::small();
-        let oc = TreapOrderCore::new(pg.graph.clone(), 1);
+        let oc: OrderCore = OrderCore::new(pg.graph.clone(), 1);
         let order = oc.global_order();
         assert_eq!(order.len(), pg.graph.num_vertices());
         let cores: Vec<u32> = order.iter().map(|&v| oc.core(v)).collect();

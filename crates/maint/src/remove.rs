@@ -175,9 +175,6 @@ impl<S: OrderSeq> OrderCore<S> {
             self.seqs[k as usize].remove(self.node[wi]);
             self.node[wi] = self.seqs[k as usize - 1].insert_last(w);
         }
-
-        self.bump_seq_version(k);
-        self.bump_seq_version(k - 1);
         self.vstar = vstar;
     }
 }

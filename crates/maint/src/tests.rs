@@ -3,11 +3,11 @@
 //! traversal engine and full recomputation.
 
 use crate::maintainer::CoreMaintainer;
-use crate::{OrderCore, RecomputeCore, TagOrderCore, TreapOrderCore};
+use crate::{OrderCore, RecomputeCore, TreapOrderCore};
 use kcore_graph::{fixtures, DynamicGraph, EdgeListError};
 use kcore_traversal::TraversalCore;
 
-fn treap_core(g: &DynamicGraph) -> TreapOrderCore {
+fn order_core(g: &DynamicGraph) -> OrderCore {
     OrderCore::new(g.clone(), 42)
 }
 
@@ -23,7 +23,7 @@ fn build_validates_on_fixtures() {
         DynamicGraph::with_vertices(4),
         DynamicGraph::new(),
     ] {
-        treap_core(&g).validate();
+        order_core(&g).validate();
     }
 }
 
@@ -32,7 +32,7 @@ fn insert_forms_triangle() {
     let mut g = DynamicGraph::with_vertices(3);
     g.insert_edge(0, 1).unwrap();
     g.insert_edge(1, 2).unwrap();
-    let mut oc = treap_core(&g);
+    let mut oc = order_core(&g);
     let stats = oc.insert_edge(2, 0).unwrap();
     assert_eq!(oc.cores(), &[2, 2, 2]);
     assert_eq!(stats.changed, 3);
@@ -42,7 +42,7 @@ fn insert_forms_triangle() {
 #[test]
 fn insert_between_isolated() {
     let g = DynamicGraph::with_vertices(2);
-    let mut oc = treap_core(&g);
+    let mut oc = order_core(&g);
     oc.insert_edge(0, 1).unwrap();
     assert_eq!(oc.cores(), &[1, 1]);
     oc.validate();
@@ -50,7 +50,7 @@ fn insert_between_isolated() {
 
 #[test]
 fn insert_errors_leave_state_unchanged() {
-    let mut oc = treap_core(&fixtures::triangle());
+    let mut oc = order_core(&fixtures::triangle());
     assert!(matches!(
         oc.insert_edge(0, 0),
         Err(EdgeListError::SelfLoop(0))
@@ -76,7 +76,7 @@ fn paper_example_5_2_insertion_visits_one_vertex() {
     // and V* = {u0}. The order algorithm should visit exactly one vertex
     // (u0), against ~1,999 for the traversal algorithm (Example 4.2).
     let pg = fixtures::PaperGraph::full();
-    let mut oc = treap_core(&pg.graph);
+    let mut oc = order_core(&pg.graph);
     // Precondition from the paper: u0 has neighbours v5 (and after the
     // insert, v4) later in k-order.
     assert_eq!(oc.deg_plus(pg.u(0)), 1);
@@ -103,7 +103,7 @@ fn lemma_5_2_no_update_when_deg_plus_small() {
     // terminates in the preparing phase — zero vertices visited, zero
     // cores changed (Lemma 5.2).
     let pg = fixtures::PaperGraph::full();
-    let mut oc = treap_core(&pg.graph);
+    let mut oc = order_core(&pg.graph);
     // Tie-breaking may order O_2 differently from Fig 6; one of v4/v5 has
     // deg+ = 1 in any valid k-order of this graph.
     let root = if oc.deg_plus(pg.v(5)) == 1 {
@@ -121,7 +121,7 @@ fn lemma_5_2_no_update_when_deg_plus_small() {
     // By contrast a vertex gaining its first edge always leaves O_0.
     let mut g = fixtures::path(3);
     let v = g.add_vertex();
-    let mut oc = treap_core(&g);
+    let mut oc = order_core(&g);
     let stats = oc.insert_edge(v, 0).unwrap();
     assert_eq!(stats.changed, 1);
     assert_eq!(oc.core(v), 1);
@@ -131,7 +131,7 @@ fn lemma_5_2_no_update_when_deg_plus_small() {
 #[test]
 fn remove_edge_reverts_insert() {
     let pg = fixtures::PaperGraph::small();
-    let mut oc = treap_core(&pg.graph);
+    let mut oc = order_core(&pg.graph);
     oc.insert_edge(pg.v(4), pg.u(0)).unwrap();
     assert_eq!(oc.core(pg.u(0)), 2);
     oc.validate();
@@ -143,7 +143,7 @@ fn remove_edge_reverts_insert() {
 
 #[test]
 fn remove_unravels_clique() {
-    let mut oc = treap_core(&fixtures::clique(4));
+    let mut oc = order_core(&fixtures::clique(4));
     oc.remove_edge(0, 1).unwrap();
     assert_eq!(oc.cores(), &[2, 2, 2, 2]);
     oc.validate();
@@ -160,7 +160,7 @@ fn remove_unravels_clique() {
 #[test]
 fn insert_cascade_promotes_whole_cycle() {
     // A path closed into a cycle promotes every vertex from core 1 to 2.
-    let mut oc = treap_core(&fixtures::path(50));
+    let mut oc = order_core(&fixtures::path(50));
     let stats = oc.insert_edge(0, 49).unwrap();
     assert_eq!(stats.changed, 50);
     assert!(oc.cores().iter().all(|&c| c == 2));
@@ -176,7 +176,7 @@ fn case_2b_demotion_path() {
     for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)] {
         g.insert_edge(a, b).unwrap();
     }
-    let mut oc = treap_core(&g);
+    let mut oc = order_core(&g);
     // Chord (1, 3): the 4-cycle already has core 2; vertices 4, 5 stay 1.
     let before = oc.cores().to_vec();
     oc.insert_edge(1, 3).unwrap();
@@ -187,7 +187,7 @@ fn case_2b_demotion_path() {
 
 #[test]
 fn vertex_addition_and_detachment() {
-    let mut oc = treap_core(&fixtures::triangle());
+    let mut oc = order_core(&fixtures::triangle());
     let v = oc.add_vertex();
     assert_eq!(oc.core(v), 0);
     oc.validate();
@@ -204,7 +204,7 @@ fn vertex_addition_and_detachment() {
 #[test]
 fn precedes_is_consistent_with_levels() {
     let pg = fixtures::PaperGraph::small();
-    let oc = treap_core(&pg.graph);
+    let oc = order_core(&pg.graph);
     // Lower core always precedes higher core.
     assert!(oc.precedes(pg.u(5), pg.v(1)));
     assert!(oc.precedes(pg.v(1), pg.v(6)));
@@ -261,7 +261,7 @@ fn random_churn_treap_engine() {
 #[test]
 fn random_churn_taglist_engine() {
     for seed in [5u64, 6] {
-        let oc: TagOrderCore = OrderCore::new(DynamicGraph::with_vertices(26), seed);
+        let oc: OrderCore = OrderCore::new(DynamicGraph::with_vertices(26), seed);
         churn_agreement(oc, 26, 220, seed);
     }
 }
@@ -271,7 +271,7 @@ fn random_churn_with_full_validation() {
     // Smaller but validates the entire index (deg+, mcd, Lemma 5.1,
     // list/seq agreement) after every single update.
     for seed in [7u64, 8, 9] {
-        let mut oc: TreapOrderCore = OrderCore::new(DynamicGraph::with_vertices(18), seed);
+        let mut oc: OrderCore = OrderCore::new(DynamicGraph::with_vertices(18), seed);
         let mut present: Vec<(u32, u32)> = Vec::new();
         let mut state = seed | 1;
         for _ in 0..150 {
@@ -298,7 +298,7 @@ fn random_churn_with_full_validation() {
 fn dense_block_growth() {
     // Growing a clique edge by edge exercises repeated promotions through
     // every level.
-    let mut oc: TreapOrderCore = OrderCore::new(DynamicGraph::with_vertices(12), 3);
+    let mut oc: OrderCore = OrderCore::new(DynamicGraph::with_vertices(12), 3);
     for a in 0..12u32 {
         for b in (a + 1)..12u32 {
             oc.insert_edge(a, b).unwrap();
@@ -319,7 +319,7 @@ fn dense_block_growth() {
 #[test]
 fn all_engines_agree_on_paper_graph_updates() {
     let pg = fixtures::PaperGraph::small();
-    let mut order = treap_core(&pg.graph);
+    let mut order = order_core(&pg.graph);
     let mut trav = TraversalCore::new(pg.graph.clone(), 2);
     let mut naive = RecomputeCore::new(pg.graph.clone());
     let updates = [
@@ -354,7 +354,7 @@ fn order_visits_far_fewer_than_traversal_on_chain() {
     // Aggregate over several chain insertions: the |V+| / |V'| gap that
     // motivates the paper (Figs 1-2).
     let pg = fixtures::PaperGraph::full();
-    let mut order = treap_core(&pg.graph);
+    let mut order = order_core(&pg.graph);
     let mut trav = TraversalCore::new(pg.graph.clone(), 2);
     let mut order_visits = 0usize;
     let mut trav_visits = 0usize;
@@ -375,7 +375,7 @@ fn heuristic_variants_build_valid_indices() {
     use kcore_decomp::Heuristic;
     let pg = fixtures::PaperGraph::small();
     for h in Heuristic::ALL {
-        let mut oc: TreapOrderCore = OrderCore::with_heuristic(pg.graph.clone(), h, 5);
+        let mut oc: OrderCore = OrderCore::with_heuristic(pg.graph.clone(), h, 5);
         oc.validate();
         oc.insert_edge(pg.v(4), pg.u(0)).unwrap();
         oc.validate();
@@ -400,7 +400,7 @@ fn observation_6_1_demotions_occur_and_stay_valid() {
         }
     }
     let mut demotion_inserts = 0usize;
-    let mut oc = treap_core(&g);
+    let mut oc = order_core(&g);
     for _ in 0..300 {
         let a = (xorshift(&mut state) % 40) as u32;
         let b = (xorshift(&mut state) % 40) as u32;
@@ -469,7 +469,7 @@ fn calibration_converges_to_the_observed_faster_strategy() {
     let planner = Planner::with_clock(cfg, scripted_clock(script));
 
     let g = fixtures::path(30);
-    let engine: TreapOrderCore = OrderCore::new(g.clone(), 7);
+    let engine: OrderCore = OrderCore::new(g.clone(), 7);
     let mut pc = PlannedCore::from_parts(engine, planner);
 
     // Warm-up: batches of already-present edges (all skipped, so the
@@ -520,7 +520,7 @@ fn repeated_batches_reuse_scratch_without_growth() {
     // cycle, the reusable scratch buffers stop growing even across many
     // further insert/remove cycles.
     let g = kcore_gen::barabasi_albert(2_000, 4, 11);
-    let mut oc = TreapOrderCore::new(g.clone(), 3);
+    let mut oc: OrderCore = OrderCore::new(g.clone(), 3);
     let mut state = 0xFEEDu64;
     let mut batch: Vec<(u32, u32)> = Vec::new();
     {
@@ -559,8 +559,8 @@ fn histogram_and_degeneracy_track_updates_incrementally() {
     // the O(levels) histogram/degeneracy must match an O(n) recount at
     // every step (validate() additionally cross-checks level_counts).
     let mut state = 0xD1CEu64;
-    let mut oc = treap_core(&fixtures::two_cliques_bridge());
-    let recount = |oc: &TreapOrderCore| {
+    let mut oc = order_core(&fixtures::two_cliques_bridge());
+    let recount = |oc: &OrderCore| {
         let max = oc.cores().iter().copied().max().unwrap_or(0);
         let mut hist = vec![0usize; max as usize + 1];
         for &c in oc.cores() {
@@ -602,7 +602,7 @@ fn histogram_and_degeneracy_track_updates_incrementally() {
 
 #[test]
 fn kcore_members_allocates_exact_capacity() {
-    let oc = treap_core(&fixtures::PaperGraph::small().graph);
+    let oc = order_core(&fixtures::PaperGraph::small().graph);
     for k in 0..=oc.degeneracy() + 1 {
         let members = oc.kcore_members(k);
         assert_eq!(members.capacity(), members.len());
@@ -614,8 +614,8 @@ fn kcore_members_allocates_exact_capacity() {
 /// Applies drained change ids to a stale copy of the cores and checks it
 /// reaches the engine's current state — the exact contract the ingest
 /// writer's chunked mirror relies on.
-fn assert_drain_covers<F: FnOnce(&mut TreapOrderCore)>(g: &DynamicGraph, mutate: F) {
-    let mut oc = treap_core(g);
+fn assert_drain_covers<F: FnOnce(&mut OrderCore)>(g: &DynamicGraph, mutate: F) {
+    let mut oc = order_core(g);
     oc.enable_core_change_tracking();
     let before = oc.cores().to_vec();
     mutate(&mut oc);
@@ -658,7 +658,7 @@ fn change_tracking_covers_batches_and_rebuilds() {
 
 #[test]
 fn change_tracking_off_reports_full_sync() {
-    let mut oc = treap_core(&fixtures::triangle());
+    let mut oc = order_core(&fixtures::triangle());
     let mut out = Vec::new();
     assert!(
         !oc.drain_core_changes(&mut out),

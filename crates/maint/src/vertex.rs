@@ -52,7 +52,7 @@ impl<S: OrderSeq> OrderCore<S> {
     }
 
     /// Rebuilds the whole index from the current graph (fresh k-order,
-    /// treaps, `deg⁺`, `mcd`). `O((m + n) log n)` — the Table III cost.
+    /// `A_k` lists, `deg⁺`, `mcd`). `O((m + n) log n)` — the Table III cost.
     pub fn rebuild(&mut self) {
         let graph = std::mem::take(&mut self.graph);
         let seed = self.seed;
@@ -128,7 +128,7 @@ impl<S: OrderSeq> OrderCore<S> {
             })
         } else {
             // Incremental path: run the ops through the batch engine
-            // (pre-reservation, level sort, rank cache), reusing the
+            // (pre-reservation, level sort, merged passes), reusing the
             // journal replayer's grouping of consecutive same-kind runs.
             // Everything was validated above, so the batch entry points'
             // skip-counting never triggers.
@@ -146,12 +146,12 @@ impl<S: OrderSeq> OrderCore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TreapOrderCore;
+    use crate::OrderCore;
     use kcore_graph::fixtures;
 
     #[test]
     fn vertex_insertion_with_edges() {
-        let mut oc = TreapOrderCore::new(fixtures::clique(4), 1);
+        let mut oc: OrderCore = OrderCore::new(fixtures::clique(4), 1);
         let (v, stats) = oc.insert_vertex_with_edges(&[0, 1, 2, 3]).unwrap();
         assert_eq!(oc.core(v), 4); // K5 now
         assert!(stats.changed >= 4);
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn vertex_removal_unwires_everything() {
-        let mut oc = TreapOrderCore::new(fixtures::clique(5), 1);
+        let mut oc: OrderCore = OrderCore::new(fixtures::clique(5), 1);
         let stats = oc.remove_vertex(2);
         assert!(stats.changed > 0);
         assert_eq!(oc.core(2), 0);
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn vertex_insert_rolls_back_nothing_on_error() {
-        let mut oc = TreapOrderCore::new(fixtures::triangle(), 1);
+        let mut oc: OrderCore = OrderCore::new(fixtures::triangle(), 1);
         // duplicate neighbour -> error after first two edges applied
         let err = oc.insert_vertex_with_edges(&[0, 1, 0]).unwrap_err();
         assert!(matches!(err, EdgeListError::Duplicate(..)));
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn batch_incremental_path() {
-        let mut oc = TreapOrderCore::new(fixtures::path(30), 1);
+        let mut oc: OrderCore = OrderCore::new(fixtures::path(30), 1);
         let ops = vec![BatchOp::Insert(0, 29), BatchOp::Remove(5, 6)];
         let stats = oc.apply_batch(&ops, 0.5).unwrap();
         assert!(stats.changed > 0);
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn batch_rebuild_path() {
-        let mut oc = TreapOrderCore::new(fixtures::path(10), 1);
+        let mut oc: OrderCore = OrderCore::new(fixtures::path(10), 1);
         // a batch bigger than half the edges triggers the rebuild path
         let ops: Vec<BatchOp> = (0..8).map(|i| BatchOp::Insert(i, i + 2)).collect();
         let stats = oc.apply_batch(&ops, 0.5).unwrap();
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn batch_validation_catches_conflicts() {
-        let mut oc = TreapOrderCore::new(fixtures::triangle(), 1);
+        let mut oc: OrderCore = OrderCore::new(fixtures::triangle(), 1);
         let before = oc.cores().to_vec();
         // insert then insert again within one batch
         let err = oc
@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn rebuild_preserves_semantics() {
-        let mut oc = TreapOrderCore::new(fixtures::two_cliques_bridge(), 1);
+        let mut oc: OrderCore = OrderCore::new(fixtures::two_cliques_bridge(), 1);
         let cores = oc.cores().to_vec();
         oc.rebuild();
         assert_eq!(oc.cores(), &cores[..]);

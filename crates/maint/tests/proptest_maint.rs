@@ -4,9 +4,7 @@
 
 use kcore_decomp::{Heuristic, Parallelism};
 use kcore_graph::DynamicGraph;
-use kcore_maint::{
-    BatchOp, CoreMaintainer, OrderCore, PlanPolicy, PlannedTreapCore, RecomputeCore, TreapOrderCore,
-};
+use kcore_maint::{BatchOp, CoreMaintainer, OrderCore, PlanPolicy, PlannedCore, RecomputeCore};
 use proptest::prelude::*;
 
 const ALL_POLICIES: [PlanPolicy; 6] = [
@@ -21,8 +19,8 @@ const ALL_POLICIES: [PlanPolicy; 6] = [
 /// A planned engine for the given policy; the parallel policies get a
 /// two-thread `Parallelism` with the cutoff zeroed so the worker-team
 /// paths genuinely run even on tiny property-test graphs.
-fn planned_with(g: DynamicGraph, seed: u64, policy: PlanPolicy) -> PlannedTreapCore {
-    let pc = PlannedTreapCore::with_policy(g, seed, policy);
+fn planned_with(g: DynamicGraph, seed: u64, policy: PlanPolicy) -> PlannedCore {
+    let pc: PlannedCore = PlannedCore::with_policy(g, seed, policy);
     match policy {
         PlanPolicy::ForceParSplit | PlanPolicy::ForceParRecompute => {
             pc.with_parallelism(Parallelism::exact(2).with_cutoff(0))
@@ -49,10 +47,10 @@ proptest! {
     /// save → load is the identity on every observable of the index.
     #[test]
     fn persist_roundtrip_identity(g in arb_graph(30, 120), seed in any::<u64>()) {
-        let oc = TreapOrderCore::new(g, seed);
+        let oc: OrderCore = OrderCore::new(g, seed);
         let mut buf = Vec::new();
         oc.save(&mut buf).unwrap();
-        let loaded = TreapOrderCore::load(&buf[..], seed ^ 1).unwrap();
+        let loaded: OrderCore = OrderCore::load(&buf[..], seed ^ 1).unwrap();
         prop_assert_eq!(loaded.cores(), oc.cores());
         prop_assert_eq!(loaded.global_order(), oc.global_order());
         loaded.validate();
@@ -67,12 +65,12 @@ proptest! {
         byte in any::<prop::sample::Index>(),
         flip in 1u8..=255,
     ) {
-        let oc = TreapOrderCore::new(g, 7);
+        let oc: OrderCore = OrderCore::new(g, 7);
         let mut buf = Vec::new();
         oc.save(&mut buf).unwrap();
         let pos = byte.index(buf.len());
         buf[pos] ^= flip;
-        match TreapOrderCore::load(&buf[..], 7) {
+        match <OrderCore>::load(&buf[..], 7) {
             Err(_) => {} // detected — the expected outcome
             Ok(loaded) => {
                 // Only possible if the flip hit redundant state that the
@@ -86,11 +84,11 @@ proptest! {
     /// Truncation at any point is detected.
     #[test]
     fn persist_truncation_is_detected(g in arb_graph(12, 30), cut in any::<prop::sample::Index>()) {
-        let oc = TreapOrderCore::new(g, 3);
+        let oc: OrderCore = OrderCore::new(g, 3);
         let mut buf = Vec::new();
         oc.save(&mut buf).unwrap();
         let keep = cut.index(buf.len()); // strictly shorter than buf
-        prop_assert!(TreapOrderCore::load(&buf[..keep], 3).is_err());
+        prop_assert!(<OrderCore>::load(&buf[..keep], 3).is_err());
     }
 
     /// Indices built with the large/random heuristics stay valid under
@@ -102,7 +100,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         for h in [Heuristic::LargeDegFirst, Heuristic::RandomDegFirst] {
-            let mut oc: TreapOrderCore = OrderCore::with_heuristic(g.clone(), h, seed);
+            let mut oc: OrderCore = OrderCore::with_heuristic(g.clone(), h, seed);
             let mut present = oc.graph().edge_vec();
             for &(ins, a, b) in &updates {
                 if ins {
@@ -135,10 +133,10 @@ proptest! {
         // purpose: insert_edges must skip them.
         let batch: Vec<(u32, u32)> = raw;
 
-        let mut batched = TreapOrderCore::new(g.clone(), seed);
+        let mut batched: OrderCore = OrderCore::new(g.clone(), seed);
         let stats = batched.insert_edges(&batch);
 
-        let mut seq = TreapOrderCore::new(g.clone(), seed);
+        let mut seq: OrderCore = OrderCore::new(g.clone(), seed);
         let mut applied = 0usize;
         for &(u, v) in &batch {
             if seq.insert_edge(u, v).is_ok() {
@@ -162,10 +160,10 @@ proptest! {
         picks in prop::collection::vec((0u32..18, 0u32..18), 1..40),
         seed in any::<u64>(),
     ) {
-        let mut batched = TreapOrderCore::new(g.clone(), seed);
+        let mut batched: OrderCore = OrderCore::new(g.clone(), seed);
         let stats = batched.remove_edges(&picks);
 
-        let mut seq = TreapOrderCore::new(g, seed);
+        let mut seq: OrderCore = OrderCore::new(g, seed);
         let mut applied = 0usize;
         for &(u, v) in &picks {
             if seq.remove_edge(u, v).is_ok() {
@@ -205,10 +203,10 @@ proptest! {
             batch.push((a, a)); // self loop
         }
 
-        let mut batched = TreapOrderCore::new(g.clone(), seed);
+        let mut batched: OrderCore = OrderCore::new(g.clone(), seed);
         let stats = batched.remove_edges(&batch);
 
-        let mut seq = TreapOrderCore::new(g, seed);
+        let mut seq: OrderCore = OrderCore::new(g, seed);
         let mut applied = 0usize;
         for &(u, v) in &batch {
             if seq.remove_edge(u, v).is_ok() {
@@ -240,7 +238,7 @@ proptest! {
             g.insert_edge(0, 1).unwrap(); // churn needs a live edge
         }
         let stream = kcore_gen::churn_stream(&g, 6, ins, rem, seed);
-        let mut engine = TreapOrderCore::new(g.clone(), seed);
+        let mut engine: OrderCore = OrderCore::new(g.clone(), seed);
         let mut oracle = RecomputeCore::new(g);
         for b in &stream {
             let si = engine.insert_batch(&b.inserts);
@@ -374,9 +372,9 @@ proptest! {
             }
         }
         prop_assume!(!ops.is_empty());
-        let mut batched = TreapOrderCore::new(g.clone(), 5);
+        let mut batched: OrderCore = OrderCore::new(g.clone(), 5);
         batched.apply_batch(&ops, frac).unwrap();
-        let mut seq = TreapOrderCore::new(g, 5);
+        let mut seq: OrderCore = OrderCore::new(g, 5);
         for &op in &ops {
             let BatchOp::Insert(a, b) = op else { unreachable!() };
             seq.insert_edge(a, b).unwrap();
@@ -404,15 +402,15 @@ fn assert_parallel_bit_identical(
     use kcore_maint::BatchOptions;
 
     let serial_opts = BatchOptions::component_split();
-    let mut serial = TreapOrderCore::new(base.clone(), seed);
+    let mut serial: OrderCore = OrderCore::new(base.clone(), seed);
     serial.enable_core_change_tracking();
 
-    let par_engines: Vec<(BatchOptions, TreapOrderCore)> = [1usize, 2, 4]
+    let par_engines: Vec<(BatchOptions, OrderCore)> = [1usize, 2, 4]
         .iter()
         .map(|&t| {
             // cutoff 0 forces the plan/apply path even on tiny pools.
             let opts = BatchOptions::parallel(Parallelism::exact(t).with_cutoff(0));
-            let mut eng = TreapOrderCore::new(base.clone(), seed);
+            let mut eng: OrderCore = OrderCore::new(base.clone(), seed);
             eng.enable_core_change_tracking();
             (opts, eng)
         })

@@ -1,6 +1,7 @@
 //! [`OrderSeq`]: the interface the maintenance algorithms need from an
-//! `A_k` structure, implemented by both [`crate::OrderTreap`] (the paper's
-//! choice) and [`crate::TagList`] (the ablation alternative).
+//! `A_k` structure, implemented by both [`crate::TagList`] (the engine's
+//! `O(1)` label list) and [`crate::OrderTreap`] (the paper's choice, kept
+//! for the ablation).
 
 use crate::{OrderTreap, TagList};
 
@@ -138,14 +139,17 @@ impl OrderSeq for TagList {
         TagList::remove(self, at)
     }
 
+    #[inline]
     fn precedes(&self, a: u32, b: u32) -> bool {
         TagList::precedes(self, a, b)
     }
 
+    #[inline]
     fn order_key(&self, at: u32) -> u64 {
         self.tag(at)
     }
 
+    #[inline]
     fn payload(&self, at: u32) -> u32 {
         TagList::payload(self, at)
     }

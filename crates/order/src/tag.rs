@@ -1,40 +1,54 @@
-//! Tag-based order maintenance (list labelling) — the ablation alternative
-//! to the paper's treap `A_k`.
+//! The engine's `A_k`: an order-maintenance list with `u64` labels
+//! (list labelling after Dietz & Sleator, STOC 1987, with the overflow
+//! thresholds of Bender et al., "Two Simplified Algorithms for
+//! Maintaining Order in a List", ESA 2002).
 //!
-//! Every element carries a `u64` *tag*; order queries compare tags in
-//! `O(1)`. Insertion takes the midpoint of the neighbouring tags; when the
-//! local gap is exhausted, the smallest *aligned* tag range around the
-//! insertion point whose density is at most 1/2 is relabelled uniformly
-//! (the classic Itai–Konheim–Rodeh / Bender et al. scheme, amortised
-//! `O(log n)` relabels per insertion in practice).
+//! Every element carries a label, and an order test compares two labels
+//! in `O(1)`. Labels live in `[0, 2^62)`:
 //!
-//! Compared with the treap: order tests are `O(1)` instead of
-//! `O(log n)`, but insertions occasionally rewrite many tags, and — unlike
-//! ranks — tags are *not* dense, so the jump heap keys are tags instead of
-//! ranks. The `ablation` benchmark quantifies this trade-off.
+//! * the first element of an empty list takes the mid-universe label;
+//! * an end insert (at the head, or at the tail — `insert_after` the tail
+//!   included) steps one fixed stride (2³²) away from its neighbour, so a
+//!   level built by tail appends is never relabelled;
+//! * an interior insert takes the midpoint of its neighbours' labels;
+//! * when no label is free, the smallest aligned range `[b, b + 2^i)`
+//!   around the insertion point that holds at most `(2/T)^i` elements
+//!   (the new one included) is relabelled evenly. The range grows outward
+//!   from the insertion point with two cursors, so each wider range only
+//!   scans the elements it adds. With `T` = 1.4 the whole universe admits
+//!   ~4·10⁹ elements — more than `u32` handles address — so the search
+//!   always ends.
+//!
+//! Only insertions relabel, and only elements near the insertion point;
+//! removal never touches a label. Storage is struct-of-arrays, so an
+//! order test reads two `u64`s and nothing else.
 
 use crate::NONE;
 
-/// Tag universe: labels live in `(0, 1 << UNIVERSE_BITS)`.
+/// Labels live in `[0, 1 << UNIVERSE_BITS)`.
 const UNIVERSE_BITS: u32 = 62;
+const UNIVERSE: u64 = 1 << UNIVERSE_BITS;
 
-#[derive(Clone, Debug)]
-struct Node {
-    next: u32,
-    prev: u32,
-    tag: u64,
-    payload: u32,
-}
+/// Label distance of an end insert from the current head or tail.
+const STRIDE: u64 = 1 << 32;
 
-/// An order-maintenance list with `u64` tags. Handles are arena indices.
+/// Bender et al.'s density parameter: a range of `2^i` labels overflows
+/// above `(2/T)^i` elements.
+const T: f64 = 1.4;
+
+/// An order-maintenance list with `u64` labels. Handles are arena
+/// indices, stable until the element is removed.
 #[derive(Clone, Debug)]
 pub struct TagList {
-    nodes: Vec<Node>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    tags: Vec<u64>,
+    payloads: Vec<u32>,
     head: u32,
     tail: u32,
     free: Vec<u32>,
     len: usize,
-    /// Total number of relabelled nodes, for the ablation report.
+    /// Labels rewritten by relabels so far (the new element included).
     pub relabel_count: u64,
 }
 
@@ -48,7 +62,10 @@ impl TagList {
     /// Creates an empty list.
     pub fn new() -> Self {
         TagList {
-            nodes: Vec::new(),
+            next: Vec::new(),
+            prev: Vec::new(),
+            tags: Vec::new(),
+            payloads: Vec::new(),
             head: NONE,
             tail: NONE,
             free: Vec::new(),
@@ -72,187 +89,172 @@ impl TagList {
     /// Payload stored at `handle`.
     #[inline]
     pub fn payload(&self, handle: u32) -> u32 {
-        self.nodes[handle as usize].payload
+        self.payloads[handle as usize]
     }
 
-    /// The tag of `handle` — a key that is strictly monotone in list order
-    /// *as long as the list is not mutated*.
+    /// The label of `handle`: strictly monotone in list order, and fixed
+    /// until an insertion relabels its neighbourhood.
     #[inline]
     pub fn tag(&self, handle: u32) -> u64 {
-        self.nodes[handle as usize].tag
+        self.tags[handle as usize]
     }
 
     /// `true` iff `a` is strictly before `b` (`O(1)`).
     #[inline]
     pub fn precedes(&self, a: u32, b: u32) -> bool {
-        self.nodes[a as usize].tag < self.nodes[b as usize].tag
-    }
-
-    fn alloc(&mut self, payload: u32) -> u32 {
-        let node = Node {
-            next: NONE,
-            prev: NONE,
-            tag: 0,
-            payload,
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        }
-    }
-
-    #[inline]
-    fn tag_or(&self, h: u32, default: u64) -> u64 {
-        if h == NONE {
-            default
-        } else {
-            self.nodes[h as usize].tag
-        }
+        self.tags[a as usize] < self.tags[b as usize]
     }
 
     /// Inserts `payload` as the first element.
     pub fn insert_first(&mut self, payload: u32) -> u32 {
-        let x = self.alloc(payload);
-        let old_head = self.head;
-        self.nodes[x as usize].next = old_head;
-        if old_head == NONE {
-            self.tail = x;
-        } else {
-            self.nodes[old_head as usize].prev = x;
-        }
-        self.head = x;
-        self.len += 1;
-        self.assign_tag(x);
-        x
+        self.link(NONE, self.head, payload)
     }
 
     /// Inserts `payload` as the last element.
     pub fn insert_last(&mut self, payload: u32) -> u32 {
-        let x = self.alloc(payload);
-        let old_tail = self.tail;
-        self.nodes[x as usize].prev = old_tail;
-        if old_tail == NONE {
-            self.head = x;
-        } else {
-            self.nodes[old_tail as usize].next = x;
-        }
-        self.tail = x;
-        self.len += 1;
-        self.assign_tag(x);
-        x
+        self.link(self.tail, NONE, payload)
     }
 
     /// Inserts `payload` right after node `at`.
     pub fn insert_after(&mut self, at: u32, payload: u32) -> u32 {
-        let x = self.alloc(payload);
-        let nxt = self.nodes[at as usize].next;
-        self.nodes[x as usize].prev = at;
-        self.nodes[x as usize].next = nxt;
-        self.nodes[at as usize].next = x;
-        if nxt == NONE {
-            self.tail = x;
-        } else {
-            self.nodes[nxt as usize].prev = x;
-        }
-        self.len += 1;
-        self.assign_tag(x);
-        x
+        self.link(at, self.next[at as usize], payload)
     }
 
     /// Inserts `payload` right before node `at`.
     pub fn insert_before(&mut self, at: u32, payload: u32) -> u32 {
-        let prv = self.nodes[at as usize].prev;
-        if prv == NONE {
-            self.insert_first(payload)
-        } else {
-            self.insert_after(prv, payload)
-        }
+        self.link(self.prev[at as usize], at, payload)
     }
 
-    /// Removes node `at`, returning its payload. Tags of other nodes are
-    /// untouched.
+    /// Removes node `at`, returning its payload. No label changes.
     pub fn remove(&mut self, at: u32) -> u32 {
-        let Node { next, prev, .. } = self.nodes[at as usize];
+        let (prev, next) = (self.prev[at as usize], self.next[at as usize]);
         if prev == NONE {
             self.head = next;
         } else {
-            self.nodes[prev as usize].next = next;
+            self.next[prev as usize] = next;
         }
         if next == NONE {
             self.tail = prev;
         } else {
-            self.nodes[next as usize].prev = prev;
+            self.prev[next as usize] = prev;
         }
         self.len -= 1;
         self.free.push(at);
-        self.nodes[at as usize].payload
+        self.payloads[at as usize]
     }
 
-    /// Gives node `x` (already linked) a tag strictly between its
-    /// neighbours' tags, relabelling locally when the gap is exhausted.
-    fn assign_tag(&mut self, x: u32) {
-        let universe = 1u64 << UNIVERSE_BITS;
-        loop {
-            let prev = self.nodes[x as usize].prev;
-            let next = self.nodes[x as usize].next;
-            let lo = self.tag_or(prev, 0);
-            let hi = self.tag_or(next, universe);
-            if hi - lo >= 2 {
-                self.nodes[x as usize].tag = lo + (hi - lo) / 2;
-                return;
+    fn alloc(&mut self, payload: u32) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.payloads[i as usize] = payload;
+                i
             }
-            self.relabel_around(x);
+            None => {
+                self.next.push(NONE);
+                self.prev.push(NONE);
+                self.tags.push(0);
+                self.payloads.push(payload);
+                (self.payloads.len() - 1) as u32
+            }
         }
     }
 
-    /// Finds the smallest aligned tag range containing `x`'s neighbourhood
-    /// with density <= 1/2 and relabels it uniformly.
+    /// Links a new node for `payload` between the adjacent nodes `prev`
+    /// and `next` (`NONE` = list end) and labels it.
+    fn link(&mut self, prev: u32, next: u32, payload: u32) -> u32 {
+        let x = self.alloc(payload);
+        self.prev[x as usize] = prev;
+        self.next[x as usize] = next;
+        if prev == NONE {
+            self.head = x;
+        } else {
+            self.next[prev as usize] = x;
+        }
+        if next == NONE {
+            self.tail = x;
+        } else {
+            self.prev[next as usize] = x;
+        }
+        self.len += 1;
+        match self.free_label(prev, next) {
+            Some(tag) => self.tags[x as usize] = tag,
+            None => self.relabel_around(x),
+        }
+        x
+    }
+
+    /// A free label strictly between `prev` and `next` (`NONE` = list
+    /// end), or `None` when the gap is exhausted.
+    fn free_label(&self, prev: u32, next: u32) -> Option<u64> {
+        let tag = |h: u32| self.tags[h as usize];
+        match (prev, next) {
+            (NONE, NONE) => Some(UNIVERSE / 2),
+            (NONE, next) => {
+                let step = STRIDE.min(tag(next) / 2);
+                (step > 0).then(|| tag(next) - step)
+            }
+            (prev, NONE) => {
+                let step = STRIDE.min((UNIVERSE - tag(prev)) / 2);
+                (step > 0).then(|| tag(prev) + step)
+            }
+            (prev, next) => {
+                let step = (tag(next) - tag(prev)) / 2;
+                (step > 0).then(|| tag(prev) + step)
+            }
+        }
+    }
+
+    /// Relabels, evenly, the smallest aligned range around the linked
+    /// but unlabelled node `x` whose `2^i` labels hold at most `(2/T)^i`
+    /// nodes, `x` included.
     fn relabel_around(&mut self, x: u32) {
-        // x has no valid tag yet; anchor ranges at its predecessor's tag
-        // (or 0 at the head).
-        let prev = self.nodes[x as usize].prev;
-        let anchor = self.tag_or(prev, 0);
-        let mut bits = 1u32;
-        loop {
-            let w = 1u64 << bits;
-            let base = anchor & !(w - 1);
-            let end = base.saturating_add(w).min(1u64 << UNIVERSE_BITS);
-            // Collect the linked nodes (excluding x) whose tags fall in
-            // [base, end); x is spliced into the middle positionally.
-            let mut members: Vec<u32> = Vec::new();
-            // walk left from x's predecessor
-            let mut cur = prev;
-            while cur != NONE && self.nodes[cur as usize].tag >= base {
-                members.push(cur);
-                cur = self.nodes[cur as usize].prev;
+        // The range must cover x's slot: anchor it at the predecessor's
+        // label, or at 0 for a new head.
+        let prev = self.prev[x as usize];
+        let anchor = if prev == NONE {
+            0
+        } else {
+            self.tags[prev as usize]
+        };
+        // `first..=last` are the nodes inside the current range.
+        let (mut first, mut last, mut count) = (x, x, 1u64);
+        let mut limit = 1.0f64;
+        for bits in 1..=UNIVERSE_BITS {
+            limit *= 2.0 / T;
+            let width = 1u64 << bits;
+            let base = anchor & !(width - 1);
+            loop {
+                let p = self.prev[first as usize];
+                if p == NONE || self.tags[p as usize] < base {
+                    break;
+                }
+                first = p;
+                count += 1;
             }
-            members.reverse();
-            members.push(x);
-            let mut cur = self.nodes[x as usize].next;
-            while cur != NONE && self.nodes[cur as usize].tag < end {
-                members.push(cur);
-                cur = self.nodes[cur as usize].next;
+            loop {
+                let n = self.next[last as usize];
+                if n == NONE || self.tags[n as usize] >= base + width {
+                    break;
+                }
+                last = n;
+                count += 1;
             }
-            let count = members.len() as u64;
-            let span = end - base;
-            // Density <= 1/4 guarantees gap = span/(count+1) >= 2, so both
-            // the fresh tags and the boundary gaps admit a midpoint insert;
-            // otherwise the assign_tag retry loop could live-lock.
-            if bits >= UNIVERSE_BITS || count * 4 <= span {
-                let gap = (span / (count + 1)).max(1);
-                for (j, &m) in members.iter().enumerate() {
-                    self.nodes[m as usize].tag = base + (j as u64 + 1) * gap;
+            if count as f64 <= limit || bits == UNIVERSE_BITS {
+                // count <= (2/T)^bits <= width, so the gap is at least 1.
+                let gap = width / count;
+                let mut label = base + gap / 2;
+                let mut cur = first;
+                loop {
+                    self.tags[cur as usize] = label;
+                    if cur == last {
+                        break;
+                    }
+                    label += gap;
+                    cur = self.next[cur as usize];
                 }
                 self.relabel_count += count;
                 return;
             }
-            bits += 1;
         }
     }
 
@@ -261,29 +263,31 @@ impl TagList {
         let mut out = Vec::with_capacity(self.len);
         let mut cur = self.head;
         while cur != NONE {
-            out.push(self.nodes[cur as usize].payload);
-            cur = self.nodes[cur as usize].next;
+            out.push(self.payloads[cur as usize]);
+            cur = self.next[cur as usize];
         }
         out
     }
 
-    /// Checks link symmetry and strict tag monotonicity.
+    /// Checks link symmetry and strictly increasing in-universe labels.
     pub fn check_invariants(&self) {
         let mut cur = self.head;
         let mut prev = NONE;
-        let mut last_tag = 0u64;
         let mut count = 0usize;
         while cur != NONE {
-            let node = &self.nodes[cur as usize];
-            assert_eq!(node.prev, prev, "prev mismatch at {cur}");
-            if count > 0 {
-                assert!(node.tag > last_tag, "tags not strictly increasing");
+            let c = cur as usize;
+            assert_eq!(self.prev[c], prev, "prev mismatch at {cur}");
+            assert!(self.tags[c] < UNIVERSE, "label outside the universe");
+            if prev != NONE {
+                assert!(
+                    self.tags[c] > self.tags[prev as usize],
+                    "labels not strictly increasing"
+                );
             }
-            last_tag = node.tag;
             prev = cur;
-            cur = node.next;
+            cur = self.next[c];
             count += 1;
-            assert!(count <= self.nodes.len(), "cycle detected");
+            assert!(count <= self.payloads.len(), "cycle detected");
         }
         assert_eq!(self.tail, prev, "tail mismatch");
         assert_eq!(count, self.len, "len mismatch");
@@ -305,9 +309,27 @@ mod tests {
     }
 
     #[test]
+    fn end_inserts_step_one_stride_from_mid_universe() {
+        let mut l = TagList::new();
+        let a = l.insert_last(0);
+        let b = l.insert_last(1);
+        let z = l.insert_first(2);
+        assert_eq!(l.tag(a), UNIVERSE / 2);
+        assert_eq!(l.tag(b), UNIVERSE / 2 + STRIDE);
+        assert_eq!(l.tag(z), UNIVERSE / 2 - STRIDE);
+        let m = l.insert_after(a, 3);
+        assert_eq!(l.tag(m), UNIVERSE / 2 + STRIDE / 2);
+        assert_eq!(l.relabel_count, 0);
+    }
+
+    #[test]
     fn front_insert_storm_forces_relabels() {
         let mut l = TagList::new();
-        for i in 0..5000 {
+        let first = l.insert_first(0);
+        // Start next to the lower universe edge, where head inserts run
+        // out of labels after a few halvings.
+        l.tags[first as usize] = 64;
+        for i in 1..5000 {
             l.insert_first(i);
         }
         l.check_invariants();
@@ -316,9 +338,23 @@ mod tests {
     }
 
     #[test]
+    fn tail_insert_storm_at_the_universe_edge_relabels() {
+        let mut l = TagList::new();
+        let first = l.insert_last(0);
+        l.tags[first as usize] = UNIVERSE - 64;
+        for i in 1..5000 {
+            l.insert_last(i);
+        }
+        l.check_invariants();
+        assert!(l.relabel_count > 0, "dense tail inserts must relabel");
+        assert_eq!(l.to_vec(), (0..5000).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn midpoint_insert_storm_at_fixed_point() {
         // Repeated insertion right after the same node is the worst case
-        // for naive midpoint labelling.
+        // for midpoint labelling: it exhausts a stride gap every 32
+        // inserts.
         let mut l = TagList::new();
         let a = l.insert_last(0);
         l.insert_last(1);
@@ -326,6 +362,7 @@ mod tests {
             l.insert_after(a, i);
         }
         l.check_invariants();
+        assert!(l.relabel_count > 0, "an exhausted gap must relabel");
         let v = l.to_vec();
         assert_eq!(v[0], 0);
         assert_eq!(v[v.len() - 1], 1);
@@ -354,6 +391,10 @@ mod tests {
         l.check_invariants();
         assert_eq!(l.to_vec(), vec![1, 2, 3, 5, 6, 7, 8]);
         assert_eq!(l.len(), 7);
+        let h = l.insert_after(hs[3], 40);
+        assert_eq!(h, hs[4], "freed handles are reused");
+        l.check_invariants();
+        assert_eq!(l.to_vec(), vec![1, 2, 3, 40, 5, 6, 7, 8]);
     }
 
     #[test]
@@ -389,5 +430,41 @@ mod tests {
             l.to_vec(),
             model.iter().map(|&(_, p)| p).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn relabels_stay_within_ops_log_ops() {
+        let mut l = TagList::new();
+        for i in 0..1_000_000 {
+            l.insert_first(i);
+        }
+        for i in 0..1_000_000 {
+            l.insert_last(i);
+        }
+        let at = l.head;
+        for i in 0..100_000 {
+            l.insert_after(at, i);
+        }
+        l.check_invariants();
+        let ops = 2_100_000f64;
+        assert!(
+            (l.relabel_count as f64) <= ops * ops.log2(),
+            "{} relabels for {ops} inserts",
+            l.relabel_count
+        );
+    }
+
+    #[test]
+    fn building_a_level_by_tail_appends_never_relabels() {
+        // The k-order install path: one insert_last, then insert_after
+        // the previous handle for the rest of the level.
+        let mut l = TagList::new();
+        let mut prev = l.insert_last(0);
+        for i in 1..1_000_000 {
+            prev = l.insert_after(prev, i);
+        }
+        assert_eq!(l.relabel_count, 0);
+        assert_eq!(l.len(), 1_000_000);
+        l.check_invariants();
     }
 }

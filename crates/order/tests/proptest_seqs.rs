@@ -1,7 +1,7 @@
-//! Property-based tests of the three `OrderSeq` implementations against a
+//! Property-based tests of the two `OrderSeq` implementations against a
 //! `Vec` reference model, plus heap ordering properties.
 
-use kcore_order::{MinRankHeap, OrderSeq, OrderTreap, SkipList, TagList};
+use kcore_order::{MinRankHeap, OrderSeq, OrderTreap, TagList};
 use proptest::prelude::*;
 
 /// Sequence operations addressed by *position* into the model.
@@ -104,11 +104,6 @@ proptest! {
     }
 
     #[test]
-    fn skiplist_matches_model(ops in arb_ops(300)) {
-        model_check::<SkipList>(&ops);
-    }
-
-    #[test]
     fn heap_pops_sorted(mut keys in prop::collection::vec(any::<u64>(), 0..200)) {
         let mut h = MinRankHeap::new();
         for (i, &k) in keys.iter().enumerate() {
@@ -149,7 +144,7 @@ proptest! {
 
 /// Deterministic adversarial patterns that stress each structure's weak
 /// spot: monotone appends (treap-friendly), single-point hammering (tag
-/// relabel storms), and alternating ends (skip-list tower churn).
+/// relabel storms), and alternating ends.
 #[test]
 fn adversarial_patterns_all_structures() {
     fn drive<S: OrderSeq>() {
@@ -186,5 +181,4 @@ fn adversarial_patterns_all_structures() {
     }
     drive::<OrderTreap>();
     drive::<TagList>();
-    drive::<SkipList>();
 }

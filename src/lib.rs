@@ -4,8 +4,8 @@
 //! *"A Fast Order-Based Approach for Core Maintenance"*
 //! (Zhang, Yu, Zhang, Qin — ICDE 2017), including every substrate the
 //! paper depends on: the dynamic graph store, the `O(m + n)` core
-//! decomposition, the k-order index (order-statistics treaps + intrusive
-//! lists + jump heap), the traversal baseline family (`Trav-h`), synthetic
+//! decomposition, the k-order index (order-maintenance label lists,
+//! intrusive lists and a jump heap), the traversal baseline family (`Trav-h`), synthetic
 //! workload generators, and a benchmark harness regenerating every table
 //! and figure of the paper's evaluation.
 //!
@@ -37,7 +37,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`graph`] | `kcore-graph` | dynamic graph, I/O, fixtures, stats |
-//! | [`order`] | `kcore-order` | treap `A_k`, lists `O_k`, jump heap, tag list |
+//! | [`order`] | `kcore-order` | label-list `A_k` (and the paper's treap), lists `O_k`, jump heap |
 //! | [`decomp`] | `kcore-decomp` | decomposition, k-order generation, `sc`/`pc`/`oc` |
 //! | [`traversal`] | `kcore-traversal` | the Sariyüce et al. baseline, `Trav-h` |
 //! | [`maint`] | `kcore-maint` | `OrderInsert` / `OrderRemoval` (the paper) |
@@ -58,11 +58,14 @@ pub use kcore_decomp::{core_decomposition, korder_decomposition, Heuristic};
 pub use kcore_graph::{DynamicGraph, VertexId};
 pub use kcore_ingest::{CoreSnapshot, GraphEvent, IngestConfig, IngestService, ObsConfig};
 pub use kcore_maint::{
-    CoreMaintainer, PlanPolicy, PlannedTreapCore, PlannerConfig, RecomputeCore, SkipOrderCore,
-    TagOrderCore, TreapOrderCore, UpdateStats,
+    CoreMaintainer, PlanPolicy, PlannedTreapCore, PlannerConfig, RecomputeCore, TreapOrderCore,
+    UpdateStats,
 };
 pub use kcore_obs::{Histogram, MetricsRegistry, MetricsSnapshot, SpanRecorder};
 pub use kcore_traversal::{SubCoreAlgo, TraversalCore};
 
-/// The default order-based maintenance engine (treap-backed `A_k`).
-pub type OrderCore = kcore_maint::TreapOrderCore;
+/// The default order-based maintenance engine (label-list `A_k`).
+pub type OrderCore = kcore_maint::OrderCore;
+
+/// The default planner-driven engine (label-list `A_k`).
+pub type PlannedCore = kcore_maint::PlannedCore;

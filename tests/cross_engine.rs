@@ -4,10 +4,7 @@
 //! sequences.
 
 use kcore::graph::DynamicGraph;
-use kcore::{
-    CoreMaintainer, OrderCore, RecomputeCore, SkipOrderCore, SubCoreAlgo, TagOrderCore,
-    TraversalCore,
-};
+use kcore::{CoreMaintainer, OrderCore, RecomputeCore, SubCoreAlgo, TraversalCore, TreapOrderCore};
 use proptest::prelude::*;
 
 /// A random simple graph as a deduplicated edge list over `n` vertices.
@@ -47,8 +44,7 @@ proptest! {
     ) {
         let g = build_graph(20, &edges);
         let mut order = OrderCore::new(g.clone(), 1);
-        let mut tag: TagOrderCore = TagOrderCore::new(g.clone(), 1);
-        let mut skip: SkipOrderCore = SkipOrderCore::new(g.clone(), 1);
+        let mut treap = TreapOrderCore::new(g.clone(), 1);
         let mut sub = SubCoreAlgo::new(g.clone());
         let mut trav2 = TraversalCore::new(g.clone(), 2);
         let mut trav4 = TraversalCore::new(g.clone(), 4);
@@ -61,8 +57,7 @@ proptest! {
                     continue;
                 }
                 order.insert(a, b).unwrap();
-                tag.insert(a, b).unwrap();
-                skip.insert(a, b).unwrap();
+                treap.insert(a, b).unwrap();
                 sub.insert(a, b).unwrap();
                 trav2.insert(a, b).unwrap();
                 trav4.insert(a, b).unwrap();
@@ -75,24 +70,21 @@ proptest! {
                 let idx = (a as usize * 31 + b as usize) % present.len();
                 let (x, y) = present.swap_remove(idx);
                 order.remove(x, y).unwrap();
-                tag.remove(x, y).unwrap();
-                skip.remove(x, y).unwrap();
+                treap.remove(x, y).unwrap();
                 sub.remove(x, y).unwrap();
                 trav2.remove(x, y).unwrap();
                 trav4.remove(x, y).unwrap();
                 oracle.remove(x, y).unwrap();
             }
             prop_assert_eq!(order.core_slice(), oracle.core_slice());
-            prop_assert_eq!(tag.core_slice(), oracle.core_slice());
-            prop_assert_eq!(skip.core_slice(), oracle.core_slice());
+            prop_assert_eq!(treap.core_slice(), oracle.core_slice());
             prop_assert_eq!(sub.core_slice(), oracle.core_slice());
             prop_assert_eq!(trav2.core_slice(), oracle.core_slice());
             prop_assert_eq!(trav4.core_slice(), oracle.core_slice());
         }
         // Deep index invariants at the end of the run.
         order.validate();
-        tag.validate();
-        skip.validate();
+        treap.validate();
         sub.validate();
         trav2.validate();
         trav4.validate();
@@ -117,7 +109,7 @@ proptest! {
                 let (x, y) = present.swap_remove(idx);
                 order.remove_edge(x, y).unwrap();
             }
-            // validate() asserts Lemma 5.1, deg+, mcd, list/treap
+            // validate() asserts Lemma 5.1, deg+, mcd, list/A_k
             // agreement, and core correctness.
             order.validate();
         }

@@ -97,11 +97,7 @@ fn fig9_pipeline() {
     let ds = load_dataset("gowalla", Scale::Tiny, 400);
     let mut ratios = Vec::new();
     for h in Heuristic::ALL {
-        let mut engine = kcore::maint::OrderCore::<kcore::order::OrderTreap>::with_heuristic(
-            ds.base.clone(),
-            h,
-            9,
-        );
+        let mut engine = kcore::OrderCore::with_heuristic(ds.base.clone(), h, 9);
         let (visited, changed) = insert_all(&mut engine, &ds.stream);
         ratios.push(visited as f64 / changed.max(1) as f64);
     }
