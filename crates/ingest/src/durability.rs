@@ -3,12 +3,13 @@
 //! that composes them.
 //!
 //! The contract mirrors classic WAL + checkpoint systems, scoped to the
-//! micro-batch: after every flushed batch the writer ships the
-//! [`Journaled`] tail (via the incremental `drain_since` cursor) into the
-//! journal file, and every `snapshot_every_batches` flushes it persists
-//! the full index ([`OrderCore::save`] under a small header carrying the
-//! covered-prefix length). A crash therefore loses at most the events
-//! that never reached a flush. All file traffic goes through the
+//! micro-batch: after every flushed batch the writer appends the batch's
+//! events to the journal file as one frame (seqs continue the writer's
+//! applied-event count), and every `snapshot_every_batches` flushes it
+//! persists the full index ([`OrderCore::save`] under a small header
+//! carrying the covered-prefix length) from a background thread. A
+//! crash therefore loses at most the events that never reached a flush.
+//! All file traffic goes through the
 //! [`crate::faults::JournalIo`] seam, so every failure mode — torn
 //! write, failed fsync, bit flip, crash at a failpoint — is a scripted,
 //! reproducible test case.
@@ -307,7 +308,7 @@ pub fn encode_frame(entries: &[JournalEntry]) -> Vec<u8> {
     out
 }
 
-fn encode_journal_header(n: usize, base: u64) -> Vec<u8> {
+pub(crate) fn encode_journal_header(n: usize, base: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES);
     out.extend_from_slice(&JOURNAL_MAGIC.to_le_bytes());
     out.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
@@ -832,7 +833,7 @@ pub struct Recovered {
     pub engine: PlannedCore,
     /// Events the restored state covers — the journal seq the resumed
     /// service must continue from ([`crate::IngestService::spawn_recovered`]
-    /// threads it into `Journaled::with_start_seq`).
+    /// starts its writer's event count there).
     pub next_seq: u64,
     /// Events replayed from the journal tail (those past the snapshot).
     pub replayed: usize,

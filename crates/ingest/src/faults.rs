@@ -393,44 +393,41 @@ impl JournalIo for FaultyIo {
 }
 
 /// Cloneable, thread-safe handle to one [`JournalIo`] implementation.
-/// The writer thread, the spawn-time sink open, and `recover()` all
-/// share the same handle, so a scripted plan sees one global operation
-/// sequence.
+/// The writer thread, its checkpoint writes, the spawn-time sink open,
+/// and `recover()` all share the same handle, so a scripted plan sees
+/// one global operation sequence.
 #[derive(Clone)]
 pub struct StorageHandle {
-    io: Arc<Mutex<Box<dyn JournalIo>>>,
-    faulty: bool,
+    /// `None` is plain [`RealIo`]: stateless, so it needs no lock, and a
+    /// background checkpoint's fsync never blocks a journal append.
+    io: Option<Arc<Mutex<Box<dyn JournalIo>>>>,
 }
 
 impl StorageHandle {
     /// Plain `std::fs` storage — the production default.
     pub fn real() -> Self {
-        StorageHandle {
-            io: Arc::new(Mutex::new(Box::new(RealIo))),
-            faulty: false,
-        }
+        StorageHandle { io: None }
     }
 
     /// Real storage under a scripted [`FaultPlan`].
     pub fn faulty(plan: FaultPlan) -> Self {
-        StorageHandle {
-            io: Arc::new(Mutex::new(Box::new(FaultyIo::new(plan)))),
-            faulty: true,
-        }
+        Self::custom(Box::new(FaultyIo::new(plan)))
     }
 
     /// Wraps a custom [`JournalIo`] implementation.
     pub fn custom(io: Box<dyn JournalIo>) -> Self {
         StorageHandle {
-            io: Arc::new(Mutex::new(io)),
-            faulty: true,
+            io: Some(Arc::new(Mutex::new(io))),
         }
     }
 
-    /// Runs `f` under the handle's lock.
+    /// Runs `f` against the storage, under the handle's lock unless it
+    /// is plain real storage.
     pub fn with<R>(&self, f: impl FnOnce(&mut dyn JournalIo) -> R) -> R {
-        let mut guard = self.io.lock().expect("storage handle poisoned");
-        f(guard.as_mut())
+        match &self.io {
+            Some(io) => f(io.lock().expect("storage handle poisoned").as_mut()),
+            None => f(&mut RealIo),
+        }
     }
 
     /// Faults injected so far (empty for real storage).
@@ -458,7 +455,7 @@ impl Default for StorageHandle {
 impl fmt::Debug for StorageHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StorageHandle")
-            .field("faulty", &self.faulty)
+            .field("faulty", &self.io.is_some())
             .finish()
     }
 }

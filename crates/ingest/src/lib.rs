@@ -22,11 +22,12 @@
 //!   Publication is `O(changed)`, not `O(n)` — cores live in a chunked
 //!   persistent array ([`chunked::ChunkedCores`]) and consecutive epochs
 //!   share every chunk the flush did not dirty.
-//! * **Durability** — the writer ships the [`kcore_maint::journal`]
-//!   tail into an append-only, per-frame-checksummed journal file
-//!   (KJRN v3) and periodically persists the full index into a rotated
-//!   set of snapshot generations; [`recover`] restores snapshot +
-//!   journal tail (replayed in planner-priced batches) after a crash,
+//! * **Durability** — the writer appends each flushed batch's events to
+//!   an append-only, per-frame-checksummed journal file (KJRN v3) and
+//!   periodically persists the full index into a rotated set of
+//!   snapshot generations, writing each from a background thread;
+//!   [`recover`] restores snapshot + journal tail (replayed in
+//!   planner-priced batches) after a crash,
 //!   escalating down a ladder of fallbacks (truncate torn tail → older
 //!   snapshot generation → genesis replay) and reporting which rung
 //!   fired in a [`RecoveryReport`].

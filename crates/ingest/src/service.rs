@@ -1,19 +1,27 @@
 //! The ingest service: a single-writer, multi-reader streaming loop.
 //!
-//! One dedicated **writer thread** owns the maintenance engine (wrapped
-//! in a [`Journaled`] recorder) and is fed [`GraphEvent`]s through a
-//! **bounded** MPSC channel — the bound is the backpressure contract:
-//! [`IngestService::try_submit`] reports [`IngestError::QueueFull`]
-//! instead of buffering unboundedly, [`IngestService::submit`] blocks
-//! the producer until the writer drains. A **micro-batcher** buffers
-//! events and flushes on whichever comes first: the batch-size cap or a
-//! clock tick past the flush interval. Each flush applies the batch
-//! through the engine's planner-driven batch path (via
-//! [`replay_batched`], so mixed insert/remove runs group correctly),
-//! ships the journal tail to the durability sink, and publishes a fresh
-//! epoch-versioned [`CoreSnapshot`] — readers never observe a
+//! One dedicated **writer thread** owns the maintenance engine and is
+//! fed [`GraphEvent`]s through a **bounded** MPSC channel — the bound is
+//! the backpressure contract: [`IngestService::try_submit`] reports
+//! [`IngestError::QueueFull`] instead of buffering unboundedly,
+//! [`IngestService::submit`] blocks the producer until the writer
+//! drains. A **micro-batcher** buffers events and flushes on whichever
+//! comes first: the batch-size cap or a clock tick past the flush
+//! interval. Each flush applies the batch through the engine's
+//! planner-driven batch path (via [`replay_batched`], so mixed
+//! insert/remove runs group correctly), appends the batch's events to
+//! the durability journal at seqs `ops..ops + len`, and publishes a
+//! fresh epoch-versioned [`CoreSnapshot`] — readers never observe a
 //! half-applied batch (see [`SnapshotHandle`] for what a load and a
 //! publish can wait on).
+//!
+//! Periodic index checkpoints are split in two: the writer serialises
+//! the index (the only step that reads engine state) and a thread
+//! spawned for that checkpoint writes it through
+//! [`persist_index_snapshot`]. At most one write is in flight; the
+//! writer joins it before the next checkpoint, at every
+//! [`IngestService::flush`] barrier, before `recover()`, and at
+//! shutdown or abort, and only then counts the outcome.
 //!
 //! ## Clocks and determinism
 //!
@@ -51,7 +59,7 @@ use crate::durability::{
 use crate::snapshot::{CoreSnapshot, SnapshotHandle, SnapshotReceiver};
 use kcore_decomp::Parallelism;
 use kcore_graph::{DynamicGraph, VertexId};
-use kcore_maint::journal::{replay_batched, GraphEvent, Journaled};
+use kcore_maint::journal::{replay_batched, GraphEvent, JournalEntry};
 use kcore_maint::{
     CoreMaintainer, OrderCore, PlannedCore, PlannerConfig, PlannerStats, RecomputeCore, UpdateStats,
 };
@@ -481,10 +489,12 @@ pub struct IngestReport {
     pub epochs_published: u64,
     /// Journal entries shipped to the sink.
     pub entries_shipped: u64,
-    /// Index snapshots persisted.
+    /// Index snapshots persisted (counted when the background write is
+    /// joined).
     pub snapshots_persisted: u64,
-    /// Per-flush apply+ship duration, writer-clock ns (the bench's p50 /
-    /// p99 batch-latency source; scripted clocks make these synthetic).
+    /// Per-flush engine apply duration, writer-clock ns (the bench's
+    /// p50 / p99 batch-latency source; scripted clocks make these
+    /// synthetic). Exported as `ingest_flush_apply_ns`.
     /// A bounded log-bucketed histogram — O(1) memory however long the
     /// run, with p50/p99 exact to one bucket (≤ 12.5%).
     pub batch_apply: Histogram,
@@ -518,7 +528,8 @@ pub struct IngestReport {
     /// retried on later flushes.
     pub journal_ship_failures: u64,
     /// Index-snapshot persists that failed (non-fatal: the journal
-    /// still carries everything, recovery just replays more).
+    /// still carries everything, recovery just replays more). A
+    /// background write's failure is counted when it is joined.
     pub checkpoint_failures: u64,
     /// Events lost to an engine panic or dropped while
     /// `Recovering`/`Failed`.
@@ -552,7 +563,7 @@ pub struct IngestService<M: IngestEngine = PlannedCore> {
     health: Arc<AtomicU8>,
     metrics: Option<MetricsRegistry>,
     spans: Option<SpanRecorder>,
-    writer: Option<JoinHandle<(IngestReport, Journaled<M>)>>,
+    writer: Option<JoinHandle<(IngestReport, M)>>,
 }
 
 impl IngestService<PlannedCore> {
@@ -627,7 +638,6 @@ impl<M: IngestEngine> IngestService<M> {
         // back to a chunk-compare sync per flush.
         let tracking = engine.enable_core_change_tracking();
         let mirror = CoreMirror::from_slice(engine.core_slice());
-        let journaled = Journaled::with_start_seq(engine, start_seq);
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
         let health = Arc::new(AtomicU8::new(ServiceHealth::Healthy as u8));
         let report = IngestReport::default();
@@ -637,7 +647,7 @@ impl<M: IngestEngine> IngestService<M> {
             None => (None, None),
         };
         let writer = Writer {
-            engine: journaled,
+            engine,
             cfg,
             sink,
             pending: Vec::new(),
@@ -647,8 +657,8 @@ impl<M: IngestEngine> IngestService<M> {
             epoch: 0,
             ops: start_seq,
             published_ops: start_seq,
-            ship_cursor: start_seq,
             batches_since_persist: 0,
+            checkpoint: None,
             subscribers: Vec::new(),
             mirror,
             tracking,
@@ -829,20 +839,19 @@ impl<M: IngestEngine> IngestService<M> {
     /// report plus the engine for inspection.
     pub fn shutdown(mut self) -> (IngestReport, M) {
         let _ = self.tx.send(Msg::Shutdown { graceful: true });
-        let (report, journaled) = self
-            .writer
+        self.writer
             .take()
             .expect("writer already joined")
             .join()
-            .expect("ingest writer panicked");
-        (report, journaled.into_inner())
+            .expect("ingest writer panicked")
     }
 
     /// Unclean teardown: the writer stops at the next message without
     /// flushing the pending batch and without a final persist — the
     /// crash-simulation hook the recovery tests lean on. Events already
     /// shipped to the journal survive; buffered ones are lost, exactly
-    /// like a kill would lose them.
+    /// like a kill would lose them. A checkpoint write already in flight
+    /// is joined, so no writer thread outlives the call.
     pub fn abort(mut self) {
         let _ = self.tx.send(Msg::Shutdown { graceful: false });
         if let Some(h) = self.writer.take() {
@@ -964,11 +973,12 @@ struct WriterObs {
     recovery_ns: Histogram,
     health: Gauge,
     stage_dequeue: Histogram,
-    stage_apply: Histogram,
     stage_core_drain: Histogram,
     stage_journal_ship: Histogram,
     stage_mirror_sync: Histogram,
     stage_publish: Histogram,
+    checkpoint_serialize: Histogram,
+    checkpoint_write: Histogram,
     planner: PlannerObs,
     team_jobs: Gauge,
     team_tasks: Gauge,
@@ -979,10 +989,11 @@ struct WriterObs {
 impl WriterObs {
     /// Registers every writer metric and shares the report's latency
     /// histograms into the registry (same cells — recorded once, read
-    /// live from any thread).
+    /// live from any thread): `batch_apply` is the `apply` stage's
+    /// `ingest_flush_apply_ns`.
     fn new(cfg: &ObsConfig, report: &IngestReport) -> Self {
         let reg = MetricsRegistry::new();
-        reg.register_histogram("ingest_batch_apply_ns", &report.batch_apply);
+        reg.register_histogram("ingest_flush_apply_ns", &report.batch_apply);
         reg.register_histogram("ingest_publish_ns", &report.publish);
         WriterObs {
             events: reg.counter("ingest_events_total"),
@@ -1002,11 +1013,12 @@ impl WriterObs {
             recovery_ns: reg.histogram("ingest_recovery_ns"),
             health: reg.gauge("ingest_health"),
             stage_dequeue: reg.histogram("ingest_flush_dequeue_ns"),
-            stage_apply: reg.histogram("ingest_flush_apply_ns"),
             stage_core_drain: reg.histogram("ingest_flush_core_drain_ns"),
             stage_journal_ship: reg.histogram("ingest_flush_journal_ship_ns"),
             stage_mirror_sync: reg.histogram("ingest_flush_mirror_sync_ns"),
             stage_publish: reg.histogram("ingest_flush_publish_ns"),
+            checkpoint_serialize: reg.histogram("ingest_checkpoint_serialize_ns"),
+            checkpoint_write: reg.histogram("ingest_checkpoint_write_ns"),
             planner: PlannerObs::new(&reg),
             team_jobs: reg.gauge("team_jobs"),
             team_tasks: reg.gauge("team_tasks"),
@@ -1037,8 +1049,12 @@ struct MirrorSync {
     copied: u64,
 }
 
+/// A background checkpoint write: the `persist_index_snapshot` result and
+/// its wall-clock duration in ns.
+type CheckpointWrite = JoinHandle<(io::Result<()>, u64)>;
+
 struct Writer<M: IngestEngine> {
-    engine: Journaled<M>,
+    engine: M,
     cfg: IngestConfig,
     sink: Option<JournalSink>,
     pending: Vec<GraphEvent>,
@@ -1052,8 +1068,9 @@ struct Writer<M: IngestEngine> {
     ops: u64,
     /// `ops` at the last publication (avoid republishing identical state).
     published_ops: u64,
-    ship_cursor: u64,
     batches_since_persist: usize,
+    /// The checkpoint write in flight, if any (at most one).
+    checkpoint: Option<CheckpointWrite>,
     subscribers: Vec<mpsc::Sender<Arc<CoreSnapshot>>>,
     /// Copy-on-write mirror of the engine's cores + incremental
     /// histogram — what snapshots are composed from, in O(changed).
@@ -1064,9 +1081,10 @@ struct Writer<M: IngestEngine> {
     change_buf: Vec<VertexId>,
     /// Shared with [`IngestService::health`].
     health: Arc<AtomicU8>,
-    /// Journal entries whose append failed — retried on later flushes
-    /// (the engine applied them; only the ship is outstanding).
-    unshipped: Vec<kcore_maint::journal::JournalEntry>,
+    /// Journal entries not yet appended (durable mode only): the last
+    /// flush's batch, plus any whose append failed — retried on later
+    /// flushes (the engine applied them; only the ship is outstanding).
+    unshipped: Vec<JournalEntry>,
     /// Consecutive failed ship rounds (append or fsync); escalates to
     /// `Failed` at the recovery policy's `max_attempts`.
     ship_failures: u32,
@@ -1119,7 +1137,7 @@ impl<M: IngestEngine> Writer<M> {
         let Some(o) = self.obs.as_mut() else {
             return;
         };
-        if let Some(ps) = self.engine.engine().planner_stats() {
+        if let Some(ps) = self.engine.planner_stats() {
             o.planner.observe(ps);
         }
         let ts = kcore_decomp::team::stats();
@@ -1158,12 +1176,12 @@ impl<M: IngestEngine> Writer<M> {
     /// Cuts a snapshot from the mirror: O(chunks) `Arc` clones for the
     /// cores plus the O(levels) histogram — never an O(n) copy.
     fn compose_snapshot(&self) -> CoreSnapshot {
-        let engine = self.engine.engine();
+        let graph = self.engine.graph_ref();
         CoreSnapshot {
             epoch: self.epoch,
             ops: self.ops,
-            num_vertices: engine.graph_ref().num_vertices(),
-            num_edges: engine.graph_ref().num_edges(),
+            num_vertices: graph.num_vertices(),
+            num_edges: graph.num_edges(),
             cores: self.mirror.snapshot_cores(),
             histogram: self.mirror.histogram(),
             degeneracy: self.mirror.degeneracy(),
@@ -1177,21 +1195,20 @@ impl<M: IngestEngine> Writer<M> {
     /// untouched chunks keep their snapshot-shared allocation). Returns
     /// the stage breakdown for the flush trace.
     fn sync_mirror(&mut self) -> MirrorSync {
-        let n = self.engine.engine().graph_ref().num_vertices();
+        let n = self.engine.graph_ref().num_vertices();
         if n > self.mirror.len() {
             self.mirror.grow(n);
         }
         let drain_start = self.now();
         let mut buf = std::mem::take(&mut self.change_buf);
         buf.clear();
-        let tracked = self.tracking && self.engine.engine_mut().drain_core_changes(&mut buf);
+        let tracked = self.tracking && self.engine.drain_core_changes(&mut buf);
         let drain_end = self.now();
         let drained = buf.len() as u64;
         let mut copied = 0u64;
         if tracked {
             self.report.tracked_drains += 1;
-            let engine = self.engine.engine_mut();
-            let cores = engine.core_slice();
+            let cores = self.engine.core_slice();
             for &v in &buf {
                 if self.mirror.apply(v, cores[v as usize]) {
                     copied += 1;
@@ -1199,13 +1216,13 @@ impl<M: IngestEngine> Writer<M> {
             }
         } else {
             self.report.full_syncs += 1;
-            let (_, c) = self.mirror.sync_full(self.engine.engine().core_slice());
+            let (_, c) = self.mirror.sync_full(self.engine.core_slice());
             copied += c as u64;
         }
         self.change_buf = buf;
         self.report.chunks_copied += copied;
         debug_assert!(
-            self.mirror.snapshot_cores().to_vec() == self.engine.engine().core_slice(),
+            self.mirror.snapshot_cores().to_vec() == self.engine.core_slice(),
             "mirror diverged from the engine"
         );
         MirrorSync {
@@ -1237,54 +1254,45 @@ impl<M: IngestEngine> Writer<M> {
     /// into silent data loss.
     fn ship_owed(&mut self) -> bool {
         let Some(sink) = &mut self.sink else {
-            // In-memory mode: entries are dropped by design.
-            self.report.entries_shipped += self.unshipped.len() as u64;
-            if let Some(o) = &self.obs {
-                o.shipped.add(self.unshipped.len() as u64);
-            }
-            self.unshipped.clear();
-            self.sync_pending = false;
+            // In-memory mode: nothing is ever owed.
             return true;
         };
-        if !self.unshipped.is_empty() {
-            match sink.append(&self.unshipped) {
-                Ok(()) => {
-                    self.report.entries_shipped += self.unshipped.len() as u64;
-                    if let Some(o) = &self.obs {
-                        o.shipped.add(self.unshipped.len() as u64);
-                    }
-                    self.unshipped.clear();
-                    self.sync_pending = false;
-                }
-                Err(_) => {
-                    self.report.journal_ship_failures += 1;
-                    self.ship_failures += 1;
-                    if self.ship_failures >= self.max_io_retries() {
-                        self.set_health(ServiceHealth::Failed);
-                    } else {
-                        self.degrade();
-                    }
-                    return false;
-                }
+        let appended = self.unshipped.len() as u64;
+        let mut result = Ok(());
+        if appended > 0 {
+            result = sink.append(&self.unshipped);
+            if result.is_ok() {
+                self.unshipped.clear();
+                self.sync_pending = false;
+            }
+        } else if self.sync_pending {
+            result = sink.sync();
+            if result.is_ok() {
+                self.sync_pending = false;
             }
         }
-        if self.sync_pending {
-            match sink.sync() {
-                Ok(()) => self.sync_pending = false,
-                Err(_) => {
-                    self.report.journal_ship_failures += 1;
-                    self.ship_failures += 1;
-                    if self.ship_failures >= self.max_io_retries() {
-                        self.set_health(ServiceHealth::Failed);
-                    } else {
-                        self.degrade();
-                    }
-                    return false;
-                }
+        if result.is_err() {
+            self.report.journal_ship_failures += 1;
+            self.ship_failures += 1;
+            if self.ship_failures >= self.max_io_retries() {
+                self.set_health(ServiceHealth::Failed);
+            } else {
+                self.degrade();
             }
+            return false;
         }
+        self.count_shipped(appended);
         self.ship_failures = 0;
         true
+    }
+
+    /// Counts journal entries shipped (appended, or dropped by design
+    /// in in-memory mode) in both the report and the registry.
+    fn count_shipped(&mut self, n: u64) {
+        self.report.entries_shipped += n;
+        if let Some(o) = &self.obs {
+            o.shipped.add(n);
+        }
     }
 
     /// The engine panicked mid-batch: contain it. The batch (applied or
@@ -1296,8 +1304,6 @@ impl<M: IngestEngine> Writer<M> {
             o.engine_panics.inc();
         }
         self.lose_events(lost);
-        // Entries recorded against the poisoned engine must never ship.
-        let _ = self.engine.drain();
         if self.cfg.recovery.is_some() && self.cfg.durability.is_some() {
             self.set_health(ServiceHealth::Recovering);
             self.recovery_attempts = 0;
@@ -1308,23 +1314,26 @@ impl<M: IngestEngine> Writer<M> {
     }
 
     /// One supervised `recover()` attempt. On success the rebuilt engine
-    /// is adopted, the recorder/cursors/mirror re-based, the sink
-    /// re-opened over the repaired journal, and a fresh (monotone) epoch
-    /// published; the service comes back `Degraded` until clean flushes
-    /// clear it. On failure the next attempt is scheduled under
-    /// exponential backoff until the policy's budget is spent.
+    /// is adopted, the seq/mirror re-based, the sink re-opened over the
+    /// repaired journal, and a fresh (monotone) epoch published; the
+    /// service comes back `Degraded` until clean flushes clear it. On
+    /// failure the next attempt is scheduled under exponential backoff
+    /// until the policy's budget is spent.
     fn try_recover(&mut self, handle: &SnapshotHandle) {
         let (Some(pol), Some(d)) = (self.cfg.recovery.clone(), self.cfg.durability.clone()) else {
             self.set_health(ServiceHealth::Failed);
             return;
         };
+        // recover() reads the snapshot rotation a checkpoint write may
+        // still be renaming.
+        self.join_checkpoint();
         self.recovery_attempts += 1;
         match recover(&d, pol.seed, self.cfg.planner.clone(), pol.replay_batch) {
             Ok(rec) => {
                 let next = rec.next_seq;
                 let rung = rec.report.rung_metric();
                 let recovery_elapsed = rec.report.elapsed_ns;
-                if !self.engine.engine_mut().adopt_recovered(rec) {
+                if !self.engine.adopt_recovered(rec) {
                     self.report.recovery_failures += 1;
                     if let Some(o) = &self.obs {
                         o.recovery_failures.inc();
@@ -1332,9 +1341,7 @@ impl<M: IngestEngine> Writer<M> {
                     self.set_health(ServiceHealth::Failed);
                     return;
                 }
-                self.engine.resync(next);
                 self.ops = next;
-                self.ship_cursor = next;
                 self.unshipped.clear();
                 self.sync_pending = false;
                 self.ship_failures = 0;
@@ -1342,7 +1349,7 @@ impl<M: IngestEngine> Writer<M> {
                 // The journal was repaired by recover(); a fresh sink
                 // must agree with the recovered seq or something is
                 // still wrong on disk.
-                let n = self.engine.engine().graph_ref().num_vertices();
+                let n = self.engine.graph_ref().num_vertices();
                 match JournalSink::open(&d.journal_path, n, d.fsync, &d.storage) {
                     Ok(sink) if sink.existing() == next => self.sink = Some(sink),
                     _ => {
@@ -1355,17 +1362,14 @@ impl<M: IngestEngine> Writer<M> {
                     }
                 }
                 // Re-arm tracking and the mirror on the rebuilt engine.
-                self.tracking = self.engine.engine_mut().enable_core_change_tracking();
+                self.tracking = self.engine.enable_core_change_tracking();
                 self.change_buf.clear();
-                let _ = self
-                    .engine
-                    .engine_mut()
-                    .drain_core_changes(&mut self.change_buf);
+                let _ = self.engine.drain_core_changes(&mut self.change_buf);
                 self.change_buf.clear();
                 if n > self.mirror.len() {
                     self.mirror.grow(n);
                 }
-                let (_, copied) = self.mirror.sync_full(self.engine.engine().core_slice());
+                let (_, copied) = self.mirror.sync_full(self.engine.core_slice());
                 self.report.chunks_copied += copied as u64;
                 self.report.full_syncs += 1;
                 self.publish(handle);
@@ -1399,9 +1403,9 @@ impl<M: IngestEngine> Writer<M> {
         }
     }
 
-    /// Applies the pending micro-batch under `catch_unwind`, ships the
-    /// journal tail, and publishes per the cadence. The engine's batch
-    /// entry points see maximal same-kind runs (a micro-batch is at most
+    /// Applies the pending micro-batch under `catch_unwind`, journals its
+    /// events, and publishes per the cadence. The engine's batch entry
+    /// points see maximal same-kind runs (a micro-batch is at most
     /// `max_batch` events, so `replay_batched` groups each run into one
     /// call).
     fn flush(&mut self, handle: &SnapshotHandle) {
@@ -1427,35 +1431,48 @@ impl<M: IngestEngine> Writer<M> {
         let applied = catch_unwind(AssertUnwindSafe(|| {
             replay_batched(
                 &mut self.engine,
-                self.pending.drain(..),
+                self.pending.iter().copied(),
                 self.cfg.max_batch.max(1),
             )
         }));
         let stats = match applied {
             Ok(stats) => stats,
             Err(_) => {
+                self.pending.clear();
                 self.on_engine_panic(batch_len);
                 return;
             }
         };
-        self.ops = self.engine.next_seq();
         self.report.update_stats.absorb(stats);
         self.report.batches += 1;
         let apply_end = self.now();
         let apply_ns = apply_end.saturating_sub(t0);
         self.report.batch_apply.record(apply_ns);
 
-        // Ship the journal tail (incremental cursor: each entry exactly
-        // once). Without a sink the entries are dropped — the recorder
-        // is still what assigns seqs, so `ops` stays exact. A failed
-        // append keeps the entries queued for the next round instead of
-        // killing the writer.
-        let mut tail = self.engine.drain_since(self.ship_cursor);
-        let tail_len = tail.len() as u64;
-        self.ship_cursor = self.engine.next_seq();
-        self.unshipped.append(&mut tail);
-        if self.sink.is_some() && self.cfg.durability.as_ref().is_some_and(|d| d.fsync) {
-            self.sync_pending = true;
+        // Journal the applied batch: its events at seqs `ops..ops + len`
+        // (KJRN stores events only, no core transitions). Without a sink
+        // they are dropped by design. A failed append keeps the entries
+        // queued for the next round instead of killing the writer.
+        let first_seq = self.ops;
+        self.ops += batch_len;
+        if self.sink.is_some() {
+            self.unshipped
+                .extend(
+                    self.pending
+                        .drain(..)
+                        .zip(first_seq..)
+                        .map(|(event, seq)| JournalEntry {
+                            seq,
+                            event,
+                            transitions: Vec::new(),
+                        }),
+                );
+            if self.cfg.durability.as_ref().is_some_and(|d| d.fsync) {
+                self.sync_pending = true;
+            }
+        } else {
+            self.pending.clear();
+            self.count_shipped(batch_len);
         }
         let shipped = self.ship_owed();
         let ship_end = self.now();
@@ -1504,7 +1521,7 @@ impl<M: IngestEngine> Writer<M> {
                     "journal_ship",
                     apply_end,
                     ship_end.saturating_sub(apply_end),
-                    tail_len,
+                    batch_len,
                 ),
                 (
                     "mirror_sync",
@@ -1519,27 +1536,29 @@ impl<M: IngestEngine> Writer<M> {
                     published_items,
                 ),
             ];
+            // `apply` was recorded above: its registry cell is the
+            // report's `batch_apply`.
             let hists = [
-                &o.stage_dequeue,
-                &o.stage_apply,
-                &o.stage_core_drain,
-                &o.stage_journal_ship,
-                &o.stage_mirror_sync,
-                &o.stage_publish,
+                Some(&o.stage_dequeue),
+                None,
+                Some(&o.stage_core_drain),
+                Some(&o.stage_journal_ship),
+                Some(&o.stage_mirror_sync),
+                Some(&o.stage_publish),
             ];
             for (hist, &(stage, start, dur, items)) in hists.iter().zip(&stages) {
-                hist.record(dur);
+                if let Some(hist) = hist {
+                    hist.record(dur);
+                }
                 o.spans.record(trace, stage, start, dur, items);
             }
         }
         self.export_engine_obs();
         self.batches_since_persist += 1;
-        if let Some(d) = &self.cfg.durability {
-            if d.snapshot_every_batches > 0
-                && self.batches_since_persist >= d.snapshot_every_batches
-            {
-                self.persist();
-            }
+        if self.cfg.durability.as_ref().is_some_and(|d| {
+            d.snapshot_every_batches > 0 && self.batches_since_persist >= d.snapshot_every_batches
+        }) {
+            self.persist();
         }
         // A fully clean flush works a degraded service back to healthy.
         if shipped && self.health() == ServiceHealth::Degraded {
@@ -1550,29 +1569,68 @@ impl<M: IngestEngine> Writer<M> {
         }
     }
 
-    /// Persists the index snapshot into the rotation. Failures are
-    /// contained: the journal still carries every event, so a missed
-    /// checkpoint only makes a future recovery replay more — the
-    /// service degrades instead of dying.
+    /// Starts an index checkpoint covering `ops`: serialises the index
+    /// here, then hands the payload to a thread spawned for this
+    /// checkpoint, which writes it into the rotation through
+    /// [`persist_index_snapshot`]. A previous write still in flight is
+    /// joined first; this one is counted when it is joined.
     fn persist(&mut self) {
         let Some(d) = self.cfg.durability.clone() else {
             return;
         };
-        let ops = self.ops;
-        let mut payload: Vec<u8> = Vec::new();
-        let result = self
-            .engine
-            .engine_mut()
-            .persist_index(&mut payload)
-            .and_then(|_| persist_index_snapshot(&d, ops, &payload));
+        self.join_checkpoint();
         self.batches_since_persist = 0;
-        match result {
-            Ok(()) => self.report.snapshots_persisted += 1,
-            Err(_) => {
-                self.report.checkpoint_failures += 1;
-                self.degrade();
-            }
+        let s0 = Instant::now();
+        let mut payload: Vec<u8> = Vec::new();
+        if self.engine.persist_index(&mut payload).is_err() {
+            self.checkpoint_failed();
+            return;
         }
+        if let Some(o) = &self.obs {
+            o.checkpoint_serialize
+                .record(s0.elapsed().as_nanos() as u64);
+        }
+        let ops = self.ops;
+        let write = std::thread::Builder::new()
+            .name("kcore-ingest-checkpoint".into())
+            .spawn(move || {
+                let w0 = Instant::now();
+                let result = persist_index_snapshot(&d, ops, &payload);
+                (result, w0.elapsed().as_nanos() as u64)
+            });
+        match write {
+            Ok(write) => self.checkpoint = Some(write),
+            Err(_) => self.checkpoint_failed(),
+        }
+    }
+
+    /// Waits for the checkpoint write in flight, if any, and counts its
+    /// outcome. Failures are contained: the journal still carries every
+    /// event, so a missed checkpoint only makes a future recovery replay
+    /// more — the service degrades instead of dying.
+    fn join_checkpoint(&mut self) {
+        let Some(write) = self.checkpoint.take() else {
+            return;
+        };
+        let written = match write.join() {
+            Ok((result, write_ns)) => {
+                if let Some(o) = &self.obs {
+                    o.checkpoint_write.record(write_ns);
+                }
+                result.is_ok()
+            }
+            Err(_) => false,
+        };
+        if written {
+            self.report.snapshots_persisted += 1;
+        } else {
+            self.checkpoint_failed();
+        }
+    }
+
+    fn checkpoint_failed(&mut self) {
+        self.report.checkpoint_failures += 1;
+        self.degrade();
     }
 
     fn deadline(&self) -> Option<u64> {
@@ -1586,7 +1644,7 @@ impl<M: IngestEngine> Writer<M> {
         self.cfg.queue_capacity.max(self.cfg.max_batch).max(1) * RECOVERING_BUFFER_FACTOR
     }
 
-    fn run(mut self, rx: Receiver<Msg>, handle: SnapshotHandle) -> (IngestReport, Journaled<M>) {
+    fn run(mut self, rx: Receiver<Msg>, handle: SnapshotHandle) -> (IngestReport, M) {
         loop {
             // Deadline-driven work first: a due recovery attempt, or an
             // interval flush of the oldest buffered event.
@@ -1676,6 +1734,7 @@ impl<M: IngestEngine> Writer<M> {
                     if self.published_ops != self.ops {
                         self.publish(&handle);
                     }
+                    self.join_checkpoint();
                     let _ = ack.send(handle.load());
                 }
                 Msg::Subscribe(tx) => self.subscribers.push(tx),
@@ -1688,6 +1747,7 @@ impl<M: IngestEngine> Writer<M> {
                     if !graceful {
                         // Crash simulation: pending events and the final
                         // persist are lost, shipped journal survives.
+                        self.join_checkpoint();
                         self.report.mirror_chunks = self.mirror.num_chunks() as u64;
                         self.report.final_health = self.health();
                         return (self.report, self.engine);
@@ -1727,6 +1787,7 @@ impl<M: IngestEngine> Writer<M> {
                 }
             }
         }
+        self.join_checkpoint();
         self.report.mirror_chunks = self.mirror.num_chunks() as u64;
         self.report.final_health = self.health();
         (self.report, self.engine)

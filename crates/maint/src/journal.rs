@@ -114,21 +114,6 @@ impl<M: CoreMaintainer> Journaled<M> {
         std::mem::take(&mut self.entries)
     }
 
-    /// Re-bases the recorder onto the wrapped engine's **current**
-    /// state: discards buffered entries, re-snapshots the core numbers
-    /// into the transition shadow, and restarts the sequence at
-    /// `next_seq`. The ingest supervisor calls this after swapping a
-    /// panicked engine for one rebuilt by recovery — entries recorded
-    /// against the poisoned engine must never ship, and the shadow must
-    /// mirror the rebuilt cores or the next diff would emit phantom
-    /// transitions.
-    pub fn resync(&mut self, next_seq: u64) {
-        self.entries.clear();
-        self.shadow.clear();
-        self.shadow.extend_from_slice(self.engine.core_slice());
-        self.next_seq = next_seq;
-    }
-
     /// Incremental shipping: drains the buffer and returns only the
     /// entries with `seq >= min_seq` (entries below the cursor were
     /// already shipped in an earlier round and are discarded). Calling in
@@ -276,8 +261,8 @@ impl<M: CoreMaintainer> Journaled<M> {
 /// [`Journaled::insert_batch`] / [`Journaled::remove_batch`], so the
 /// wrapped engine's genuine batch path — for [`crate::PlannedCore`], the
 /// planner dispatch — is preserved while every event is recorded). This
-/// is what lets the streaming ingest writer treat "apply a micro-batch"
-/// and "journal it for shipping" as one operation.
+/// is what lets a change-stream consumer treat "apply a micro-batch" and
+/// "record its core transitions" as one operation.
 impl<M: CoreMaintainer> CoreMaintainer for Journaled<M> {
     fn insert(&mut self, u: VertexId, v: VertexId) -> Result<UpdateStats, EdgeListError> {
         self.insert_edge(u, v)

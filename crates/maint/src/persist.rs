@@ -59,29 +59,42 @@ fn checksum(words: &[u32]) -> u64 {
 }
 
 impl<S: OrderSeq> OrderCore<S> {
-    /// Serialises the index (graph + k-order + per-vertex arrays).
+    /// Serialises the index (graph + k-order + per-vertex arrays) in one
+    /// pass: each word is written once, little-endian, into a buffer of
+    /// the final size while the checksum runs over it.
     pub fn save<W: Write>(&self, mut out: W) -> io::Result<()> {
         let n = self.graph.num_vertices();
         let m = self.graph.num_edges();
-        let mut words: Vec<u32> = Vec::with_capacity(4 + 2 * m + 4 * n);
-        words.push(MAGIC);
-        words.push(VERSION);
-        words.push(n as u32);
-        words.push(m as u32);
-        for (u, v) in self.graph.edges() {
-            words.push(u);
-            words.push(v);
-        }
-        words.extend(self.global_order());
-        words.extend_from_slice(&self.core);
-        words.extend_from_slice(&self.deg_plus);
-        words.extend_from_slice(&self.mcd);
-        let sum = checksum(&words);
-        let mut bytes: Vec<u8> = Vec::with_capacity(4 * words.len() + 8);
-        for w in &words {
+        let mut bytes: Vec<u8> = Vec::with_capacity(4 * (4 + 2 * m + 4 * n) + 8);
+        let mut sum = kcore_graph::FxBuildHasher::default().build_hasher();
+        let mut put = |w: u32| {
+            sum.write_u32(w);
             bytes.extend_from_slice(&w.to_le_bytes());
+        };
+        for w in [MAGIC, VERSION, n as u32, m as u32] {
+            put(w);
         }
-        bytes.extend_from_slice(&sum.to_le_bytes());
+        // Each undirected edge once, as (u, v) with u < v.
+        for u in 0..n as VertexId {
+            for &v in self.graph.neighbors(u) {
+                if u < v {
+                    put(u);
+                    put(v);
+                }
+            }
+        }
+        // The global k-order O_0 O_1 O_2 ….
+        for k in 0..self.lists.num_lists() as u32 {
+            for v in self.lists.iter(k) {
+                put(v);
+            }
+        }
+        for array in [&self.core, &self.deg_plus, &self.mcd] {
+            for &w in array.iter() {
+                put(w);
+            }
+        }
+        bytes.extend_from_slice(&sum.finish().to_le_bytes());
         out.write_all(&bytes)
     }
 
@@ -253,6 +266,43 @@ mod tests {
             <OrderCore>::load(&[][..], 1).unwrap_err(),
             PersistError::BadHeader
         ));
+    }
+
+    /// The two-pass encoder `save` replaced: collect every word into a
+    /// `Vec<u32>` (edges through `graph.edges()`), checksum it, then
+    /// convert to bytes. Kept as the reference for the KORD format.
+    fn reference_save(oc: &OrderCore) -> Vec<u8> {
+        let n = oc.graph.num_vertices();
+        let m = oc.graph.num_edges();
+        let mut words: Vec<u32> = vec![MAGIC, VERSION, n as u32, m as u32];
+        for (u, v) in oc.graph.edges() {
+            words.push(u);
+            words.push(v);
+        }
+        words.extend(oc.global_order());
+        words.extend_from_slice(&oc.core);
+        words.extend_from_slice(&oc.deg_plus);
+        words.extend_from_slice(&oc.mcd);
+        let sum = checksum(&words);
+        let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn one_pass_save_is_byte_identical_to_the_reference_encoding() {
+        use crate::CoreMaintainer;
+        use kcore_gen::{barabasi_albert, churn_stream};
+        let base = barabasi_albert(2000, 4, 17);
+        let mut oc: OrderCore = OrderCore::new(base.clone(), 5);
+        for b in churn_stream(&base, 24, 96, 96, 31) {
+            oc.insert_batch(&b.inserts);
+            oc.remove_batch(&b.removes);
+        }
+        let mut buf = Vec::new();
+        oc.save(&mut buf).unwrap();
+        assert_eq!(buf, reference_save(&oc));
+        assert_eq!(roundtrip(&oc).cores(), oc.cores());
     }
 
     #[test]
