@@ -5,7 +5,8 @@
 //! The contract mirrors classic WAL + checkpoint systems, scoped to the
 //! micro-batch: after every flushed batch the writer appends the batch's
 //! events to the journal file as one frame (seqs continue the writer's
-//! applied-event count), and every `snapshot_every_batches` flushes it
+//! applied-event count), and every `snapshot_every_batches ×
+//! max_batch` applied events — however the flushes cut them — it
 //! persists the full index ([`OrderCore::save`] under a small header
 //! carrying the covered-prefix length) from a background thread. A
 //! crash therefore loses at most the events that never reached a flush.
@@ -131,8 +132,10 @@ pub struct DurabilityConfig {
     /// Newest index snapshot (temp-file + rename + dir fsync); older
     /// generations live beside it with `.1`, `.2`, … suffixes.
     pub snapshot_path: PathBuf,
-    /// Persist the index every this many flushed batches (`0` = only on
-    /// graceful shutdown).
+    /// Persist the index every this many full batches' worth of applied
+    /// events, i.e. every `snapshot_every_batches × max_batch` events
+    /// (`0` = only on graceful shutdown). Counting events keeps the
+    /// cadence steady when a light load flushes one event at a time.
     pub snapshot_every_batches: usize,
     /// `fsync` the journal after every shipped batch. Off by default:
     /// the bench measures the cheap mode, and the recovery contract
@@ -163,7 +166,8 @@ impl DurabilityConfig {
         }
     }
 
-    /// Sets the periodic-snapshot cadence.
+    /// Sets the periodic-snapshot cadence, in full batches' worth of
+    /// applied events (see [`DurabilityConfig::snapshot_every_batches`]).
     pub fn snapshot_every(mut self, batches: usize) -> Self {
         self.snapshot_every_batches = batches;
         self

@@ -10,9 +10,12 @@
 //!   thread fed by a bounded MPSC channel of [`GraphEvent`]s.
 //!   [`IngestService::try_submit`] surfaces [`IngestError::QueueFull`]
 //!   when the writer falls behind; [`IngestService::submit`] blocks.
-//! * **Micro-batching** — events flush on batch-size or clock tick;
-//!   [`ClockMode::Scripted`] serialises time into the message stream so
-//!   every test is wall-clock-free and deterministic.
+//! * **Micro-batching** — under the wall clock events flush when the
+//!   queue runs dry (at most once per 500 µs) or the batch fills, so
+//!   batches grow with the backlog; [`ClockMode::Scripted`] flushes on
+//!   batch size or clock
+//!   tick and serialises time into the message stream so every test is
+//!   wall-clock-free and deterministic.
 //! * **Snapshot-isolated reads, published copy-on-write** — each flush
 //!   publishes an immutable, epoch-versioned [`CoreSnapshot`] (cores,
 //!   histogram, degeneracy, k-core membership) through an

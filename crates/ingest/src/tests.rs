@@ -462,14 +462,16 @@ fn publication_shares_untouched_chunks_across_epochs() {
 }
 
 #[test]
-fn wall_clock_mode_flushes_by_interval() {
-    // The one wall-clock test: a real-time service must eventually
-    // interval-flush a sub-batch-size buffer without an explicit flush.
-    // Generous interval (10 ms) keeps this robust on a loaded 1-CPU
-    // host; determinism-sensitive properties live in the scripted tests.
+fn wall_clock_mode_flushes_when_the_queue_runs_dry() {
+    // The one wall-clock test: a real-time service flushes a
+    // sub-batch-size buffer as soon as its queue is empty, with no
+    // explicit flush and no interval (the interval is scripted-only, so
+    // `u64::MAX` must not hold the event back). The 30 s timeout only
+    // guards a hung writer on a loaded host; determinism-sensitive
+    // properties live in the scripted tests.
     let cfg = IngestConfig {
         clock: ClockMode::Wall,
-        flush_interval_ns: 10_000_000,
+        flush_interval_ns: u64::MAX,
         max_batch: 1000,
         ..IngestConfig::default()
     };
@@ -478,7 +480,7 @@ fn wall_clock_mode_flushes_by_interval() {
     svc.submit(GraphEvent::EdgeInserted(0, 2)).unwrap();
     let snap = snaps
         .recv_timeout(std::time::Duration::from_secs(30))
-        .expect("interval flush must fire");
+        .expect("an empty queue must flush the buffered event");
     assert_eq!(snap.ops, 1);
     svc.shutdown();
 }
@@ -582,7 +584,7 @@ fn scripted_flush_trace_is_bit_exact_across_runs() {
     assert_eq!(
         stages,
         [
-            "dequeue",
+            "batch_wait",
             "apply",
             "core_drain",
             "journal_ship",
@@ -595,7 +597,7 @@ fn scripted_flush_trace_is_bit_exact_across_runs() {
         assert_eq!(s.start_ns, 500, "writer-clock start of {}", s.stage);
         assert_eq!(s.dur_ns, 0, "scripted durations are zero ({})", s.stage);
     }
-    assert_eq!(t2[0].items, 2, "dequeue saw the 2-event batch");
+    assert_eq!(t2[0].items, 2, "batch_wait saw the 2-event batch");
     assert_eq!(t2[1].items, 2, "apply saw the 2-event batch");
     assert_eq!(t2[3].items, 2, "journal_ship moved 2 entries");
     assert_eq!(t2[5].items, 2, "publish advanced ops by 2");
@@ -625,7 +627,7 @@ fn metrics_registry_exposes_flush_pipeline_counters() {
     // the apply stage's histogram, recorded once per flush.
     assert!(snap.histogram("ingest_batch_apply_ns").is_none());
     for stage in [
-        "ingest_flush_dequeue_ns",
+        "ingest_flush_batch_wait_ns",
         "ingest_flush_apply_ns",
         "ingest_flush_core_drain_ns",
         "ingest_flush_journal_ship_ns",
@@ -778,6 +780,16 @@ fn failed_background_checkpoint_degrades_at_the_next_flush_barrier() {
     assert_eq!(report.checkpoint_failures, 1);
     assert_eq!(report.snapshots_persisted, 2, "flush 4 + the final persist");
     assert_eq!(report.final_health, ServiceHealth::Healthy);
+    // The registry counts the same outcomes as the report.
+    let snap = metrics.snapshot();
+    assert_eq!(
+        snap.counter("ingest_checkpoint_failures_total"),
+        Some(report.checkpoint_failures)
+    );
+    assert_eq!(
+        snap.counter("ingest_snapshots_persisted_total"),
+        Some(report.snapshots_persisted)
+    );
 
     let rec = recover(
         &DurabilityConfig::in_dir(&dir),
@@ -793,4 +805,44 @@ fn failed_background_checkpoint_degrades_at_the_next_flush_barrier() {
         &core_decomposition(&apply_events(&base, &events[..durable]))[..]
     );
     assert_eq!(rec.engine.cores(), engine.cores());
+}
+
+#[test]
+fn checkpoint_cadence_counts_events_not_flushes() {
+    // `snapshot_every(2)` at `max_batch(4)` means a checkpoint every 8
+    // applied events, however the flushes cut them: eight 1-event
+    // barrier flushes take exactly one periodic checkpoint, not four.
+    use crate::durability::load_index_snapshot;
+    let dir = tmpdir("checkpoint_cadence");
+    let d = DurabilityConfig::in_dir(&dir).snapshot_every(2);
+    let svc = IngestService::spawn_planned(
+        path_graph(12),
+        4,
+        IngestConfig::scripted().max_batch(4).durable(d.clone()),
+    )
+    .unwrap();
+    let metrics = svc.metrics().unwrap();
+    for v in 0..8u32 {
+        svc.submit(GraphEvent::EdgeInserted(v, v + 3)).unwrap();
+        svc.flush().unwrap();
+    }
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("ingest_batches_total"), Some(8));
+    assert_eq!(snap.counter("ingest_snapshots_persisted_total"), Some(1));
+    assert_eq!(
+        snap.histogram("ingest_checkpoint_serialize_ns")
+            .unwrap()
+            .count,
+        1
+    );
+    assert_eq!(
+        load_index_snapshot(&d.snapshot_path, 12).unwrap().0,
+        8,
+        "the periodic checkpoint covers the 8th event"
+    );
+    let (report, _) = svc.shutdown();
+    assert_eq!(
+        report.snapshots_persisted, 2,
+        "periodic + the final persist"
+    );
 }

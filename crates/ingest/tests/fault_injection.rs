@@ -1,7 +1,9 @@
 //! Fault-injection integration tests: the kill-at-every-failpoint sweep
 //! and the supervised self-healing writer, all under the scripted clock
 //! and the scripted [`StorageHandle`] — zero wall-clock sleeps, zero
-//! nondeterminism, including on the 1-CPU CI container.
+//! nondeterminism, including on the 1-CPU CI container. The one
+//! exception is the idle-`Failed`-writer test, which needs the wall
+//! clock to show that the writer does not spin.
 //!
 //! The sweep is profile-then-kill: one clean run over instrumented
 //! storage records how many operations of each class the workload
@@ -12,13 +14,15 @@
 
 use kcore_decomp::core_decomposition;
 use kcore_graph::DynamicGraph;
-use kcore_ingest::sources::apply_events;
+use kcore_ingest::sources::{apply_events, churn_events};
 use kcore_ingest::{
     recover, DurabilityConfig, FaultKind, FaultPlan, FlakyEngine, GraphEvent, IngestConfig,
     IngestService, OpClass, RecoveryPolicy, RetryBudget, ServiceHealth, StorageHandle,
 };
 use kcore_maint::{PlannedCore, PlannerConfig};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::time::Duration;
 
 const N: usize = 16;
 const SEED: u64 = 7;
@@ -388,4 +392,96 @@ fn fault_submit_with_retry_backs_off_deterministically() {
     let (report, _) = svc.shutdown();
     assert_eq!(report.events, 3);
     assert_eq!(report.final_health, ServiceHealth::Healthy);
+}
+
+/// Thread ids of this process's ingest writers (`comm` is the thread
+/// name cut to 15 bytes).
+fn writer_tids() -> BTreeSet<String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|t| {
+            let tid = t.ok()?.file_name().into_string().ok()?;
+            let comm = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).ok()?;
+            comm.starts_with("kcore-ingest-wr").then_some(tid)
+        })
+        .collect()
+}
+
+/// User + system CPU time of thread `tid` in ms, from `utime` and
+/// `stime` (fields 14 and 15 of `/proc/self/task/<tid>/stat`, counted in
+/// 100 Hz clock ticks).
+fn thread_cpu_ms(tid: &str) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).unwrap();
+    // Fields after the parenthesised `comm` start at field 3.
+    let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 2..].split(' ').collect();
+    let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    ticks * 10
+}
+
+#[test]
+fn fault_failed_writer_drops_buffered_events_and_sleeps() {
+    // JournalAppend 0 writes the journal header at spawn; the crash at
+    // append 1 fails the first batch and every append after it, so the
+    // writer exhausts its journal retries and parks in `Failed`.
+    let base = kcore_gen::barabasi_albert(2000, 4, 3);
+    let events: Vec<GraphEvent> = kcore_gen::churn_stream(&base, 40, 6, 2, 5)
+        .iter()
+        .flat_map(churn_events)
+        .collect();
+    let (svc, tid) = (0..50)
+        .find_map(|attempt| {
+            let dir = tmpdir(&format!("failed_idle_{attempt}"));
+            let storage = StorageHandle::faulty(FaultPlan::new().crash(OpClass::JournalAppend, 1));
+            let cfg = IngestConfig::default()
+                .durable(DurabilityConfig::in_dir(&dir).with_storage(storage));
+            // Other tests spawn writers concurrently: keep this one only
+            // if it is the sole writer born around its spawn. The empty
+            // barrier returns once the writer runs under its name.
+            let before = writer_tids();
+            let svc = IngestService::spawn_planned(base.clone(), SEED, cfg).unwrap();
+            svc.flush().unwrap();
+            let born: Vec<String> = writer_tids().difference(&before).cloned().collect();
+            match &born[..] {
+                [tid] => Some((svc, tid.clone())),
+                _ => None,
+            }
+        })
+        .expect("could not tell this test's writer thread apart");
+
+    for &e in &events[..300] {
+        svc.submit(e).unwrap();
+    }
+    // A failed ship is retried once per message, never in a loop: each
+    // round leaves one more event buffered behind the journal debt.
+    let mut sent = 300;
+    while svc.health() != ServiceHealth::Failed {
+        assert!(sent < 320, "journal retries never escalated to Failed");
+        svc.submit(events[sent]).unwrap();
+        sent += 1;
+        svc.flush().unwrap();
+    }
+
+    // Idle in `Failed`: the writer must sleep, not poll.
+    let cpu0 = thread_cpu_ms(&tid);
+    std::thread::sleep(Duration::from_millis(500));
+    let cpu = thread_cpu_ms(&tid) - cpu0;
+    assert!(
+        cpu < 50,
+        "Failed writer burned {cpu} ms of CPU in 500 ms idle"
+    );
+
+    // Every received event is either applied (and published) or counted
+    // lost — the buffered ones at the moment of failure included.
+    let snap = svc.metrics().unwrap().snapshot();
+    let lost = snap.counter("ingest_events_lost_total").unwrap();
+    assert_eq!(snap.counter("ingest_events_total"), Some(sent as u64));
+    assert!(lost > 0, "the events behind the journal debt are lost");
+    assert_eq!(svc.snapshots().load().ops + lost, sent as u64);
+
+    let (report, _) = svc.shutdown();
+    assert_eq!(report.final_health, ServiceHealth::Failed);
+    assert_eq!(
+        report.events_lost, lost,
+        "nothing was left to lose at shutdown"
+    );
 }
