@@ -107,7 +107,7 @@ pub trait PeelGraph: Sync {
     /// Calls `f` for every neighbour of `v`.
     fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, f: F);
     /// Hints the hardware prefetcher at `v`'s row storage. Default no-op;
-    /// the frontier loops call it [`PREFETCH_AHEAD`] slots early.
+    /// the frontier loops call it `PREFETCH_AHEAD` slots early.
     #[inline]
     fn prefetch(&self, _v: VertexId) {}
     /// Degree snapshot (the atomic counters' initial values).

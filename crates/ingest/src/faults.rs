@@ -19,13 +19,15 @@
 //! workload once per (class, index) pair and asserts recovery restores
 //! the oracle state on the reported durable prefix.
 //!
-//! [`FlakyEngine`] is the same idea one layer up: a [`PlannedCore`]
-//! wrapper that panics at scripted batch indices — half the batch
-//! applied, half not — to exercise the supervised writer's
-//! `catch_unwind` + `recover()` path.
+//! [`FaultPlan::panic_at_flush`] is the same idea one layer up: the
+//! ingest writer reads the plan's engine-panic script once at spawn, and
+//! at the scripted flush it applies the first half of the pending events
+//! and then panics inside its own `catch_unwind`. The engine is left
+//! genuinely ahead of the journal, which exercises the supervised
+//! writer's `recover()` path. Engine panics are not an [`OpClass`]: they
+//! do not move the storage counters, and [`StorageHandle::op_counts`]
+//! does not list them.
 
-use kcore_graph::{DynamicGraph, EdgeListError, VertexId};
-use kcore_maint::{CoreMaintainer, PlannedCore, UpdateStats};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -120,11 +122,13 @@ pub enum FaultKind {
 pub type InjectedFault = (OpClass, u64, FaultKind);
 
 /// A deterministic fault script: a set of `(class, nth-op, kind)`
-/// triples. Built with the builder methods and handed to
-/// [`StorageHandle::faulty`] (or [`crate::DurabilityConfig::with_faults`]).
+/// triples, plus the flushes at which the ingest writer's engine panics.
+/// Built with the builder methods and handed to [`StorageHandle::faulty`]
+/// (or [`crate::DurabilityConfig::with_faults`]).
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     scripted: Vec<InjectedFault>,
+    engine_panics: Vec<u64>,
 }
 
 impl FaultPlan {
@@ -143,6 +147,15 @@ impl FaultPlan {
     /// Scripts a [`FaultKind::Crash`] at the `nth` operation of `class`.
     pub fn crash(self, class: OpClass, nth: u64) -> Self {
         self.fault(class, nth, FaultKind::Crash)
+    }
+
+    /// Scripts an engine panic in the `nth` (0-based) flush that reaches
+    /// the engine of an ingest writer spawned over this storage: the
+    /// writer applies the first half of the flush's events, then panics.
+    /// Flushes that panicked count towards `nth`.
+    pub fn panic_at_flush(mut self, nth: u64) -> Self {
+        self.engine_panics.push(nth);
+        self
     }
 
     fn take(&mut self, class: OpClass, nth: u64) -> Option<FaultKind> {
@@ -401,24 +414,41 @@ pub struct StorageHandle {
     /// `None` is plain [`RealIo`]: stateless, so it needs no lock, and a
     /// background checkpoint's fsync never blocks a journal append.
     io: Option<Arc<Mutex<Box<dyn JournalIo>>>>,
+    /// The plan's [`FaultPlan::panic_at_flush`] script (empty unless
+    /// built by [`StorageHandle::faulty`]).
+    engine_panics: Vec<u64>,
 }
 
 impl StorageHandle {
     /// Plain `std::fs` storage — the production default.
     pub fn real() -> Self {
-        StorageHandle { io: None }
+        StorageHandle {
+            io: None,
+            engine_panics: Vec::new(),
+        }
     }
 
     /// Real storage under a scripted [`FaultPlan`].
-    pub fn faulty(plan: FaultPlan) -> Self {
-        Self::custom(Box::new(FaultyIo::new(plan)))
+    pub fn faulty(mut plan: FaultPlan) -> Self {
+        let engine_panics = std::mem::take(&mut plan.engine_panics);
+        StorageHandle {
+            engine_panics,
+            ..Self::custom(Box::new(FaultyIo::new(plan)))
+        }
     }
 
     /// Wraps a custom [`JournalIo`] implementation.
     pub fn custom(io: Box<dyn JournalIo>) -> Self {
         StorageHandle {
             io: Some(Arc::new(Mutex::new(io))),
+            engine_panics: Vec::new(),
         }
+    }
+
+    /// The flushes at which an ingest writer spawned over this storage
+    /// panics (see [`FaultPlan::panic_at_flush`]).
+    pub(crate) fn engine_panics(&self) -> &[u64] {
+        &self.engine_panics
     }
 
     /// Runs `f` against the storage, under the handle's lock unless it
@@ -457,139 +487,6 @@ impl fmt::Debug for StorageHandle {
         f.debug_struct("StorageHandle")
             .field("faulty", &self.io.is_some())
             .finish()
-    }
-}
-
-/// A [`PlannedCore`] that panics at scripted batch indices — the
-/// engine-side counterpart of [`FaultyIo`], for exercising the
-/// supervised writer. The panic fires **mid-batch**: the first half of
-/// the edges is applied before unwinding, so the poisoned engine
-/// genuinely diverges from the journal and recovery has real work to do.
-///
-/// The batch counter and panic script live behind `Arc`s shared with
-/// clones of [`FlakyEngine::probe`], so a test can watch panics fire
-/// while the service owns the engine.
-pub struct FlakyEngine {
-    inner: PlannedCore,
-    batches: Arc<Mutex<u64>>,
-    panic_on: Arc<Mutex<Vec<u64>>>,
-}
-
-/// Observer for a [`FlakyEngine`] owned by a running service.
-#[derive(Clone)]
-pub struct FlakyProbe {
-    batches: Arc<Mutex<u64>>,
-    panic_on: Arc<Mutex<Vec<u64>>>,
-}
-
-impl FlakyProbe {
-    /// Batch entry points invoked so far (across rebuilds).
-    pub fn batches(&self) -> u64 {
-        *self.batches.lock().expect("flaky probe poisoned")
-    }
-
-    /// Scripted panics not yet fired.
-    pub fn panics_left(&self) -> usize {
-        self.panic_on.lock().expect("flaky probe poisoned").len()
-    }
-}
-
-impl FlakyEngine {
-    /// Wraps `inner`, panicking on the given (0-based, global) batch
-    /// indices.
-    pub fn new(inner: PlannedCore, panic_on_batches: &[u64]) -> Self {
-        FlakyEngine {
-            inner,
-            batches: Arc::new(Mutex::new(0)),
-            panic_on: Arc::new(Mutex::new(panic_on_batches.to_vec())),
-        }
-    }
-
-    /// A cloneable observer sharing this engine's counters.
-    pub fn probe(&self) -> FlakyProbe {
-        FlakyProbe {
-            batches: self.batches.clone(),
-            panic_on: self.panic_on.clone(),
-        }
-    }
-
-    /// The wrapped engine.
-    pub fn inner(&self) -> &PlannedCore {
-        &self.inner
-    }
-
-    /// Replaces the wrapped engine (the supervisor's rebuild hook),
-    /// keeping the batch counter and any remaining scripted panics.
-    pub(crate) fn replace_inner(&mut self, inner: PlannedCore) {
-        self.inner = inner;
-    }
-
-    /// Persists the wrapped engine's index, bypassing the scripted
-    /// panic counter (checkpointing is not a batch entry point).
-    pub(crate) fn persist_inner(&mut self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
-        self.inner.order().save(out)
-    }
-
-    /// Returns whether this batch index is scripted to panic (and
-    /// consumes the script entry).
-    fn scripted_panic(&mut self) -> bool {
-        let idx = {
-            let mut b = self.batches.lock().expect("flaky engine poisoned");
-            let idx = *b;
-            *b += 1;
-            idx
-        };
-        let mut panics = self.panic_on.lock().expect("flaky engine poisoned");
-        if let Some(at) = panics.iter().position(|&p| p == idx) {
-            panics.swap_remove(at);
-            true
-        } else {
-            false
-        }
-    }
-}
-
-impl CoreMaintainer for FlakyEngine {
-    fn insert(&mut self, u: VertexId, v: VertexId) -> Result<UpdateStats, EdgeListError> {
-        self.inner.insert(u, v)
-    }
-
-    fn remove(&mut self, u: VertexId, v: VertexId) -> Result<UpdateStats, EdgeListError> {
-        self.inner.remove(u, v)
-    }
-
-    fn insert_batch(&mut self, edges: &[(VertexId, VertexId)]) -> UpdateStats {
-        if self.scripted_panic() {
-            let half = edges.len() / 2;
-            self.inner.insert_batch(&edges[..half]);
-            panic!("scripted engine fault: insert batch");
-        }
-        self.inner.insert_batch(edges)
-    }
-
-    fn remove_batch(&mut self, edges: &[(VertexId, VertexId)]) -> UpdateStats {
-        if self.scripted_panic() {
-            let half = edges.len() / 2;
-            self.inner.remove_batch(&edges[..half]);
-            panic!("scripted engine fault: remove batch");
-        }
-        self.inner.remove_batch(edges)
-    }
-
-    fn core_of(&self, v: VertexId) -> u32 {
-        self.inner.core_of(v)
-    }
-
-    fn core_slice(&self) -> &[u32] {
-        self.inner.core_slice()
-    }
-
-    fn graph_ref(&self) -> &DynamicGraph {
-        self.inner.graph_ref()
-    }
-
-    fn name(&self) -> String {
-        "Flaky(Planned)".to_string()
     }
 }
 
@@ -670,21 +567,19 @@ mod tests {
     }
 
     #[test]
-    fn fault_flaky_engine_panics_mid_batch_then_resumes() {
-        let g = DynamicGraph::with_vertices(6);
-        let mut e = FlakyEngine::new(PlannedCore::with_config(g, 1, Default::default()), &[1]);
-        let probe = e.probe();
-        e.insert_batch(&[(0, 1), (1, 2)]);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            e.insert_batch(&[(2, 3), (3, 4)]);
-        }));
-        assert!(caught.is_err());
-        // Half the batch landed before the unwind: (2,3) yes, (3,4) no.
-        assert_eq!(e.graph_ref().num_edges(), 3);
-        assert_eq!(probe.batches(), 2);
-        assert_eq!(probe.panics_left(), 0);
-        // The next batch is clean again.
-        e.insert_batch(&[(4, 5)]);
-        assert_eq!(e.graph_ref().num_edges(), 4);
+    fn fault_engine_panics_stay_out_of_the_op_classes() {
+        let storage = StorageHandle::faulty(
+            FaultPlan::new()
+                .panic_at_flush(2)
+                .crash(OpClass::Rename, 0)
+                .panic_at_flush(5),
+        );
+        assert_eq!(storage.engine_panics(), &[2, 5]);
+        // The panic script is not a storage fault: nothing fired, and the
+        // per-class counters a kill sweep enumerates do not see it.
+        assert!(storage.fired_faults().is_empty());
+        assert_eq!(storage.op_counts().len(), OpClass::ALL.len());
+        assert!(storage.op_counts().iter().all(|&(_, n)| n == 0));
+        assert!(StorageHandle::real().engine_panics().is_empty());
     }
 }

@@ -5,8 +5,8 @@
 //! of edge updates, end to end.
 //!
 //! * **Single writer, bounded queue, real backpressure** — an
-//!   [`IngestService`] owns a maintenance engine (by default the
-//!   planner-driven [`kcore_maint::PlannedCore`]) on a dedicated writer
+//!   [`IngestService`] owns the planner-driven order-based engine
+//!   ([`kcore_maint::PlannedCore`]) on a dedicated writer
 //!   thread fed by a bounded MPSC channel of [`GraphEvent`]s.
 //!   [`IngestService::try_submit`] surfaces [`IngestError::QueueFull`]
 //!   when the writer falls behind; [`IngestService::submit`] blocks.
@@ -36,9 +36,9 @@
 //!   fired in a [`RecoveryReport`].
 //! * **Fault tolerance** — storage I/O is routed through a
 //!   [`faults::JournalIo`] seam so tests inject short writes, failed
-//!   fsyncs, bit flips, and crashes at scripted operation counts; the
-//!   writer itself is supervised ([`ServiceHealth`]): engine panics are
-//!   caught, readers keep the last published epoch, and the service
+//!   fsyncs, bit flips, and crashes at scripted operation counts, and
+//!   engine panics at scripted flushes; the writer itself is supervised
+//!   ([`ServiceHealth`]): engine panics are caught, readers keep the last published epoch, and the service
 //!   rebuilds itself through [`recover`] under a bounded
 //!   [`RecoveryPolicy`] backoff.
 //! * **Observability** — each writer carries a lock-light
@@ -84,17 +84,15 @@ pub use durability::{
     persist_index_snapshot, read_journal, recover, snapshot_generation_path, DurabilityConfig,
     JournalContents, JournalSink, RecoverError, Recovered, RecoveryReport, RecoveryRung,
 };
-pub use faults::{
-    FaultKind, FaultPlan, FlakyEngine, FlakyProbe, JournalIo, OpClass, StorageHandle,
-};
+pub use faults::{FaultKind, FaultPlan, JournalIo, OpClass, StorageHandle};
 pub use kcore_maint::journal::GraphEvent;
 pub use kcore_obs::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
     Span, SpanRecorder,
 };
 pub use service::{
-    ClockMode, IngestConfig, IngestEngine, IngestError, IngestPause, IngestReport, IngestService,
-    ObsConfig, RecoveryPolicy, RetryBudget, ServiceHealth,
+    ClockMode, IngestConfig, IngestError, IngestPause, IngestReport, IngestService, ObsConfig,
+    RecoveryPolicy, RetryBudget, ServiceHealth,
 };
 pub use snapshot::{CoreSnapshot, SnapshotHandle, SnapshotReceiver};
 

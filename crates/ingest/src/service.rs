@@ -1,7 +1,8 @@
 //! The ingest service: a single-writer, multi-reader streaming loop.
 //!
-//! One dedicated **writer thread** owns the maintenance engine and is
-//! fed [`GraphEvent`]s through a **bounded** MPSC channel — the bound is
+//! One dedicated **writer thread** owns the maintenance engine, the
+//! planner-driven order-based [`PlannedCore`], and is fed
+//! [`GraphEvent`]s through a **bounded** MPSC channel — the bound is
 //! the backpressure contract: [`IngestService::try_submit`] reports
 //! [`IngestError::QueueFull`] instead of buffering unboundedly,
 //! [`IngestService::submit`] blocks the producer until the writer
@@ -61,6 +62,8 @@
 //! epochs stay monotone because the epoch counter lives in the writer,
 //! not the engine. Only when every rung of the recovery ladder is
 //! exhausted does the service park in `Failed`, still serving reads.
+//! The fault suite scripts such panics with
+//! [`crate::faults::FaultPlan::panic_at_flush`].
 
 use crate::chunked::CoreMirror;
 use crate::durability::{
@@ -70,9 +73,7 @@ use crate::snapshot::{CoreSnapshot, SnapshotHandle, SnapshotReceiver};
 use kcore_decomp::Parallelism;
 use kcore_graph::{DynamicGraph, VertexId};
 use kcore_maint::journal::{replay_batched, GraphEvent, JournalEntry};
-use kcore_maint::{
-    CoreMaintainer, OrderCore, PlannedCore, PlannerConfig, PlannerStats, RecomputeCore, UpdateStats,
-};
+use kcore_maint::{PlannedCore, PlannerConfig, PlannerStats, UpdateStats};
 use kcore_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanRecorder};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,122 +82,6 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// An engine the ingest writer can drive: any [`CoreMaintainer`] that
-/// can cross the thread boundary, with optional core-change-tracking
-/// and index-persistence hooks.
-pub trait IngestEngine: CoreMaintainer + Send + 'static {
-    /// Asks the engine to start recording which vertices change core
-    /// number, to be drained via [`IngestEngine::drain_core_changes`].
-    /// Returns `false` (the default) for engines without tracking —
-    /// the writer then syncs its snapshot mirror by a chunk-granular
-    /// compare instead of a change list.
-    fn enable_core_change_tracking(&mut self) -> bool {
-        false
-    }
-
-    /// Appends the vertices whose core changed since the last drain to
-    /// `out` (duplicates allowed; the caller reads final values) and
-    /// clears the record. `false` means "no tracked set — do a full
-    /// sync" (tracking off, or the log was overwhelmed).
-    fn drain_core_changes(&mut self, _out: &mut Vec<VertexId>) -> bool {
-        false
-    }
-
-    /// Writes the engine's persistent index form, if it has one. The
-    /// default reports unsupported — durability then requires an engine
-    /// that overrides this (the planner-driven order engine does).
-    fn persist_index(&mut self, _out: &mut dyn io::Write) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "engine has no persistent index form",
-        ))
-    }
-
-    /// Replaces this engine's state with one rebuilt by
-    /// [`crate::durability::recover`], keeping any wrapper-local
-    /// configuration. Returns `false` (the default) for engines that
-    /// cannot adopt a recovered [`PlannedCore`] — the supervisor then
-    /// parks in [`ServiceHealth::Failed`] instead of self-healing.
-    fn adopt_recovered(&mut self, _rec: Recovered) -> bool {
-        false
-    }
-
-    /// The engine's planner decision counters and cost-model EWMAs, when
-    /// it is planner-driven — exported as `planner_*` metrics by the
-    /// writer after every flush. `None` (the default) exports nothing.
-    fn planner_stats(&self) -> Option<&PlannerStats> {
-        None
-    }
-}
-
-impl IngestEngine for PlannedCore {
-    fn enable_core_change_tracking(&mut self) -> bool {
-        PlannedCore::enable_core_change_tracking(self);
-        true
-    }
-
-    fn drain_core_changes(&mut self, out: &mut Vec<VertexId>) -> bool {
-        PlannedCore::drain_core_changes(self, out)
-    }
-
-    fn persist_index(&mut self, out: &mut dyn io::Write) -> io::Result<()> {
-        // `order()` refreshes the deferred k-order first: the persisted
-        // form always round-trips through `OrderCore::load` validation.
-        self.order().save(out)
-    }
-
-    fn adopt_recovered(&mut self, rec: Recovered) -> bool {
-        // Recovery rebuilds the engine from journal + snapshot, which
-        // know nothing about wrapper-local configuration — re-apply the
-        // parallelism so a self-healed writer keeps its worker team.
-        let par = self.parallelism();
-        *self = rec.engine;
-        self.set_parallelism(par);
-        true
-    }
-
-    fn planner_stats(&self) -> Option<&PlannerStats> {
-        Some(PlannedCore::planner_stats(self))
-    }
-}
-
-impl IngestEngine for OrderCore {
-    fn enable_core_change_tracking(&mut self) -> bool {
-        OrderCore::enable_core_change_tracking(self);
-        true
-    }
-
-    fn drain_core_changes(&mut self, out: &mut Vec<VertexId>) -> bool {
-        OrderCore::drain_core_changes(self, out)
-    }
-
-    fn persist_index(&mut self, out: &mut dyn io::Write) -> io::Result<()> {
-        self.save(out)
-    }
-}
-
-/// The oracle instantiation (decompose-per-batch); no change tracking —
-/// the writer exercises the chunk-compare fallback — and durability is
-/// unsupported.
-impl IngestEngine for RecomputeCore {}
-
-impl IngestEngine for crate::faults::FlakyEngine {
-    fn enable_core_change_tracking(&mut self) -> bool {
-        // Tracking would observe the poisoned half-batch; the mirror's
-        // chunk-compare fallback is the robust path for a flaky engine.
-        false
-    }
-
-    fn persist_index(&mut self, out: &mut dyn io::Write) -> io::Result<()> {
-        self.persist_inner(out)
-    }
-
-    fn adopt_recovered(&mut self, rec: Recovered) -> bool {
-        self.replace_inner(rec.engine);
-        true
-    }
-}
 
 /// Submission failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,21 +253,20 @@ pub struct IngestConfig {
     /// explicit flush, shutdown only). The wall clock ignores it and
     /// flushes when the queue runs dry (see [`ClockMode::Wall`]).
     pub flush_interval_ns: u64,
-    /// Publish a snapshot every this many flushes (`1` = every batch;
-    /// explicit [`IngestService::flush`] always publishes).
-    pub publish_every_batches: usize,
     /// Time source and batching rule.
     pub clock: ClockMode,
     /// Journal/snapshot persistence; `None` runs in-memory only.
     pub durability: Option<DurabilityConfig>,
-    /// Planner configuration for engines spawned by the convenience
-    /// constructors ([`IngestService::spawn_planned`] and the recovery
-    /// path).
+    /// Planner configuration of the writer's engine: the one
+    /// [`IngestService::spawn_planned`] builds and the ones the writer's
+    /// self-healing `recover()` rebuilds. [`IngestService::spawn_recovered`]
+    /// keeps the configuration its `recover()` call was given.
     pub planner: PlannerConfig,
-    /// Maintenance parallelism for engines spawned by the convenience
-    /// constructors: component passes run on the shared worker team and
-    /// the planner prices the parallel strategies. `None` keeps the
-    /// writer strictly serial (the default).
+    /// Maintenance parallelism of the writer's engine: component passes
+    /// run on the shared worker team and the planner prices the parallel
+    /// strategies. [`IngestService::spawn_planned`] sets it, and a
+    /// self-healing rebuild keeps the engine's setting.
+    /// `None` keeps the writer strictly serial (the default).
     pub parallelism: Option<Parallelism>,
     /// Self-healing: rebuild a panicked engine through `recover()`
     /// (requires durability). `None` still catches the panic — the
@@ -400,7 +284,6 @@ impl Default for IngestConfig {
             queue_capacity: 1024,
             max_batch: 256,
             flush_interval_ns: 5_000_000, // 5 ms, scripted clock only
-            publish_every_batches: 1,
             clock: ClockMode::Wall,
             durability: None,
             planner: PlannerConfig::default(),
@@ -526,7 +409,8 @@ pub struct IngestReport {
     /// (`O(changed)`).
     pub tracked_drains: u64,
     /// Mirror syncs that fell back to the chunk-compare path (`O(n)`
-    /// compare, still `O(changed)` copy).
+    /// compare, still `O(changed)` copy): the resync after a recovery,
+    /// and flushes whose changes overflowed the engine's change log.
     pub full_syncs: u64,
     /// Engine panics caught by the supervisor.
     pub engine_panics: u64,
@@ -580,16 +464,16 @@ enum Msg {
 /// `&self`; lifecycle operations consume the handle. Dropping the handle
 /// shuts the writer down gracefully (flushing pending events and taking
 /// a final persisted snapshot when durability is on).
-pub struct IngestService<M: IngestEngine = PlannedCore> {
+pub struct IngestService {
     tx: SyncSender<Msg>,
     snapshots: SnapshotHandle,
     health: Arc<AtomicU8>,
     metrics: Option<MetricsRegistry>,
     spans: Option<SpanRecorder>,
-    writer: Option<JoinHandle<(IngestReport, M)>>,
+    writer: Option<JoinHandle<(IngestReport, PlannedCore)>>,
 }
 
-impl IngestService<PlannedCore> {
+impl IngestService {
     /// Spawns the default planner-driven service over `graph`.
     pub fn spawn_planned(graph: DynamicGraph, seed: u64, cfg: IngestConfig) -> io::Result<Self> {
         let mut engine = PlannedCore::with_config(graph, seed, cfg.planner.clone());
@@ -603,19 +487,21 @@ impl IngestService<PlannedCore> {
     pub fn spawn_recovered(rec: Recovered, cfg: IngestConfig) -> io::Result<Self> {
         Self::spawn_with_engine(rec.engine, rec.next_seq, cfg)
     }
-}
 
-impl<M: IngestEngine> IngestService<M> {
-    /// Spawns the writer thread over an arbitrary engine. `start_seq` is
-    /// the journal sequence to resume at (0 for a fresh stream).
-    pub fn spawn_with_engine(mut engine: M, start_seq: u64, cfg: IngestConfig) -> io::Result<Self> {
+    /// Spawns the writer thread over `engine`. `start_seq` is the journal
+    /// sequence to resume at (0 for a fresh stream).
+    fn spawn_with_engine(
+        mut engine: PlannedCore,
+        start_seq: u64,
+        cfg: IngestConfig,
+    ) -> io::Result<Self> {
         // Open the sink on the caller's thread so setup errors surface
         // synchronously instead of poisoning the writer.
         let sink = match &cfg.durability {
             Some(d) => {
                 let sink = JournalSink::open(
                     &d.journal_path,
-                    engine.graph_ref().num_vertices(),
+                    engine.graph().num_vertices(),
                     d.fsync,
                     &d.storage,
                 )?;
@@ -649,18 +535,22 @@ impl<M: IngestEngine> IngestService<M> {
             // service spawned over a non-empty base graph must persist
             // the base state once — otherwise a crash before the first
             // periodic snapshot would lose the base edges irrecoverably.
-            // Also the point where a non-persistable engine fails fast.
             if !d.snapshot_path.exists() {
                 let mut payload = Vec::new();
-                engine.persist_index(&mut payload)?;
+                engine.order().save(&mut payload)?;
                 persist_index_snapshot(d, start_seq, &payload)?;
             }
         }
         // Core-change tracking feeds the copy-on-write snapshot mirror
-        // in O(changed); engines without it (the recompute oracle) fall
-        // back to a chunk-compare sync per flush.
-        let tracking = engine.enable_core_change_tracking();
-        let mirror = CoreMirror::from_slice(engine.core_slice());
+        // in O(changed).
+        engine.enable_core_change_tracking();
+        let mirror = CoreMirror::from_slice(engine.cores());
+        // The fault suite's scripted engine panics; real storage scripts
+        // none.
+        let panic_flushes = cfg
+            .durability
+            .as_ref()
+            .map_or_else(Vec::new, |d| d.storage.engine_panics().to_vec());
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
         let health = Arc::new(AtomicU8::new(ServiceHealth::Healthy as u8));
         let report = IngestReport::default();
@@ -685,7 +575,6 @@ impl<M: IngestEngine> IngestService<M> {
             checkpoint: None,
             subscribers: Vec::new(),
             mirror,
-            tracking,
             change_buf: Vec::new(),
             health: health.clone(),
             unshipped: Vec::new(),
@@ -694,6 +583,7 @@ impl<M: IngestEngine> IngestService<M> {
             recovery_attempts: 0,
             recovery_due_ns: 0,
             degraded_flushes_left: 0,
+            panic_flushes,
             obs,
             report,
         };
@@ -861,7 +751,7 @@ impl<M: IngestEngine> IngestService<M> {
     /// Graceful shutdown: drains the queue, flushes the pending batch,
     /// persists a final index snapshot (durability on), and returns the
     /// report plus the engine for inspection.
-    pub fn shutdown(mut self) -> (IngestReport, M) {
+    pub fn shutdown(mut self) -> (IngestReport, PlannedCore) {
         let _ = self.tx.send(Msg::Shutdown { graceful: true });
         self.writer
             .take()
@@ -884,7 +774,7 @@ impl<M: IngestEngine> IngestService<M> {
     }
 }
 
-impl<M: IngestEngine> Drop for IngestService<M> {
+impl Drop for IngestService {
     fn drop(&mut self) {
         if let Some(h) = self.writer.take() {
             let _ = self.tx.send(Msg::Shutdown { graceful: true });
@@ -1081,8 +971,8 @@ struct MirrorSync {
 /// its wall-clock duration in ns.
 type CheckpointWrite = JoinHandle<(io::Result<()>, u64)>;
 
-struct Writer<M: IngestEngine> {
-    engine: M,
+struct Writer {
+    engine: PlannedCore,
     cfg: IngestConfig,
     sink: Option<JournalSink>,
     pending: Vec<GraphEvent>,
@@ -1108,8 +998,6 @@ struct Writer<M: IngestEngine> {
     /// Copy-on-write mirror of the engine's cores + incremental
     /// histogram — what snapshots are composed from, in O(changed).
     mirror: CoreMirror,
-    /// Whether the engine records core changes for us.
-    tracking: bool,
     /// Reused drain buffer (no steady-state allocation per flush).
     change_buf: Vec<VertexId>,
     /// Shared with [`IngestService::health`].
@@ -1129,12 +1017,16 @@ struct Writer<M: IngestEngine> {
     recovery_due_ns: u64,
     /// Clean flushes left before `Degraded` clears to `Healthy`.
     degraded_flushes_left: u32,
+    /// Flushes (0-based, panicked ones included) scripted to panic
+    /// mid-batch by [`crate::faults::FaultPlan::panic_at_flush`]; empty
+    /// outside the fault suite.
+    panic_flushes: Vec<u64>,
     /// Cached metric handles + span ring (None = observability off).
     obs: Option<WriterObs>,
     report: IngestReport,
 }
 
-impl<M: IngestEngine> Writer<M> {
+impl Writer {
     fn now(&self) -> u64 {
         match self.cfg.clock {
             ClockMode::Wall => self.origin.elapsed().as_nanos() as u64,
@@ -1181,9 +1073,7 @@ impl<M: IngestEngine> Writer<M> {
         let Some(o) = self.obs.as_mut() else {
             return;
         };
-        if let Some(ps) = self.engine.planner_stats() {
-            o.planner.observe(ps);
-        }
+        o.planner.observe(self.engine.planner_stats());
         let ts = kcore_decomp::team::stats();
         o.team_jobs.set(ts.jobs as f64);
         o.team_tasks.set(ts.tasks as f64);
@@ -1220,7 +1110,7 @@ impl<M: IngestEngine> Writer<M> {
     /// Cuts a snapshot from the mirror: O(chunks) `Arc` clones for the
     /// cores plus the O(levels) histogram — never an O(n) copy.
     fn compose_snapshot(&self) -> CoreSnapshot {
-        let graph = self.engine.graph_ref();
+        let graph = self.engine.graph();
         CoreSnapshot {
             epoch: self.epoch,
             ops: self.ops,
@@ -1234,25 +1124,26 @@ impl<M: IngestEngine> Writer<M> {
     }
 
     /// Brings the mirror up to date with the engine after a flush —
-    /// `O(changed)` via the drained change set when tracking is on, or
-    /// the chunk-compare fallback (O(n) compare, O(changed) copy, and
-    /// untouched chunks keep their snapshot-shared allocation). Returns
-    /// the stage breakdown for the flush trace.
+    /// `O(changed)` via the drained change set, or, when the engine's
+    /// change log was overwhelmed, the chunk-compare fallback (O(n)
+    /// compare, O(changed) copy, and untouched chunks keep their
+    /// snapshot-shared allocation). Returns the stage breakdown for the
+    /// flush trace.
     fn sync_mirror(&mut self) -> MirrorSync {
-        let n = self.engine.graph_ref().num_vertices();
+        let n = self.engine.graph().num_vertices();
         if n > self.mirror.len() {
             self.mirror.grow(n);
         }
         let drain_start = self.now();
         let mut buf = std::mem::take(&mut self.change_buf);
         buf.clear();
-        let tracked = self.tracking && self.engine.drain_core_changes(&mut buf);
+        let tracked = self.engine.drain_core_changes(&mut buf);
         let drain_end = self.now();
         let drained = buf.len() as u64;
         let mut copied = 0u64;
         if tracked {
             self.report.tracked_drains += 1;
-            let cores = self.engine.core_slice();
+            let cores = self.engine.cores();
             for &v in &buf {
                 if self.mirror.apply(v, cores[v as usize]) {
                     copied += 1;
@@ -1260,13 +1151,13 @@ impl<M: IngestEngine> Writer<M> {
             }
         } else {
             self.report.full_syncs += 1;
-            let (_, c) = self.mirror.sync_full(self.engine.core_slice());
+            let (_, c) = self.mirror.sync_full(self.engine.cores());
             copied += c as u64;
         }
         self.change_buf = buf;
         self.report.chunks_copied += copied;
         debug_assert!(
-            self.mirror.snapshot_cores().to_vec() == self.engine.core_slice(),
+            self.mirror.snapshot_cores().to_vec() == self.engine.cores(),
             "mirror diverged from the engine"
         );
         MirrorSync {
@@ -1377,14 +1268,12 @@ impl<M: IngestEngine> Writer<M> {
                 let next = rec.next_seq;
                 let rung = rec.report.rung_metric();
                 let recovery_elapsed = rec.report.elapsed_ns;
-                if !self.engine.adopt_recovered(rec) {
-                    self.report.recovery_failures += 1;
-                    if let Some(o) = &self.obs {
-                        o.recovery_failures.inc();
-                    }
-                    self.fail();
-                    return;
-                }
+                // Recovery rebuilds the engine from journal + snapshot,
+                // which know nothing about its parallelism — re-apply it
+                // so a self-healed writer keeps its worker team.
+                let par = self.engine.parallelism();
+                self.engine = rec.engine;
+                self.engine.set_parallelism(par);
                 self.ops = next;
                 self.unshipped.clear();
                 self.sync_pending = false;
@@ -1393,7 +1282,7 @@ impl<M: IngestEngine> Writer<M> {
                 // The journal was repaired by recover(); a fresh sink
                 // must agree with the recovered seq or something is
                 // still wrong on disk.
-                let n = self.engine.graph_ref().num_vertices();
+                let n = self.engine.graph().num_vertices();
                 match JournalSink::open(&d.journal_path, n, d.fsync, &d.storage) {
                     Ok(sink) if sink.existing() == next => self.sink = Some(sink),
                     _ => {
@@ -1405,15 +1294,13 @@ impl<M: IngestEngine> Writer<M> {
                         return;
                     }
                 }
-                // Re-arm tracking and the mirror on the rebuilt engine.
-                self.tracking = self.engine.enable_core_change_tracking();
-                self.change_buf.clear();
-                let _ = self.engine.drain_core_changes(&mut self.change_buf);
-                self.change_buf.clear();
+                // Arm tracking on the rebuilt engine and resync the
+                // mirror against it in full.
+                self.engine.enable_core_change_tracking();
                 if n > self.mirror.len() {
                     self.mirror.grow(n);
                 }
-                let (_, copied) = self.mirror.sync_full(self.engine.core_slice());
+                let (_, copied) = self.mirror.sync_full(self.engine.cores());
                 self.report.chunks_copied += copied as u64;
                 self.report.full_syncs += 1;
                 self.publish(handle);
@@ -1448,7 +1335,7 @@ impl<M: IngestEngine> Writer<M> {
     }
 
     /// Applies the pending micro-batch under `catch_unwind`, journals its
-    /// events, and publishes per the cadence. The engine's batch entry
+    /// events, and publishes a snapshot. The engine's batch entry
     /// points see maximal same-kind runs (a micro-batch is at most
     /// `max_batch` events, so `replay_batched` groups each run into one
     /// call).
@@ -1473,12 +1360,30 @@ impl<M: IngestEngine> Writer<M> {
         let t0 = self.now();
         self.idle_flush_at_ns = t0.saturating_add(MIN_IDLE_FLUSH_GAP_NS);
         let batch_len = self.pending.len() as u64;
+        // A scripted engine fault applies the first half of the batch,
+        // then panics: the poisoned engine is ahead of the journal.
+        let attempt = self.report.batches + self.report.engine_panics;
+        let scripted_panic = self
+            .panic_flushes
+            .iter()
+            .position(|&n| n == attempt)
+            .map(|at| self.panic_flushes.swap_remove(at))
+            .is_some();
+        let apply_len = if scripted_panic {
+            self.pending.len() / 2
+        } else {
+            self.pending.len()
+        };
         let applied = catch_unwind(AssertUnwindSafe(|| {
-            replay_batched(
+            let stats = replay_batched(
                 &mut self.engine,
-                self.pending.iter().copied(),
+                self.pending[..apply_len].iter().copied(),
                 self.cfg.max_batch.max(1),
-            )
+            );
+            if scripted_panic {
+                panic!("scripted engine fault at flush {attempt}");
+            }
+            stats
         }));
         let stats = match applied {
             Ok(stats) => stats,
@@ -1522,33 +1427,21 @@ impl<M: IngestEngine> Writer<M> {
         let shipped = self.ship_owed();
         let ship_end = self.now();
 
-        // Snapshot maintenance: sync the mirror every flush (the change
-        // log must be drained even on non-publishing batches) and
-        // publish per the cadence. Timed on the wall clock even in
-        // scripted mode — publish cost is a real-machine metric, and
-        // reading `Instant` does not perturb scripted determinism.
+        // Snapshot maintenance: sync the mirror and publish. Timed on the
+        // wall clock even in scripted mode — publish cost is a
+        // real-machine metric, and reading `Instant` does not perturb
+        // scripted determinism.
         let p0 = Instant::now();
         let sync = self.sync_mirror();
         let sync_end = self.now();
-        let ops_at_last_publish = self.published_ops;
-        let published = self
-            .report
-            .batches
-            .is_multiple_of(self.cfg.publish_every_batches.max(1) as u64);
-        if published {
-            self.publish(handle);
-        }
+        let published_items = self.ops.saturating_sub(self.published_ops);
+        self.publish(handle);
         let publish_ns = p0.elapsed().as_nanos() as u64;
         self.report.publish.record(publish_ns);
 
         if let Some(o) = &self.obs {
             o.batches.inc();
             let pub_end = self.now();
-            let published_items = if published {
-                self.ops.saturating_sub(ops_at_last_publish)
-            } else {
-                0
-            };
             // Stage breakdown, recorded in pipeline order: the oldest
             // event's wait in the micro-batcher, engine apply,
             // core-change drain, journal append/ship, mirror sync, COW
@@ -1633,7 +1526,9 @@ impl<M: IngestEngine> Writer<M> {
         self.events_since_persist = 0;
         let s0 = Instant::now();
         let mut payload: Vec<u8> = Vec::new();
-        if self.engine.persist_index(&mut payload).is_err() {
+        // `order()` refreshes a deferred k-order first, so the persisted
+        // form always round-trips through `OrderCore::load` validation.
+        if self.engine.order().save(&mut payload).is_err() {
             self.checkpoint_failed();
             return;
         }
@@ -1705,7 +1600,7 @@ impl<M: IngestEngine> Writer<M> {
         self.cfg.queue_capacity.max(self.cfg.max_batch).max(1) * RECOVERING_BUFFER_FACTOR
     }
 
-    fn run(mut self, rx: Receiver<Msg>, handle: SnapshotHandle) -> (IngestReport, M) {
+    fn run(mut self, rx: Receiver<Msg>, handle: SnapshotHandle) -> (IngestReport, PlannedCore) {
         let wall = self.cfg.clock == ClockMode::Wall;
         // Wall clock: set by every message (and every recovery wake-up),
         // cleared by the flush it triggers once the queue is empty and

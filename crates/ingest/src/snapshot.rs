@@ -128,7 +128,7 @@ impl SnapshotHandle {
     /// re-checks the version: unchanged means the clone is the latest
     /// publication. A concurrent publish directs the *next* load at the
     /// other slot, so the retry loop terminates immediately in practice
-    /// ([`LOAD_RETRY_CAP`] bounds the adversarial case; the fallback
+    /// (`LOAD_RETRY_CAP` bounds the adversarial case; the fallback
     /// return is a consistent, at-most-one-epoch-old snapshot, and
     /// epochs observed by any single reader are still monotone — a slot
     /// only ever holds snapshots at least as new as the version that

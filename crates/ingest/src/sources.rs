@@ -8,8 +8,8 @@ use kcore_maint::journal::GraphEvent;
 
 /// Replays `events` onto a clone of `base` with the engines' batch skip
 /// semantics (self-loop, out-of-range endpoint, duplicate insert,
-/// missing removal → skipped). This is the *model* of what any
-/// [`crate::IngestEngine`] ends up holding after ingesting the stream —
+/// missing removal → skipped). This is the *model* of what the ingest
+/// writer's engine ends up holding after ingesting the stream —
 /// the single definition the equivalence tests and the bench oracle
 /// share, so the skip rules cannot drift between them.
 pub fn apply_events(base: &DynamicGraph, events: &[GraphEvent]) -> DynamicGraph {

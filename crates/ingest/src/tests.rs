@@ -5,14 +5,14 @@
 
 use crate::durability::{recover, DurabilityConfig};
 use crate::service::{
-    ClockMode, IngestConfig, IngestEngine, IngestError, IngestService, ServiceHealth,
+    ClockMode, IngestConfig, IngestError, IngestService, RecoveryPolicy, ServiceHealth,
 };
 use crate::sources::{apply_events, churn_events, window_event};
 use crate::GraphEvent;
 use kcore_decomp::{core_decomposition, Parallelism};
 use kcore_gen::{barabasi_albert, churn_stream, timestamp_edges, SlidingWindow};
 use kcore_graph::DynamicGraph;
-use kcore_maint::{PlannerConfig, RecomputeCore};
+use kcore_maint::PlannerConfig;
 use std::path::PathBuf;
 
 fn path_graph(n: usize) -> DynamicGraph {
@@ -235,41 +235,6 @@ fn sliding_window_stream_drains_to_empty() {
     assert_eq!(report.update_stats.skipped, 0);
     assert_eq!(engine.graph().num_edges(), 0, "window fully expired");
     assert!(engine.cores().iter().all(|&c| c == 0));
-}
-
-#[test]
-fn recompute_engine_runs_the_generic_service() {
-    // CoreMaintainer-generic: the oracle engine through the same loop.
-    let base = path_graph(6);
-    let svc = IngestService::spawn_with_engine(
-        RecomputeCore::new(base.clone()),
-        0,
-        IngestConfig::scripted().max_batch(2),
-    )
-    .unwrap();
-    let events = [
-        GraphEvent::EdgeInserted(0, 5),
-        GraphEvent::EdgeInserted(1, 4),
-        GraphEvent::EdgeRemoved(2, 3),
-    ];
-    for &e in &events {
-        svc.submit(e).unwrap();
-    }
-    let snap = svc.flush().unwrap();
-    assert_eq!(
-        snap.cores.to_vec(),
-        core_decomposition(&apply_events(&path_graph(6), &events))
-    );
-    // No change tracking on this engine: the mirror syncs via the
-    // chunk-compare fallback, and the histogram still ships consistent.
-    assert_eq!(snap.histogram.iter().sum::<usize>(), 6);
-    let (report, engine) = svc.shutdown();
-    assert_eq!(report.tracked_drains, 0, "oracle engine has no tracking");
-    assert!(report.full_syncs > 0, "fallback sync path must have run");
-    // No persistent index form on this engine.
-    let mut sinkhole = Vec::new();
-    let mut engine = engine;
-    assert!(engine.persist_index(&mut sinkhole).is_err());
 }
 
 #[test]
@@ -520,8 +485,14 @@ fn parallel_writer_matches_serial_writer_bit_identically() {
 
 #[test]
 fn recovery_preserves_writer_parallelism() {
+    use crate::faults::FaultPlan;
+    // The 4th flush panics mid-batch; the self-healing rebuild replaces
+    // the engine wholesale, and the writer's parallelism (worker team +
+    // planner threads) must survive it.
     let dir = tmpdir("par-recovery");
-    let d = DurabilityConfig::in_dir(&dir).snapshot_every(2);
+    let d = DurabilityConfig::in_dir(&dir)
+        .snapshot_every(2)
+        .with_faults(FaultPlan::new().panic_at_flush(3));
     let base = barabasi_albert(40, 3, 5);
     let par = Parallelism::exact(2).with_cutoff(0);
     let svc = IngestService::spawn_planned(
@@ -529,8 +500,9 @@ fn recovery_preserves_writer_parallelism() {
         5,
         IngestConfig::scripted()
             .max_batch(8)
-            .durable(d.clone())
-            .parallel(par),
+            .durable(d)
+            .parallel(par)
+            .self_healing(RecoveryPolicy::default()),
     )
     .unwrap();
     for b in churn_stream(&base, 4, 8, 4, 9) {
@@ -539,15 +511,20 @@ fn recovery_preserves_writer_parallelism() {
         }
         svc.flush().unwrap();
     }
-    let (_, mut engine) = svc.shutdown();
-    // adopt_recovered replaces the engine wholesale; the wrapper-local
-    // parallelism (worker team + planner threads) must survive it.
-    let rec = recover(&d, 99, PlannerConfig::default(), 16).unwrap();
-    let expected = rec.engine.cores().to_vec();
-    assert!(IngestEngine::adopt_recovered(&mut engine, rec));
+    let (report, mut engine) = svc.shutdown();
+    assert_eq!((report.engine_panics, report.recoveries), (1, 1));
     assert_eq!(engine.parallelism(), Some(par));
     assert_eq!(engine.planner().threads(), 2);
-    assert_eq!(engine.cores(), &expected[..]);
+    let rec = recover(
+        &DurabilityConfig::in_dir(&dir),
+        99,
+        PlannerConfig::default(),
+        16,
+    )
+    .unwrap();
+    assert_eq!(engine.cores(), rec.engine.cores());
+    assert_eq!(engine.cores(), &core_decomposition(engine.graph())[..]);
+    engine.validate();
 }
 
 #[test]

@@ -16,10 +16,10 @@ use kcore_decomp::core_decomposition;
 use kcore_graph::DynamicGraph;
 use kcore_ingest::sources::{apply_events, churn_events};
 use kcore_ingest::{
-    recover, DurabilityConfig, FaultKind, FaultPlan, FlakyEngine, GraphEvent, IngestConfig,
-    IngestService, OpClass, RecoveryPolicy, RetryBudget, ServiceHealth, StorageHandle,
+    recover, DurabilityConfig, FaultKind, FaultPlan, GraphEvent, IngestConfig, IngestService,
+    OpClass, RecoveryPolicy, RetryBudget, ServiceHealth, StorageHandle,
 };
-use kcore_maint::{PlannedCore, PlannerConfig};
+use kcore_maint::PlannerConfig;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -166,14 +166,10 @@ fn heal_oracle(events: &[GraphEvent], skip: std::ops::Range<usize>) -> Vec<u32> 
 fn fault_supervised_writer_self_heals_after_engine_panic() {
     let dir = tmpdir("self_heal");
     let events = heal_events();
-    let inner =
-        PlannedCore::with_config(DynamicGraph::with_vertices(12), 9, PlannerConfig::default());
-    // Third batch entry point (0-based index 2) panics mid-batch.
-    let engine = FlakyEngine::new(inner, &[2]);
-    let probe = engine.probe();
+    // The third flush (0-based index 2) panics mid-batch.
     let cfg = IngestConfig::scripted()
         .max_batch(4)
-        .durable(DurabilityConfig::in_dir(&dir))
+        .durable(DurabilityConfig::in_dir(&dir).with_faults(FaultPlan::new().panic_at_flush(2)))
         .self_healing(RecoveryPolicy {
             max_attempts: 3,
             backoff_base_ns: 100,
@@ -182,7 +178,7 @@ fn fault_supervised_writer_self_heals_after_engine_panic() {
             replay_batch: 4,
             healthy_after: 1,
         });
-    let svc = IngestService::spawn_with_engine(engine, 0, cfg).unwrap();
+    let svc = IngestService::spawn_planned(DynamicGraph::with_vertices(12), 9, cfg).unwrap();
     let snaps = svc.subscribe().unwrap();
 
     // Two clean flushes, then the poisoned one: the panic is caught, the
@@ -211,7 +207,8 @@ fn fault_supervised_writer_self_heals_after_engine_panic() {
     }
     let s4 = snaps.recv().unwrap();
     assert_eq!((s4.epoch, s4.ops), (4, 12));
-    svc.flush().unwrap();
+    let last = svc.flush().unwrap();
+    assert_eq!(last.cores.to_vec(), heal_oracle(&events, 8..12));
     assert_eq!(
         svc.health(),
         ServiceHealth::Healthy,
@@ -253,9 +250,14 @@ fn fault_supervised_writer_self_heals_after_engine_panic() {
     assert_eq!(report.events_lost, 4);
     assert_eq!(report.events, 16);
     assert_eq!(report.final_health, ServiceHealth::Healthy);
-    assert_eq!(probe.batches(), 4);
-    assert_eq!(probe.panics_left(), 0);
-    assert_eq!(engine.inner().cores(), &heal_oracle(&events, 8..12)[..]);
+    // Four flushes reached the engine: three applied, one panicked.
+    assert_eq!(report.batches, 3);
+    // The mirror resynced against the rebuilt engine by chunk compare.
+    assert!(
+        report.full_syncs >= 1,
+        "recovery must resync the mirror in full"
+    );
+    assert_eq!(engine.cores(), &heal_oracle(&events, 8..12)[..]);
 
     // And the journal survives a *subsequent* plain recovery: the
     // self-heal left durable state consistent, not just in-memory state.
@@ -279,14 +281,13 @@ fn fault_recovery_backoff_is_scripted_and_bounded() {
     let events = heal_events();
     // Read op 0 is the spawn-time sink open; ops 1 and 2 are the journal
     // reads of recovery attempts 1 and 2 — both fail, attempt 3 is clean.
+    // The second flush panics.
     let storage = StorageHandle::faulty(
         FaultPlan::new()
             .fault(OpClass::Read, 1, FaultKind::IoError)
-            .fault(OpClass::Read, 2, FaultKind::IoError),
+            .fault(OpClass::Read, 2, FaultKind::IoError)
+            .panic_at_flush(1),
     );
-    let inner =
-        PlannedCore::with_config(DynamicGraph::with_vertices(12), 9, PlannerConfig::default());
-    let engine = FlakyEngine::new(inner, &[1]); // second batch panics
     let cfg = IngestConfig::scripted()
         .max_batch(4)
         .durable(DurabilityConfig::in_dir(&dir).with_storage(storage.clone()))
@@ -298,7 +299,7 @@ fn fault_recovery_backoff_is_scripted_and_bounded() {
             replay_batch: 4,
             healthy_after: 1,
         });
-    let svc = IngestService::spawn_with_engine(engine, 0, cfg).unwrap();
+    let svc = IngestService::spawn_planned(DynamicGraph::with_vertices(12), 9, cfg).unwrap();
 
     // Flush 1 clean; flush 2 panics at scripted t=0. Attempt 1 fires
     // immediately and fails (faulted read) → next attempt due at t=1000.
@@ -343,10 +344,7 @@ fn fault_recovery_backoff_is_scripted_and_bounded() {
     assert_eq!(report.recovery_failures, 0);
     assert_eq!(report.events_lost, 4);
     assert_eq!(report.final_health, ServiceHealth::Healthy);
-    assert_eq!(
-        engine.inner().cores(),
-        &heal_oracle(&events[..12], 4..8)[..]
-    );
+    assert_eq!(engine.cores(), &heal_oracle(&events[..12], 4..8)[..]);
 }
 
 #[test]

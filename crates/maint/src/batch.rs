@@ -70,7 +70,7 @@ impl<S: OrderSeq> OrderCore<S> {
     /// [`OrderCore::insert_edges`] with explicit [`BatchOptions`]. With
     /// `split_components` set, each dirty level's seed pool is first
     /// partitioned by connected component of the level-induced subgraph
-    /// ([`OrderCore::split_level_seeds`]) and one promotion pass runs per
+    /// (`OrderCore::split_level_seeds`) and one promotion pass runs per
     /// component; per-pass [`UpdateStats`] counters are merged exactly,
     /// so every total except `passes` (which then counts component
     /// passes) is identical to the merged-pass configuration.

@@ -7,7 +7,7 @@
 //! are not connected inside the level-`k` induced subgraph therefore
 //! drive passes over **disjoint** state — independent units of work.
 //!
-//! [`OrderCore::split_level_seeds`] discovers that independence with a
+//! `OrderCore::split_level_seeds` discovers that independence with a
 //! union-find over the seed-touched subgraph (path-compressed, grown
 //! lazily from a BFS that never leaves level `k`), and the
 //! `*_edges_with` batch entry points run one pass per component,
@@ -16,11 +16,12 @@
 //! whatever order — or worker — executes the component passes).
 //!
 //! With a [`BatchOptions::parallelism`] knob set, the component passes
-//! run **thread-parallel** through the plan/apply machinery of
-//! [`crate::par_pass`]: every component's pass is *planned* read-only on
-//! the shared `kcore-decomp` worker team, then the plans are *applied*
-//! serially in deterministic component order — bit-identical to the
-//! serial loop (the equivalence proptests pin this at 1/2/4 threads).
+//! run **thread-parallel** through the plan/apply machinery of the
+//! crate's `par_pass` module: every component's pass is *planned*
+//! read-only on the shared `kcore-decomp` worker team, then the plans
+//! are *applied* serially in deterministic component order —
+//! bit-identical to the serial loop (the equivalence proptests pin this
+//! at 1/2/4 threads).
 //! Without the knob the passes execute sequentially on the calling
 //! thread, exactly as before.
 

@@ -218,7 +218,8 @@ impl<M: CoreMaintainer> Journaled<M> {
     }
 
     /// Inserts a batch through the engine's batch entry point, journaling
-    /// every submitted edge (see [`Journaled::record_batch`]).
+    /// an event per submitted edge, with the batch's net core transitions
+    /// on the last one.
     pub fn insert_batch(&mut self, edges: &[(VertexId, VertexId)]) -> UpdateStats {
         let stats = self.engine.insert_batch(edges);
         self.record_batch(true, edges, &stats);
@@ -226,7 +227,8 @@ impl<M: CoreMaintainer> Journaled<M> {
     }
 
     /// Removes a batch through the engine's batch entry point, journaling
-    /// every submitted edge (see [`Journaled::record_batch`]).
+    /// an event per submitted edge, with the batch's net core transitions
+    /// on the last one.
     pub fn remove_batch(&mut self, edges: &[(VertexId, VertexId)]) -> UpdateStats {
         let stats = self.engine.remove_batch(edges);
         self.record_batch(false, edges, &stats);
@@ -237,22 +239,6 @@ impl<M: CoreMaintainer> Journaled<M> {
     /// input [`replay_batched`] consumes.
     pub fn events(&self) -> impl Iterator<Item = GraphEvent> + '_ {
         self.entries.iter().map(|e| e.event)
-    }
-
-    /// Vertices currently at or above core `k` that crossed the threshold
-    /// within the journaled window — e.g. "who joined the 10-core today".
-    pub fn threshold_crossings(&self, k: u32) -> Vec<(u64, VertexId, bool)> {
-        let mut out = Vec::new();
-        for e in &self.entries {
-            for &(v, old, new) in &e.transitions {
-                if old < k && new >= k {
-                    out.push((e.seq, v, true));
-                } else if old >= k && new < k {
-                    out.push((e.seq, v, false));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -373,19 +359,6 @@ mod tests {
         // joining the two 4-cliques changes no core number
         j.insert_edge(pg.v(6), pg.v(10)).unwrap();
         assert_eq!(j.entries()[0].transitions, Vec::new());
-    }
-
-    #[test]
-    fn threshold_crossings_detect_joins_and_leaves() {
-        let engine: OrderCore = OrderCore::new(fixtures::path(4), 1);
-        let mut j = Journaled::new(engine);
-        j.insert_edge(3, 0).unwrap(); // everyone joins the 2-core
-        j.remove_edge(0, 1).unwrap(); // everyone leaves it
-        let crossings = j.threshold_crossings(2);
-        let joins = crossings.iter().filter(|&&(_, _, up)| up).count();
-        let leaves = crossings.iter().filter(|&&(_, _, up)| !up).count();
-        assert_eq!(joins, 4);
-        assert_eq!(leaves, 4);
     }
 
     #[test]

@@ -278,7 +278,7 @@ pub mod prop {
 
         use crate::{Strategy, TestRng};
 
-        /// Inclusive size bounds for [`vec`].
+        /// Inclusive size bounds for [`vec()`].
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
             lo: usize,
