@@ -126,7 +126,6 @@ impl<S: OrderSeq> OrderCore<S> {
             let star_w = self.star(w, epoch);
             if star_w + self.deg_plus[wi] > k {
                 // Case-1: w is a potential candidate.
-                self.lists.remove(w);
                 self.vc_mark[wi] = epoch;
                 self.vc.push(w);
                 // Grant candidate degree to later same-core neighbours.
@@ -159,7 +158,6 @@ impl<S: OrderSeq> OrderCore<S> {
         }
         self.heap = heap;
 
-        // ---- ending phase ----
         // Surviving candidates are V*.
         let mut vstar = std::mem::take(&mut self.vstar);
         vstar.clear();
@@ -169,13 +167,35 @@ impl<S: OrderSeq> OrderCore<S> {
                 .copied()
                 .filter(|&w| self.vc_mark[w as usize] == epoch),
         );
+        let demotions = std::mem::take(&mut self.demotions);
+        self.finish_promote(k, epoch, &vstar, &demotions, stats);
+        self.demotions = demotions;
+        self.vstar = vstar;
+    }
+
+    /// `OrderInsert`'s ending phase, shared by [`OrderCore::promote_pass`]
+    /// and the parallel plan commit: raises `vstar` (in candidate order)
+    /// to level `k + 1` and repairs the k-order around it. `demotions`
+    /// lists the pass's Observation 6.1 repositionings as `(d, pred)`:
+    /// demoted `d` rejoined `O_K` right after `pred`. `epoch` is the
+    /// pass's epoch; `vc_mark == epoch` marks `V*` during the repair scan.
+    #[allow(clippy::needless_range_loop)]
+    pub(crate) fn finish_promote(
+        &mut self,
+        k: u32,
+        epoch: u32,
+        vstar: &[VertexId],
+        demotions: &[(VertexId, VertexId)],
+        stats: &mut UpdateStats,
+    ) {
         stats.changed += vstar.len();
-        self.change_log.record_slice(&vstar);
+        self.change_log.record_slice(vstar);
         self.level_counts[k as usize] -= vstar.len();
         self.level_counts[k as usize + 1] += vstar.len();
 
         for (i, &w) in vstar.iter().enumerate() {
             self.core[w as usize] = k + 1;
+            self.vc_mark[w as usize] = epoch;
             self.vc_pos[w as usize] = i as u32;
         }
 
@@ -219,22 +239,17 @@ impl<S: OrderSeq> OrderCore<S> {
         }
 
         // A_K repairs deferred from the pass: first the Observation 6.1
-        // repositionings (demoted vertices re-entered O_K out of their old
-        // positions), then the promotion moves into A_{K+1}.
-        for idx in 0..self.demotions.len() {
-            let (d, pred) = self.demotions[idx];
+        // repositionings, then the promotion moves into A_{K+1}.
+        for &(d, pred) in demotions {
             self.seqs[k as usize].remove(self.node[d as usize]);
             self.node[d as usize] = self.seqs[k as usize].insert_after(self.node[pred as usize], d);
         }
-        for &w in vstar.iter() {
+        for &w in vstar {
             self.seqs[k as usize].remove(self.node[w as usize]);
         }
         for &w in vstar.iter().rev() {
             self.node[w as usize] = self.seqs[k as usize + 1].insert_first(w);
-            self.lists.push_front(k + 1, w);
         }
-
-        self.vstar = vstar;
     }
 
     /// Algorithm 3: the frontier vertex `w` has just been ruled out of
@@ -270,7 +285,6 @@ impl<S: OrderSeq> OrderCore<S> {
             self.deg_plus[di] += star_d;
             self.star_add(d, epoch, -(star_d as i64));
             self.vc_mark[di] = 0;
-            self.lists.insert_after(k, cursor, d);
             self.demotions.push((d, cursor));
             cursor = d;
 

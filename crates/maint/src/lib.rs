@@ -4,10 +4,10 @@
 //!
 //! [`OrderCore`] owns a dynamic graph plus the *k-order index*:
 //!
-//! * per core value `k`, the sequence `O_k` as an intrusive doubly-linked
-//!   list and an order structure `A_k` (the `O(1)` label list by default,
-//!   the paper's treap for the ablation) answering `u ⪯ v` through a
-//!   monotone order key;
+//! * per core value `k`, an order structure `A_k` (the `O(1)` label list
+//!   by default, the paper's treap for the ablation) that holds the
+//!   sequence `O_k` itself — the only record of it — and answers `u ⪯ v`
+//!   through a monotone order key;
 //! * per vertex, `core`, `deg⁺` (remaining degree, Definition 5.2) and
 //!   `mcd` (needed by removals).
 //!

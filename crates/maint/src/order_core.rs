@@ -5,7 +5,7 @@ use kcore_decomp::{
     core_decomposition, korder_decomposition, korder_from_cores, Heuristic, KOrder,
 };
 use kcore_graph::{DynamicGraph, VertexId};
-use kcore_order::{MinRankHeap, OrderSeq, TagList, VertexLists, NONE};
+use kcore_order::{MinRankHeap, OrderSeq, TagList, NONE};
 
 /// Opt-in record of which vertices changed core number since the last
 /// drain — the `O(changed)` feed for copy-on-write snapshot publication
@@ -58,9 +58,8 @@ pub struct OrderCore<S: OrderSeq = TagList> {
     pub(crate) deg_plus: Vec<u32>,
     /// `mcd` — neighbours with `core >= own core` (removals need it).
     pub(crate) mcd: Vec<u32>,
-    /// `O_k` doubly-linked lists.
-    pub(crate) lists: VertexLists,
-    /// `A_k` order structures, one per core value.
+    /// `A_k`, one per core value: each holds the level's k-order
+    /// sequence `O_k` and answers order tests over it.
     pub(crate) seqs: Vec<S>,
     /// Handle of each vertex's node inside `seqs[core[v]]`.
     pub(crate) node: Vec<u32>,
@@ -117,7 +116,7 @@ impl<S: OrderSeq> std::fmt::Debug for OrderCore<S> {
 impl<S: OrderSeq> OrderCore<S> {
     /// Builds the index: a k-order via [`korder_decomposition`] (the
     /// paper's "small deg⁺ first" heuristic by default — pass another for
-    /// the Fig 9 study), then `O_k` lists, `A_k` structures, and `mcd`.
+    /// the Fig 9 study), then the `A_k` structures and `mcd`.
     pub fn with_heuristic(graph: DynamicGraph, heuristic: Heuristic, seed: u64) -> Self {
         let ko = korder_decomposition(&graph, heuristic, seed);
         Self::from_korder(graph, ko, seed)
@@ -136,7 +135,6 @@ impl<S: OrderSeq> OrderCore<S> {
             core: Vec::new(),
             deg_plus: Vec::new(),
             mcd,
-            lists: VertexLists::new(0, 0),
             seqs: Vec::new(),
             node: Vec::new(),
             seed,
@@ -165,8 +163,8 @@ impl<S: OrderSeq> OrderCore<S> {
     }
 
     /// Rebuilds the entire order index **in place** from a fresh
-    /// [`KOrder`] of the *current* graph: `O_k` lists, `A_k` structures,
-    /// node handles, `core`/`deg⁺`/`mcd`, and the per-level counts.
+    /// [`KOrder`] of the *current* graph: `A_k` structures, node handles,
+    /// `core`/`deg⁺`/`mcd`, and the per-level counts.
     /// Per-vertex scratch keeps its allocations — this is the recompute
     /// fallback's re-entry point into order-based maintenance, so it must
     /// leave the engine exactly as a fresh build would (asserted by
@@ -211,7 +209,6 @@ impl<S: OrderSeq> OrderCore<S> {
     fn install_korder(&mut self, ko: KOrder) {
         let n = self.graph.num_vertices();
         let max_k = ko.core.iter().copied().max().unwrap_or(0) as usize;
-        self.lists = VertexLists::new(n, max_k + 1);
         self.seqs = (0..=max_k as u64)
             .map(|k| S::with_seed(self.seed ^ (k.wrapping_mul(0x9E37_79B9_7F4A_7C15))))
             .collect();
@@ -221,7 +218,6 @@ impl<S: OrderSeq> OrderCore<S> {
         let mut prev = NONE;
         for &v in &ko.order {
             let k = ko.core[v as usize];
-            self.lists.push_back(k, v);
             // The order is grouped by level, so each level's structure is
             // filled by appending after the previous handle.
             let h = if k == cur_level {
@@ -323,13 +319,12 @@ impl<S: OrderSeq> OrderCore<S> {
         self.demotions.len()
     }
 
-    /// The `O_k` sequence as a `Vec` (diagnostics / tests).
+    /// The `O_k` sequence as a `Vec`, read from `A_k` (diagnostics /
+    /// tests).
     pub fn level_order(&self, k: u32) -> Vec<VertexId> {
-        if (k as usize) < self.lists.num_lists() {
-            self.lists.to_vec(k)
-        } else {
-            Vec::new()
-        }
+        self.seqs
+            .get(k as usize)
+            .map_or_else(Vec::new, |seq| seq.iter().collect())
     }
 
     /// `true` iff `u ⪯ v` in the global k-order.
@@ -347,10 +342,7 @@ impl<S: OrderSeq> OrderCore<S> {
         self.core.push(0);
         self.deg_plus.push(0);
         self.mcd.push(0);
-        self.lists.ensure_vertex(v);
-        self.lists.ensure_list(0);
         self.ensure_level(0);
-        self.lists.push_back(0, v);
         let h = self.seqs[0].insert_last(v);
         self.level_counts[0] += 1;
         self.node.push(h);
@@ -364,23 +356,8 @@ impl<S: OrderSeq> OrderCore<S> {
         v
     }
 
-    /// Removes an **isolated** vertex from the index. The id remains
-    /// allocated in the graph (ids are dense); attempting to remove a
-    /// vertex with incident edges returns `false`.
-    pub fn detach_isolated(&mut self, v: VertexId) -> bool {
-        if self.graph.degree(v) != 0 || self.lists.list_of(v) == NONE {
-            return false;
-        }
-        debug_assert_eq!(self.core[v as usize], 0);
-        self.lists.remove(v);
-        self.seqs[0].remove(self.node[v as usize]);
-        self.node[v as usize] = NONE;
-        true
-    }
-
-    /// Makes sure `seqs[k]`, list `k`, and the level-count slot exist.
+    /// Makes sure `seqs[k]` and the level-count slot exist.
     pub(crate) fn ensure_level(&mut self, k: u32) {
-        self.lists.ensure_list(k);
         while self.seqs.len() <= k as usize {
             let idx = self.seqs.len() as u64;
             self.seqs.push(S::with_seed(
@@ -471,39 +448,32 @@ impl<S: OrderSeq> OrderCore<S> {
 
     /// Cross-checks the entire index against from-scratch recomputations:
     /// core numbers, the Lemma 5.1 k-order invariant, `deg⁺` against the
-    /// list order, `mcd`, list/sequence agreement, and the node mapping.
+    /// `A_k` order, `mcd`, level membership, and the node mapping.
     /// Panics with a description on the first divergence (tests only).
     pub fn validate(&self) {
         use kcore_decomp::core_decomposition;
         let reference = core_decomposition(&self.graph);
         assert_eq!(self.core, reference, "core numbers diverged");
 
-        // Rebuild the global order from the per-level lists.
+        // Rebuild the global order from the per-level A_k walks.
         let n = self.graph.num_vertices();
         let mut pos = vec![u32::MAX; n];
         let mut counter = 0u32;
-        let max_level = self.lists.num_lists() as u32;
-        for k in 0..max_level {
-            let seq_vec = if (k as usize) < self.seqs.len() {
-                self.seqs[k as usize].validate();
-                self.seqs[k as usize].to_vec()
-            } else {
-                Vec::new()
-            };
-            let list_vec = self.lists.to_vec(k);
-            assert_eq!(seq_vec, list_vec, "A_{k} and O_{k} diverged");
-            for &v in &list_vec {
-                assert_eq!(self.core[v as usize], k, "vertex {v} on wrong level");
+        for (k, seq) in self.seqs.iter().enumerate() {
+            seq.validate();
+            for v in seq.iter() {
+                assert_eq!(self.core[v as usize], k as u32, "vertex {v} on wrong level");
                 assert_eq!(
-                    self.seqs[k as usize].payload(self.node[v as usize]),
+                    seq.payload(self.node[v as usize]),
                     v,
                     "node handle of {v} is stale"
                 );
+                assert_eq!(pos[v as usize], u32::MAX, "vertex {v} is in A_k twice");
                 pos[v as usize] = counter;
                 counter += 1;
             }
         }
-        assert_eq!(counter as usize, n, "some vertex is on no list");
+        assert_eq!(counter as usize, n, "some vertex is in no A_k");
 
         // deg+ definition + Lemma 5.1.
         for v in 0..n as VertexId {

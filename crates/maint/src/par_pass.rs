@@ -5,8 +5,8 @@
 //! vertex-disjoint, non-adjacent components, and the serial batch path
 //! already runs one promotion/dismissal pass per component. Those passes
 //! are independent *except* that they mutate the shared per-level order
-//! structures (`A_k`, `O_k`, the scratch arrays) — so this module splits
-//! each pass into two phases:
+//! structures (`A_k`, the scratch arrays) — so this module splits each
+//! pass into two phases:
 //!
 //! 1. **Plan** (`plan_promote` / `plan_dismiss`): a read-only replay of
 //!    the serial pass against `&OrderCore<S>`, with every mutation
@@ -17,9 +17,9 @@
 //!    `A_k` is *frozen during a pass* anyway (the serial engine's
 //!    standing invariant; order tests compare pass-start ranks).
 //! 2. **Apply** (`apply_promote_plan` / `apply_dismiss_plan`): commit
-//!    each plan **serially, in component order** — replay the recorded
-//!    `O_k` list operations, write the surviving `deg⁺` overlays, then
-//!    run the serial ending phase verbatim (fused `deg⁺`/`mcd` repair
+//!    each plan **serially, in component order** — write the surviving
+//!    `deg⁺` overlays, then run the ending phase the serial pass runs
+//!    (`finish_promote` / `finish_dismiss`: fused `deg⁺`/`mcd` repair
 //!    scan, `A_k` repairs, level counts, core-change log).
 //!
 //! ## Why this is bit-identical to the serial component loop
@@ -55,18 +55,6 @@ use crate::order_core::OrderCore;
 /// tests): below it, per-component planning overhead beats the win.
 pub(crate) const PAR_PASS_SEED_CUTOFF: usize = 32;
 
-/// One deferred `O_k` list mutation, replayed verbatim at apply time.
-/// The `InsertAfter` subsequence doubles as the demotion log for the
-/// Observation 6.1 `A_k` repositionings.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum PlanOp {
-    /// `lists.remove(w)` — a Case-1 candidate left `O_k`.
-    Remove(VertexId),
-    /// `lists.insert_after(k, pred, d)` — demoted `d` rejoined `O_k`
-    /// right after `pred`.
-    InsertAfter(VertexId, VertexId),
-}
-
 /// The outcome of a read-only promotion pass over one component.
 pub(crate) struct PromotePlan {
     /// Seed count (for `stats.merged_seeds`).
@@ -75,8 +63,9 @@ pub(crate) struct PromotePlan {
     pub(crate) visited: usize,
     /// Surviving candidates `V*`, in candidate (pass) order.
     pub(crate) vstar: Vec<VertexId>,
-    /// Ordered `O_k` mutations recorded during the pass.
-    pub(crate) ops: Vec<PlanOp>,
+    /// Observation 6.1 demotions `(d, pred)` in pass order, as the serial
+    /// pass records them in `OrderCore::demotions`.
+    pub(crate) demotions: Vec<(VertexId, VertexId)>,
     /// Final `deg⁺` of touched vertices that stayed at level `k`
     /// (demoted candidates and decremented bystanders), sorted by id.
     pub(crate) stayer_deg: Vec<(VertexId, u32)>,
@@ -107,7 +96,7 @@ struct PromoteOverlay {
     queued: FxHashSet<VertexId>,
     /// Candidates in pass order (`self.vc`), demoted ones included.
     vc: Vec<VertexId>,
-    ops: Vec<PlanOp>,
+    demotions: Vec<(VertexId, VertexId)>,
     visited: usize,
 }
 
@@ -165,7 +154,6 @@ impl<S: OrderSeq> OrderCore<S> {
             let star_w = ov.star(w);
             if star_w + ov.deg(self, w) > k {
                 // Case-1: w is a potential candidate.
-                ov.ops.push(PlanOp::Remove(w));
                 ov.vc_set.insert(w);
                 ov.vc.push(w);
                 let rank_w = self.order_key(w);
@@ -209,7 +197,7 @@ impl<S: OrderSeq> OrderCore<S> {
             seeds: seeds.len(),
             visited: ov.visited,
             vstar,
-            ops: ov.ops,
+            demotions: ov.demotions,
             stayer_deg,
         }
     }
@@ -237,7 +225,7 @@ impl<S: OrderSeq> OrderCore<S> {
             ov.deg_add(self, d, star_d as i64);
             ov.star_add(d, -(star_d as i64));
             ov.vc_set.remove(&d);
-            ov.ops.push(PlanOp::InsertAfter(cursor, d));
+            ov.demotions.push((d, cursor));
             cursor = d;
 
             let rank_d = self.order_key(d);
@@ -264,10 +252,8 @@ impl<S: OrderSeq> OrderCore<S> {
         }
     }
 
-    /// Commits a [`PromotePlan`]: replays the recorded `O_k` mutations
-    /// and stayer `deg⁺` values, then runs the serial ending phase of
-    /// [`OrderCore::promote_pass`] verbatim.
-    #[allow(clippy::needless_range_loop)]
+    /// Commits a [`PromotePlan`]: writes the stayer `deg⁺` values, then
+    /// runs the serial pass's ending phase, [`OrderCore::finish_promote`].
     pub(crate) fn apply_promote_plan(
         &mut self,
         plan: &PromotePlan,
@@ -278,75 +264,10 @@ impl<S: OrderSeq> OrderCore<S> {
         stats.merged_seeds += plan.seeds;
         stats.visited += plan.visited;
         let epoch = self.bump_epoch();
-
-        for op in &plan.ops {
-            match *op {
-                PlanOp::Remove(w) => self.lists.remove(w),
-                PlanOp::InsertAfter(pred, d) => self.lists.insert_after(k, pred, d),
-            }
-        }
         for &(v, d) in &plan.stayer_deg {
             self.deg_plus[v as usize] = d;
         }
-
-        // ---- ending phase (verbatim from the serial pass) ----
-        let vstar = &plan.vstar;
-        stats.changed += vstar.len();
-        self.change_log.record_slice(vstar);
-        self.level_counts[k as usize] -= vstar.len();
-        self.level_counts[k as usize + 1] += vstar.len();
-
-        for (i, &w) in vstar.iter().enumerate() {
-            self.core[w as usize] = k + 1;
-            self.vc_mark[w as usize] = epoch;
-            self.vc_pos[w as usize] = i as u32;
-        }
-
-        for idx in 0..vstar.len() {
-            let w = vstar[idx];
-            let mut dp = 0u32;
-            let mut m = 0u32;
-            for j in 0..self.graph.degree(w) {
-                let z = self.graph.neighbors(w)[j];
-                let zi = z as usize;
-                let cz = self.core[zi];
-                if cz > k {
-                    m += 1;
-                }
-                if cz > k + 1 {
-                    dp += 1;
-                } else if cz == k + 1 {
-                    if self.vc_mark[zi] == epoch {
-                        if (self.vc_pos[zi] as usize) > idx {
-                            dp += 1;
-                        }
-                    } else {
-                        dp += 1; // original O_{K+1} member: after all of V*
-                        self.mcd[zi] += 1;
-                        stats.refreshed += 1;
-                    }
-                }
-            }
-            self.deg_plus[w as usize] = dp;
-            self.mcd[w as usize] = m;
-            stats.refreshed += 1;
-        }
-
-        // A_K repairs: demotion repositionings, then the V* moves.
-        for op in &plan.ops {
-            if let PlanOp::InsertAfter(pred, d) = *op {
-                self.seqs[k as usize].remove(self.node[d as usize]);
-                self.node[d as usize] =
-                    self.seqs[k as usize].insert_after(self.node[pred as usize], d);
-            }
-        }
-        for &w in vstar.iter() {
-            self.seqs[k as usize].remove(self.node[w as usize]);
-        }
-        for &w in vstar.iter().rev() {
-            self.node[w as usize] = self.seqs[k as usize + 1].insert_first(w);
-            self.lists.push_front(k + 1, w);
-        }
+        self.finish_promote(k, epoch, &plan.vstar, &plan.demotions, stats);
     }
 
     /// Read-only mirror of [`OrderCore::dismiss_pass`]'s find phase
@@ -405,9 +326,8 @@ impl<S: OrderSeq> OrderCore<S> {
         }
     }
 
-    /// Commits a [`DismissPlan`]: writes the dismissals, then runs the
-    /// serial ending phase of [`OrderCore::dismiss_pass`] verbatim.
-    #[allow(clippy::needless_range_loop)]
+    /// Commits a [`DismissPlan`] through the serial pass's ending phase,
+    /// [`OrderCore::finish_dismiss`].
     pub(crate) fn apply_dismiss_plan(
         &mut self,
         plan: &DismissPlan,
@@ -415,54 +335,10 @@ impl<S: OrderSeq> OrderCore<S> {
         stats: &mut UpdateStats,
     ) {
         stats.passes += 1;
-        let epoch = self.bump_epoch();
         stats.merged_seeds += plan.merged_seeds;
         stats.visited += plan.visited;
-        let vstar = &plan.vstar;
-        stats.changed += vstar.len();
-        if vstar.is_empty() {
-            stats.noop += 1;
-            return;
-        }
-        self.change_log.record_slice(vstar);
-        self.level_counts[k as usize] -= vstar.len();
-        self.level_counts[k as usize - 1] += vstar.len();
-
-        for (i, &w) in vstar.iter().enumerate() {
-            self.core[w as usize] = k - 1;
-            self.queue_mark[w as usize] = epoch; // marks membership of V*
-            self.vc_pos[w as usize] = i as u32;
-        }
-        for idx in 0..vstar.len() {
-            let w = vstar[idx];
-            let wi = w as usize;
-            let mut dp = 0u32;
-            let mut m = 0u32;
-            for i in 0..self.graph.degree(w) {
-                let z = self.graph.neighbors(w)[i];
-                let zi = z as usize;
-                let cz = self.core[zi];
-                if cz >= k - 1 {
-                    m += 1;
-                }
-                if cz == k {
-                    self.mcd[zi] -= 1;
-                    if self.seqs[k as usize].precedes(self.node[zi], self.node[wi]) {
-                        self.deg_plus[zi] -= 1;
-                    }
-                    stats.refreshed += 1;
-                }
-                if cz >= k || (self.queue_mark[zi] == epoch && self.vc_pos[zi] as usize > idx) {
-                    dp += 1;
-                }
-            }
-            self.deg_plus[wi] = dp;
-            self.mcd[wi] = m;
-            self.lists.remove(w);
-            self.lists.push_back(k - 1, w);
-            self.seqs[k as usize].remove(self.node[wi]);
-            self.node[wi] = self.seqs[k as usize - 1].insert_last(w);
-        }
+        let epoch = self.bump_epoch();
+        self.finish_dismiss(k, epoch, &plan.vstar, stats);
     }
 
     /// Plans every component's promotion pass on the worker team, then

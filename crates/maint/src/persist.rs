@@ -83,9 +83,9 @@ impl<S: OrderSeq> OrderCore<S> {
                 }
             }
         }
-        // The global k-order O_0 O_1 O_2 ….
-        for k in 0..self.lists.num_lists() as u32 {
-            for v in self.lists.iter(k) {
+        // The global k-order O_0 O_1 O_2 …, walked out of the A_k.
+        for seq in &self.seqs {
+            for v in seq.iter() {
                 put(v);
             }
         }
@@ -105,7 +105,7 @@ impl<S: OrderSeq> OrderCore<S> {
     }
 
     /// Deserialises an index previously written by [`OrderCore::save`].
-    /// `A_k` and `O_k` are rebuilt from the stored k-order; the stored
+    /// Each level's `A_k` is rebuilt from the stored k-order; the stored
     /// arrays are structurally validated (checksum, permutation, core
     /// grouping, Lemma 5.1, `mcd` definition).
     pub fn load<R: Read>(mut input: R, seed: u64) -> Result<Self, PersistError> {
@@ -180,7 +180,7 @@ impl<S: OrderSeq> OrderCore<S> {
             return Err(PersistError::Corrupted("mcd mismatch"));
         }
 
-        // Rebuild lists / sequences / handles through the shared
+        // Rebuild the `A_k` and node handles through the shared
         // `KOrder` constructor (one place initialises every field of the
         // index, including the per-level counts and batch scratch).
         let ko = kcore_decomp::KOrder {
@@ -289,20 +289,51 @@ mod tests {
         bytes
     }
 
-    #[test]
-    fn one_pass_save_is_byte_identical_to_the_reference_encoding() {
+    /// `barabasi_albert(2000, 4, 17)` indexed with seed 5, after
+    /// `churn_stream(&base, 24, 96, 96, 31)`.
+    fn churned_ba<S: OrderSeq>() -> OrderCore<S> {
         use crate::CoreMaintainer;
         use kcore_gen::{barabasi_albert, churn_stream};
         let base = barabasi_albert(2000, 4, 17);
-        let mut oc: OrderCore = OrderCore::new(base.clone(), 5);
+        let mut oc: OrderCore<S> = OrderCore::new(base.clone(), 5);
         for b in churn_stream(&base, 24, 96, 96, 31) {
             oc.insert_batch(&b.inserts);
             oc.remove_batch(&b.removes);
         }
+        oc
+    }
+
+    /// Length and checksum trailer of [`churned_ba`]'s KORD file. The
+    /// reference encoder reads the same k-order walk as `save`, so these
+    /// pinned values are what ties both the encoding and the maintained
+    /// k-order to a fixed file.
+    const CHURNED_BA_KORD_LEN: usize = 95_944;
+    const CHURNED_BA_KORD_SUM: u64 = 0x6e06_a275_3d0f_36a4;
+
+    #[test]
+    fn one_pass_save_is_byte_identical_to_the_reference_encoding() {
+        let oc: OrderCore = churned_ba();
         let mut buf = Vec::new();
         oc.save(&mut buf).unwrap();
         assert_eq!(buf, reference_save(&oc));
         assert_eq!(roundtrip(&oc).cores(), oc.cores());
+    }
+
+    #[test]
+    fn churned_index_file_matches_its_pinned_digest() {
+        fn file_of<S: OrderSeq>() -> Vec<u8> {
+            let mut buf = Vec::new();
+            churned_ba::<S>().save(&mut buf).unwrap();
+            buf
+        }
+        for buf in [
+            file_of::<kcore_order::TagList>(),
+            file_of::<kcore_order::OrderTreap>(),
+        ] {
+            assert_eq!(buf.len(), CHURNED_BA_KORD_LEN);
+            let trailer = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
+            assert_eq!(trailer, CHURNED_BA_KORD_SUM, "checksum {trailer:#018x}");
+        }
     }
 
     #[test]

@@ -116,17 +116,33 @@ impl<S: OrderSeq> OrderCore<S> {
             }
         }
         stats.visited += touched;
+        self.finish_dismiss(k, epoch, &vstar, stats);
+        self.vstar = vstar;
+    }
+
+    /// `OrderRemoval`'s ending phase (Algorithm 4 lines 6–14), shared by
+    /// [`OrderCore::dismiss_pass`] and the parallel plan commit: drops
+    /// `vstar` (in dismissal order) to level `k − 1`, moves it to the end
+    /// of `O_{K−1}`, and repairs `deg⁺` and `mcd` around it in one fused
+    /// scan per dismissed vertex. `epoch` is the pass's epoch;
+    /// `queue_mark == epoch` marks `V*` during the scan.
+    #[allow(clippy::needless_range_loop)]
+    pub(crate) fn finish_dismiss(
+        &mut self,
+        k: u32,
+        epoch: u32,
+        vstar: &[VertexId],
+        stats: &mut UpdateStats,
+    ) {
         stats.changed += vstar.len();
         if vstar.is_empty() {
             stats.noop += 1;
-            self.vstar = vstar;
             return;
         }
-        self.change_log.record_slice(&vstar);
+        self.change_log.record_slice(vstar);
         self.level_counts[k as usize] -= vstar.len();
         self.level_counts[k as usize - 1] += vstar.len();
 
-        // ---- maintain the k-order (Algorithm 4 lines 6–14) ----
         // Process in dismissal order; vc_pos[w] = index lets the deg⁺
         // recomputation see which V* members are still "remaining". One
         // scan per dismissed vertex repairs the stayers' deg⁺ *and* mcd
@@ -134,6 +150,8 @@ impl<S: OrderSeq> OrderCore<S> {
         // and V* membership, both fixed before this loop, so fusing them
         // into the order-repair scan is safe.
         for (i, &w) in vstar.iter().enumerate() {
+            self.core[w as usize] = k - 1;
+            self.queue_mark[w as usize] = epoch;
             self.vc_pos[w as usize] = i as u32;
         }
         for idx in 0..vstar.len() {
@@ -169,12 +187,9 @@ impl<S: OrderSeq> OrderCore<S> {
             }
             self.deg_plus[wi] = dp;
             self.mcd[wi] = m;
-            // Move w: out of O_K, to the end of O_{K−1}.
-            self.lists.remove(w);
-            self.lists.push_back(k - 1, w);
+            // Move w: out of A_K, to the end of A_{K−1}.
             self.seqs[k as usize].remove(self.node[wi]);
             self.node[wi] = self.seqs[k as usize - 1].insert_last(w);
         }
-        self.vstar = vstar;
     }
 }

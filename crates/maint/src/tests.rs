@@ -197,8 +197,6 @@ fn vertex_addition_and_detachment() {
     oc.remove_edge(v, 0).unwrap();
     assert_eq!(oc.core(v), 0);
     oc.validate();
-    assert!(oc.detach_isolated(v));
-    assert!(!oc.detach_isolated(0)); // not isolated
 }
 
 #[test]

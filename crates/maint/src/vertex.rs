@@ -40,8 +40,8 @@ impl<S: OrderSeq> OrderCore<S> {
     }
 
     /// Removes every incident edge of `v` (the paper's "vertex removal as
-    /// an edge sequence") and detaches it from the order index. The id
-    /// remains allocated (ids are dense); its core number is 0 afterwards.
+    /// an edge sequence"). The vertex stays in the index as an isolated
+    /// vertex in `A_0` (ids are dense); its core number is 0 afterwards.
     pub fn remove_vertex(&mut self, v: VertexId) -> UpdateStats {
         let mut total = UpdateStats::default();
         while self.graph.degree(v) > 0 {
@@ -170,7 +170,6 @@ mod tests {
             assert_eq!(oc.core(v), 3);
         }
         oc.validate();
-        assert!(oc.detach_isolated(2));
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! # kcore-order
 //!
 //! Order-maintenance data structures backing the k-order of the paper
-//! (Section VI, "Implementation"):
+//! (Section VI, "Implementation"). The paper pairs each level's sequence
+//! `O_k` with a structure `A_k` that answers `u ⪯ v` over it; here `A_k`
+//! holds the sequence itself, so it is the one record of `O_k`, read back
+//! through [`OrderSeq::iter`].
 //!
 //! * [`tag::TagList`] — the engine's `A_k`: an **order-maintenance list**
 //!   with `u64` labels (Dietz–Sleator list labelling with Bender et al.'s
@@ -13,9 +16,6 @@
 //!   one-to-one vertex → node mapping is the handle itself). Raw pointers
 //!   from the C++ original are replaced with `u32` arena indices. Kept for
 //!   the ablation benchmark.
-//! * [`list::VertexLists`] — the paper's `O_k`: intrusive doubly-linked
-//!   lists over a dense vertex id space (`O(1)` insert/remove/traverse,
-//!   every vertex on at most one list).
 //! * [`heap::MinRankHeap`] — the paper's `B`: a binary min-heap of
 //!   `(rank, vertex)` pairs with lazy deletion, giving the `O(1)` "jump to
 //!   the next relevant vertex" step of `OrderInsert`.
@@ -24,13 +24,11 @@
 //! maintenance algorithms in `kcore-maint` can be instantiated with either.
 
 pub mod heap;
-pub mod list;
 pub mod seq;
 pub mod tag;
 pub mod treap;
 
 pub use heap::MinRankHeap;
-pub use list::VertexLists;
 pub use seq::OrderSeq;
 pub use tag::TagList;
 pub use treap::OrderTreap;

@@ -6,7 +6,8 @@
 use crate::{OrderTreap, TagList};
 
 /// A mutable sequence with stable `u32` handles supporting positional
-/// insertion, removal, order tests, and a monotone order key.
+/// insertion, removal, order tests, a monotone order key, and an
+/// in-order walk.
 ///
 /// The *order key* contract: while the sequence is **not mutated**, `a`
 /// precedes `b` iff `order_key(a) < order_key(b)`. Keys may be invalidated
@@ -53,8 +54,10 @@ pub trait OrderSeq: Send + Sync {
     /// Payload stored behind `at`.
     fn payload(&self, at: u32) -> u32;
 
-    /// In-order payload dump (diagnostics).
-    fn to_vec(&self) -> Vec<u32>;
+    /// In-order walk over the payloads. This is how the k-order is read
+    /// back out of `A_k`: persistence, order queries and validation all
+    /// go through it.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_;
 
     /// Validates internal invariants; panics on violation (tests only).
     fn validate(&self);
@@ -101,8 +104,8 @@ impl OrderSeq for OrderTreap {
         OrderTreap::payload(self, at)
     }
 
-    fn to_vec(&self) -> Vec<u32> {
-        OrderTreap::to_vec(self)
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        OrderTreap::iter(self)
     }
 
     fn validate(&self) {
@@ -154,8 +157,8 @@ impl OrderSeq for TagList {
         TagList::payload(self, at)
     }
 
-    fn to_vec(&self) -> Vec<u32> {
-        TagList::to_vec(self)
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        TagList::iter(self)
     }
 
     fn validate(&self) {
@@ -175,7 +178,7 @@ mod tests {
         let b = s.insert_after(a, 2);
         let z = s.insert_before(a, 0);
         s.validate();
-        assert_eq!(s.to_vec(), vec![0, 1, 2, 3]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert!(s.precedes(z, a) && s.precedes(a, b) && s.precedes(b, c));
         // order keys are monotone while unmutated
         assert!(s.order_key(z) < s.order_key(a));
@@ -184,7 +187,7 @@ mod tests {
         assert_eq!(s.payload(b), 2);
         assert_eq!(s.remove(a), 1);
         s.validate();
-        assert_eq!(s.to_vec(), vec![0, 2, 3]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 2, 3]);
         assert_eq!(s.len(), 3);
     }
 

@@ -258,15 +258,14 @@ impl TagList {
         }
     }
 
-    /// Front-to-back payload sequence (tests/diagnostics).
-    pub fn to_vec(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut cur = self.head;
-        while cur != NONE {
-            out.push(self.payloads[cur as usize]);
-            cur = self.next[cur as usize];
-        }
-        out
+    /// Front-to-back walk over the payloads.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let first = (self.head != NONE).then_some(self.head);
+        std::iter::successors(first, move |&x| {
+            let next = self.next[x as usize];
+            (next != NONE).then_some(next)
+        })
+        .map(move |x| self.payloads[x as usize])
     }
 
     /// Checks link symmetry and strictly increasing in-universe labels.
@@ -305,7 +304,7 @@ mod tests {
             l.insert_last(i);
         }
         l.check_invariants();
-        assert_eq!(l.to_vec(), (0..1000).collect::<Vec<_>>());
+        assert!(l.iter().eq(0..1000));
     }
 
     #[test]
@@ -334,7 +333,7 @@ mod tests {
         }
         l.check_invariants();
         assert!(l.relabel_count > 0, "dense front inserts must relabel");
-        assert_eq!(l.to_vec(), (0..5000).rev().collect::<Vec<_>>());
+        assert!(l.iter().eq((0..5000).rev()));
     }
 
     #[test]
@@ -347,7 +346,7 @@ mod tests {
         }
         l.check_invariants();
         assert!(l.relabel_count > 0, "dense tail inserts must relabel");
-        assert_eq!(l.to_vec(), (0..5000).collect::<Vec<_>>());
+        assert!(l.iter().eq(0..5000));
     }
 
     #[test]
@@ -363,7 +362,7 @@ mod tests {
         }
         l.check_invariants();
         assert!(l.relabel_count > 0, "an exhausted gap must relabel");
-        let v = l.to_vec();
+        let v = l.iter().collect::<Vec<_>>();
         assert_eq!(v[0], 0);
         assert_eq!(v[v.len() - 1], 1);
         assert_eq!(v[1], 2999);
@@ -389,12 +388,12 @@ mod tests {
         assert_eq!(l.remove(hs[9]), 9);
         assert_eq!(l.remove(hs[4]), 4);
         l.check_invariants();
-        assert_eq!(l.to_vec(), vec![1, 2, 3, 5, 6, 7, 8]);
+        assert_eq!(l.iter().collect::<Vec<_>>(), vec![1, 2, 3, 5, 6, 7, 8]);
         assert_eq!(l.len(), 7);
         let h = l.insert_after(hs[3], 40);
         assert_eq!(h, hs[4], "freed handles are reused");
         l.check_invariants();
-        assert_eq!(l.to_vec(), vec![1, 2, 3, 40, 5, 6, 7, 8]);
+        assert_eq!(l.iter().collect::<Vec<_>>(), vec![1, 2, 3, 40, 5, 6, 7, 8]);
     }
 
     #[test]
@@ -427,7 +426,7 @@ mod tests {
         }
         l.check_invariants();
         assert_eq!(
-            l.to_vec(),
+            l.iter().collect::<Vec<_>>(),
             model.iter().map(|&(_, p)| p).collect::<Vec<_>>()
         );
     }

@@ -344,22 +344,32 @@ impl OrderTreap {
         }
     }
 
-    /// In-order payload sequence (allocates; for tests and diagnostics).
-    pub fn to_vec(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.len);
-        // iterative in-order traversal
-        let mut stack = Vec::new();
-        let mut cur = self.root;
-        while cur != NONE || !stack.is_empty() {
-            while cur != NONE {
-                stack.push(cur);
-                cur = self.n(cur).left;
-            }
-            let node = stack.pop().unwrap();
-            out.push(self.n(node).payload);
-            cur = self.n(node).right;
+    /// In-order walk over the payloads. Steps from node to successor
+    /// through parent pointers, so it allocates nothing and costs `O(n)`
+    /// over the whole sequence.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let first = (self.root != NONE).then(|| self.leftmost(self.root));
+        std::iter::successors(first, move |&x| self.successor(x)).map(move |x| self.n(x).payload)
+    }
+
+    fn leftmost(&self, mut x: u32) -> u32 {
+        while self.n(x).left != NONE {
+            x = self.n(x).left;
         }
-        out
+        x
+    }
+
+    /// In-order successor of `x`, or `None` at the end.
+    fn successor(&self, mut x: u32) -> Option<u32> {
+        if self.n(x).right != NONE {
+            return Some(self.leftmost(self.n(x).right));
+        }
+        let mut p = self.n(x).parent;
+        while p != NONE && self.n(p).right == x {
+            x = p;
+            p = self.n(x).parent;
+        }
+        (p != NONE).then_some(p)
     }
 
     /// Verifies heap order, parent pointers, and subtree sizes; panics with
@@ -401,7 +411,7 @@ mod tests {
         let mut t = OrderTreap::new(42);
         let handles: Vec<u32> = (0..100).map(|i| t.insert_last(i)).collect();
         t.check_invariants();
-        assert_eq!(t.to_vec(), (0..100).collect::<Vec<_>>());
+        assert!(t.iter().eq(0..100));
         for (i, &h) in handles.iter().enumerate() {
             assert_eq!(t.rank(h), i + 1);
             assert_eq!(t.payload(h), i as u32);
@@ -415,7 +425,7 @@ mod tests {
             t.insert_first(i);
         }
         t.check_invariants();
-        assert_eq!(t.to_vec(), (0..50).rev().collect::<Vec<_>>());
+        assert!(t.iter().eq((0..50).rev()));
     }
 
     #[test]
@@ -426,7 +436,7 @@ mod tests {
         let b = t.insert_after(a, 20);
         let z = t.insert_before(a, 5);
         t.check_invariants();
-        assert_eq!(t.to_vec(), vec![5, 10, 20, 30]);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![5, 10, 20, 30]);
         assert!(t.precedes(z, a) && t.precedes(a, b) && t.precedes(b, c));
         assert!(!t.precedes(b, a));
         assert!(!t.precedes(a, a));
@@ -440,7 +450,7 @@ mod tests {
         assert_eq!(t.remove(hs[0]), 0);
         assert_eq!(t.remove(hs[9]), 9);
         t.check_invariants();
-        assert_eq!(t.to_vec(), vec![1, 2, 3, 4, 6, 7, 8]);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4, 6, 7, 8]);
         assert_eq!(t.len(), 7);
     }
 
@@ -454,7 +464,7 @@ mod tests {
         assert!(t.is_empty());
         t.check_invariants();
         let h = t.insert_first(99);
-        assert_eq!(t.to_vec(), vec![99]);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![99]);
         assert_eq!(t.rank(h), 1);
     }
 
@@ -503,7 +513,7 @@ mod tests {
         }
         t.check_invariants();
         let expected: Vec<u32> = model.iter().map(|&(_, p)| p).collect();
-        assert_eq!(t.to_vec(), expected);
+        assert_eq!(t.iter().collect::<Vec<_>>(), expected);
         for (i, &(h, _)) in model.iter().enumerate() {
             assert_eq!(t.rank(h), i + 1);
         }

@@ -74,7 +74,7 @@ fn model_check<S: OrderSeq>(ops: &[SeqOp]) {
     }
     s.validate();
     assert_eq!(
-        s.to_vec(),
+        s.iter().collect::<Vec<_>>(),
         model.iter().map(|&(_, p)| p).collect::<Vec<_>>()
     );
     // Order relations and key monotonicity across sampled pairs.
@@ -160,7 +160,7 @@ fn adversarial_patterns_all_structures() {
             }
         }
         s.validate();
-        let v = s.to_vec();
+        let v = s.iter().collect::<Vec<_>>();
         assert_eq!(v.len(), 800);
         // fronts reversed, then backs in order
         assert_eq!(v[0], 798);

@@ -4,8 +4,8 @@
 //! *"A Fast Order-Based Approach for Core Maintenance"*
 //! (Zhang, Yu, Zhang, Qin — ICDE 2017), including every substrate the
 //! paper depends on: the dynamic graph store, the `O(m + n)` core
-//! decomposition, the k-order index (order-maintenance label lists,
-//! intrusive lists and a jump heap), the traversal baseline family (`Trav-h`), synthetic
+//! decomposition, the k-order index (order-maintenance label lists and a
+//! jump heap), the traversal baseline family (`Trav-h`), synthetic
 //! workload generators, and a benchmark harness regenerating every table
 //! and figure of the paper's evaluation.
 //!
@@ -37,7 +37,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`graph`] | `kcore-graph` | dynamic graph, I/O, fixtures, stats |
-//! | [`order`] | `kcore-order` | label-list `A_k` (and the paper's treap), lists `O_k`, jump heap |
+//! | [`order`] | `kcore-order` | label-list `A_k` (and the paper's treap), the one record of each `O_k`; jump heap |
 //! | [`decomp`] | `kcore-decomp` | decomposition, k-order generation, `sc`/`pc`/`oc` |
 //! | [`traversal`] | `kcore-traversal` | the Sariyüce et al. baseline, `Trav-h` |
 //! | [`maint`] | `kcore-maint` | `OrderInsert` / `OrderRemoval` (the paper) |

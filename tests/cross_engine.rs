@@ -78,6 +78,8 @@ proptest! {
             }
             prop_assert_eq!(order.core_slice(), oracle.core_slice());
             prop_assert_eq!(treap.core_slice(), oracle.core_slice());
+            // Both A_k implementations must hold the same k-order.
+            prop_assert_eq!(treap.global_order(), order.global_order());
             prop_assert_eq!(sub.core_slice(), oracle.core_slice());
             prop_assert_eq!(trav2.core_slice(), oracle.core_slice());
             prop_assert_eq!(trav4.core_slice(), oracle.core_slice());
