@@ -3,9 +3,8 @@
 //! index, and Trav-h indices.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kcore_decomp::{core_decomposition, core_decomposition_csr, korder_decomposition, Heuristic};
+use kcore_decomp::{core_decomposition, korder_decomposition, Heuristic};
 use kcore_gen::{load_dataset, Scale};
-use kcore_graph::CsrGraph;
 use kcore_maint::OrderCore;
 use kcore_traversal::TraversalCore;
 use std::hint::black_box;
@@ -18,10 +17,6 @@ fn bench_index_build(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("decomp_only", name), &g, |b, g| {
             b.iter(|| black_box(core_decomposition(g)));
-        });
-        let csr = CsrGraph::from(&g);
-        group.bench_with_input(BenchmarkId::new("decomp_csr", name), &csr, |b, csr| {
-            b.iter(|| black_box(core_decomposition_csr(csr)));
         });
         group.bench_with_input(BenchmarkId::new("korder_small", name), &g, |b, g| {
             b.iter(|| black_box(korder_decomposition(g, Heuristic::SmallDegFirst, 1)));

@@ -27,7 +27,7 @@
 use kcore_bench::{degree_weighted_fresh_edges, fmt_ratio, row};
 use kcore_decomp::core_decomposition;
 use kcore_gen::{barabasi_albert, churn_stream, ChurnBatch};
-use kcore_graph::{CsrGraph, CsrLayout, DynamicGraph};
+use kcore_graph::DynamicGraph;
 use kcore_maint::{OrderCore, PlanPolicy, PlannedCore, UpdateStats};
 use std::io::Write;
 use std::time::Instant;
@@ -786,32 +786,7 @@ fn main() {
     json.push_str(&format!(
         "    \"min_ratio_vs_best\": {planner_min_ratio:.3},\n    \"target_ratio\": 0.8,\n    \"churn_speedup_at_max_batch\": {churn_speedup_at_max_batch:.3}\n"
     ));
-    json.push_str("  },\n");
-
-    // ---- CSR memory layout: bytes/edge, plain vs delta-compressed ----
-    let csr_plain = CsrGraph::from(&g_full);
-    let csr_delta = csr_plain.to_layout(CsrLayout::Delta);
-    println!(
-        "\ncsr bytes/edge on the saturated graph (m = {}): plain {:.2} ({} bytes), \
-         delta {:.2} ({} bytes, {:.1}% of plain)",
-        g_full.num_edges(),
-        csr_plain.bytes_per_edge(),
-        csr_plain.memory_bytes(),
-        csr_delta.bytes_per_edge(),
-        csr_delta.memory_bytes(),
-        100.0 * csr_delta.memory_bytes() as f64 / csr_plain.memory_bytes() as f64,
-    );
-    json.push_str(&format!(
-        "  \"csr_memory\": {{ \"edges\": {}, \
-         \"plain\": {{ \"bytes\": {}, \"bytes_per_edge\": {:.3} }}, \
-         \"delta\": {{ \"bytes\": {}, \"bytes_per_edge\": {:.3} }} }}\n",
-        g_full.num_edges(),
-        csr_plain.memory_bytes(),
-        csr_plain.bytes_per_edge(),
-        csr_delta.memory_bytes(),
-        csr_delta.bytes_per_edge(),
-    ));
-    json.push_str("}\n");
+    json.push_str("  }\n}\n");
     let mut f = std::fs::File::create(&args.out).expect("create BENCH_batch.json");
     f.write_all(json.as_bytes())
         .expect("write BENCH_batch.json");

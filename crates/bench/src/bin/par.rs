@@ -2,32 +2,29 @@
 //!
 //! The experiment behind the `decomp::par` subsystem: build the bench
 //! base graphs (Barabási–Albert and R-MAT — the two power-law shapes the
-//! batch benchmarks use), freeze CSR snapshots, and time
+//! batch benchmarks use) and time
 //!
-//! * **sequential** — `core_decomposition` / `core_decomposition_csr`;
-//! * **parallel** — `par_core_decomposition{,_csr}` at each requested
-//!   thread count (default 1, 2, 4, 8);
-//! * **korder** — the phase-parallel `korder_decomposition_par` against
-//!   the sequential k-order build (peel order is bit-identical; only the
-//!   `deg⁺` finalisation parallelises).
+//! * **sequential** — `core_decomposition`;
+//! * **parallel** — `par_core_decomposition` at each requested thread
+//!   count (default 1, 2, 4, 8);
+//! * **maintenance** — batched churn through the order-based engine,
+//!   serial component split against worker-team component passes.
 //!
 //! Every parallel run's core numbers are asserted equal to the
 //! sequential decomposition before any number is reported. Results go to
 //! stdout as tables and to `BENCH_par.json` (speedup per thread count,
 //! host parallelism, gate status). `--min-par-speedup R` turns the
-//! 4-thread CSR speedup on the BA base graph into a CI exit gate; the
-//! gate is **waived with a loud note** when the host exposes fewer cores
-//! than the gated thread count — a 4-thread speedup target is physically
-//! meaningless on a 1-core container, and a waived gate records that in
-//! the JSON instead of failing spuriously or faking a number.
+//! 4-thread `par_core_decomposition` speedup on the BA base graph into a
+//! CI exit gate; the gate is **waived with a loud note** when the host
+//! exposes fewer cores than the gated thread count — a 4-thread speedup
+//! target is physically meaningless on a 1-core container, and a waived
+//! gate records that in the JSON instead of failing spuriously or faking
+//! a number.
 
 use kcore_decomp::par::Parallelism;
-use kcore_decomp::{
-    core_decomposition, core_decomposition_csr, korder_decomposition, korder_decomposition_par,
-    par_core_decomposition, par_core_decomposition_csr, Heuristic,
-};
+use kcore_decomp::{core_decomposition, par_core_decomposition};
 use kcore_gen::{barabasi_albert, churn_stream, rmat};
-use kcore_graph::{CsrGraph, DynamicGraph};
+use kcore_graph::DynamicGraph;
 use kcore_maint::{BatchOptions, OrderCore};
 use std::io::Write;
 use std::time::Instant;
@@ -105,18 +102,17 @@ struct GraphReport {
     n: usize,
     m: usize,
     max_core: u32,
-    seq_csr_secs: f64,
-    seq_dyn_secs: f64,
-    /// `(threads, csr_secs, dyn_secs)` per requested thread count.
-    par: Vec<(usize, f64, f64)>,
+    seq_secs: f64,
+    /// `(threads, secs)` per requested thread count.
+    par: Vec<(usize, f64)>,
 }
 
 impl GraphReport {
-    fn speedup_csr_at(&self, threads: usize) -> Option<f64> {
+    fn speedup_at(&self, threads: usize) -> Option<f64> {
         self.par
             .iter()
-            .find(|&&(t, _, _)| t == threads)
-            .map(|&(_, secs, _)| self.seq_csr_secs / secs)
+            .find(|&&(t, _)| t == threads)
+            .map(|&(_, secs)| self.seq_secs / secs)
     }
 }
 
@@ -126,40 +122,24 @@ fn measure_graph(
     threads: &[usize],
     reps: usize,
 ) -> GraphReport {
-    let csr = CsrGraph::from(g);
     let reference = core_decomposition(g);
     let max_core = reference.iter().copied().max().unwrap_or(0);
 
-    let mut seq_csr = f64::INFINITY;
-    let mut seq_dyn = f64::INFINITY;
-    let mut par_secs: Vec<(f64, f64)> = vec![(f64::INFINITY, f64::INFINITY); threads.len()];
+    let mut seq_secs = f64::INFINITY;
+    let mut par_secs = vec![f64::INFINITY; threads.len()];
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let seq_cores = core_decomposition_csr(&csr);
-        seq_csr = seq_csr.min(t0.elapsed().as_secs_f64());
-        assert_eq!(seq_cores, reference, "csr decomposition diverged");
-
-        let t0 = Instant::now();
-        let dyn_cores = core_decomposition(g);
-        seq_dyn = seq_dyn.min(t0.elapsed().as_secs_f64());
-        assert_eq!(dyn_cores, reference);
+        let seq_cores = core_decomposition(g);
+        seq_secs = seq_secs.min(t0.elapsed().as_secs_f64());
+        assert_eq!(seq_cores, reference);
 
         for (ti, &t) in threads.iter().enumerate() {
-            let par = Parallelism::exact(t);
             let t0 = Instant::now();
-            let cores = par_core_decomposition_csr(&csr, &par);
-            par_secs[ti].0 = par_secs[ti].0.min(t0.elapsed().as_secs_f64());
+            let cores = par_core_decomposition(g, &Parallelism::exact(t));
+            par_secs[ti] = par_secs[ti].min(t0.elapsed().as_secs_f64());
             assert_eq!(
                 cores, reference,
-                "{name}: parallel csr peel diverged at {t} threads"
-            );
-
-            let t0 = Instant::now();
-            let cores = par_core_decomposition(g, &par);
-            par_secs[ti].1 = par_secs[ti].1.min(t0.elapsed().as_secs_f64());
-            assert_eq!(
-                cores, reference,
-                "{name}: parallel dynamic peel diverged at {t} threads"
+                "{name}: parallel peel diverged at {t} threads"
             );
         }
     }
@@ -169,13 +149,8 @@ fn measure_graph(
         n: g.num_vertices(),
         m: g.num_edges(),
         max_core,
-        seq_csr_secs: seq_csr,
-        seq_dyn_secs: seq_dyn,
-        par: threads
-            .iter()
-            .zip(par_secs)
-            .map(|(&t, (c, d))| (t, c, d))
-            .collect(),
+        seq_secs,
+        par: threads.iter().copied().zip(par_secs).collect(),
     }
 }
 
@@ -184,29 +159,14 @@ fn print_report(r: &GraphReport) {
         "\n== {} (n = {}, m = {}, max core = {}) ==",
         r.name, r.n, r.m, r.max_core
     );
-    println!(
-        "sequential: csr {:.4}s, dynamic {:.4}s",
-        r.seq_csr_secs, r.seq_dyn_secs
-    );
-    kcore_bench::row(
-        &[
-            "threads".into(),
-            "csr secs".into(),
-            "csr speedup".into(),
-            "dyn secs".into(),
-            "dyn speedup".into(),
-        ],
-        8,
-        14,
-    );
-    for &(t, cs, ds) in &r.par {
+    println!("sequential: {:.4}s", r.seq_secs);
+    kcore_bench::row(&["threads".into(), "secs".into(), "speedup".into()], 8, 14);
+    for &(t, secs) in &r.par {
         kcore_bench::row(
             &[
                 format!("{t}"),
-                format!("{cs:.4}"),
-                format!("{:.2}x", r.seq_csr_secs / cs),
-                format!("{ds:.4}"),
-                format!("{:.2}x", r.seq_dyn_secs / ds),
+                format!("{secs:.4}"),
+                format!("{:.2}x", r.seq_secs / secs),
             ],
             8,
             14,
@@ -216,19 +176,14 @@ fn print_report(r: &GraphReport) {
 
 fn json_graph(r: &GraphReport, indent: &str) -> String {
     let mut s = format!(
-        "{indent}{{ \"name\": \"{}\", \"n\": {}, \"m\": {}, \"max_core\": {},\n\
-         {indent}  \"seq_csr_secs\": {:.5}, \"seq_dynamic_secs\": {:.5},\n\
-         {indent}  \"threads\": [\n",
-        r.name, r.n, r.m, r.max_core, r.seq_csr_secs, r.seq_dyn_secs
+        "{indent}{{ \"name\": \"{}\", \"n\": {}, \"m\": {}, \"max_core\": {}, \
+         \"seq_secs\": {:.5},\n{indent}  \"threads\": [\n",
+        r.name, r.n, r.m, r.max_core, r.seq_secs
     );
-    for (i, &(t, cs, ds)) in r.par.iter().enumerate() {
+    for (i, &(t, secs)) in r.par.iter().enumerate() {
         s.push_str(&format!(
-            "{indent}    {{ \"threads\": {t}, \"csr_secs\": {:.5}, \"csr_speedup\": {:.3}, \
-             \"dynamic_secs\": {:.5}, \"dynamic_speedup\": {:.3} }}{}\n",
-            cs,
-            r.seq_csr_secs / cs,
-            ds,
-            r.seq_dyn_secs / ds,
+            "{indent}    {{ \"threads\": {t}, \"secs\": {secs:.5}, \"speedup\": {:.3} }}{}\n",
+            r.seq_secs / secs,
             if i + 1 == r.par.len() { "" } else { "," }
         ));
     }
@@ -427,38 +382,13 @@ fn main() {
         print_report(r);
     }
 
-    // korder: phase-parallel vs sequential (bit-identical order asserted).
-    let korder_threads = *args.threads.iter().max().unwrap();
-    let mut ko_seq_secs = f64::INFINITY;
-    let mut ko_par_secs = f64::INFINITY;
-    for _ in 0..args.reps.max(1) {
-        let t0 = Instant::now();
-        let seq = korder_decomposition(&ba, Heuristic::SmallDegFirst, args.seed);
-        ko_seq_secs = ko_seq_secs.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        let par = korder_decomposition_par(
-            &ba,
-            Heuristic::SmallDegFirst,
-            args.seed,
-            &Parallelism::exact(korder_threads),
-        );
-        ko_par_secs = ko_par_secs.min(t0.elapsed().as_secs_f64());
-        assert_eq!(par.order, seq.order, "phase-parallel korder reordered");
-        assert_eq!(par.deg_plus, seq.deg_plus);
-    }
-    println!(
-        "\nkorder build (BA): sequential {ko_seq_secs:.4}s, phase-parallel ({korder_threads} \
-         threads) {ko_par_secs:.4}s ({:.2}x)",
-        ko_seq_secs / ko_par_secs
-    );
-
     // ---- thread-parallel maintenance (BA churn) ----
     let maint = measure_maint(&ba, &args);
     print_maint(&maint);
 
     // ---- gate bookkeeping ----
     const GATE_THREADS: usize = 4;
-    let ba_speedup_at_4 = reports[0].speedup_csr_at(GATE_THREADS);
+    let ba_speedup_at_4 = reports[0].speedup_at(GATE_THREADS);
     let gate_status = if args.min_par_speedup <= 0.0 {
         "disabled".to_string()
     } else if host < GATE_THREADS {
@@ -489,11 +419,6 @@ fn main() {
         json.push_str(if i + 1 == reports.len() { "\n" } else { ",\n" });
     }
     json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"korder\": {{ \"threads\": {korder_threads}, \"seq_secs\": {ko_seq_secs:.5}, \
-         \"par_secs\": {ko_par_secs:.5}, \"speedup\": {:.3} }},\n",
-        ko_seq_secs / ko_par_secs
-    ));
     json.push_str("  \"maint_par\": {\n");
     json.push_str(&json_maint(&maint, "    "));
     json.push_str(",\n");
@@ -506,8 +431,8 @@ fn main() {
         args.min_maint_speedup
     ));
     match ba_speedup_at_4 {
-        Some(s) => json.push_str(&format!("  \"speedup_at_4_csr\": {s:.3},\n")),
-        None => json.push_str("  \"speedup_at_4_csr\": null,\n"),
+        Some(s) => json.push_str(&format!("  \"speedup_at_4\": {s:.3},\n")),
+        None => json.push_str("  \"speedup_at_4\": null,\n"),
     }
     json.push_str(&format!(
         "  \"target_speedup\": {:.1},\n  \"gate\": \"{gate_status}\"\n}}\n",
@@ -521,7 +446,7 @@ fn main() {
         let s = ba_speedup_at_4.expect("enforced implies measured");
         if s < args.min_par_speedup {
             eprintln!(
-                "GATE FAILED: csr speedup at {GATE_THREADS} threads {s:.3} < required {}",
+                "GATE FAILED: peel speedup at {GATE_THREADS} threads {s:.3} < required {}",
                 args.min_par_speedup
             );
             std::process::exit(1);

@@ -5,7 +5,7 @@
 //! repeatedly, its neighbours' degrees decremented with the classic
 //! position-swap trick that keeps the bin sort valid without re-sorting.
 
-use kcore_graph::{CsrGraph, DynamicGraph, VertexId};
+use kcore_graph::{DynamicGraph, VertexId};
 
 /// Computes the core number of every vertex in `O(m + n)`.
 ///
@@ -67,60 +67,6 @@ pub fn core_decomposition(g: &DynamicGraph) -> Vec<u32> {
                     vert.swap(pu, pw);
                     pos[u] = pw as u32;
                     pos[w] = pu as u32;
-                }
-                bin[du] += 1;
-                deg[u] -= 1;
-            }
-        }
-    }
-    core
-}
-
-/// [`core_decomposition`] specialised to a frozen [`CsrGraph`] snapshot:
-/// identical algorithm, contiguous adjacency. Static pipelines (offline
-/// analysis, the Fig 5 drivers) freeze once and decompose faster; the
-/// `index_build` Criterion bench quantifies the gap.
-pub fn core_decomposition_csr(g: &CsrGraph) -> Vec<u32> {
-    let n = g.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    // Cached at freeze time — no O(n) rescan per decomposition.
-    let max_deg = g.max_degree();
-    let mut deg: Vec<u32> = g.degree_vec();
-    let mut bin = vec![0u32; max_deg + 2];
-    for &d in &deg {
-        bin[d as usize + 1] += 1;
-    }
-    for d in 1..bin.len() {
-        bin[d] += bin[d - 1];
-    }
-    let mut vert = vec![0u32; n];
-    let mut pos = vec![0u32; n];
-    {
-        let mut next = bin.clone();
-        for v in 0..n {
-            let d = deg[v] as usize;
-            vert[next[d] as usize] = v as u32;
-            pos[v] = next[d];
-            next[d] += 1;
-        }
-    }
-    let mut core = vec![0u32; n];
-    for i in 0..n {
-        let v = vert[i] as usize;
-        core[v] = deg[v];
-        for &w in g.neighbors(v as VertexId) {
-            let u = w as usize;
-            if deg[u] > deg[v] {
-                let du = deg[u] as usize;
-                let pu = pos[u] as usize;
-                let pw = bin[du] as usize;
-                let x = vert[pw] as usize;
-                if u != x {
-                    vert.swap(pu, pw);
-                    pos[u] = pw as u32;
-                    pos[x] = pu as u32;
                 }
                 bin[du] += 1;
                 deg[u] -= 1;
@@ -286,30 +232,5 @@ mod tests {
     fn max_core_of_clique() {
         let core = core_decomposition(&fixtures::clique(7));
         assert_eq!(max_core(&core), 6);
-    }
-}
-
-#[cfg(test)]
-mod csr_tests {
-    use super::*;
-    use kcore_graph::fixtures;
-
-    #[test]
-    fn csr_decomposition_matches_dynamic() {
-        for g in [
-            fixtures::PaperGraph::small().graph,
-            fixtures::petersen(),
-            fixtures::two_cliques_bridge(),
-            DynamicGraph::with_vertices(5),
-        ] {
-            let csr = CsrGraph::from(&g);
-            assert_eq!(core_decomposition_csr(&csr), core_decomposition(&g));
-        }
-    }
-
-    #[test]
-    fn csr_decomposition_empty() {
-        let csr = CsrGraph::from(&DynamicGraph::new());
-        assert!(core_decomposition_csr(&csr).is_empty());
     }
 }

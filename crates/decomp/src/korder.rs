@@ -181,36 +181,7 @@ impl Pool {
 /// ```
 pub fn korder_decomposition(g: &DynamicGraph, heuristic: Heuristic, seed: u64) -> KOrder {
     let (core, order) = peel_order(g, heuristic, seed);
-    let deg_plus = deg_plus_of_order(g, &order, &crate::par::Parallelism::exact(1));
-    KOrder {
-        core,
-        order,
-        deg_plus,
-    }
-}
-
-/// [`korder_decomposition`] with the embarrassingly parallel phases run on
-/// the [`crate::par`] worker team: the final `deg⁺` recomputation (an
-/// `O(m)` neighbour scan, the only phase that touches every edge *after*
-/// the peel) is chunked across threads.
-///
-/// The victim-selection loop itself stays sequential **on purpose**: the
-/// emitted k-order's tie-breaks depend on the exact global event order in
-/// which vertices cross the round threshold (the waiting-bucket drains
-/// interleave across levels), so any concurrent victim pool would produce
-/// a different — still valid, but not reproducible — order. Keeping it
-/// serial preserves the deterministic tie-break order: the returned
-/// `order` is **bit-identical** to [`korder_decomposition`] at every
-/// thread count (unit-tested below), which downstream index builds rely
-/// on for reproducibility.
-pub fn korder_decomposition_par(
-    g: &DynamicGraph,
-    heuristic: Heuristic,
-    seed: u64,
-    par: &crate::par::Parallelism,
-) -> KOrder {
-    let (core, order) = peel_order(g, heuristic, seed);
-    let deg_plus = deg_plus_of_order(g, &order, par);
+    let deg_plus = deg_plus_of_order(g, &order);
     KOrder {
         core,
         order,
@@ -219,34 +190,20 @@ pub fn korder_decomposition_par(
 }
 
 /// `deg⁺` from final positions: neighbours occurring later in the order.
-/// Chunked over the vertex range when `par` resolves to several workers.
-fn deg_plus_of_order(
-    g: &DynamicGraph,
-    order: &[VertexId],
-    par: &crate::par::Parallelism,
-) -> Vec<u32> {
-    let n = g.num_vertices();
-    let mut pos = vec![0u32; n];
+fn deg_plus_of_order(g: &DynamicGraph, order: &[VertexId]) -> Vec<u32> {
+    let mut pos = vec![0u32; g.num_vertices()];
     for (i, &v) in order.iter().enumerate() {
         pos[v as usize] = i as u32;
     }
-    let threads = par.resolved_threads();
-    let chunks = crate::par::run_ranges(threads, n, par.sequential_cutoff, |_, range| {
-        range
-            .map(|v| {
-                let pv = pos[v];
-                g.neighbors(v as u32)
-                    .iter()
-                    .filter(|&&w| pos[w as usize] > pv)
-                    .count() as u32
-            })
-            .collect::<Vec<u32>>()
-    });
-    let mut deg_plus = Vec::with_capacity(n);
-    for c in chunks {
-        deg_plus.extend_from_slice(&c);
-    }
-    deg_plus
+    (0..g.num_vertices())
+        .map(|v| {
+            let pv = pos[v];
+            g.neighbors(v as VertexId)
+                .iter()
+                .filter(|&&w| pos[w as usize] > pv)
+                .count() as u32
+        })
+        .collect()
 }
 
 /// Builds a k-order from **already computed** core numbers — the
@@ -269,17 +226,6 @@ fn deg_plus_of_order(
 /// stalls otherwise and the function panics rather than emit a corrupt
 /// order.
 pub fn korder_from_cores(g: &DynamicGraph, core: &[u32]) -> KOrder {
-    korder_from_cores_par(g, core, &crate::par::Parallelism::exact(1))
-}
-
-/// [`korder_from_cores`] with the `deg⁺` finalisation chunked over the
-/// [`crate::par`] worker team (the peel itself is `O(m + n)` and stays
-/// sequential; its emitted order is identical at every thread count).
-pub fn korder_from_cores_par(
-    g: &DynamicGraph,
-    core: &[u32],
-    par: &crate::par::Parallelism,
-) -> KOrder {
     let n = g.num_vertices();
     assert_eq!(core.len(), n, "core slice must cover every vertex");
     let mut rdeg: Vec<u32> = (0..n).map(|v| g.degree(v as VertexId) as u32).collect();
@@ -342,7 +288,7 @@ pub fn korder_from_cores_par(
     }
     debug_assert_eq!(order.len(), n);
 
-    let deg_plus = deg_plus_of_order(g, &order, par);
+    let deg_plus = deg_plus_of_order(g, &order);
     KOrder {
         core: core.to_vec(),
         order,
@@ -350,9 +296,8 @@ pub fn korder_from_cores_par(
     }
 }
 
-/// The sequential victim loop of Algorithm 1: core numbers plus the
-/// deterministic peel order (shared by the sequential and phase-parallel
-/// entry points).
+/// The victim loop of Algorithm 1: core numbers plus the deterministic
+/// peel order.
 fn peel_order(g: &DynamicGraph, heuristic: Heuristic, seed: u64) -> (Vec<u32>, Vec<VertexId>) {
     let n = g.num_vertices();
     let mut rdeg: Vec<u32> = (0..n).map(|v| g.degree(v as VertexId) as u32).collect();
@@ -496,29 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_parallel_korder_is_bit_identical() {
-        use crate::par::Parallelism;
-        let graphs = [
-            fixtures::PaperGraph::small().graph,
-            fixtures::petersen(),
-            fixtures::two_cliques_bridge(),
-            DynamicGraph::with_vertices(4),
-        ];
-        for g in &graphs {
-            for h in Heuristic::ALL {
-                let seq = korder_decomposition(g, h, 13);
-                for t in [1usize, 2, 4] {
-                    let par =
-                        korder_decomposition_par(g, h, 13, &Parallelism::exact(t).with_cutoff(0));
-                    assert_eq!(par.order, seq.order, "{h:?} order diverged at {t} threads");
-                    assert_eq!(par.core, seq.core);
-                    assert_eq!(par.deg_plus, seq.deg_plus);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn korder_from_cores_is_valid_on_fixtures() {
         for g in [
             fixtures::triangle(),
@@ -535,19 +457,6 @@ mod tests {
             let ko = korder_from_cores(&g, &core);
             assert_eq!(ko.core, core, "bridge must preserve the given cores");
             is_valid_korder(&g, &ko).unwrap();
-        }
-    }
-
-    #[test]
-    fn korder_from_cores_matches_par_finalisation() {
-        use crate::par::Parallelism;
-        let g = fixtures::PaperGraph::small().graph;
-        let core = core_decomposition(&g);
-        let seq = korder_from_cores(&g, &core);
-        for t in [2usize, 4] {
-            let par = korder_from_cores_par(&g, &core, &Parallelism::exact(t).with_cutoff(0));
-            assert_eq!(par.order, seq.order, "peel must be thread-independent");
-            assert_eq!(par.deg_plus, seq.deg_plus);
         }
     }
 

@@ -1,13 +1,14 @@
 //! # kcore-decomp
 //!
-//! Static k-core machinery:
+//! Static k-core machinery, all of it over one graph type,
+//! [`kcore_graph::DynamicGraph`]:
 //!
 //! * [`bucket`] — the Batagelj–Zaversnik `O(m + n)` core decomposition
 //!   (`CoreDecomp`, Algorithm 1 of the paper);
 //! * [`par`] — the level-synchronous **parallel** peel
-//!   (`par_core_decomposition{,_csr}`) with atomic degree counters and a
-//!   scoped worker team, bit-identical to the sequential decomposition
-//!   at every thread count;
+//!   (`par_core_decomposition`) with atomic degree counters and a
+//!   long-lived worker team, bit-identical to the sequential
+//!   decomposition at every thread count;
 //! * [`korder`] — peeling that additionally emits a **k-order** and the
 //!   remaining degrees `deg⁺`, under the three victim-selection heuristics
 //!   of Section VI (*small deg⁺ first* — the paper's choice —, *large* and
@@ -25,10 +26,7 @@ pub mod regions;
 pub mod team;
 pub mod validate;
 
-pub use bucket::{core_decomposition, core_decomposition_csr, max_core};
-pub use korder::{
-    korder_decomposition, korder_decomposition_par, korder_from_cores, korder_from_cores_par,
-    Heuristic, KOrder,
-};
-pub use par::{par_core_decomposition, par_core_decomposition_csr, Parallelism};
+pub use bucket::{core_decomposition, max_core};
+pub use korder::{korder_decomposition, korder_from_cores, Heuristic, KOrder};
+pub use par::{par_core_decomposition, Parallelism};
 pub use validate::{compute_mcd, compute_pcd, is_valid_korder};

@@ -22,6 +22,8 @@
 //!    a duplicate-free frontier between rounds. Rounds repeat until the
 //!    level produces no new frontier, then the level advances.
 //!
+//! The peel reads the same [`DynamicGraph`] as the sequential peel and
+//! the maintenance engines; the planner's parallel recompute calls it.
 //! Core numbers are a function of the graph alone, so the parallel peel
 //! is **bit-identical** to [`crate::core_decomposition`] at every thread
 //! count — property-tested in `tests/proptest_decomp.rs` and asserted by
@@ -33,14 +35,9 @@
 //! config and small inputs never leave the calling thread
 //! (`sequential_cutoff`).
 
-use kcore_graph::{AtomicDegrees, CsrGraph, DynamicGraph, MappedCsr, VertexId};
+use kcore_graph::{AtomicDegrees, DynamicGraph, VertexId};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// How many frontier slots ahead of the scan cursor the peel rounds
-/// prefetch neighbour rows. Far enough to cover the decrement loop's
-/// latency, near enough not to evict its own lines.
-const PREFETCH_AHEAD: usize = 8;
 
 /// Thread-count and granularity knobs for the parallel decompositions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,80 +89,6 @@ impl Parallelism {
                 .map(|n| n.get())
                 .unwrap_or(1)
         }
-    }
-}
-
-/// Read-only neighbourhood access shared by the parallel peels. The
-/// neighbour scan is closure-based (not slice-based) so row storage can
-/// be anything linear — an adjacency arena, plain CSR rows, LEB128
-/// delta-coded rows, or raw little-endian file bytes ([`MappedCsr`]).
-pub trait PeelGraph: Sync {
-    /// Number of vertices.
-    fn num_vertices(&self) -> usize;
-    /// Degree of `v`.
-    fn degree(&self, v: VertexId) -> usize;
-    /// Calls `f` for every neighbour of `v`.
-    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, f: F);
-    /// Hints the hardware prefetcher at `v`'s row storage. Default no-op;
-    /// the frontier loops call it `PREFETCH_AHEAD` slots early.
-    #[inline]
-    fn prefetch(&self, _v: VertexId) {}
-    /// Degree snapshot (the atomic counters' initial values).
-    fn degree_vec(&self) -> Vec<u32>;
-}
-
-impl PeelGraph for DynamicGraph {
-    fn num_vertices(&self) -> usize {
-        DynamicGraph::num_vertices(self)
-    }
-    fn degree(&self, v: VertexId) -> usize {
-        DynamicGraph::degree(self, v)
-    }
-    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, mut f: F) {
-        for &w in DynamicGraph::neighbors(self, v) {
-            f(w);
-        }
-    }
-    fn degree_vec(&self) -> Vec<u32> {
-        DynamicGraph::degree_vec(self)
-    }
-}
-
-impl PeelGraph for CsrGraph {
-    fn num_vertices(&self) -> usize {
-        CsrGraph::num_vertices(self)
-    }
-    fn degree(&self, v: VertexId) -> usize {
-        CsrGraph::degree(self, v)
-    }
-    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
-        CsrGraph::for_each_neighbor(self, v, f)
-    }
-    #[inline]
-    fn prefetch(&self, v: VertexId) {
-        self.prefetch_row(v)
-    }
-    fn degree_vec(&self) -> Vec<u32> {
-        CsrGraph::degree_vec(self)
-    }
-}
-
-impl<B: AsRef<[u8]> + Sync> PeelGraph for MappedCsr<B> {
-    fn num_vertices(&self) -> usize {
-        MappedCsr::num_vertices(self)
-    }
-    fn degree(&self, v: VertexId) -> usize {
-        MappedCsr::degree(self, v)
-    }
-    fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, f: F) {
-        MappedCsr::for_each_neighbor(self, v, f)
-    }
-    #[inline]
-    fn prefetch(&self, v: VertexId) {
-        self.prefetch_row(v)
-    }
-    fn degree_vec(&self) -> Vec<u32> {
-        MappedCsr::degree_vec(self)
     }
 }
 
@@ -224,8 +147,18 @@ struct RoundHarvest {
     min_above: u32,
 }
 
-/// The level-synchronous peel shared by both graph representations.
-fn par_peel<G: PeelGraph>(g: &G, par: &Parallelism) -> Vec<u32> {
+/// Parallel [`crate::core_decomposition`]: identical core numbers,
+/// level-synchronous multi-threaded peel.
+///
+/// ```
+/// use kcore_graph::fixtures;
+/// use kcore_decomp::par::{par_core_decomposition, Parallelism};
+///
+/// let g = fixtures::petersen();
+/// let core = par_core_decomposition(&g, &Parallelism::exact(2).with_cutoff(0));
+/// assert_eq!(core, vec![3; 10]);
+/// ```
+pub fn par_core_decomposition(g: &DynamicGraph, par: &Parallelism) -> Vec<u32> {
     let n = g.num_vertices();
     if n == 0 {
         return Vec::new();
@@ -273,15 +206,9 @@ fn par_peel<G: PeelGraph>(g: &G, par: &Parallelism) -> Vec<u32> {
             let harvests = run_chunks(threads, &frontier, cutoff, |_, chunk| {
                 let mut next = Vec::new();
                 let mut local_min = u32::MAX;
-                for (i, &v) in chunk.iter().enumerate() {
-                    // Linear-prefetch: frontier order is arbitrary, so the
-                    // row of the vertex a few slots ahead is a cache miss
-                    // the hardware can't predict — hint it now.
-                    if let Some(&ahead) = chunk.get(i + PREFETCH_AHEAD) {
-                        g.prefetch(ahead);
-                    }
+                for &v in chunk {
                     core[v as usize].store(k, Ordering::Relaxed);
-                    g.for_each_neighbor(v, |u| {
+                    for &u in g.neighbors(v) {
                         match deg.decrement_above(u, k) {
                             // This worker performed the k+1 -> k
                             // transition: it alone enrols u.
@@ -289,7 +216,7 @@ fn par_peel<G: PeelGraph>(g: &G, par: &Parallelism) -> Vec<u32> {
                             Some(nd) if nd < local_min => local_min = nd,
                             _ => {}
                         }
-                    });
+                    }
                 }
                 RoundHarvest {
                     next,
@@ -316,36 +243,6 @@ fn par_peel<G: PeelGraph>(g: &G, par: &Parallelism) -> Vec<u32> {
     core.into_iter().map(AtomicU32::into_inner).collect()
 }
 
-/// Parallel [`crate::core_decomposition`]: identical core numbers,
-/// level-synchronous multi-threaded peel.
-///
-/// ```
-/// use kcore_graph::fixtures;
-/// use kcore_decomp::par::{par_core_decomposition, Parallelism};
-///
-/// let g = fixtures::petersen();
-/// let core = par_core_decomposition(&g, &Parallelism::exact(2).with_cutoff(0));
-/// assert_eq!(core, vec![3; 10]);
-/// ```
-pub fn par_core_decomposition(g: &DynamicGraph, par: &Parallelism) -> Vec<u32> {
-    par_peel(g, par)
-}
-
-/// Parallel [`crate::core_decomposition_csr`]: identical core numbers,
-/// level-synchronous multi-threaded peel over the frozen snapshot. The
-/// contiguous CSR rows are the layout the peel's neighbour scans want;
-/// this is the variant the `BENCH_par.json` speedup gate tracks.
-pub fn par_core_decomposition_csr(g: &CsrGraph, par: &Parallelism) -> Vec<u32> {
-    par_peel(g, par)
-}
-
-/// The parallel peel over any [`PeelGraph`] — the entry point for
-/// delta-compressed CSR layouts and file-backed [`MappedCsr`] views,
-/// which have no named wrapper of their own.
-pub fn par_core_decomposition_peel<G: PeelGraph>(g: &G, par: &Parallelism) -> Vec<u32> {
-    par_peel(g, par)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,24 +251,12 @@ mod tests {
 
     fn check_all_thread_counts(g: &DynamicGraph) {
         let reference = core_decomposition(g);
-        let csr = CsrGraph::from(g);
-        let delta = csr.to_layout(kcore_graph::CsrLayout::Delta);
         for t in [1usize, 2, 3, 4] {
             let par = Parallelism::exact(t).with_cutoff(0);
             assert_eq!(
                 par_core_decomposition(g, &par),
                 reference,
-                "dynamic peel diverged at {t} threads"
-            );
-            assert_eq!(
-                par_core_decomposition_csr(&csr, &par),
-                reference,
-                "csr peel diverged at {t} threads"
-            );
-            assert_eq!(
-                par_core_decomposition_peel(&delta, &par),
-                reference,
-                "delta-layout peel diverged at {t} threads"
+                "peel diverged at {t} threads"
             );
         }
     }
@@ -409,8 +294,6 @@ mod tests {
     #[test]
     fn empty_graph() {
         assert!(par_core_decomposition(&DynamicGraph::new(), &Parallelism::auto()).is_empty());
-        let csr = CsrGraph::from(&DynamicGraph::new());
-        assert!(par_core_decomposition_csr(&csr, &Parallelism::auto()).is_empty());
     }
 
     #[test]
@@ -426,27 +309,6 @@ mod tests {
         let p = Parallelism::auto();
         assert!(p.resolved_threads() >= 1);
         assert_eq!(Parallelism::exact(3).resolved_threads(), 3);
-    }
-
-    #[test]
-    fn mapped_csr_peels_identically() {
-        let g = fixtures::PaperGraph::small().graph;
-        let reference = core_decomposition(&g);
-        let csr = CsrGraph::from(&g);
-        let dir = std::env::temp_dir().join("kcore_par_mapped_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("paper_small.kcsr");
-        kcore_graph::save_csr(&csr, &path).unwrap();
-        let mapped = kcore_graph::load_csr_mapped(&path).unwrap();
-        std::fs::remove_file(path).ok();
-        for t in [1usize, 2, 4] {
-            let par = Parallelism::exact(t).with_cutoff(0);
-            assert_eq!(
-                par_core_decomposition_peel(&mapped, &par),
-                reference,
-                "mapped peel diverged at {t} threads"
-            );
-        }
     }
 
     #[test]

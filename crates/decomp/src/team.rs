@@ -1,7 +1,6 @@
 //! A long-lived fork-join worker team shared by every parallel phase in
-//! the workspace: the level-synchronous peels ([`crate::par`]), the
-//! phase-parallel k-order build, and the maintenance engine's parallel
-//! component passes.
+//! the workspace: the level-synchronous peel ([`crate::par`]) and the
+//! maintenance engine's parallel component passes.
 //!
 //! The PR-3 fork-join ran each job inside its own `std::thread::scope`,
 //! paying a spawn + join per call — fine for one decomposition over a

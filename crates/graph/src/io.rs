@@ -9,14 +9,10 @@
 //! Lines starting with `#` or `%` are comments. Directed inputs are
 //! symmetrised by construction (an undirected edge is stored once).
 
-use crate::graph::{edge_key, DynamicGraph, VertexId};
+use crate::graph::{edge_key, DynamicGraph, VertexId, NO_VERTEX};
 use crate::hash::FxHashSet;
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
-
-// The binary CSR path lives in [`crate::mapped`]; re-exported here so
-// "graph I/O" stays one import site for callers.
-pub use crate::mapped::{load_csr_mapped, save_csr};
 
 /// A timestamped undirected edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +58,19 @@ fn is_comment(line: &str) -> bool {
     t.is_empty() || t.starts_with('#') || t.starts_with('%')
 }
 
+/// Parses a vertex id field. [`NO_VERTEX`] is the engines' "no vertex"
+/// sentinel, not a vertex, so a line naming it is malformed.
+fn parse_id(field: &str) -> Option<VertexId> {
+    field.parse::<VertexId>().ok().filter(|&v| v != NO_VERTEX)
+}
+
+fn malformed(idx: usize, line: &str) -> ParseError {
+    ParseError::Malformed {
+        line: idx + 1,
+        content: line.to_owned(),
+    }
+}
+
 /// Parses a static `u v` edge list from a reader. Duplicate edges and self
 /// loops are dropped; vertices are whatever ids appear in the file.
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Vec<(VertexId, VertexId)>, ParseError> {
@@ -73,17 +82,9 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Vec<(VertexId, VertexId)>
             continue;
         }
         let mut it = line.split_whitespace();
-        let (Some(a), Some(b)) = (it.next(), it.next()) else {
-            return Err(ParseError::Malformed {
-                line: idx + 1,
-                content: line.clone(),
-            });
-        };
-        let (Ok(u), Ok(v)) = (a.parse::<VertexId>(), b.parse::<VertexId>()) else {
-            return Err(ParseError::Malformed {
-                line: idx + 1,
-                content: line.clone(),
-            });
+        let (Some(u), Some(v)) = (it.next().and_then(parse_id), it.next().and_then(parse_id))
+        else {
+            return Err(malformed(idx, &line));
         };
         if u != v && seen.insert(edge_key(u, v)) {
             edges.push((u, v));
@@ -104,21 +105,12 @@ pub fn read_temporal_edge_list<R: BufRead>(reader: R) -> Result<Vec<TemporalEdge
             continue;
         }
         let mut it = line.split_whitespace();
-        let (Some(a), Some(b), Some(c)) = (it.next(), it.next(), it.next()) else {
-            return Err(ParseError::Malformed {
-                line: idx + 1,
-                content: line.clone(),
-            });
-        };
-        let (Ok(u), Ok(v), Ok(t)) = (
-            a.parse::<VertexId>(),
-            b.parse::<VertexId>(),
-            c.parse::<u64>(),
+        let (Some(u), Some(v), Some(t)) = (
+            it.next().and_then(parse_id),
+            it.next().and_then(parse_id),
+            it.next().and_then(|c| c.parse::<u64>().ok()),
         ) else {
-            return Err(ParseError::Malformed {
-                line: idx + 1,
-                content: line.clone(),
-            });
+            return Err(malformed(idx, &line));
         };
         if u != v && seen.insert(edge_key(u, v)) {
             edges.push(TemporalEdge { u, v, t });
@@ -176,10 +168,17 @@ mod tests {
 
     #[test]
     fn rejects_malformed_lines() {
-        let err = read_edge_list(Cursor::new("0 1\nnot an edge\n")).unwrap_err();
-        match err {
-            ParseError::Malformed { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected error {other}"),
+        // 4294967295 is NO_VERTEX; accepting it would make `from_edges`
+        // size every per-vertex array to 2^32 entries.
+        for err in [
+            read_edge_list(Cursor::new("0 1\nnot an edge\n")).unwrap_err(),
+            read_edge_list(Cursor::new("0 1\n0 4294967295\n")).unwrap_err(),
+            read_temporal_edge_list(Cursor::new("0 1 5\n0 4294967295 6\n")).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, ParseError::Malformed { line: 2, .. }),
+                "{err}"
+            );
         }
     }
 

@@ -1,6 +1,8 @@
 //! # kcore-graph
 //!
 //! Dynamic undirected graph substrate used by every crate in this workspace.
+//! [`DynamicGraph`] is the only graph type: the static decompositions, the
+//! maintenance engines and the ingest writer all read it.
 //!
 //! The representation is deliberately simple and fast for the access pattern
 //! of core-maintenance algorithms:
@@ -22,25 +24,22 @@
 //!   hot-spot on integer keys; `rustc-hash` is not among the allowed
 //!   offline dependencies so the 20-line algorithm is implemented here);
 //! * [`io`] — plain text edge-list reading/writing;
+//! * [`atomic`] — the floored atomic degree counters of the parallel peel;
 //! * [`stats`] — degree statistics used when reporting Table I;
 //! * [`fixtures`] — the running-example graph of the paper (Fig 3) and a
 //!   handful of tiny graphs shared by unit tests across the workspace.
 
 pub mod arena;
 pub mod atomic;
-pub mod csr;
 pub mod fixtures;
 pub mod graph;
 pub mod hash;
 pub mod io;
-pub mod mapped;
 pub mod stats;
 
 pub use arena::AdjArena;
 pub use atomic::AtomicDegrees;
-pub use csr::{CsrGraph, CsrLayout};
 pub use graph::{
     edge_key, key_edge, DynamicGraph, EdgeListError, VertexId, DEFAULT_MAX_HOLE_RATIO, NO_VERTEX,
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use mapped::{load_csr_mapped, save_csr, CsrLoadError, MappedCsr};

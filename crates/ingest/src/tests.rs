@@ -702,6 +702,30 @@ fn journal_file_is_the_header_plus_one_frame_per_flush() {
 }
 
 #[test]
+fn kjrn_v3_frames_of_a_churn_stream_are_pinned() {
+    // Exact bytes of the v3 delta encoding: a change to the frame layout,
+    // the zigzag-LEB128 payload or the CRC shows up here, not only as a
+    // drift in the bench's bytes-per-event figure.
+    use crate::durability::{crc32, encode_frame};
+    use kcore_maint::journal::JournalEntry;
+    let base = barabasi_albert(2000, 4, 17);
+    let entries: Vec<JournalEntry> = churn_stream(&base, 24, 96, 96, 31)
+        .iter()
+        .flat_map(churn_events)
+        .enumerate()
+        .map(|(seq, event)| JournalEntry {
+            seq: seq as u64,
+            event,
+            transitions: Vec::new(),
+        })
+        .collect();
+    assert_eq!(entries.len(), 4608);
+    let bytes: Vec<u8> = entries.chunks(256).flat_map(encode_frame).collect();
+    assert_eq!(bytes.len(), 22_433);
+    assert_eq!(crc32(&bytes), 0x1cb4_57d0);
+}
+
+#[test]
 fn failed_background_checkpoint_degrades_at_the_next_flush_barrier() {
     use crate::durability::load_index_snapshot;
     use crate::faults::{FaultKind, FaultPlan, OpClass};
