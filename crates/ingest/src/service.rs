@@ -42,11 +42,9 @@
 //! events: the writer's behaviour becomes a pure function of the message
 //! sequence, so flush boundaries, epochs, and journal contents are
 //! bit-reproducible on any host — including this repo's 1-CPU CI
-//! container — with no sleeps and no wall-clock reads. (This is the
-//! same testing posture as `Planner::with_clock`, pushed one level up:
-//! instead of injecting a closure the writer polls — which would race
-//! with event arrival — the scripted clock serialises time itself into
-//! the event stream.)
+//! container — with no sleeps and no wall-clock reads. (A closure the
+//! writer polled would race with event arrival, so the scripted clock
+//! serialises time itself into the event stream.)
 //!
 //! ## Supervision and self-healing
 //!
@@ -793,74 +791,39 @@ pub struct IngestPause {
 /// [`PlannerStats`] counters are cumulative, so the writer exports
 /// deltas to keep the registry's counters true monotone counters.
 struct PlannerObs {
-    batched: Counter,
-    split: Counter,
-    par_split: Counter,
-    recompute: Counter,
-    par_recompute: Counter,
-    late_recompute: Counter,
-    rebuilds: Counter,
-    ewma: [Gauge; 7],
-    last: [usize; 7],
+    counters: [Counter; 5],
+    last: [usize; 5],
 }
 
 impl PlannerObs {
     fn new(reg: &MetricsRegistry) -> Self {
+        // `planner_split_total` always reads 0: the serial component
+        // split counts as `ParSplit`. It stays registered because
+        // perfbench reads it and panics on a missing counter.
+        reg.counter("planner_split_total");
         PlannerObs {
-            batched: reg.counter("planner_batched_total"),
-            split: reg.counter("planner_split_total"),
-            par_split: reg.counter("planner_par_split_total"),
-            recompute: reg.counter("planner_recompute_total"),
-            par_recompute: reg.counter("planner_par_recompute_total"),
-            late_recompute: reg.counter("planner_late_recompute_total"),
-            rebuilds: reg.counter("planner_rebuilds_total"),
-            ewma: [
-                reg.gauge("planner_ewma_batched_insert_ns_per_edge"),
-                reg.gauge("planner_ewma_batched_remove_ns_per_edge"),
-                reg.gauge("planner_ewma_recompute_ns_per_unit"),
-                reg.gauge("planner_ewma_par_pass_ns_per_edge"),
-                reg.gauge("planner_ewma_par_recompute_ns_per_unit"),
-                reg.gauge("planner_ewma_pass_ns_per_seed"),
-                reg.gauge("planner_ewma_rebuild_ns_per_unit"),
+            counters: [
+                reg.counter("planner_batched_total"),
+                reg.counter("planner_par_split_total"),
+                reg.counter("planner_recompute_total"),
+                reg.counter("planner_par_recompute_total"),
+                reg.counter("planner_rebuilds_total"),
             ],
-            last: [0; 7],
+            last: [0; 5],
         }
     }
 
     fn observe(&mut self, s: &PlannerStats) {
         let now = [
             s.batched_chosen,
-            s.split_chosen,
             s.par_split_chosen,
             s.recompute_chosen,
             s.par_recompute_chosen,
-            s.late_recompute,
             s.rebuilds,
         ];
-        let counters = [
-            &self.batched,
-            &self.split,
-            &self.par_split,
-            &self.recompute,
-            &self.par_recompute,
-            &self.late_recompute,
-            &self.rebuilds,
-        ];
-        for ((c, &n), last) in counters.iter().zip(&now).zip(&mut self.last) {
+        for ((c, &n), last) in self.counters.iter().zip(&now).zip(&mut self.last) {
             c.add(n.saturating_sub(*last) as u64);
             *last = n;
-        }
-        let ewma = [
-            s.batched_insert_ns_per_edge,
-            s.batched_remove_ns_per_edge,
-            s.recompute_ns_per_unit,
-            s.par_pass_ns_per_edge,
-            s.par_recompute_ns_per_unit,
-            s.pass_ns_per_seed,
-            s.rebuild_ns_per_unit,
-        ];
-        for (g, v) in self.ewma.iter().zip(ewma) {
-            g.set(v);
         }
     }
 }
@@ -1067,7 +1030,7 @@ impl Writer {
     }
 
     /// Exports the engine-side observables that live outside the writer:
-    /// planner decision counters + EWMA gauges, and the process-wide
+    /// planner decision counters and the process-wide
     /// worker-team occupancy gauges. Called once per flush.
     fn export_engine_obs(&mut self) {
         let Some(o) = self.obs.as_mut() else {

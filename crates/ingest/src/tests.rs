@@ -466,10 +466,10 @@ fn parallel_writer_matches_serial_writer_bit_identically() {
         svc.shutdown()
     };
     // Strategy-matched comparison: both writers run component-split
-    // passes, the second with the plan phase on the worker team (cutoff
-    // zero forces it even for tiny micro-batch seed pools). Everything
-    // the writer reports must be bit-identical.
-    let (sr, se) = run(IngestConfig::scripted(), PlanPolicy::ForceSplit);
+    // passes — serially without threads, then with the plan phase on the
+    // worker team (cutoff zero forces it even for tiny micro-batch seed
+    // pools). Everything the writer reports must be bit-identical.
+    let (sr, se) = run(IngestConfig::scripted(), PlanPolicy::ForceParSplit);
     let par = Parallelism::exact(4).with_cutoff(0);
     let (pr, mut pe) = run(
         IngestConfig::scripted().parallel(par),

@@ -91,15 +91,9 @@ impl<S: OrderSeq> OrderCore<S> {
     /// The apply phase of batched insertion (see
     /// [`OrderCore::insert_edges`]): admits every valid edge against the
     /// frozen k-order and collects the Lemma 5.1 violators into the
-    /// reusable `batch_seeds` scratch. Callers **must** follow up with
-    /// either [`OrderCore::insert_pass_phase`] or a recompute rebuild
-    /// (which supersedes the seeds) — the adaptive planner decides
-    /// between the two from the seed summary.
-    pub(crate) fn insert_apply_phase(
-        &mut self,
-        edges: &[(VertexId, VertexId)],
-        stats: &mut UpdateStats,
-    ) {
+    /// reusable `batch_seeds` scratch, which `insert_pass_phase`
+    /// consumes.
+    fn insert_apply_phase(&mut self, edges: &[(VertexId, VertexId)], stats: &mut UpdateStats) {
         let n = self.graph.num_vertices() as VertexId;
 
         // Range/self-loop filter, into the reusable edge scratch.
@@ -180,7 +174,7 @@ impl<S: OrderSeq> OrderCore<S> {
     /// The pass phase of batched insertion: one multi-seed promotion pass
     /// per dirty level, ascending, consuming the seeds the apply phase
     /// left in `batch_seeds`.
-    pub(crate) fn insert_pass_phase(&mut self, opts: &BatchOptions, stats: &mut UpdateStats) {
+    fn insert_pass_phase(&mut self, opts: &BatchOptions, stats: &mut UpdateStats) {
         let mut dirty = std::mem::take(&mut self.batch_seeds);
         let mut seeds = std::mem::take(&mut self.level_seeds);
         while !dirty.is_empty() {
@@ -285,13 +279,9 @@ impl<S: OrderSeq> OrderCore<S> {
     /// The apply phase of batched removal: deletes every valid edge and
     /// repairs `mcd`/`deg⁺` against the frozen k-order, pooling
     /// dismissible vertices into the reusable `batch_seeds` scratch, then
-    /// considers arena compaction once. Callers **must** follow up with
-    /// either [`OrderCore::remove_pass_phase`] or a recompute rebuild.
-    pub(crate) fn remove_apply_phase(
-        &mut self,
-        edges: &[(VertexId, VertexId)],
-        stats: &mut UpdateStats,
-    ) {
+    /// considers arena compaction once; `remove_pass_phase` consumes the
+    /// pool.
+    fn remove_apply_phase(&mut self, edges: &[(VertexId, VertexId)], stats: &mut UpdateStats) {
         let n = self.graph.num_vertices() as VertexId;
 
         // ---- apply phase (k-order frozen) ----
@@ -359,7 +349,7 @@ impl<S: OrderSeq> OrderCore<S> {
     /// The pass phase of batched removal: one multi-seed dismissal pass
     /// per affected level, descending, consuming the pool the apply phase
     /// left in `batch_seeds`.
-    pub(crate) fn remove_pass_phase(&mut self, opts: &BatchOptions, stats: &mut UpdateStats) {
+    fn remove_pass_phase(&mut self, opts: &BatchOptions, stats: &mut UpdateStats) {
         let mut pool = std::mem::take(&mut self.batch_seeds);
         let mut seeds = std::mem::take(&mut self.level_seeds);
         while !pool.is_empty() {

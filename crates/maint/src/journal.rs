@@ -503,9 +503,7 @@ mod tests {
                 seq_engine.cores(),
                 "planned replay diverged at max_batch {max_batch}"
             );
-            let decided = planned.planner_stats().batched_chosen
-                + planned.planner_stats().split_chosen
-                + planned.planner_stats().recompute_chosen;
+            let decided = planned.planner_stats().decisions();
             assert!(decided > 0, "replay batches must route through the planner");
             planned.validate();
         }

@@ -367,32 +367,6 @@ impl<S: OrderSeq> OrderCore<S> {
         }
     }
 
-    /// Summary of the seeds an apply phase left for the pass phase:
-    /// `(count, lowest level, highest level)` — the cost-model inputs the
-    /// adaptive planner reads between the two phases. `None` when the
-    /// batch left no Lemma 5.1 violation / dismissible vertex.
-    pub(crate) fn batch_seed_summary(&self) -> Option<(usize, u32, u32)> {
-        let mut lo = u32::MAX;
-        let mut hi = 0;
-        for &v in &self.batch_seeds {
-            let k = self.core[v as usize];
-            lo = lo.min(k);
-            hi = hi.max(k);
-        }
-        if self.batch_seeds.is_empty() {
-            None
-        } else {
-            Some((self.batch_seeds.len(), lo, hi))
-        }
-    }
-
-    /// Drops the seeds an apply phase collected without running passes —
-    /// the planner calls this when it abandons the pass phase in favour
-    /// of a recompute (the seeds are meaningless after a rebuild).
-    pub(crate) fn discard_batch_seeds(&mut self) {
-        self.batch_seeds.clear();
-    }
-
     /// Total capacity (in elements) of the reusable per-batch scratch
     /// buffers — a diagnostic for the zero-steady-state-allocation
     /// property: after a warm-up batch, identical batches must not grow

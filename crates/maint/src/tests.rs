@@ -419,99 +419,6 @@ fn observation_6_1_demotions_occur_and_stay_valid() {
     );
 }
 
-// ---- adaptive planner satellites ----------------------------------------
-
-/// A scripted clock: pops pre-programmed timestamps so planner
-/// calibration tests depend only on injected timings, never on the wall
-/// clock. Panics when the script runs dry (the test under-budgeted its
-/// clock reads).
-fn scripted_clock(times: Vec<u64>) -> Box<dyn FnMut() -> u64 + Send> {
-    let mut queue = std::collections::VecDeque::from(times);
-    Box::new(move || queue.pop_front().expect("clock script exhausted"))
-}
-
-#[test]
-fn calibration_converges_to_the_observed_faster_strategy() {
-    use crate::planner::{PlanPolicy, PlannedCore, Planner, PlannerConfig, Strategy};
-
-    // Misprice the priors: batched looks nearly free, recompute mildly
-    // expensive — stage 1 therefore starts on batched passes. The
-    // robustness knobs (movement clamp, stale relaxation) are disabled
-    // so the test exercises pure EWMA convergence; they have their own
-    // unit tests.
-    let cfg = PlannerConfig {
-        policy: PlanPolicy::Auto,
-        ewma_alpha: 0.5,
-        batched_insert_ns_per_edge: 1.0,
-        recompute_ns_per_unit: 100.0,
-        ewma_max_step: f64::INFINITY,
-        stale_decay: 0.0,
-        ..PlannerConfig::default()
-    };
-
-    // Script: each batched execution reads the clock three times (start,
-    // between phases, end) and "takes" 10 ms for its 10 edges — 1 ms per
-    // edge of observed cost, a thousandfold of the prior. Recompute
-    // batches read fewer entries, so the script over-provisions; any
-    // alignment yields per-observation deltas of at most 10 ms, which
-    // keeps the recompute estimate below the flip-back threshold.
-    const WARMUP: usize = 6;
-    let mut script = Vec::new();
-    let mut t = 0u64;
-    for _ in 0..WARMUP + 4 {
-        script.push(t);
-        script.push(t);
-        script.push(t + 10_000_000);
-        t += 20_000_000;
-    }
-    let planner = Planner::with_clock(cfg, scripted_clock(script));
-
-    let g = fixtures::path(30);
-    let engine: OrderCore = OrderCore::new(g.clone(), 7);
-    let mut pc = PlannedCore::from_parts(engine, planner);
-
-    // Warm-up: batches of already-present edges (all skipped, so the
-    // graph never changes and every batch is a pure timing observation).
-    let dup_batch: Vec<(u32, u32)> = (0..10u32).map(|i| (i, i + 1)).collect();
-    let (n, m) = (pc.graph().num_vertices(), pc.graph().num_edges());
-    assert_eq!(
-        pc.planner().plan(10, 0, n, m, true),
-        Strategy::Batched,
-        "mispriced priors must start on the batched strategy"
-    );
-    for _ in 0..WARMUP {
-        let stats = pc.insert_edges(&dup_batch);
-        assert_eq!(stats.skipped, dup_batch.len());
-    }
-
-    // The EWMA has absorbed the observed ~1 ms/edge: the batched
-    // estimate crossed the ~6.9 µs recompute estimate and the choice
-    // flipped during the warm-up (duplicate batches that recompute are
-    // no-ops and do not count as dispatches).
-    assert!(pc.planner_stats().batched_chosen >= 1);
-    assert!(
-        pc.planner_stats().batched_insert_ns_per_edge > 1_000.0,
-        "EWMA must have absorbed the scripted slowness (got {})",
-        pc.planner_stats().batched_insert_ns_per_edge
-    );
-    assert_eq!(
-        pc.planner().plan(10, 0, n, m, true),
-        Strategy::Recompute,
-        "after mispriced warm-up the planner must flip to recompute"
-    );
-
-    // A batch with real work now executes — and records — the flipped
-    // strategy.
-    let stats = pc.insert_edges(&[(0, 2), (1, 3)]);
-    assert_eq!(stats.skipped, 0);
-    assert_eq!(
-        pc.planner_stats().recompute_chosen,
-        1,
-        "the first effective batch after the flip must recompute"
-    );
-    assert!(!pc.is_order_fresh(), "recompute defers the order rebuild");
-}
-
 #[test]
 fn repeated_batches_reuse_scratch_without_growth() {
     // Steady-state batches must allocate nothing: after one warm-up

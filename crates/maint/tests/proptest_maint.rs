@@ -7,25 +7,26 @@ use kcore_graph::DynamicGraph;
 use kcore_maint::{BatchOp, CoreMaintainer, OrderCore, PlanPolicy, PlannedCore, RecomputeCore};
 use proptest::prelude::*;
 
-const ALL_POLICIES: [PlanPolicy; 6] = [
-    PlanPolicy::Auto,
-    PlanPolicy::ForceBatch,
-    PlanPolicy::ForceSplit,
-    PlanPolicy::ForceParSplit,
-    PlanPolicy::ForceRecompute,
-    PlanPolicy::ForceParRecompute,
+/// Every policy, plus the split and recompute policies once more on a
+/// two-thread `Parallelism` (cutoff zeroed so the worker-team paths
+/// genuinely run even on tiny property-test graphs). Without threads,
+/// `ForceParSplit` runs the serial component split.
+const ALL_POLICIES: [(PlanPolicy, bool); 6] = [
+    (PlanPolicy::Auto, false),
+    (PlanPolicy::ForceBatch, false),
+    (PlanPolicy::ForceParSplit, false),
+    (PlanPolicy::ForceParSplit, true),
+    (PlanPolicy::ForceRecompute, false),
+    (PlanPolicy::ForceRecompute, true),
 ];
 
-/// A planned engine for the given policy; the parallel policies get a
-/// two-thread `Parallelism` with the cutoff zeroed so the worker-team
-/// paths genuinely run even on tiny property-test graphs.
-fn planned_with(g: DynamicGraph, seed: u64, policy: PlanPolicy) -> PlannedCore {
+/// A planned engine for the given policy, threaded or serial.
+fn planned_with(g: DynamicGraph, seed: u64, (policy, threaded): (PlanPolicy, bool)) -> PlannedCore {
     let pc: PlannedCore = PlannedCore::with_policy(g, seed, policy);
-    match policy {
-        PlanPolicy::ForceParSplit | PlanPolicy::ForceParRecompute => {
-            pc.with_parallelism(Parallelism::exact(2).with_cutoff(0))
-        }
-        _ => pc,
+    if threaded {
+        pc.with_parallelism(Parallelism::exact(2).with_cutoff(0))
+    } else {
+        pc
     }
 }
 

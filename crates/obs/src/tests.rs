@@ -70,7 +70,7 @@ fn histogram_clone_shares_cells_and_eq_compares_contents() {
 fn registry_snapshot_render_and_json() {
     let reg = MetricsRegistry::new();
     let c = reg.counter("ingest_events_total");
-    let g = reg.gauge("planner/ewma ns-per-edge"); // sanitized
+    let g = reg.gauge("team/busy workers"); // sanitized
     let h = reg.histogram("flush_apply_ns");
     c.add(3);
     g.set(12.5);
@@ -79,13 +79,13 @@ fn registry_snapshot_render_and_json() {
 
     let snap = reg.snapshot();
     assert_eq!(snap.counter("ingest_events_total"), Some(3));
-    assert_eq!(snap.gauge("planner_ewma_ns_per_edge"), Some(12.5));
+    assert_eq!(snap.gauge("team_busy_workers"), Some(12.5));
     assert_eq!(snap.histogram("flush_apply_ns").unwrap().count, 2);
 
     let text = snap.render_text();
     assert!(text.contains("# TYPE ingest_events_total counter"));
     assert!(text.contains("ingest_events_total 3"));
-    assert!(text.contains("planner_ewma_ns_per_edge 12.5"));
+    assert!(text.contains("team_busy_workers 12.5"));
     assert!(text.contains("flush_apply_ns_bucket{le=\"+Inf\"} 2"));
     assert!(text.contains("flush_apply_ns_count 2"));
     for line in text.lines() {

@@ -107,7 +107,7 @@ fn main() {
     );
     for line in exposition
         .lines()
-        .filter(|l| l.starts_with("ingest_health") || l.starts_with("planner_ewma_batched"))
+        .filter(|l| l.starts_with("ingest_health") || l.starts_with("planner_batched_total"))
         .take(3)
     {
         println!("  {line}");
@@ -130,8 +130,8 @@ fn main() {
         report.tracked_drains,
         report.full_syncs,
     );
-    // The planner's own story of the run: which strategies it chose and
-    // the EWMA cost model it priced them with.
+    // The planner's own story of the run: how often it chose each
+    // strategy and how many deferred k-order rebuilds it ran.
     println!("planner: {}", engine.planner_stats());
     let epochs_seen = reader.join().unwrap();
     println!("reader observed {epochs_seen} distinct epochs");
