@@ -6,9 +6,12 @@
 //!    occasional relabels), one edge at a time on the datasets;
 //! 2. k-order generation heuristic — how much wall-clock the *small
 //!    deg⁺ first* rule actually buys (time companion to Fig 9's counts);
-//! 3. the `A_k` scale sweep — the same BA(attach 4) churn through
-//!    `PlannedCore` with each `A_k` at 20k, 200k and 2M vertices, where
-//!    the treap's parent-pointer walks outgrow the caches.
+//! 3. the `A_k` scale sweep — the same churn through `PlannedCore` with
+//!    each `A_k` at about 20k, 200k and 2M vertices, where the treap's
+//!    parent-pointer walks outgrow the caches. Three graph families:
+//!    BA(n, 4), whose vertices all start at core 4, and two with many core
+//!    levels, `heterogeneous_social(n, 8, 0.3)` and R-MAT with 4 edges
+//!    per vertex.
 //!
 //! `cargo run --release -p kcore-bench --bin ablation`
 
@@ -16,13 +19,25 @@ use std::time::Instant;
 
 use kcore_bench::{fmt_ratio, fmt_secs, row, time_insertions, time_removals, Cli};
 use kcore_decomp::Heuristic;
-use kcore_gen::{barabasi_albert, churn_stream, ChurnBatch};
+use kcore_gen::{barabasi_albert, churn_stream, heterogeneous_social, rmat, ChurnBatch};
 use kcore_graph::DynamicGraph;
 use kcore_maint::{OrderCore, PlannedCore, TreapOrderCore};
 use kcore_order::{OrderSeq, OrderTreap, TagList};
 
-/// Scale sweep: graph sizes, churn micro-batch (half inserts, half
-/// removes) and events replayed per size.
+/// Scale sweep: graph families (name, generator at about `n` vertices),
+/// graph sizes, churn micro-batch (half inserts, half removes) and events
+/// replayed per graph. R-MAT rounds `n` up to a power of two.
+type SweepFamily = (&'static str, fn(usize, u64) -> DynamicGraph);
+const SWEEP_FAMILIES: [SweepFamily; 3] = [
+    ("BA(n,4)", |n, seed| barabasi_albert(n, 4, seed)),
+    ("social(n,8)", |n, seed| {
+        heterogeneous_social(n, 8, 0.3, seed)
+    }),
+    ("R-MAT(4/v)", |n, seed| {
+        let scale = n.next_power_of_two().trailing_zeros();
+        rmat(scale, 4 << scale, 0.57, 0.19, 0.19, seed)
+    }),
+];
 const SWEEP_SIZES: [usize; 3] = [20_000, 200_000, 2_000_000];
 const SWEEP_BATCH: usize = 256;
 const SWEEP_EVENTS: usize = 16_384;
@@ -97,12 +112,14 @@ fn main() {
 
     println!();
     println!(
-        "== Ablation 3: A_k scale sweep, BA(attach 4) churn through PlannedCore \
+        "== Ablation 3: A_k scale sweep, churn through PlannedCore \
          ({SWEEP_EVENTS} events, batch {SWEEP_BATCH}) =="
     );
     row(
         &[
+            "graph".into(),
             "vertices".into(),
+            "max-core".into(),
             "treap-us/ev".into(),
             "label-us/ev".into(),
             "speedup".into(),
@@ -110,8 +127,12 @@ fn main() {
         12,
         12,
     );
-    for n in SWEEP_SIZES {
-        let base = barabasi_albert(n, 4, cli.seed);
+    for ((family, generate), n) in SWEEP_FAMILIES
+        .into_iter()
+        .flat_map(|f| SWEEP_SIZES.map(|n| (f, n)))
+    {
+        let base = generate(n, cli.seed);
+        let n = base.num_vertices();
         let stream = churn_stream(
             &base,
             SWEEP_EVENTS / SWEEP_BATCH,
@@ -124,11 +145,13 @@ fn main() {
         // Not assert_eq!: a mismatch would print millions of cores.
         assert!(
             treap_cores == label_cores,
-            "A_k variants diverged at {n} vertices"
+            "A_k variants diverged on {family} at {n} vertices"
         );
         row(
             &[
+                family.into(),
                 n.to_string(),
+                label_cores.iter().max().unwrap_or(&0).to_string(),
                 format!("{treap_us:.2}"),
                 format!("{label_us:.2}"),
                 fmt_ratio(treap_us, label_us),

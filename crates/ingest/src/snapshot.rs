@@ -1,8 +1,8 @@
 //! Immutable, epoch-versioned views of the maintained core state, and
 //! the handle readers load them through.
 //!
-//! The writer publishes a fresh [`CoreSnapshot`] after (a configurable
-//! number of) flushed micro-batches; readers [`SnapshotHandle::load`]
+//! The writer publishes a fresh [`CoreSnapshot`] after every flushed
+//! micro-batch; readers [`SnapshotHandle::load`]
 //! whichever epoch is current and then work on an immutable object — no
 //! torn reads, and two loads in a row may observe different epochs but
 //! never a half-applied batch (snapshots are only cut at micro-batch

@@ -22,7 +22,7 @@
 //! vertices move (order-preserved) to the *front* of `O_{K+1}`, and
 //! `deg⁺`/`mcd` are repaired around them.
 
-use crate::order_core::OrderCore;
+use crate::order_core::{OrderCore, StarDeg};
 use kcore_graph::{EdgeListError, VertexId};
 use kcore_order::OrderSeq;
 use kcore_traversal::UpdateStats;
@@ -96,7 +96,6 @@ impl<S: OrderSeq> OrderCore<S> {
     /// at level `k + 1` (a batch may raise a core by more than one);
     /// callers with multi-edge batches must re-check the promoted set
     /// (`self.vstar`) and cascade upward.
-    #[allow(clippy::needless_range_loop)]
     pub(crate) fn promote_pass(&mut self, seeds: &[VertexId], k: u32, stats: &mut UpdateStats) {
         stats.passes += 1;
         stats.merged_seeds += seeds.len();
@@ -104,44 +103,42 @@ impl<S: OrderSeq> OrderCore<S> {
         let epoch = self.bump_epoch();
         self.vc.clear();
         self.demotions.clear();
-        let mut heap = std::mem::take(&mut self.heap);
-        heap.clear();
-        for i in 0..seeds.len() {
-            let root = seeds[i];
+        self.heap.clear();
+        for &root in seeds {
             debug_assert_eq!(self.core[root as usize], k);
             debug_assert!(self.deg_plus[root as usize] > k);
             let rank = self.order_key(root);
-            heap.push(rank, root);
+            self.heap.push(rank, root);
         }
 
         // ---- the pass (core phase of Algorithm 2) ----
+        // All order tests during the pass compare pass-start keys: A_K is
+        // frozen until the ending phase, so a popped key is its vertex's
+        // rank.
         loop {
-            let popped = heap.pop_valid(|w| {
+            let mut star = StarDeg::new(&mut self.star_mark, &mut self.deg_star, epoch);
+            let (vc_mark, deg_plus) = (&mut self.vc_mark[..], &mut self.deg_plus[..]);
+            let popped = self.heap.pop_valid(|w| {
                 let wi = w as usize;
-                self.vc_mark[wi] != epoch && (self.star(w, epoch) > 0 || self.deg_plus[wi] > k)
+                vc_mark[wi] != epoch && (star.get(wi) > 0 || deg_plus[wi] > k)
             });
-            let Some((_, w)) = popped else { break };
+            let Some((rank_w, w)) = popped else { break };
             stats.visited += 1;
             let wi = w as usize;
-            let star_w = self.star(w, epoch);
-            if star_w + self.deg_plus[wi] > k {
+            let star_w = star.get(wi);
+            if star_w + deg_plus[wi] > k {
                 // Case-1: w is a potential candidate.
-                self.vc_mark[wi] = epoch;
+                vc_mark[wi] = epoch;
                 self.vc.push(w);
                 // Grant candidate degree to later same-core neighbours.
-                // All order tests during the pass compare pass-start
-                // positions: A_K is frozen until the ending phase.
-                let rank_w = self.order_key(w);
-                for i in 0..self.graph.degree(w) {
-                    let z = self.graph.neighbors(w)[i];
+                let (core, node) = (&self.core[..], &self.node[..]);
+                let seq = &self.seqs[k as usize];
+                for &z in self.graph.neighbors(w) {
                     let zi = z as usize;
-                    if self.core[zi] == k {
-                        let rank_z = self.order_key(z);
-                        if rank_w < rank_z {
-                            let new = self.star_add(z, epoch, 1);
-                            if new == 1 {
-                                heap.push(rank_z, z);
-                            }
+                    if core[zi] == k {
+                        let rank_z = seq.order_key(node[zi]);
+                        if rank_w < rank_z && star.inc(zi) == 1 {
+                            self.heap.push(rank_z, z);
                         }
                     }
                 }
@@ -151,12 +148,10 @@ impl<S: OrderSeq> OrderCore<S> {
                 // the new order whether they are promoted or demoted, so
                 // deg* folds into deg⁺.
                 debug_assert!(star_w > 0);
-                self.deg_plus[wi] += star_w;
-                self.star_add(w, epoch, -(star_w as i64));
-                self.remove_candidates(w, k, epoch);
+                deg_plus[wi] += star.take(wi);
+                self.remove_candidates(w, rank_w, k, epoch);
             }
         }
-        self.heap = heap;
 
         // Surviving candidates are V*.
         let mut vstar = std::mem::take(&mut self.vstar);
@@ -179,7 +174,6 @@ impl<S: OrderSeq> OrderCore<S> {
     /// lists the pass's Observation 6.1 repositionings as `(d, pred)`:
     /// demoted `d` rejoined `O_K` right after `pred`. `epoch` is the
     /// pass's epoch; `vc_mark == epoch` marks `V*` during the repair scan.
-    #[allow(clippy::needless_range_loop)]
     pub(crate) fn finish_promote(
         &mut self,
         k: u32,
@@ -205,36 +199,35 @@ impl<S: OrderSeq> OrderCore<S> {
         // relative order at the *front* of O_{K+1}), everything already in
         // O_{K+1}, and higher levels. mcd of promoted vertices counts
         // neighbours with core > k; their neighbours already at level K+1
-        // gain one mcd. (Index loops sidestep holding &self borrows
-        // across &mut accesses; the two repairs are write-disjoint, so
-        // fusing the scans is safe.)
-        for idx in 0..vstar.len() {
-            let w = vstar[idx];
+        // gain one mcd. The two repairs are write-disjoint, so fusing the
+        // scans is safe.
+        let (core, vc_mark, vc_pos) = (&self.core[..], &self.vc_mark[..], &self.vc_pos[..]);
+        let (deg_plus, mcd) = (&mut self.deg_plus[..], &mut self.mcd[..]);
+        for (idx, &w) in vstar.iter().enumerate() {
             let mut dp = 0u32;
             let mut m = 0u32;
-            for j in 0..self.graph.degree(w) {
-                let z = self.graph.neighbors(w)[j];
+            for &z in self.graph.neighbors(w) {
                 let zi = z as usize;
-                let cz = self.core[zi];
+                let cz = core[zi];
                 if cz > k {
                     m += 1;
                 }
                 if cz > k + 1 {
                     dp += 1;
                 } else if cz == k + 1 {
-                    if self.vc_mark[zi] == epoch {
-                        if (self.vc_pos[zi] as usize) > idx {
+                    if vc_mark[zi] == epoch {
+                        if (vc_pos[zi] as usize) > idx {
                             dp += 1;
                         }
                     } else {
                         dp += 1; // original O_{K+1} member: after all of V*
-                        self.mcd[zi] += 1;
+                        mcd[zi] += 1;
                         stats.refreshed += 1;
                     }
                 }
             }
-            self.deg_plus[w as usize] = dp;
-            self.mcd[w as usize] = m;
+            deg_plus[w as usize] = dp;
+            mcd[w as usize] = m;
             stats.refreshed += 1;
         }
 
@@ -252,69 +245,67 @@ impl<S: OrderSeq> OrderCore<S> {
         }
     }
 
-    /// Algorithm 3: the frontier vertex `w` has just been ruled out of
-    /// `V*`; retract its contribution from the candidates and cascade
-    /// demotions out of `VC`. Demoted vertices rejoin `O_K` right after
-    /// the current frontier, preserving queue order.
-    fn remove_candidates(&mut self, w: VertexId, k: u32, epoch: u32) {
-        self.queue.clear();
+    /// Algorithm 3: the frontier vertex `w` (pass-start rank `rank_w`) has
+    /// just been ruled out of `V*`; retract its contribution from the
+    /// candidates and cascade demotions out of `VC`. Demoted vertices
+    /// rejoin `O_K` right after the current frontier, preserving queue
+    /// order. Order tests compare pass-start keys (`A_K` is frozen during
+    /// the pass).
+    fn remove_candidates(&mut self, w: VertexId, rank_w: u64, k: u32, epoch: u32) {
+        let mut star = StarDeg::new(&mut self.star_mark, &mut self.deg_star, epoch);
+        let (core, node) = (&self.core[..], &self.node[..]);
+        let seq = &self.seqs[k as usize];
+        let (deg_plus, vc_mark) = (&mut self.deg_plus[..], &mut self.vc_mark[..]);
+        let queue_mark = &mut self.queue_mark[..];
+        let queue = &mut self.queue;
+        queue.clear();
         // w will stay at level K: candidates counted it in deg⁺.
-        for i in 0..self.graph.degree(w) {
-            let z = self.graph.neighbors(w)[i];
+        for &z in self.graph.neighbors(w) {
             let zi = z as usize;
-            if self.vc_mark[zi] == epoch {
-                self.deg_plus[zi] -= 1;
-                if self.deg_plus[zi] + self.star(z, epoch) <= k && self.queue_mark[zi] != epoch {
-                    self.queue_mark[zi] = epoch;
-                    self.queue.push(z);
+            if vc_mark[zi] == epoch {
+                deg_plus[zi] -= 1;
+                if deg_plus[zi] + star.get(zi) <= k && queue_mark[zi] != epoch {
+                    queue_mark[zi] = epoch;
+                    queue.push(z);
                 }
             }
         }
-        // Order tests below compare pass-start positions (A_K is frozen
-        // during the pass).
-        let rank_w = self.order_key(w);
         let mut cursor = w;
         let mut qi = 0;
-        while qi < self.queue.len() {
-            let d = self.queue[qi];
+        while qi < queue.len() {
+            let d = queue[qi];
             qi += 1;
             let di = d as usize;
             // Demote d: leave VC, fold deg* into deg⁺, rejoin O_K after
             // the cursor.
-            let star_d = self.star(d, epoch);
-            self.deg_plus[di] += star_d;
-            self.star_add(d, epoch, -(star_d as i64));
-            self.vc_mark[di] = 0;
+            deg_plus[di] += star.take(di);
+            vc_mark[di] = 0;
             self.demotions.push((d, cursor));
             cursor = d;
 
-            let rank_d = self.order_key(d);
-            for i in 0..self.graph.degree(d) {
-                let z = self.graph.neighbors(d)[i];
+            let rank_d = seq.order_key(node[di]);
+            for &z in self.graph.neighbors(d) {
                 let zi = z as usize;
-                if self.core[zi] != k {
+                if core[zi] != k {
                     continue;
                 }
-                let rank_z = self.order_key(z);
+                let rank_z = seq.order_key(node[zi]);
                 if rank_w < rank_z {
                     // Unvisited vertex after the frontier: loses one
                     // candidate-granted degree (heap entry goes stale
                     // lazily if this was its last).
-                    self.star_add(z, epoch, -1);
-                } else if self.vc_mark[zi] == epoch {
-                    // A remaining candidate: d contributed either through
-                    // deg* (d was after z? no — through position) …
-                    // d granted z a deg* if d preceded z, else z counted d
-                    // in deg⁺.
+                    star.dec(zi);
+                } else if vc_mark[zi] == epoch {
+                    // A remaining candidate. d granted z a deg* iff
+                    // rank_d < rank_z; otherwise z counted d in deg⁺.
                     if rank_d < rank_z {
-                        self.star_add(z, epoch, -1);
+                        star.dec(zi);
                     } else {
-                        self.deg_plus[zi] -= 1;
+                        deg_plus[zi] -= 1;
                     }
-                    if self.deg_plus[zi] + self.star(z, epoch) <= k && self.queue_mark[zi] != epoch
-                    {
-                        self.queue_mark[zi] = epoch;
-                        self.queue.push(z);
+                    if deg_plus[zi] + star.get(zi) <= k && queue_mark[zi] != epoch {
+                        queue_mark[zi] = epoch;
+                        queue.push(z);
                     }
                 }
                 // Everything else (processed stayers, earlier demotions,

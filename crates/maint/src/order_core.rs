@@ -47,6 +47,62 @@ impl CoreChangeLog {
     }
 }
 
+/// `deg*`, the candidate degrees of the current promotion pass, read and
+/// written through its epoch stamp (a stale stamp reads as 0). It borrows
+/// `star_mark` and `deg_star` apart from the rest of [`OrderCore`], so a
+/// neighbour scan can hold it next to the other fields it touches.
+pub(crate) struct StarDeg<'a> {
+    mark: &'a mut [u32],
+    deg: &'a mut [u32],
+    epoch: u32,
+}
+
+impl<'a> StarDeg<'a> {
+    #[inline]
+    pub(crate) fn new(mark: &'a mut [u32], deg: &'a mut [u32], epoch: u32) -> Self {
+        Self { mark, deg, epoch }
+    }
+
+    /// `deg*` of `v`.
+    #[inline]
+    pub(crate) fn get(&self, v: usize) -> u32 {
+        if self.mark[v] == self.epoch {
+            self.deg[v]
+        } else {
+            0
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, v: usize, value: u32) {
+        self.mark[v] = self.epoch;
+        self.deg[v] = value;
+    }
+
+    /// Adds one to `deg*` of `v`; returns the new value.
+    #[inline]
+    pub(crate) fn inc(&mut self, v: usize) -> u32 {
+        let new = self.get(v) + 1;
+        self.set(v, new);
+        new
+    }
+
+    /// Takes one from `deg*` of `v`, stopping at 0.
+    #[inline]
+    pub(crate) fn dec(&mut self, v: usize) {
+        let new = self.get(v).saturating_sub(1);
+        self.set(v, new);
+    }
+
+    /// Zeroes `deg*` of `v`; returns the old value.
+    #[inline]
+    pub(crate) fn take(&mut self, v: usize) -> u32 {
+        let old = self.get(v);
+        self.set(v, 0);
+        old
+    }
+}
+
 /// A dynamic graph whose core numbers are maintained by the order-based
 /// algorithms of the paper. `S` is the `A_k` order structure: the `O(1)`
 /// label list [`TagList`] by default; [`crate::TreapOrderCore`] runs the
@@ -394,30 +450,6 @@ impl<S: OrderSeq> OrderCore<S> {
     pub(crate) fn bump_epoch(&mut self) -> u32 {
         self.epoch += 1;
         self.epoch
-    }
-
-    /// `deg*` read through the epoch stamp (0 when stale).
-    #[inline]
-    pub(crate) fn star(&self, v: VertexId, epoch: u32) -> u32 {
-        if self.star_mark[v as usize] == epoch {
-            self.deg_star[v as usize]
-        } else {
-            0
-        }
-    }
-
-    #[inline]
-    pub(crate) fn star_add(&mut self, v: VertexId, epoch: u32, delta: i64) -> u32 {
-        let vi = v as usize;
-        let cur = if self.star_mark[vi] == epoch {
-            self.deg_star[vi] as i64
-        } else {
-            self.star_mark[vi] = epoch;
-            0
-        };
-        let new = (cur + delta).max(0) as u32;
-        self.deg_star[vi] = new;
-        new
     }
 
     /// Cross-checks the entire index against from-scratch recomputations:

@@ -120,7 +120,8 @@ impl PromoteOverlay {
         self.star.get(&v).copied().unwrap_or(0)
     }
 
-    /// Mirrors `OrderCore::star_add`, clamp included.
+    /// Mirrors the serial pass's `deg*` updates (`StarDeg`), clamp at 0
+    /// included.
     #[inline]
     fn star_add(&mut self, v: VertexId, delta: i64) -> u32 {
         let new = (self.star(v) as i64 + delta).max(0) as u32;
@@ -149,16 +150,14 @@ impl<S: OrderSeq> OrderCore<S> {
         loop {
             let popped = heap
                 .pop_valid(|w| !ov.vc_set.contains(&w) && (ov.star(w) > 0 || ov.deg(self, w) > k));
-            let Some((_, w)) = popped else { break };
+            let Some((rank_w, w)) = popped else { break };
             ov.visited += 1;
             let star_w = ov.star(w);
             if star_w + ov.deg(self, w) > k {
                 // Case-1: w is a potential candidate.
                 ov.vc_set.insert(w);
                 ov.vc.push(w);
-                let rank_w = self.order_key(w);
-                for i in 0..self.graph.degree(w) {
-                    let z = self.graph.neighbors(w)[i];
+                for &z in self.graph.neighbors(w) {
                     if self.core[z as usize] == k {
                         let rank_z = self.order_key(z);
                         if rank_w < rank_z {
@@ -174,7 +173,7 @@ impl<S: OrderSeq> OrderCore<S> {
                 debug_assert!(star_w > 0);
                 ov.deg_add(self, w, star_w as i64);
                 ov.star_add(w, -(star_w as i64));
-                self.plan_remove_candidates(&mut ov, w, k);
+                self.plan_remove_candidates(&mut ov, w, rank_w, k);
             }
         }
 
@@ -203,10 +202,9 @@ impl<S: OrderSeq> OrderCore<S> {
     }
 
     /// Read-only mirror of `OrderCore::remove_candidates` (Algorithm 3).
-    fn plan_remove_candidates(&self, ov: &mut PromoteOverlay, w: VertexId, k: u32) {
+    fn plan_remove_candidates(&self, ov: &mut PromoteOverlay, w: VertexId, rank_w: u64, k: u32) {
         let mut queue: Vec<VertexId> = Vec::new();
-        for i in 0..self.graph.degree(w) {
-            let z = self.graph.neighbors(w)[i];
+        for &z in self.graph.neighbors(w) {
             if ov.vc_set.contains(&z) {
                 ov.deg_add(self, z, -1);
                 if ov.deg(self, z) + ov.star(z) <= k && !ov.queued.contains(&z) {
@@ -215,7 +213,6 @@ impl<S: OrderSeq> OrderCore<S> {
                 }
             }
         }
-        let rank_w = self.order_key(w);
         let mut cursor = w;
         let mut qi = 0;
         while qi < queue.len() {
@@ -229,8 +226,7 @@ impl<S: OrderSeq> OrderCore<S> {
             cursor = d;
 
             let rank_d = self.order_key(d);
-            for i in 0..self.graph.degree(d) {
-                let z = self.graph.neighbors(d)[i];
+            for &z in self.graph.neighbors(d) {
                 if self.core[z as usize] != k {
                     continue;
                 }
@@ -302,8 +298,7 @@ impl<S: OrderSeq> OrderCore<S> {
         while qi < queue.len() {
             let w = queue[qi];
             qi += 1;
-            for i in 0..self.graph.degree(w) {
-                let z = self.graph.neighbors(w)[i];
+            for &z in self.graph.neighbors(w) {
                 if self.core[z as usize] != k || dismissed.contains(&z) {
                     continue;
                 }

@@ -203,6 +203,7 @@ mod tests {
     use super::*;
     use crate::OrderCore;
     use kcore_graph::fixtures;
+    use kcore_traversal::UpdateStats;
 
     fn roundtrip(oc: &OrderCore) -> OrderCore {
         let mut buf = Vec::new();
@@ -334,6 +335,46 @@ mod tests {
             let trailer = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
             assert_eq!(trailer, CHURNED_BA_KORD_SUM, "checksum {trailer:#018x}");
         }
+    }
+
+    /// [`churned_ba`]'s stream summed per direction: the pass counters
+    /// pin every decision the promotion and dismissal passes take, so a
+    /// change to how a pass walks its vertices cannot silently alter what
+    /// it visits, changes or refreshes.
+    #[test]
+    fn churned_stream_pass_counters_are_pinned() {
+        fn counters<S: OrderSeq>() -> (UpdateStats, UpdateStats) {
+            use crate::CoreMaintainer;
+            use kcore_gen::{barabasi_albert, churn_stream};
+            let base = barabasi_albert(2000, 4, 17);
+            let mut oc: OrderCore<S> = OrderCore::new(base.clone(), 5);
+            let (mut ins, mut rem) = (UpdateStats::default(), UpdateStats::default());
+            for b in churn_stream(&base, 24, 96, 96, 31) {
+                ins.absorb(oc.insert_batch(&b.inserts));
+                rem.absorb(oc.remove_batch(&b.removes));
+            }
+            (ins, rem)
+        }
+        let inserts = UpdateStats {
+            visited: 5523,
+            changed: 2519,
+            refreshed: 8378,
+            noop: 587,
+            skipped: 0,
+            passes: 86,
+            merged_seeds: 1687,
+        };
+        let removes = UpdateStats {
+            visited: 5627,
+            changed: 2077,
+            refreshed: 4272,
+            noop: 1153,
+            skipped: 0,
+            passes: 88,
+            merged_seeds: 1196,
+        };
+        assert_eq!(counters::<kcore_order::TagList>(), (inserts, removes));
+        assert_eq!(counters::<kcore_order::OrderTreap>(), (inserts, removes));
     }
 
     #[test]

@@ -63,55 +63,56 @@ impl<S: OrderSeq> OrderCore<S> {
     /// and `mcd` around them in one fused scan per dismissed vertex. The
     /// graph mutations, mcd decrements, and the earlier endpoints' `deg⁺`
     /// decrements have already happened.
-    #[allow(clippy::needless_range_loop)]
     pub(crate) fn dismiss_pass(&mut self, seeds: &[VertexId], k: u32, stats: &mut UpdateStats) {
         stats.passes += 1;
         // ---- find V* (traversal-removal routine, mcd-seeded) ----
         let epoch = self.bump_epoch();
         let mut vstar = std::mem::take(&mut self.vstar);
         vstar.clear();
-        self.queue.clear();
+        let (core, mcd) = (&mut self.core[..], &self.mcd[..]);
+        let (touch_mark, cd_work) = (&mut self.touch_mark[..], &mut self.cd_work[..]);
+        let queue_mark = &mut self.queue_mark[..];
+        let queue = &mut self.queue;
+        queue.clear();
         let mut touched = 0usize;
-        for i in 0..seeds.len() {
-            let root = seeds[i];
+        for &root in seeds {
             let ri = root as usize;
-            if self.core[ri] != k {
+            if core[ri] != k {
                 continue;
             }
-            if self.touch_mark[ri] != epoch {
-                self.touch_mark[ri] = epoch;
-                self.cd_work[ri] = self.mcd[ri];
+            if touch_mark[ri] != epoch {
+                touch_mark[ri] = epoch;
+                cd_work[ri] = mcd[ri];
                 touched += 1;
                 stats.merged_seeds += 1;
             }
-            if self.cd_work[ri] < k {
-                self.core[ri] = k - 1; // dismiss
-                self.queue_mark[ri] = epoch; // marks membership of V*
+            if cd_work[ri] < k {
+                core[ri] = k - 1; // dismiss
+                queue_mark[ri] = epoch; // marks membership of V*
                 vstar.push(root);
-                self.queue.push(root);
+                queue.push(root);
             }
         }
         let mut qi = 0;
-        while qi < self.queue.len() {
-            let w = self.queue[qi];
+        while qi < queue.len() {
+            let w = queue[qi];
             qi += 1;
-            for i in 0..self.graph.degree(w) {
-                let z = self.graph.neighbors(w)[i];
+            for &z in self.graph.neighbors(w) {
                 let zi = z as usize;
-                if self.core[zi] != k {
+                if core[zi] != k {
                     continue;
                 }
-                if self.touch_mark[zi] != epoch {
-                    self.touch_mark[zi] = epoch;
-                    self.cd_work[zi] = self.mcd[zi];
+                if touch_mark[zi] != epoch {
+                    touch_mark[zi] = epoch;
+                    cd_work[zi] = mcd[zi];
                     touched += 1;
                 }
-                self.cd_work[zi] -= 1;
-                if self.cd_work[zi] < k {
-                    self.core[zi] = k - 1; // dismiss
-                    self.queue_mark[zi] = epoch;
+                cd_work[zi] -= 1;
+                if cd_work[zi] < k {
+                    core[zi] = k - 1; // dismiss
+                    queue_mark[zi] = epoch;
                     vstar.push(z);
-                    self.queue.push(z);
+                    queue.push(z);
                 }
             }
         }
@@ -126,7 +127,6 @@ impl<S: OrderSeq> OrderCore<S> {
     /// of `O_{K−1}`, and repairs `deg⁺` and `mcd` around it in one fused
     /// scan per dismissed vertex. `epoch` is the pass's epoch;
     /// `queue_mark == epoch` marks `V*` during the scan.
-    #[allow(clippy::needless_range_loop)]
     pub(crate) fn finish_dismiss(
         &mut self,
         k: u32,
@@ -154,15 +154,20 @@ impl<S: OrderSeq> OrderCore<S> {
             self.queue_mark[w as usize] = epoch;
             self.vc_pos[w as usize] = i as u32;
         }
-        for idx in 0..vstar.len() {
-            let w = vstar[idx];
+        let (below, from_k) = self.seqs.split_at_mut(k as usize);
+        let (seq_below, seq_k) = (&mut below[k as usize - 1], &mut from_k[0]);
+        let (core, queue_mark, vc_pos) = (&self.core[..], &self.queue_mark[..], &self.vc_pos[..]);
+        let node = &mut self.node[..];
+        let (deg_plus, mcd) = (&mut self.deg_plus[..], &mut self.mcd[..]);
+        for (idx, &w) in vstar.iter().enumerate() {
             let wi = w as usize;
+            // A_K is unmutated during the scan, so its keys order it.
+            let key_w = seq_k.order_key(node[wi]);
             let mut dp = 0u32;
             let mut m = 0u32;
-            for i in 0..self.graph.degree(w) {
-                let z = self.graph.neighbors(w)[i];
+            for &z in self.graph.neighbors(w) {
                 let zi = z as usize;
-                let cz = self.core[zi];
+                let cz = core[zi];
                 // w's mcd at its new level counts neighbours with
                 // core >= k − 1.
                 if cz >= k - 1 {
@@ -172,24 +177,24 @@ impl<S: OrderSeq> OrderCore<S> {
                 // their level), and those that preceded w lose it from
                 // deg⁺ too (w moves to O_{K−1}, i.e. in front of them).
                 if cz == k {
-                    self.mcd[zi] -= 1;
-                    if self.seqs[k as usize].precedes(self.node[zi], self.node[wi]) {
-                        self.deg_plus[zi] -= 1;
+                    mcd[zi] -= 1;
+                    if seq_k.order_key(node[zi]) < key_w {
+                        deg_plus[zi] -= 1;
                     }
                     stats.refreshed += 1;
                 }
                 // w's own deg⁺: stayers at level >= K are all after the
                 // end of O_{K−1}; so are the V* members not yet moved
                 // (they will be appended after w).
-                if cz >= k || (self.queue_mark[zi] == epoch && self.vc_pos[zi] as usize > idx) {
+                if cz >= k || (queue_mark[zi] == epoch && vc_pos[zi] as usize > idx) {
                     dp += 1;
                 }
             }
-            self.deg_plus[wi] = dp;
-            self.mcd[wi] = m;
+            deg_plus[wi] = dp;
+            mcd[wi] = m;
             // Move w: out of A_K, to the end of A_{K−1}.
-            self.seqs[k as usize].remove(self.node[wi]);
-            self.node[wi] = self.seqs[k as usize - 1].insert_last(w);
+            seq_k.remove(node[wi]);
+            node[wi] = seq_below.insert_last(w);
         }
     }
 }

@@ -16,9 +16,13 @@
 //!   one-to-one vertex → node mapping is the handle itself). Raw pointers
 //!   from the C++ original are replaced with `u32` arena indices. Kept for
 //!   the ablation benchmark.
-//! * [`heap::MinRankHeap`] — the paper's `B`: a binary min-heap of
-//!   `(rank, vertex)` pairs with lazy deletion, giving the `O(1)` "jump to
-//!   the next relevant vertex" step of `OrderInsert`.
+//! * [`heap::MinRankHeap`] — the paper's `B`: a monotone radix heap of
+//!   `(rank, vertex)` pairs with lazy deletion, giving the "jump to the
+//!   next relevant vertex" step of `OrderInsert` with `O(1)` pushes. Its
+//!   contract is that no key is pushed below the last popped key; a
+//!   promotion pass keeps it because it pushes all seeds before the first
+//!   pop and afterwards only grants `deg*` to neighbours ranked after the
+//!   vertex just popped.
 //!
 //! [`seq::OrderSeq`] abstracts over the two `A_k` implementations so the
 //! maintenance algorithms in `kcore-maint` can be instantiated with either.

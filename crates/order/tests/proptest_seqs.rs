@@ -1,6 +1,9 @@
 //! Property-based tests of the two `OrderSeq` implementations against a
 //! `Vec` reference model, plus heap ordering properties.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use kcore_order::{MinRankHeap, OrderSeq, OrderTreap, TagList};
 use proptest::prelude::*;
 
@@ -90,8 +93,89 @@ fn model_check<S: OrderSeq>(ops: &[SeqOp]) {
     }
 }
 
+/// Heap operations for the interleaved contract test: a push names its
+/// key as an offset above the last popped key.
+#[derive(Debug, Clone, Copy)]
+enum HeapOp {
+    Push(u64),
+    Pop,
+}
+
+fn arb_heap_ops() -> impl Strategy<Value = Vec<HeapOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            // Near the floor (equal keys included), mid-range and anywhere
+            // above it, so entries land in low, middle and high buckets.
+            (0u64..4).prop_map(HeapOp::Push),
+            (0u64..1 << 20).prop_map(HeapOp::Push),
+            any::<u64>().prop_map(HeapOp::Push),
+            Just(HeapOp::Pop),
+            Just(HeapOp::Pop),
+        ],
+        0..400,
+    )
+}
+
+/// The vertex behind `key`: as in a promotion pass, equal keys name one
+/// vertex, so pop order is fully determined.
+fn vertex_of(key: u64) -> u32 {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as u32
+}
+
+/// `BinaryHeap` reference for [`MinRankHeap`], tracking the last key it
+/// popped (stale entries included: both heaps discard them alike, and a
+/// later push must not go below them).
+#[derive(Default)]
+struct Reference {
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    last: u64,
+}
+
+impl Reference {
+    fn pop_valid(&mut self, valid: impl Fn(u32) -> bool) -> Option<(u64, u32)> {
+        while let Some(Reverse((k, v))) = self.heap.pop() {
+            self.last = k;
+            if valid(v) {
+                return Some((k, v));
+            }
+        }
+        None
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn heap_interleaved_matches_binary_heap(
+        ops in arb_heap_ops(),
+        mask in prop::collection::vec(any::<bool>(), 64..65)
+    ) {
+        let mut h = MinRankHeap::new();
+        let mut reference = Reference::default();
+        let valid = |v: u32| mask[v as usize];
+        for op in ops {
+            match op {
+                HeapOp::Push(offset) => {
+                    let floor = reference.last;
+                    let key = floor + offset % (u64::MAX - floor).max(1);
+                    h.push(key, vertex_of(key));
+                    reference.heap.push(Reverse((key, vertex_of(key))));
+                }
+                HeapOp::Pop => {
+                    prop_assert_eq!(h.pop_valid(valid), reference.pop_valid(valid));
+                }
+            }
+            prop_assert_eq!(h.len(), reference.heap.len());
+        }
+        loop {
+            let got = h.pop_valid(valid);
+            prop_assert_eq!(got, reference.pop_valid(valid));
+            if got.is_none() {
+                break;
+            }
+        }
+    }
 
     #[test]
     fn treap_matches_model(ops in arb_ops(300)) {
