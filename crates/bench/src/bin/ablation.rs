@@ -11,7 +11,9 @@
 //!    parent-pointer walks outgrow the caches. Three graph families:
 //!    BA(n, 4), whose vertices all start at core 4, and two with many core
 //!    levels, `heterogeneous_social(n, 8, 0.3)` and R-MAT with 4 edges
-//!    per vertex.
+//!    per vertex. Per cell it also reports the label engine's visited
+//!    vertices per event and ns per visited vertex, which separate how
+//!    much a pass walks from what each visit costs.
 //!
 //! `cargo run --release -p kcore-bench --bin ablation`
 
@@ -22,7 +24,7 @@ use kcore_decomp::Heuristic;
 use kcore_gen::{barabasi_albert, churn_stream, heterogeneous_social, rmat, ChurnBatch};
 use kcore_graph::DynamicGraph;
 use kcore_maint::{OrderCore, PlannedCore, TreapOrderCore};
-use kcore_order::{OrderSeq, OrderTreap, TagList};
+use kcore_order::{OrderSeq, TagList, TreapLevels};
 
 /// Scale sweep: graph families (name, generator at about `n` vertices),
 /// graph sizes, churn micro-batch (half inserts, half removes) and events
@@ -123,6 +125,8 @@ fn main() {
             "treap-us/ev".into(),
             "label-us/ev".into(),
             "speedup".into(),
+            "visited/ev".into(),
+            "ns/visited".into(),
         ],
         12,
         12,
@@ -140,8 +144,8 @@ fn main() {
             SWEEP_BATCH / 2,
             cli.seed,
         );
-        let (treap_us, treap_cores) = sweep_replay::<OrderTreap>(&base, &stream, cli.seed);
-        let (label_us, label_cores) = sweep_replay::<TagList>(&base, &stream, cli.seed);
+        let (treap_us, _, treap_cores) = sweep_replay::<TreapLevels>(&base, &stream, cli.seed);
+        let (label_us, visited, label_cores) = sweep_replay::<TagList>(&base, &stream, cli.seed);
         // Not assert_eq!: a mismatch would print millions of cores.
         assert!(
             treap_cores == label_cores,
@@ -155,6 +159,8 @@ fn main() {
                 format!("{treap_us:.2}"),
                 format!("{label_us:.2}"),
                 fmt_ratio(treap_us, label_us),
+                format!("{visited:.2}"),
+                format!("{:.0}", label_us * 1e3 / visited),
             ],
             12,
             12,
@@ -163,19 +169,20 @@ fn main() {
 }
 
 /// Replays `stream` through a fresh `PlannedCore<S>` over `base`;
-/// returns µs per event (index build excluded) and the final cores.
+/// returns µs per event (index build excluded), vertices the passes
+/// visited per event, and the final cores.
 fn sweep_replay<S: OrderSeq>(
     base: &DynamicGraph,
     stream: &[ChurnBatch],
     seed: u64,
-) -> (f64, Vec<u32>) {
+) -> (f64, f64, Vec<u32>) {
     let mut engine = PlannedCore::<S>::new(base.clone(), seed);
-    let mut events = 0;
+    let (mut events, mut visited) = (0, 0);
     let start = Instant::now();
     for b in stream {
-        engine.apply_churn(&b.inserts, &b.removes);
+        visited += engine.apply_churn(&b.inserts, &b.removes).visited;
         events += b.ops();
     }
     let us = start.elapsed().as_secs_f64() * 1e6 / events as f64;
-    (us, engine.cores().to_vec())
+    (us, visited as f64 / events as f64, engine.cores().to_vec())
 }

@@ -71,7 +71,7 @@ use crate::snapshot::{CoreSnapshot, SnapshotHandle, SnapshotReceiver};
 use kcore_decomp::Parallelism;
 use kcore_graph::{DynamicGraph, VertexId};
 use kcore_maint::journal::{replay_batched, GraphEvent, JournalEntry};
-use kcore_maint::{PlannedCore, PlannerConfig, PlannerStats, UpdateStats};
+use kcore_maint::{PlannedCore, PlannerConfig, UpdateStats};
 use kcore_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanRecorder};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -787,42 +787,46 @@ pub struct IngestPause {
     _release: mpsc::Sender<()>,
 }
 
-/// Planner metric handles plus the last exported counter values —
-/// [`PlannerStats`] counters are cumulative, so the writer exports
-/// deltas to keep the registry's counters true monotone counters.
-struct PlannerObs {
-    counters: [Counter; 5],
-    last: [usize; 5],
+/// Engine metric handles plus the last exported counter values — the
+/// [`kcore_maint::PlannerStats`] counters and the k-order's relabel
+/// count are cumulative, so the writer exports deltas to keep the
+/// registry's counters true monotone counters.
+struct EngineObs {
+    counters: [Counter; 6],
+    last: [u64; 6],
 }
 
-impl PlannerObs {
+impl EngineObs {
     fn new(reg: &MetricsRegistry) -> Self {
         // `planner_split_total` always reads 0: the serial component
         // split counts as `ParSplit`. It stays registered because
         // perfbench reads it and panics on a missing counter.
         reg.counter("planner_split_total");
-        PlannerObs {
+        EngineObs {
             counters: [
                 reg.counter("planner_batched_total"),
                 reg.counter("planner_par_split_total"),
                 reg.counter("planner_recompute_total"),
                 reg.counter("planner_par_recompute_total"),
                 reg.counter("planner_rebuilds_total"),
+                reg.counter("engine_korder_relabels_total"),
             ],
-            last: [0; 5],
+            last: [0; 6],
         }
     }
 
-    fn observe(&mut self, s: &PlannerStats) {
+    fn observe(&mut self, engine: &PlannedCore) {
+        let s = engine.planner_stats();
         let now = [
-            s.batched_chosen,
-            s.par_split_chosen,
-            s.recompute_chosen,
-            s.par_recompute_chosen,
-            s.rebuilds,
+            s.batched_chosen as u64,
+            s.par_split_chosen as u64,
+            s.recompute_chosen as u64,
+            s.par_recompute_chosen as u64,
+            s.rebuilds as u64,
+            engine.korder_relabels(),
         ];
         for ((c, &n), last) in self.counters.iter().zip(&now).zip(&mut self.last) {
-            c.add(n.saturating_sub(*last) as u64);
+            c.add(n.saturating_sub(*last));
             *last = n;
         }
     }
@@ -858,7 +862,7 @@ struct WriterObs {
     stage_publish: Histogram,
     checkpoint_serialize: Histogram,
     checkpoint_write: Histogram,
-    planner: PlannerObs,
+    engine: EngineObs,
     team_jobs: Gauge,
     team_tasks: Gauge,
     team_workers: Gauge,
@@ -900,7 +904,7 @@ impl WriterObs {
             stage_publish: reg.histogram("ingest_flush_publish_ns"),
             checkpoint_serialize: reg.histogram("ingest_checkpoint_serialize_ns"),
             checkpoint_write: reg.histogram("ingest_checkpoint_write_ns"),
-            planner: PlannerObs::new(&reg),
+            engine: EngineObs::new(&reg),
             team_jobs: reg.gauge("team_jobs"),
             team_tasks: reg.gauge("team_tasks"),
             team_workers: reg.gauge("team_workers_spawned"),
@@ -1030,13 +1034,13 @@ impl Writer {
     }
 
     /// Exports the engine-side observables that live outside the writer:
-    /// planner decision counters and the process-wide
-    /// worker-team occupancy gauges. Called once per flush.
+    /// planner decision counters, the k-order's relabel count and the
+    /// process-wide worker-team occupancy gauges. Called once per flush.
     fn export_engine_obs(&mut self) {
         let Some(o) = self.obs.as_mut() else {
             return;
         };
-        o.planner.observe(self.engine.planner_stats());
+        o.engine.observe(&self.engine);
         let ts = kcore_decomp::team::stats();
         o.team_jobs.set(ts.jobs as f64);
         o.team_tasks.set(ts.tasks as f64);
@@ -1589,16 +1593,22 @@ impl Writer {
                 self.flush(&handle);
             }
             let idle = flush_when_idle && !self.pending.is_empty();
-            let msg = if idle && self.now() >= self.idle_flush_at_ns {
-                match rx.try_recv() {
-                    Ok(m) => m,
-                    Err(mpsc::TryRecvError::Empty) => {
-                        flush_when_idle = false;
-                        self.flush(&handle);
-                        continue;
-                    }
-                    Err(mpsc::TryRecvError::Disconnected) => break,
-                }
+            // With events pending, a waiting message is taken before the
+            // clock is read: only an empty queue asks whether the
+            // idle-flush gap has passed.
+            let polled = if idle {
+                rx.try_recv()
+            } else {
+                Err(mpsc::TryRecvError::Empty)
+            };
+            let msg = if let Ok(m) = polled {
+                m
+            } else if matches!(polled, Err(mpsc::TryRecvError::Disconnected)) {
+                break;
+            } else if idle && self.now() >= self.idle_flush_at_ns {
+                flush_when_idle = false;
+                self.flush(&handle);
+                continue;
             } else {
                 // Wall mode parks until the idle-flush gap or the recovery
                 // backoff ends; scripted mode blocks (time only moves via

@@ -647,6 +647,28 @@ fn metrics_registry_exposes_flush_pipeline_counters() {
 }
 
 #[test]
+fn registry_counts_the_engines_korder_relabels() {
+    // Small batches keep the planner on order-based passes, whose
+    // promotions and demotions relabel `A_k` now and then. The registry
+    // counter, pushed per flush as a delta, must end at the engine's own
+    // count.
+    let base = barabasi_albert(1000, 4, 17);
+    let cfg = IngestConfig::scripted().max_batch(8);
+    let svc = IngestService::spawn_planned(base.clone(), 5, cfg).unwrap();
+    let metrics = svc.metrics().expect("observability defaults on");
+    for b in churn_stream(&base, 1000, 4, 4, 31) {
+        for e in churn_events(&b) {
+            svc.submit(e).unwrap();
+        }
+    }
+    let (_, engine) = svc.shutdown();
+    let relabels = engine.korder_relabels();
+    assert!(relabels > 0, "the stream must relabel");
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("engine_korder_relabels_total"), Some(relabels));
+}
+
+#[test]
 fn journal_file_is_the_header_plus_one_frame_per_flush() {
     // The writer journals each applied batch straight from its pending
     // events: the KJRN file must be exactly the header followed by one

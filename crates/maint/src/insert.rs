@@ -62,7 +62,7 @@ impl<S: OrderSeq> OrderCore<S> {
             u
         } else if cv < cu {
             v
-        } else if self.seqs[cu as usize].precedes(self.node[u as usize], self.node[v as usize]) {
+        } else if self.order.key(u) < self.order.key(v) {
             u
         } else {
             v
@@ -131,12 +131,11 @@ impl<S: OrderSeq> OrderCore<S> {
                 vc_mark[wi] = epoch;
                 self.vc.push(w);
                 // Grant candidate degree to later same-core neighbours.
-                let (core, node) = (&self.core[..], &self.node[..]);
-                let seq = &self.seqs[k as usize];
+                let (core, order) = (&self.core[..], &self.order);
                 for &z in self.graph.neighbors(w) {
                     let zi = z as usize;
                     if core[zi] == k {
-                        let rank_z = seq.order_key(node[zi]);
+                        let rank_z = order.key(z);
                         if rank_w < rank_z && star.inc(zi) == 1 {
                             self.heap.push(rank_z, z);
                         }
@@ -234,14 +233,14 @@ impl<S: OrderSeq> OrderCore<S> {
         // A_K repairs deferred from the pass: first the Observation 6.1
         // repositionings, then the promotion moves into A_{K+1}.
         for &(d, pred) in demotions {
-            self.seqs[k as usize].remove(self.node[d as usize]);
-            self.node[d as usize] = self.seqs[k as usize].insert_after(self.node[pred as usize], d);
+            self.order.remove(k, d);
+            self.order.insert_after(k, pred, d);
         }
         for &w in vstar {
-            self.seqs[k as usize].remove(self.node[w as usize]);
+            self.order.remove(k, w);
         }
         for &w in vstar.iter().rev() {
-            self.node[w as usize] = self.seqs[k as usize + 1].insert_first(w);
+            self.order.insert_first(k + 1, w);
         }
     }
 
@@ -253,8 +252,7 @@ impl<S: OrderSeq> OrderCore<S> {
     /// the pass).
     fn remove_candidates(&mut self, w: VertexId, rank_w: u64, k: u32, epoch: u32) {
         let mut star = StarDeg::new(&mut self.star_mark, &mut self.deg_star, epoch);
-        let (core, node) = (&self.core[..], &self.node[..]);
-        let seq = &self.seqs[k as usize];
+        let (core, order) = (&self.core[..], &self.order);
         let (deg_plus, vc_mark) = (&mut self.deg_plus[..], &mut self.vc_mark[..]);
         let queue_mark = &mut self.queue_mark[..];
         let queue = &mut self.queue;
@@ -283,13 +281,13 @@ impl<S: OrderSeq> OrderCore<S> {
             self.demotions.push((d, cursor));
             cursor = d;
 
-            let rank_d = seq.order_key(node[di]);
+            let rank_d = order.key(d);
             for &z in self.graph.neighbors(d) {
                 let zi = z as usize;
                 if core[zi] != k {
                     continue;
                 }
-                let rank_z = seq.order_key(node[zi]);
+                let rank_z = order.key(z);
                 if rank_w < rank_z {
                     // Unvisited vertex after the frontier: loses one
                     // candidate-granted degree (heap entry goes stale

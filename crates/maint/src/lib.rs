@@ -4,10 +4,11 @@
 //!
 //! [`OrderCore`] owns a dynamic graph plus the *k-order index*:
 //!
-//! * per core value `k`, an order structure `A_k` (the `O(1)` label list
-//!   by default, the paper's treap for the ablation) that holds the
-//!   sequence `O_k` itself — the only record of it — and answers `u ⪯ v`
-//!   through a monotone order key;
+//! * per core value `k`, an order structure `A_k` that holds the sequence
+//!   `O_k` itself — the only record of it — and answers `u ⪯ v` through
+//!   a monotone order key. By default all levels share one label list
+//!   indexed by vertex id, so the key of `v` is `label[v]` and no node
+//!   handles exist; the paper's treap runs for the ablation;
 //! * per vertex, `core`, `deg⁺` (remaining degree, Definition 5.2) and
 //!   `mcd` (needed by removals).
 //!
@@ -54,11 +55,11 @@ pub use vertex::BatchOp;
 
 /// `OrderCore` instantiated with the paper's treap-backed `A_k` (the
 /// ablation variant).
-pub type TreapOrderCore = OrderCore<kcore_order::OrderTreap>;
+pub type TreapOrderCore = OrderCore<kcore_order::TreapLevels>;
 
 /// [`PlannedCore`] over the paper's treap-backed `A_k` (the ablation
 /// variant).
-pub type PlannedTreapCore = PlannedCore<kcore_order::OrderTreap>;
+pub type PlannedTreapCore = PlannedCore<kcore_order::TreapLevels>;
 
 #[cfg(test)]
 mod tests;

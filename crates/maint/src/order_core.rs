@@ -5,7 +5,7 @@ use kcore_decomp::{
     core_decomposition, korder_decomposition, korder_from_cores, Heuristic, KOrder,
 };
 use kcore_graph::{DynamicGraph, VertexId};
-use kcore_order::{MinRankHeap, OrderSeq, TagList, NONE};
+use kcore_order::{MinRankHeap, OrderSeq, TagList};
 
 /// Opt-in record of which vertices changed core number since the last
 /// drain — the `O(changed)` feed for copy-on-write snapshot publication
@@ -105,8 +105,8 @@ impl<'a> StarDeg<'a> {
 
 /// A dynamic graph whose core numbers are maintained by the order-based
 /// algorithms of the paper. `S` is the `A_k` order structure: the `O(1)`
-/// label list [`TagList`] by default; [`crate::TreapOrderCore`] runs the
-/// paper's treap for the ablation.
+/// vertex-indexed label list [`TagList`] by default;
+/// [`crate::TreapOrderCore`] runs the paper's treap for the ablation.
 pub struct OrderCore<S: OrderSeq = TagList> {
     pub(crate) graph: DynamicGraph,
     pub(crate) core: Vec<u32>,
@@ -114,17 +114,16 @@ pub struct OrderCore<S: OrderSeq = TagList> {
     pub(crate) deg_plus: Vec<u32>,
     /// `mcd` — neighbours with `core >= own core` (removals need it).
     pub(crate) mcd: Vec<u32>,
-    /// `A_k`, one per core value: each holds the level's k-order
-    /// sequence `O_k` and answers order tests over it.
-    pub(crate) seqs: Vec<S>,
-    /// Handle of each vertex's node inside `seqs[core[v]]`.
-    pub(crate) node: Vec<u32>,
+    /// `A_k` for every core value `k`, addressed by level and vertex:
+    /// level `k` holds the k-order sequence `O_k` and answers order
+    /// tests over it.
+    pub(crate) order: S,
     pub(crate) seed: u64,
     /// `level_counts[k]` = number of vertices with core number exactly
     /// `k`, maintained incrementally by the promote/dismiss passes and
     /// the recompute fallback — so [`OrderCore::core_histogram`] and
     /// [`OrderCore::degeneracy`] answer in `O(levels)` instead of
-    /// rescanning all `n` core numbers. Always as long as `seqs`.
+    /// rescanning all `n` core numbers. One slot per `A_k` level.
     pub(crate) level_counts: Vec<usize>,
 
     // ---- per-batch scratch, reused across batches ----
@@ -164,7 +163,7 @@ impl<S: OrderSeq> std::fmt::Debug for OrderCore<S> {
             "OrderCore {{ n: {}, m: {}, levels: {} }}",
             self.graph.num_vertices(),
             self.graph.num_edges(),
-            self.seqs.len()
+            self.order.levels()
         )
     }
 }
@@ -191,8 +190,7 @@ impl<S: OrderSeq> OrderCore<S> {
             core: Vec::new(),
             deg_plus: Vec::new(),
             mcd,
-            seqs: Vec::new(),
-            node: Vec::new(),
+            order: S::with_seed(seed),
             seed,
             level_counts: Vec::new(),
             edge_scratch: Vec::new(),
@@ -219,8 +217,8 @@ impl<S: OrderSeq> OrderCore<S> {
     }
 
     /// Rebuilds the entire order index **in place** from a fresh
-    /// [`KOrder`] of the *current* graph: `A_k` structures, node handles,
-    /// `core`/`deg⁺`/`mcd`, and the per-level counts.
+    /// [`KOrder`] of the *current* graph: `A_k`, `core`/`deg⁺`/`mcd`, and
+    /// the per-level counts.
     /// Per-vertex scratch keeps its allocations — this is the recompute
     /// fallback's re-entry point into order-based maintenance, so it must
     /// leave the engine exactly as a fresh build would (asserted by
@@ -263,32 +261,23 @@ impl<S: OrderSeq> OrderCore<S> {
     /// per-vertex order state from `ko` (whose `mcd` counterpart the
     /// caller has already stored).
     fn install_korder(&mut self, ko: KOrder) {
-        let n = self.graph.num_vertices();
-        let max_k = ko.core.iter().copied().max().unwrap_or(0) as usize;
-        self.seqs = (0..=max_k as u64)
-            .map(|k| S::with_seed(self.seed ^ (k.wrapping_mul(0x9E37_79B9_7F4A_7C15))))
-            .collect();
-        self.node.clear();
-        self.node.resize(n, NONE);
-        let mut cur_level = u32::MAX;
-        let mut prev = NONE;
+        let max_k = ko.core.iter().copied().max().unwrap_or(0);
+        self.order.clear();
+        self.level_counts.clear();
+        self.ensure_level(max_k);
+        let mut prev: Option<(u32, VertexId)> = None;
         for &v in &ko.order {
             let k = ko.core[v as usize];
-            // The order is grouped by level, so each level's structure is
-            // filled by appending after the previous handle.
-            let h = if k == cur_level {
-                self.seqs[k as usize].insert_after(prev, v)
-            } else {
-                cur_level = k;
-                self.seqs[k as usize].insert_last(v)
-            };
-            prev = h;
-            self.node[v as usize] = h;
+            // The order is grouped by level, so each level is filled by
+            // appending after the previous vertex.
+            match prev {
+                Some((level, at)) if level == k => self.order.insert_after(k, at, v),
+                _ => self.order.insert_last(k, v),
+            }
+            prev = Some((k, v));
         }
         self.core = ko.core;
         self.deg_plus = ko.deg_plus;
-        self.level_counts.clear();
-        self.level_counts.resize(max_k + 1, 0);
         for &c in &self.core {
             self.level_counts[c as usize] += 1;
         }
@@ -378,9 +367,11 @@ impl<S: OrderSeq> OrderCore<S> {
     /// The `O_k` sequence as a `Vec`, read from `A_k` (diagnostics /
     /// tests).
     pub fn level_order(&self, k: u32) -> Vec<VertexId> {
-        self.seqs
-            .get(k as usize)
-            .map_or_else(Vec::new, |seq| seq.iter().collect())
+        if (k as usize) < self.order.levels() {
+            self.order.iter(k).collect()
+        } else {
+            Vec::new()
+        }
     }
 
     /// `true` iff `u ⪯ v` in the global k-order.
@@ -389,7 +380,7 @@ impl<S: OrderSeq> OrderCore<S> {
         if cu != cv {
             return cu < cv;
         }
-        self.seqs[cu as usize].precedes(self.node[u as usize], self.node[v as usize])
+        self.order.key(u) < self.order.key(v)
     }
 
     /// Adds an isolated vertex (core 0, appended to `O_0`).
@@ -399,9 +390,8 @@ impl<S: OrderSeq> OrderCore<S> {
         self.deg_plus.push(0);
         self.mcd.push(0);
         self.ensure_level(0);
-        let h = self.seqs[0].insert_last(v);
+        self.order.insert_last(0, v);
         self.level_counts[0] += 1;
-        self.node.push(h);
         self.deg_star.push(0);
         self.star_mark.push(0);
         self.vc_mark.push(0);
@@ -412,13 +402,10 @@ impl<S: OrderSeq> OrderCore<S> {
         v
     }
 
-    /// Makes sure `seqs[k]` and the level-count slot exist.
+    /// Makes sure level `k` of `A_k` and its level-count slot exist.
     pub(crate) fn ensure_level(&mut self, k: u32) {
-        while self.seqs.len() <= k as usize {
-            let idx = self.seqs.len() as u64;
-            self.seqs.push(S::with_seed(
-                self.seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ));
+        while self.level_counts.len() <= k as usize {
+            self.order.push_level();
             self.level_counts.push(0);
         }
     }
@@ -438,12 +425,12 @@ impl<S: OrderSeq> OrderCore<S> {
             + self.demotions.capacity()
     }
 
-    /// `order_key` of `v` inside its level's `A_k`: same-level vertices
+    /// Order key of `v` inside its level's `A_k`: same-level vertices
     /// compare by it while `A_k` is unmutated, which holds for an apply
     /// phase and for a whole promotion/dismissal pass.
     #[inline]
     pub(crate) fn order_key(&self, v: VertexId) -> u64 {
-        self.seqs[self.core[v as usize] as usize].order_key(self.node[v as usize])
+        self.order.key(v)
     }
 
     #[inline]
@@ -454,7 +441,7 @@ impl<S: OrderSeq> OrderCore<S> {
 
     /// Cross-checks the entire index against from-scratch recomputations:
     /// core numbers, the Lemma 5.1 k-order invariant, `deg⁺` against the
-    /// `A_k` order, `mcd`, level membership, and the node mapping.
+    /// `A_k` order, `mcd`, level membership, and `A_k`'s own invariants.
     /// Panics with a description on the first divergence (tests only).
     pub fn validate(&self) {
         use kcore_decomp::core_decomposition;
@@ -465,15 +452,10 @@ impl<S: OrderSeq> OrderCore<S> {
         let n = self.graph.num_vertices();
         let mut pos = vec![u32::MAX; n];
         let mut counter = 0u32;
-        for (k, seq) in self.seqs.iter().enumerate() {
-            seq.validate();
-            for v in seq.iter() {
-                assert_eq!(self.core[v as usize], k as u32, "vertex {v} on wrong level");
-                assert_eq!(
-                    seq.payload(self.node[v as usize]),
-                    v,
-                    "node handle of {v} is stale"
-                );
+        self.order.validate();
+        for k in 0..self.order.levels() as u32 {
+            for v in self.order.iter(k) {
+                assert_eq!(self.core[v as usize], k, "vertex {v} on wrong level");
                 assert_eq!(pos[v as usize], u32::MAX, "vertex {v} is in A_k twice");
                 pos[v as usize] = counter;
                 counter += 1;
@@ -508,8 +490,8 @@ impl<S: OrderSeq> OrderCore<S> {
         // Incrementally maintained per-level counts against a recount.
         assert_eq!(
             self.level_counts.len(),
-            self.seqs.len(),
-            "level_counts and seqs lengths diverged"
+            self.order.levels(),
+            "level_counts and A_k levels diverged"
         );
         let mut counts = vec![0usize; self.level_counts.len()];
         for &c in &self.core {

@@ -84,8 +84,8 @@ impl<S: OrderSeq> OrderCore<S> {
             }
         }
         // The global k-order O_0 O_1 O_2 …, walked out of the A_k.
-        for seq in &self.seqs {
-            for v in seq.iter() {
+        for k in 0..self.order.levels() as u32 {
+            for v in self.order.iter(k) {
                 put(v);
             }
         }
@@ -180,9 +180,9 @@ impl<S: OrderSeq> OrderCore<S> {
             return Err(PersistError::Corrupted("mcd mismatch"));
         }
 
-        // Rebuild the `A_k` and node handles through the shared
-        // `KOrder` constructor (one place initialises every field of the
-        // index, including the per-level counts and batch scratch).
+        // Rebuild `A_k` through the shared `KOrder` constructor (one
+        // place initialises every field of the index, including the
+        // per-level counts and batch scratch).
         let ko = kcore_decomp::KOrder {
             core,
             order,
@@ -329,7 +329,7 @@ mod tests {
         }
         for buf in [
             file_of::<kcore_order::TagList>(),
-            file_of::<kcore_order::OrderTreap>(),
+            file_of::<kcore_order::TreapLevels>(),
         ] {
             assert_eq!(buf.len(), CHURNED_BA_KORD_LEN);
             let trailer = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
@@ -374,7 +374,7 @@ mod tests {
             merged_seeds: 1196,
         };
         assert_eq!(counters::<kcore_order::TagList>(), (inserts, removes));
-        assert_eq!(counters::<kcore_order::OrderTreap>(), (inserts, removes));
+        assert_eq!(counters::<kcore_order::TreapLevels>(), (inserts, removes));
     }
 
     #[test]

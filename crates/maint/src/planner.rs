@@ -330,6 +330,12 @@ impl<S: OrderSeq> PlannedCore<S> {
         &self.planner
     }
 
+    /// Labels the k-order's `A_k` has rewritten in relabels so far,
+    /// rebuilds included (0 for the treap).
+    pub fn korder_relabels(&self) -> u64 {
+        self.engine.order.relabels()
+    }
+
     /// `false` while a recompute's deferred k-order rebuild is pending.
     pub fn is_order_fresh(&self) -> bool {
         self.order_fresh

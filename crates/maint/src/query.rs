@@ -88,8 +88,8 @@ impl<S: OrderSeq> OrderCore<S> {
     /// `O(n)`).
     pub fn global_order(&self) -> Vec<VertexId> {
         let mut out = Vec::with_capacity(self.graph().num_vertices());
-        for seq in &self.seqs {
-            out.extend(seq.iter());
+        for k in 0..self.order.levels() as u32 {
+            out.extend(self.order.iter(k));
         }
         out
     }

@@ -45,7 +45,7 @@ impl<S: OrderSeq> OrderCore<S> {
             u
         } else if cv < cu {
             v
-        } else if self.seqs[cu as usize].precedes(self.node[u as usize], self.node[v as usize]) {
+        } else if self.order.key(u) < self.order.key(v) {
             u
         } else {
             v
@@ -154,15 +154,14 @@ impl<S: OrderSeq> OrderCore<S> {
             self.queue_mark[w as usize] = epoch;
             self.vc_pos[w as usize] = i as u32;
         }
-        let (below, from_k) = self.seqs.split_at_mut(k as usize);
-        let (seq_below, seq_k) = (&mut below[k as usize - 1], &mut from_k[0]);
+        let order = &mut self.order;
         let (core, queue_mark, vc_pos) = (&self.core[..], &self.queue_mark[..], &self.vc_pos[..]);
-        let node = &mut self.node[..];
         let (deg_plus, mcd) = (&mut self.deg_plus[..], &mut self.mcd[..]);
         for (idx, &w) in vstar.iter().enumerate() {
             let wi = w as usize;
-            // A_K is unmutated during the scan, so its keys order it.
-            let key_w = seq_k.order_key(node[wi]);
+            // Removals from A_K keep the keys of the vertices left on it
+            // in order, so they compare the stayers with w.
+            let key_w = order.key(w);
             let mut dp = 0u32;
             let mut m = 0u32;
             for &z in self.graph.neighbors(w) {
@@ -178,7 +177,7 @@ impl<S: OrderSeq> OrderCore<S> {
                 // deg⁺ too (w moves to O_{K−1}, i.e. in front of them).
                 if cz == k {
                     mcd[zi] -= 1;
-                    if seq_k.order_key(node[zi]) < key_w {
+                    if order.key(z) < key_w {
                         deg_plus[zi] -= 1;
                     }
                     stats.refreshed += 1;
@@ -193,8 +192,8 @@ impl<S: OrderSeq> OrderCore<S> {
             deg_plus[wi] = dp;
             mcd[wi] = m;
             // Move w: out of A_K, to the end of A_{K−1}.
-            seq_k.remove(node[wi]);
-            node[wi] = seq_below.insert_last(w);
+            order.remove(k, w);
+            order.insert_last(k - 1, w);
         }
     }
 }

@@ -1,17 +1,17 @@
-//! [`OrderSeq`]: the interface the maintenance algorithms need from an
-//! `A_k` structure, implemented by both [`crate::TagList`] (the engine's
-//! `O(1)` label list) and [`crate::OrderTreap`] (the paper's choice, kept
-//! for the ablation).
+//! [`OrderSeq`]: the interface the maintenance algorithms need from the
+//! `A_k` structures, addressed by level and vertex id. [`crate::TagList`]
+//! (the engine's `O(1)` label list) implements it natively; the paper's
+//! treap, kept for the ablation, through the [`TreapLevels`] adapter.
 
-use crate::{OrderTreap, TagList};
+use crate::{OrderTreap, NONE};
 
-/// A mutable sequence with stable `u32` handles supporting positional
-/// insertion, removal, order tests, a monotone order key, and an
-/// in-order walk.
+/// The k-order's per-level sequences over vertex ids: positional
+/// insertion and removal, a monotone order key, and an in-order walk of
+/// each level. A vertex is on at most one level at a time.
 ///
-/// The *order key* contract: while the sequence is **not mutated**, `a`
-/// precedes `b` iff `order_key(a) < order_key(b)`. Keys may be invalidated
-/// by any mutation — `OrderInsert` only compares keys captured within a
+/// The *order key* contract: while level `k` is **not mutated**, `a`
+/// precedes `b` on it iff `key(a) < key(b)`. Keys may be invalidated by
+/// any insertion — `OrderInsert` only compares keys captured within a
 /// single mutation-free pass, which is exactly what this permits.
 ///
 /// `Send + Sync` is a supertrait: parallel component passes plan against
@@ -19,150 +19,132 @@ use crate::{OrderTreap, TagList};
 /// keys concurrently. Every implementation here is plain `Vec`-backed
 /// data, so the bound is free.
 pub trait OrderSeq: Send + Sync {
-    /// Creates an empty sequence; `seed` feeds any internal randomness.
+    /// Creates a k-order with no levels; `seed` feeds any internal
+    /// randomness.
     fn with_seed(seed: u64) -> Self;
 
-    /// Number of elements.
-    fn len(&self) -> usize;
+    /// Drops every level (the relabel count keeps counting).
+    fn clear(&mut self);
 
-    /// `true` when empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    /// Number of levels.
+    fn levels(&self) -> usize;
 
-    /// Inserts `payload` at the front; returns a handle.
-    fn insert_first(&mut self, payload: u32) -> u32;
+    /// Appends an empty level.
+    fn push_level(&mut self);
 
-    /// Inserts `payload` at the back; returns a handle.
-    fn insert_last(&mut self, payload: u32) -> u32;
+    /// Inserts `v` at the front of level `k`.
+    fn insert_first(&mut self, k: u32, v: u32);
 
-    /// Inserts `payload` right after `at`; returns a handle.
-    fn insert_after(&mut self, at: u32, payload: u32) -> u32;
+    /// Inserts `v` at the back of level `k`.
+    fn insert_last(&mut self, k: u32, v: u32);
 
-    /// Inserts `payload` right before `at`; returns a handle.
-    fn insert_before(&mut self, at: u32, payload: u32) -> u32;
+    /// Inserts `v` right after `at`, which is on level `k`.
+    fn insert_after(&mut self, k: u32, at: u32, v: u32);
 
-    /// Removes the element behind `at`, returning its payload.
-    fn remove(&mut self, at: u32) -> u32;
+    /// Removes `v` from level `k`.
+    fn remove(&mut self, k: u32, v: u32);
 
-    /// `true` iff `a` is strictly before `b`.
-    fn precedes(&self, a: u32, b: u32) -> bool;
+    /// Monotone order key of `v` within its level (see trait docs).
+    fn key(&self, v: u32) -> u64;
 
-    /// Monotone order key (see trait docs).
-    fn order_key(&self, at: u32) -> u64;
-
-    /// Payload stored behind `at`.
-    fn payload(&self, at: u32) -> u32;
-
-    /// In-order walk over the payloads. This is how the k-order is read
+    /// In-order walk over level `k`. This is how the k-order is read
     /// back out of `A_k`: persistence, order queries and validation all
     /// go through it.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_;
+    fn iter(&self, k: u32) -> impl Iterator<Item = u32> + '_;
+
+    /// Labels rewritten by relabels so far (0 for structures without
+    /// labels).
+    fn relabels(&self) -> u64;
 
     /// Validates internal invariants; panics on violation (tests only).
     fn validate(&self);
 }
 
-impl OrderSeq for OrderTreap {
-    fn with_seed(seed: u64) -> Self {
-        OrderTreap::new(seed)
-    }
+/// The paper's `A_k` behind [`OrderSeq`]: one [`OrderTreap`] per level,
+/// plus each vertex's level and node handle. The order key is the
+/// vertex's rank in its level's treap.
+#[derive(Clone, Debug, Default)]
+pub struct TreapLevels {
+    treaps: Vec<OrderTreap>,
+    /// `(level, handle)` of each vertex's node.
+    slot: Vec<(u32, u32)>,
+    seed: u64,
+}
 
-    fn len(&self) -> usize {
-        OrderTreap::len(self)
-    }
-
-    fn insert_first(&mut self, payload: u32) -> u32 {
-        OrderTreap::insert_first(self, payload)
-    }
-
-    fn insert_last(&mut self, payload: u32) -> u32 {
-        OrderTreap::insert_last(self, payload)
-    }
-
-    fn insert_after(&mut self, at: u32, payload: u32) -> u32 {
-        OrderTreap::insert_after(self, at, payload)
-    }
-
-    fn insert_before(&mut self, at: u32, payload: u32) -> u32 {
-        OrderTreap::insert_before(self, at, payload)
-    }
-
-    fn remove(&mut self, at: u32) -> u32 {
-        OrderTreap::remove(self, at)
-    }
-
-    fn precedes(&self, a: u32, b: u32) -> bool {
-        OrderTreap::precedes(self, a, b)
-    }
-
-    fn order_key(&self, at: u32) -> u64 {
-        OrderTreap::rank(self, at) as u64
-    }
-
-    fn payload(&self, at: u32) -> u32 {
-        OrderTreap::payload(self, at)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        OrderTreap::iter(self)
-    }
-
-    fn validate(&self) {
-        self.check_invariants()
+impl TreapLevels {
+    fn put(&mut self, k: u32, v: u32, handle: u32) {
+        let x = v as usize;
+        if x >= self.slot.len() {
+            self.slot.resize(x + 1, (NONE, NONE));
+        }
+        self.slot[x] = (k, handle);
     }
 }
 
-impl OrderSeq for TagList {
-    fn with_seed(_seed: u64) -> Self {
-        TagList::new()
+impl OrderSeq for TreapLevels {
+    fn with_seed(seed: u64) -> Self {
+        TreapLevels {
+            seed,
+            ..Self::default()
+        }
     }
 
-    fn len(&self) -> usize {
-        TagList::len(self)
+    fn clear(&mut self) {
+        self.treaps.clear();
     }
 
-    fn insert_first(&mut self, payload: u32) -> u32 {
-        TagList::insert_first(self, payload)
+    fn levels(&self) -> usize {
+        self.treaps.len()
     }
 
-    fn insert_last(&mut self, payload: u32) -> u32 {
-        TagList::insert_last(self, payload)
+    fn push_level(&mut self) {
+        let k = self.treaps.len() as u64;
+        let seed = self.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.treaps.push(OrderTreap::new(seed));
     }
 
-    fn insert_after(&mut self, at: u32, payload: u32) -> u32 {
-        TagList::insert_after(self, at, payload)
+    fn insert_first(&mut self, k: u32, v: u32) {
+        let h = self.treaps[k as usize].insert_first(v);
+        self.put(k, v, h);
     }
 
-    fn insert_before(&mut self, at: u32, payload: u32) -> u32 {
-        TagList::insert_before(self, at, payload)
+    fn insert_last(&mut self, k: u32, v: u32) {
+        let h = self.treaps[k as usize].insert_last(v);
+        self.put(k, v, h);
     }
 
-    fn remove(&mut self, at: u32) -> u32 {
-        TagList::remove(self, at)
+    fn insert_after(&mut self, k: u32, at: u32, v: u32) {
+        let h = self.treaps[k as usize].insert_after(self.slot[at as usize].1, v);
+        self.put(k, v, h);
     }
 
-    #[inline]
-    fn precedes(&self, a: u32, b: u32) -> bool {
-        TagList::precedes(self, a, b)
+    fn remove(&mut self, k: u32, v: u32) {
+        debug_assert_eq!(self.slot[v as usize].0, k, "{v} is not on level {k}");
+        self.treaps[k as usize].remove(self.slot[v as usize].1);
     }
 
-    #[inline]
-    fn order_key(&self, at: u32) -> u64 {
-        self.tag(at)
+    fn key(&self, v: u32) -> u64 {
+        let (k, h) = self.slot[v as usize];
+        self.treaps[k as usize].rank(h) as u64
     }
 
-    #[inline]
-    fn payload(&self, at: u32) -> u32 {
-        TagList::payload(self, at)
+    fn iter(&self, k: u32) -> impl Iterator<Item = u32> + '_ {
+        self.treaps[k as usize].iter()
     }
 
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        TagList::iter(self)
+    fn relabels(&self) -> u64 {
+        0
     }
 
     fn validate(&self) {
-        self.check_invariants()
+        for (k, treap) in self.treaps.iter().enumerate() {
+            treap.check_invariants();
+            for v in treap.iter() {
+                let (level, h) = self.slot[v as usize];
+                assert_eq!(level, k as u32, "{v} has a stale level");
+                assert_eq!(treap.payload(h), v, "node handle of {v} is stale");
+            }
+        }
     }
 }
 
@@ -172,32 +154,35 @@ mod tests {
 
     fn exercise<S: OrderSeq>() {
         let mut s = S::with_seed(99);
-        assert!(s.is_empty());
-        let a = s.insert_last(1);
-        let c = s.insert_last(3);
-        let b = s.insert_after(a, 2);
-        let z = s.insert_before(a, 0);
+        s.push_level();
+        s.push_level();
+        assert_eq!(s.iter(0).count(), 0);
+        s.insert_last(0, 1);
+        s.insert_last(0, 3);
+        s.insert_after(0, 1, 2);
+        s.insert_first(0, 0);
+        s.insert_first(1, 4);
         s.validate();
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-        assert!(s.precedes(z, a) && s.precedes(a, b) && s.precedes(b, c));
+        assert!(s.iter(0).eq([0, 1, 2, 3]));
         // order keys are monotone while unmutated
-        assert!(s.order_key(z) < s.order_key(a));
-        assert!(s.order_key(a) < s.order_key(b));
-        assert!(s.order_key(b) < s.order_key(c));
-        assert_eq!(s.payload(b), 2);
-        assert_eq!(s.remove(a), 1);
+        assert!(s.key(0) < s.key(1) && s.key(1) < s.key(2) && s.key(2) < s.key(3));
+        // a promotion-style move to the next level
+        s.remove(0, 1);
+        s.insert_first(1, 1);
         s.validate();
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 2, 3]);
-        assert_eq!(s.len(), 3);
+        assert!(s.iter(0).eq([0, 2, 3]));
+        assert!(s.iter(1).eq([1, 4]));
+        s.clear();
+        assert_eq!(s.levels(), 0);
     }
 
     #[test]
     fn treap_satisfies_orderseq() {
-        exercise::<OrderTreap>();
+        exercise::<TreapLevels>();
     }
 
     #[test]
     fn taglist_satisfies_orderseq() {
-        exercise::<TagList>();
+        exercise::<crate::TagList>();
     }
 }

@@ -1,32 +1,45 @@
 //! Property-based tests of the two `OrderSeq` implementations against a
-//! `Vec` reference model, plus heap ordering properties.
+//! `Vec`-per-level reference model, plus heap ordering properties.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use kcore_order::{MinRankHeap, OrderSeq, OrderTreap, TagList};
+use kcore_order::{MinRankHeap, OrderSeq, TagList, TreapLevels};
 use proptest::prelude::*;
 
-/// Sequence operations addressed by *position* into the model.
+/// Levels of the modelled k-order.
+const LEVELS: usize = 4;
+
+/// K-order operations addressed by level and by *position* into the
+/// model's level. Inserts take the most recently removed vertex, else a
+/// fresh one.
 #[derive(Debug, Clone, Copy)]
 enum SeqOp {
-    InsertFirst(u32),
-    InsertLast(u32),
-    InsertAfter(usize, u32),
-    InsertBefore(usize, u32),
-    Remove(usize),
+    InsertFirst(usize),
+    InsertLast(usize),
+    InsertAfter(usize, usize),
+    /// `n` inserts right after one vertex: exhausts label gaps.
+    Hammer(usize, usize, usize),
+    Remove(usize, usize),
+    /// Promotion-style move to the front of the next level (a remove
+    /// on the top level).
+    Promote(usize, usize),
+    /// Dismissal-style move to the back of the previous level (a remove
+    /// on level 0).
+    Dismiss(usize, usize),
 }
 
 fn arb_ops(len: usize) -> impl Strategy<Value = Vec<SeqOp>> {
+    let at = || (0..LEVELS, any::<prop::sample::Index>());
     prop::collection::vec(
         prop_oneof![
-            any::<u32>().prop_map(SeqOp::InsertFirst),
-            any::<u32>().prop_map(SeqOp::InsertLast),
-            (any::<prop::sample::Index>(), any::<u32>())
-                .prop_map(|(i, p)| SeqOp::InsertAfter(i.index(1 << 16), p)),
-            (any::<prop::sample::Index>(), any::<u32>())
-                .prop_map(|(i, p)| SeqOp::InsertBefore(i.index(1 << 16), p)),
-            any::<prop::sample::Index>().prop_map(|i| SeqOp::Remove(i.index(1 << 16))),
+            (0..LEVELS).prop_map(SeqOp::InsertFirst),
+            (0..LEVELS).prop_map(SeqOp::InsertLast),
+            at().prop_map(|(k, i)| SeqOp::InsertAfter(k, i.index(1 << 16))),
+            (at(), 1usize..64).prop_map(|((k, i), n)| SeqOp::Hammer(k, i.index(1 << 16), n)),
+            at().prop_map(|(k, i)| SeqOp::Remove(k, i.index(1 << 16))),
+            at().prop_map(|(k, i)| SeqOp::Promote(k, i.index(1 << 16))),
+            at().prop_map(|(k, i)| SeqOp::Dismiss(k, i.index(1 << 16))),
         ],
         0..len,
     )
@@ -34,63 +47,65 @@ fn arb_ops(len: usize) -> impl Strategy<Value = Vec<SeqOp>> {
 
 fn model_check<S: OrderSeq>(ops: &[SeqOp]) {
     let mut s = S::with_seed(0xC0FFEE);
-    let mut model: Vec<(u32, u32)> = Vec::new(); // (handle, payload)
+    (0..LEVELS).for_each(|_| s.push_level());
+    let mut model: Vec<Vec<u32>> = vec![Vec::new(); LEVELS];
+    let (mut removed, mut fresh) = (Vec::new(), 0u32);
+    let mut vertex = |removed: &mut Vec<u32>| {
+        removed.pop().unwrap_or_else(|| {
+            fresh += 1;
+            fresh - 1
+        })
+    };
     for &op in ops {
         match op {
-            SeqOp::InsertFirst(p) => {
-                let h = s.insert_first(p);
-                model.insert(0, (h, p));
+            SeqOp::InsertFirst(k) => {
+                let v = vertex(&mut removed);
+                s.insert_first(k as u32, v);
+                model[k].insert(0, v);
             }
-            SeqOp::InsertLast(p) => {
-                let h = s.insert_last(p);
-                model.push((h, p));
+            SeqOp::InsertLast(k) => {
+                let v = vertex(&mut removed);
+                s.insert_last(k as u32, v);
+                model[k].push(v);
             }
-            SeqOp::InsertAfter(i, p) => {
-                if model.is_empty() {
-                    let h = s.insert_first(p);
-                    model.insert(0, (h, p));
-                } else {
-                    let i = i % model.len();
-                    let h = s.insert_after(model[i].0, p);
-                    model.insert(i + 1, (h, p));
+            SeqOp::InsertAfter(k, i) | SeqOp::Hammer(k, i, _) if !model[k].is_empty() => {
+                let n = if let SeqOp::Hammer(.., n) = op { n } else { 1 };
+                let i = i % model[k].len();
+                for _ in 0..n {
+                    let v = vertex(&mut removed);
+                    s.insert_after(k as u32, model[k][i], v);
+                    model[k].insert(i + 1, v);
                 }
             }
-            SeqOp::InsertBefore(i, p) => {
-                if model.is_empty() {
-                    let h = s.insert_first(p);
-                    model.insert(0, (h, p));
-                } else {
-                    let i = i % model.len();
-                    let h = s.insert_before(model[i].0, p);
-                    model.insert(i, (h, p));
+            SeqOp::Remove(k, i) | SeqOp::Promote(k, i) | SeqOp::Dismiss(k, i)
+                if !model[k].is_empty() =>
+            {
+                let len = model[k].len();
+                let v = model[k].remove(i % len);
+                s.remove(k as u32, v);
+                match op {
+                    SeqOp::Promote(..) if k + 1 < LEVELS => {
+                        s.insert_first(k as u32 + 1, v);
+                        model[k + 1].insert(0, v);
+                    }
+                    SeqOp::Dismiss(..) if k > 0 => {
+                        s.insert_last(k as u32 - 1, v);
+                        model[k - 1].push(v);
+                    }
+                    _ => removed.push(v),
                 }
             }
-            SeqOp::Remove(i) => {
-                if !model.is_empty() {
-                    let i = i % model.len();
-                    let (h, p) = model.remove(i);
-                    assert_eq!(s.remove(h), p);
-                }
-            }
+            _ => {}
         }
-        assert_eq!(s.len(), model.len());
+        for (k, level) in model.iter().enumerate() {
+            assert!(s.iter(k as u32).eq(level.iter().copied()), "level {k}");
+            assert!(
+                level.windows(2).all(|w| s.key(w[0]) < s.key(w[1])),
+                "keys not strictly increasing on level {k}"
+            );
+        }
     }
     s.validate();
-    assert_eq!(
-        s.iter().collect::<Vec<_>>(),
-        model.iter().map(|&(_, p)| p).collect::<Vec<_>>()
-    );
-    // Order relations and key monotonicity across sampled pairs.
-    let step = (model.len() / 16).max(1);
-    for i in (0..model.len()).step_by(step) {
-        for j in (0..model.len()).step_by(step) {
-            let (hi, hj) = (model[i].0, model[j].0);
-            assert_eq!(s.precedes(hi, hj), i < j, "precedes({i},{j})");
-            if i < j {
-                assert!(s.order_key(hi) < s.order_key(hj));
-            }
-        }
-    }
 }
 
 /// Heap operations for the interleaved contract test: a push names its
@@ -179,7 +194,7 @@ proptest! {
 
     #[test]
     fn treap_matches_model(ops in arb_ops(300)) {
-        model_check::<OrderTreap>(&ops);
+        model_check::<TreapLevels>(&ops);
     }
 
     #[test]
@@ -234,35 +249,33 @@ fn adversarial_patterns_all_structures() {
     fn drive<S: OrderSeq>() {
         // zigzag: alternate front/back
         let mut s = S::with_seed(3);
-        let mut front = Vec::new();
-        let mut back = Vec::new();
-        for i in 0..800u32 {
-            if i % 2 == 0 {
-                front.push(s.insert_first(i));
+        s.push_level();
+        for v in 0..800u32 {
+            if v % 2 == 0 {
+                s.insert_first(0, v);
             } else {
-                back.push(s.insert_last(i));
+                s.insert_last(0, v);
             }
         }
         s.validate();
-        let v = s.iter().collect::<Vec<_>>();
-        assert_eq!(v.len(), 800);
+        let order = s.iter(0).collect::<Vec<_>>();
+        assert_eq!(order.len(), 800);
         // fronts reversed, then backs in order
-        assert_eq!(v[0], 798);
-        assert_eq!(v[799], 799);
+        assert_eq!(order[0], 798);
+        assert_eq!(order[799], 799);
         // hammer one gap
-        let anchor = front[0];
-        for i in 0..800u32 {
-            s.insert_after(anchor, 1000 + i);
+        for v in 1000..1800u32 {
+            s.insert_after(0, 0, v);
         }
         s.validate();
-        assert_eq!(s.len(), 1600);
+        assert_eq!(s.iter(0).count(), 1600);
         // drain from the middle out
-        for h in front.into_iter().chain(back) {
-            s.remove(h);
+        for v in 0..800u32 {
+            s.remove(0, v);
         }
         s.validate();
-        assert_eq!(s.len(), 800);
+        assert_eq!(s.iter(0).count(), 800);
     }
-    drive::<OrderTreap>();
+    drive::<TreapLevels>();
     drive::<TagList>();
 }
