@@ -6,9 +6,7 @@
 //!
 //! * **sequential** — `core_decomposition`;
 //! * **parallel** — `par_core_decomposition` at each requested thread
-//!   count (default 1, 2, 4, 8);
-//! * **maintenance** — batched churn through the order-based engine,
-//!   serial component split against worker-team component passes.
+//!   count (default 1, 2, 4, 8).
 //!
 //! Every parallel run's core numbers are asserted equal to the
 //! sequential decomposition before any number is reported. Results go to
@@ -23,9 +21,8 @@
 
 use kcore_decomp::par::Parallelism;
 use kcore_decomp::{core_decomposition, par_core_decomposition};
-use kcore_gen::{barabasi_albert, churn_stream, rmat};
+use kcore_gen::{barabasi_albert, rmat};
 use kcore_graph::DynamicGraph;
-use kcore_maint::{BatchOptions, OrderCore};
 use std::io::Write;
 use std::time::Instant;
 
@@ -38,8 +35,6 @@ struct Args {
     out: String,
     /// `0.0` disables the gate.
     min_par_speedup: f64,
-    /// `0.0` disables the maintenance-parallel gate.
-    min_maint_speedup: f64,
 }
 
 impl Args {
@@ -52,7 +47,6 @@ impl Args {
             reps: 5,
             out: "BENCH_par.json".to_string(),
             min_par_speedup: 0.0,
-            min_maint_speedup: 0.0,
         };
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
@@ -76,13 +70,10 @@ impl Args {
                 "--min-par-speedup" => {
                     a.min_par_speedup = need(i).parse().expect("bad --min-par-speedup")
                 }
-                "--min-maint-speedup" => {
-                    a.min_maint_speedup = need(i).parse().expect("bad --min-maint-speedup")
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --n N  --attach M  --threads 1,2,4,8  --seed S  --reps R  \
-                         --out FILE  --min-par-speedup R  --min-maint-speedup R"
+                         --out FILE  --min-par-speedup R"
                     );
                     std::process::exit(0);
                 }
@@ -191,161 +182,6 @@ fn json_graph(r: &GraphReport, indent: &str) -> String {
     s
 }
 
-/// Thread-parallel *maintenance*: batched insert/remove passes through
-/// the order-based engine, serial component splits vs worker-team
-/// component passes at each thread count. Cores are asserted
-/// bit-identical to the serial engine before any number is reported.
-struct MaintReport {
-    batches: usize,
-    inserts_per_batch: usize,
-    removes_per_batch: usize,
-    seq_insert_secs: f64,
-    seq_remove_secs: f64,
-    /// `(threads, insert_secs, remove_secs)` per requested thread count.
-    par: Vec<(usize, f64, f64)>,
-}
-
-impl MaintReport {
-    fn churn_speedup_at(&self, threads: usize) -> Option<f64> {
-        self.par
-            .iter()
-            .find(|&&(t, _, _)| t == threads)
-            .map(|&(_, is, rs)| (self.seq_insert_secs + self.seq_remove_secs) / (is + rs))
-    }
-}
-
-fn measure_maint(base: &DynamicGraph, args: &Args) -> MaintReport {
-    let batches = 8;
-    let inserts_per_batch = (args.n / 25).max(64);
-    let removes_per_batch = (args.n / 50).max(32);
-    let stream = churn_stream(
-        base,
-        batches,
-        inserts_per_batch,
-        removes_per_batch,
-        args.seed ^ 0xBEEF,
-    );
-
-    // One full churn run: fresh engine over the base graph, every
-    // batch's inserts then removes, the two phases timed separately.
-    let run = |opts: &BatchOptions| -> (f64, f64, Vec<u32>) {
-        let mut eng: OrderCore = OrderCore::new(base.clone(), args.seed);
-        let (mut ti, mut tr) = (0.0f64, 0.0f64);
-        for b in &stream {
-            let t0 = Instant::now();
-            eng.insert_edges_with(&b.inserts, opts);
-            ti += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            eng.remove_edges_with(&b.removes, opts);
-            tr += t0.elapsed().as_secs_f64();
-        }
-        (ti, tr, eng.cores().to_vec())
-    };
-
-    let serial_opts = BatchOptions::component_split();
-    let mut seq_insert = f64::INFINITY;
-    let mut seq_remove = f64::INFINITY;
-    let mut reference: Option<Vec<u32>> = None;
-    let mut par_secs: Vec<(f64, f64)> = vec![(f64::INFINITY, f64::INFINITY); args.threads.len()];
-    for _ in 0..args.reps.max(1) {
-        let (ti, tr, cores) = run(&serial_opts);
-        seq_insert = seq_insert.min(ti);
-        seq_remove = seq_remove.min(tr);
-        if let Some(r) = &reference {
-            assert_eq!(&cores, r, "serial maintenance must be deterministic");
-        } else {
-            reference = Some(cores);
-        }
-        for (slot, &t) in args.threads.iter().enumerate() {
-            let opts = BatchOptions::parallel(Parallelism::exact(t));
-            let (ti, tr, cores) = run(&opts);
-            par_secs[slot].0 = par_secs[slot].0.min(ti);
-            par_secs[slot].1 = par_secs[slot].1.min(tr);
-            assert_eq!(
-                Some(cores),
-                reference,
-                "parallel maintenance diverged at {t} threads"
-            );
-        }
-    }
-
-    MaintReport {
-        batches,
-        inserts_per_batch,
-        removes_per_batch,
-        seq_insert_secs: seq_insert,
-        seq_remove_secs: seq_remove,
-        par: args
-            .threads
-            .iter()
-            .zip(par_secs)
-            .map(|(&t, (i, r))| (t, i, r))
-            .collect(),
-    }
-}
-
-fn print_maint(r: &MaintReport) {
-    println!(
-        "\n== maintenance passes (BA churn: {} batches x {} ins / {} rem) ==",
-        r.batches, r.inserts_per_batch, r.removes_per_batch
-    );
-    println!(
-        "serial split: insert {:.4}s, remove {:.4}s",
-        r.seq_insert_secs, r.seq_remove_secs
-    );
-    kcore_bench::row(
-        &[
-            "threads".into(),
-            "ins secs".into(),
-            "ins speedup".into(),
-            "rem secs".into(),
-            "rem speedup".into(),
-            "churn speedup".into(),
-        ],
-        8,
-        14,
-    );
-    for &(t, is, rs) in &r.par {
-        kcore_bench::row(
-            &[
-                format!("{t}"),
-                format!("{is:.4}"),
-                format!("{:.2}x", r.seq_insert_secs / is),
-                format!("{rs:.4}"),
-                format!("{:.2}x", r.seq_remove_secs / rs),
-                format!(
-                    "{:.2}x",
-                    (r.seq_insert_secs + r.seq_remove_secs) / (is + rs)
-                ),
-            ],
-            8,
-            14,
-        );
-    }
-}
-
-fn json_maint(r: &MaintReport, indent: &str) -> String {
-    let mut s = format!(
-        "{indent}\"batches\": {}, \"inserts_per_batch\": {}, \"removes_per_batch\": {},\n\
-         {indent}\"seq_insert_secs\": {:.5}, \"seq_remove_secs\": {:.5},\n\
-         {indent}\"threads\": [\n",
-        r.batches, r.inserts_per_batch, r.removes_per_batch, r.seq_insert_secs, r.seq_remove_secs
-    );
-    for (i, &(t, is, rs)) in r.par.iter().enumerate() {
-        s.push_str(&format!(
-            "{indent}  {{ \"threads\": {t}, \"insert_secs\": {is:.5}, \
-             \"insert_speedup\": {:.3}, \"remove_secs\": {rs:.5}, \
-             \"remove_speedup\": {:.3}, \"churn_speedup\": {:.3} }}{}\n",
-            r.seq_insert_secs / is,
-            r.seq_remove_secs / rs,
-            (r.seq_insert_secs + r.seq_remove_secs) / (is + rs),
-            if i + 1 == r.par.len() { "" } else { "," }
-        ));
-    }
-    s.push_str(&format!("{indent}]"));
-    s
-}
-
 fn main() {
     let args = Args::parse();
     let host = std::thread::available_parallelism()
@@ -382,10 +218,6 @@ fn main() {
         print_report(r);
     }
 
-    // ---- thread-parallel maintenance (BA churn) ----
-    let maint = measure_maint(&ba, &args);
-    print_maint(&maint);
-
     // ---- gate bookkeeping ----
     const GATE_THREADS: usize = 4;
     let ba_speedup_at_4 = reports[0].speedup_at(GATE_THREADS);
@@ -394,16 +226,6 @@ fn main() {
     } else if host < GATE_THREADS {
         format!("waived (host_parallelism {host} < {GATE_THREADS} gated threads)")
     } else if ba_speedup_at_4.is_none() {
-        format!("waived ({GATE_THREADS} threads not in --threads)")
-    } else {
-        "enforced".to_string()
-    };
-    let maint_speedup_at_4 = maint.churn_speedup_at(GATE_THREADS);
-    let maint_gate_status = if args.min_maint_speedup <= 0.0 {
-        "disabled".to_string()
-    } else if host < GATE_THREADS {
-        format!("waived (host_parallelism {host} < {GATE_THREADS} gated threads)")
-    } else if maint_speedup_at_4.is_none() {
         format!("waived ({GATE_THREADS} threads not in --threads)")
     } else {
         "enforced".to_string()
@@ -419,17 +241,6 @@ fn main() {
         json.push_str(if i + 1 == reports.len() { "\n" } else { ",\n" });
     }
     json.push_str("  ],\n");
-    json.push_str("  \"maint_par\": {\n");
-    json.push_str(&json_maint(&maint, "    "));
-    json.push_str(",\n");
-    match maint_speedup_at_4 {
-        Some(s) => json.push_str(&format!("    \"churn_speedup_at_4\": {s:.3},\n")),
-        None => json.push_str("    \"churn_speedup_at_4\": null,\n"),
-    }
-    json.push_str(&format!(
-        "    \"target_speedup\": {:.1},\n    \"gate\": \"{maint_gate_status}\"\n  }},\n",
-        args.min_maint_speedup
-    ));
     match ba_speedup_at_4 {
         Some(s) => json.push_str(&format!("  \"speedup_at_4\": {s:.3},\n")),
         None => json.push_str("  \"speedup_at_4\": null,\n"),
@@ -448,17 +259,6 @@ fn main() {
             eprintln!(
                 "GATE FAILED: peel speedup at {GATE_THREADS} threads {s:.3} < required {}",
                 args.min_par_speedup
-            );
-            std::process::exit(1);
-        }
-    }
-    if maint_gate_status == "enforced" {
-        let s = maint_speedup_at_4.expect("enforced implies measured");
-        if s < args.min_maint_speedup {
-            eprintln!(
-                "GATE FAILED: maintenance churn speedup at {GATE_THREADS} threads {s:.3} < \
-                 required {}",
-                args.min_maint_speedup
             );
             std::process::exit(1);
         }

@@ -1,14 +1,14 @@
-//! A long-lived fork-join worker team shared by every parallel phase in
-//! the workspace: the level-synchronous peel ([`crate::par`]) and the
-//! maintenance engine's parallel component passes.
+//! A long-lived fork-join worker team for the workspace's one parallel
+//! phase, the level-synchronous peel ([`crate::par`]), which the
+//! maintenance planner also runs as its parallel recompute.
 //!
-//! The PR-3 fork-join ran each job inside its own `std::thread::scope`,
+//! An earlier fork-join ran each job inside its own `std::thread::scope`,
 //! paying a spawn + join per call — fine for one decomposition over a
-//! 50k-vertex graph, a real tax when the ingest writer dispatches a
-//! parallel pass per micro-batch. This team spawns its workers **once**
-//! (lazily, growing up to [`MAX_WORKERS`]) and parks them on a condvar
-//! between jobs, so a job submission costs a mutex round-trip and a
-//! wake, not a `clone(2)`.
+//! 50k-vertex graph, a real tax when the ingest writer recomputes per
+//! micro-batch. This team spawns its workers **once** (lazily, growing
+//! up to [`MAX_WORKERS`]) and parks them on a condvar between jobs, so a
+//! job submission costs a mutex round-trip and a wake, not a
+//! `clone(2)`.
 //!
 //! ## Protocol
 //!

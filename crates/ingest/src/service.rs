@@ -260,11 +260,12 @@ pub struct IngestConfig {
     /// self-healing `recover()` rebuilds. [`IngestService::spawn_recovered`]
     /// keeps the configuration its `recover()` call was given.
     pub planner: PlannerConfig,
-    /// Maintenance parallelism of the writer's engine: component passes
-    /// run on the shared worker team and the planner prices the parallel
-    /// strategies. [`IngestService::spawn_planned`] sets it, and a
-    /// self-healing rebuild keeps the engine's setting.
-    /// `None` keeps the writer strictly serial (the default).
+    /// Worker threads for the writer's recomputes: with more than one, a
+    /// recompute-priced batch runs the parallel peel
+    /// ([`kcore_maint::Strategy::ParRecompute`]); the order-based passes
+    /// stay on the writer thread. [`IngestService::spawn_planned`] sets
+    /// it, and a self-healing rebuild keeps the engine's setting. `None`
+    /// keeps the writer strictly serial (the default).
     pub parallelism: Option<Parallelism>,
     /// Self-healing: rebuild a panicked engine through `recover()`
     /// (requires durability). `None` still catches the panic — the
@@ -333,7 +334,8 @@ impl IngestConfig {
         self
     }
 
-    /// Enables thread-parallel maintenance in spawned engines.
+    /// Runs the spawned engine's recomputes on the parallel peel under
+    /// `par` (see [`IngestConfig::parallelism`]).
     pub fn parallel(mut self, par: Parallelism) -> Self {
         self.parallelism = Some(par);
         self
@@ -792,26 +794,27 @@ pub struct IngestPause {
 /// count are cumulative, so the writer exports deltas to keep the
 /// registry's counters true monotone counters.
 struct EngineObs {
-    counters: [Counter; 6],
-    last: [u64; 6],
+    counters: [Counter; 5],
+    last: [u64; 5],
 }
 
 impl EngineObs {
     fn new(reg: &MetricsRegistry) -> Self {
-        // `planner_split_total` always reads 0: the serial component
-        // split counts as `ParSplit`. It stays registered because
-        // perfbench reads it and panics on a missing counter.
+        // No strategy adds to these two; they always read 0. They stay
+        // registered because perfbench's `drive.rs` is their only reader
+        // and panics on a missing counter. Drop them once that reader
+        // goes (ROADMAP item 1).
         reg.counter("planner_split_total");
+        reg.counter("planner_par_split_total");
         EngineObs {
             counters: [
                 reg.counter("planner_batched_total"),
-                reg.counter("planner_par_split_total"),
                 reg.counter("planner_recompute_total"),
                 reg.counter("planner_par_recompute_total"),
                 reg.counter("planner_rebuilds_total"),
                 reg.counter("engine_korder_relabels_total"),
             ],
-            last: [0; 6],
+            last: [0; 5],
         }
     }
 
@@ -819,7 +822,6 @@ impl EngineObs {
         let s = engine.planner_stats();
         let now = [
             s.batched_chosen as u64,
-            s.par_split_chosen as u64,
             s.recompute_chosen as u64,
             s.par_recompute_chosen as u64,
             s.rebuilds as u64,
@@ -1237,7 +1239,7 @@ impl Writer {
                 let recovery_elapsed = rec.report.elapsed_ns;
                 // Recovery rebuilds the engine from journal + snapshot,
                 // which know nothing about its parallelism — re-apply it
-                // so a self-healed writer keeps its worker team.
+                // so a self-healed writer keeps its parallel peel.
                 let par = self.engine.parallelism();
                 self.engine = rec.engine;
                 self.engine.set_parallelism(par);

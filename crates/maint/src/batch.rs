@@ -39,7 +39,6 @@
 //! core value — property-tested in `tests/proptest_maint.rs` against both
 //! edge-at-a-time updates and a from-scratch decomposition.
 
-use crate::components::BatchOptions;
 use crate::order_core::OrderCore;
 use kcore_graph::{VertexId, DEFAULT_MAX_HOLE_RATIO};
 use kcore_order::OrderSeq;
@@ -50,8 +49,7 @@ impl<S: OrderSeq> OrderCore<S> {
     /// Invalid entries (self loops, duplicate edges — including
     /// duplicates within `edges` —, unknown endpoints) are skipped and
     /// counted in [`UpdateStats::skipped`]. Returns aggregate stats for
-    /// the whole batch. Equivalent to [`OrderCore::insert_edges_with`]
-    /// under the default [`BatchOptions`] (merged per-level passes).
+    /// the whole batch.
     ///
     /// Works in two phases. The **apply phase** admits every edge into
     /// the (pre-reserved) adjacency arena, updates `mcd`, and bumps the
@@ -64,27 +62,12 @@ impl<S: OrderSeq> OrderCore<S> {
     /// that still violate at the next level (a batch can raise a core by
     /// more than one) cascade upward until Lemma 5.1 holds everywhere.
     pub fn insert_edges(&mut self, edges: &[(VertexId, VertexId)]) -> UpdateStats {
-        self.insert_edges_with(edges, &BatchOptions::default())
-    }
-
-    /// [`OrderCore::insert_edges`] with explicit [`BatchOptions`]. With
-    /// `split_components` set, each dirty level's seed pool is first
-    /// partitioned by connected component of the level-induced subgraph
-    /// (`OrderCore::split_level_seeds`) and one promotion pass runs per
-    /// component; per-pass [`UpdateStats`] counters are merged exactly,
-    /// so every total except `passes` (which then counts component
-    /// passes) is identical to the merged-pass configuration.
-    pub fn insert_edges_with(
-        &mut self,
-        edges: &[(VertexId, VertexId)],
-        opts: &BatchOptions,
-    ) -> UpdateStats {
         let mut stats = UpdateStats::default();
         if edges.is_empty() {
             return stats;
         }
         self.insert_apply_phase(edges, &mut stats);
-        self.insert_pass_phase(opts, &mut stats);
+        self.insert_pass_phase(&mut stats);
         stats
     }
 
@@ -174,7 +157,7 @@ impl<S: OrderSeq> OrderCore<S> {
     /// The pass phase of batched insertion: one multi-seed promotion pass
     /// per dirty level, ascending, consuming the seeds the apply phase
     /// left in `batch_seeds`.
-    fn insert_pass_phase(&mut self, opts: &BatchOptions, stats: &mut UpdateStats) {
+    fn insert_pass_phase(&mut self, stats: &mut UpdateStats) {
         let mut dirty = std::mem::take(&mut self.batch_seeds);
         let mut seeds = std::mem::take(&mut self.level_seeds);
         while !dirty.is_empty() {
@@ -192,48 +175,20 @@ impl<S: OrderSeq> OrderCore<S> {
                     .filter(|&v| self.core[v as usize] == k),
             );
             dirty.retain(|&v| self.core[v as usize] != k);
-            // Component splitting yields one independent pass per level-k
-            // component; `UpdateStats` counters are plain sums, so the
-            // group structure cannot skew any statistic.
-            if opts.split_components && seeds.len() > 1 {
-                let groups = self.split_level_seeds(&seeds, k);
-                let threads = opts.pass_threads();
-                if threads > 1 && groups.len() > 1 && seeds.len() >= opts.pass_seed_cutoff() {
-                    self.promote_groups_parallel(&groups, k, threads, stats, &mut dirty);
-                } else {
-                    for group in &groups {
-                        self.promote_group(group, k, stats, &mut dirty);
-                    }
-                }
-            } else {
-                let group = std::mem::take(&mut seeds);
-                self.promote_group(&group, k, stats, &mut dirty);
-                seeds = group;
-            }
+            self.promote_pass(&seeds, k, stats);
+            // Upward cascade: the pass can promote vertices that still
+            // violate at level `k + 1` (a batch may raise a core by more
+            // than one) — those re-enter the dirty pool.
+            dirty.extend(
+                self.vstar
+                    .iter()
+                    .copied()
+                    .filter(|&w| self.deg_plus[w as usize] > self.core[w as usize]),
+            );
         }
         dirty.clear();
         self.batch_seeds = dirty;
         self.level_seeds = seeds;
-    }
-
-    /// One promotion pass over a seed group plus the upward cascade: a
-    /// multi-seed pass can promote vertices that still violate at level
-    /// `k + 1` (a batch may raise a core by more than one) — those
-    /// re-enter the dirty pool.
-    fn promote_group(
-        &mut self,
-        group: &[VertexId],
-        k: u32,
-        stats: &mut UpdateStats,
-        dirty: &mut Vec<VertexId>,
-    ) {
-        self.promote_pass(group, k, stats);
-        for i in 0..self.vstar.len() {
-            let w = self.vstar[i];
-            if self.deg_plus[w as usize] > self.core[w as usize] {
-                dirty.push(w);
-            }
-        }
     }
 
     /// Removes a batch of edges, updating core numbers and the k-order.
@@ -255,24 +210,12 @@ impl<S: OrderSeq> OrderCore<S> {
     /// Adjacency-arena compaction is considered once per batch, between
     /// the two phases, never in the middle of the apply loop.
     pub fn remove_edges(&mut self, edges: &[(VertexId, VertexId)]) -> UpdateStats {
-        self.remove_edges_with(edges, &BatchOptions::default())
-    }
-
-    /// [`OrderCore::remove_edges`] with explicit [`BatchOptions`]: the
-    /// dismissal mirror of [`OrderCore::insert_edges_with`] — with
-    /// `split_components`, one dismissal pass per level-`k` component of
-    /// the seed pool, exact counter merge.
-    pub fn remove_edges_with(
-        &mut self,
-        edges: &[(VertexId, VertexId)],
-        opts: &BatchOptions,
-    ) -> UpdateStats {
         let mut stats = UpdateStats::default();
         if edges.is_empty() {
             return stats;
         }
         self.remove_apply_phase(edges, &mut stats);
-        self.remove_pass_phase(opts, &mut stats);
+        self.remove_pass_phase(&mut stats);
         stats
     }
 
@@ -349,7 +292,7 @@ impl<S: OrderSeq> OrderCore<S> {
     /// The pass phase of batched removal: one multi-seed dismissal pass
     /// per affected level, descending, consuming the pool the apply phase
     /// left in `batch_seeds`.
-    fn remove_pass_phase(&mut self, opts: &BatchOptions, stats: &mut UpdateStats) {
+    fn remove_pass_phase(&mut self, stats: &mut UpdateStats) {
         let mut pool = std::mem::take(&mut self.batch_seeds);
         let mut seeds = std::mem::take(&mut self.level_seeds);
         while !pool.is_empty() {
@@ -362,44 +305,19 @@ impl<S: OrderSeq> OrderCore<S> {
             seeds.clear();
             seeds.extend(pool.iter().copied().filter(|&x| self.core[x as usize] == k));
             pool.retain(|&x| self.core[x as usize] != k);
-            if opts.split_components && seeds.len() > 1 {
-                let groups = self.split_level_seeds(&seeds, k);
-                let threads = opts.pass_threads();
-                if threads > 1 && groups.len() > 1 && seeds.len() >= opts.pass_seed_cutoff() {
-                    self.dismiss_groups_parallel(&groups, k, threads, stats, &mut pool);
-                } else {
-                    for group in &groups {
-                        self.dismiss_group(group, k, stats, &mut pool);
-                    }
-                }
-            } else {
-                let group = std::mem::take(&mut seeds);
-                self.dismiss_group(&group, k, stats, &mut pool);
-                seeds = group;
-            }
+            self.dismiss_pass(&seeds, k, stats);
+            // Downward cascade: a vertex dismissed from level `k` whose
+            // `mcd` already violates at `k − 1` re-seeds the `k − 1` pass.
+            pool.extend(
+                self.vstar
+                    .iter()
+                    .copied()
+                    .filter(|&w| self.mcd[w as usize] < self.core[w as usize]),
+            );
         }
         pool.clear();
         self.batch_seeds = pool;
         self.level_seeds = seeds;
-    }
-
-    /// One dismissal pass over a seed group plus the downward cascade: a
-    /// vertex dismissed from level `k` whose `mcd` already violates at
-    /// `k − 1` re-seeds the `k − 1` pass.
-    fn dismiss_group(
-        &mut self,
-        group: &[VertexId],
-        k: u32,
-        stats: &mut UpdateStats,
-        pool: &mut Vec<VertexId>,
-    ) {
-        self.dismiss_pass(group, k, stats);
-        for i in 0..self.vstar.len() {
-            let w = self.vstar[i];
-            if self.mcd[w as usize] < self.core[w as usize] {
-                pool.push(w);
-            }
-        }
     }
 }
 
@@ -411,17 +329,55 @@ mod tests {
 
     #[test]
     fn batch_insert_matches_sequential() {
-        let g = fixtures::path(12);
-        let edges: Vec<(u32, u32)> = vec![(0, 11), (2, 9), (3, 8), (1, 10), (4, 7)];
-        let mut batched: OrderCore = OrderCore::new(g.clone(), 1);
-        let stats = batched.insert_edges(&edges);
-        assert_eq!(stats.skipped, 0);
-        let mut seq: OrderCore = OrderCore::new(g, 1);
-        for &(u, v) in &edges {
-            seq.insert_edge(u, v).unwrap();
+        // Second input: two islands with no path between them, a K5
+        // (core 4) and a K4 (core 3), plus an isolated vertex 9 that the
+        // chords wire into both. Vertex 9 climbs from core 0 to 3 in one
+        // batch and falls back in the next: one pass per level crossed.
+        let mut islands = fixtures::clique(5);
+        for _ in 0..5 {
+            islands.add_vertex();
         }
-        assert_eq!(batched.cores(), seq.cores());
-        batched.validate();
+        for a in 5..9u32 {
+            for b in (a + 1)..9 {
+                islands.insert_edge(a, b).unwrap();
+            }
+        }
+        // (graph, batch, (insert passes, removal passes))
+        let inputs = [
+            (
+                fixtures::path(12),
+                vec![(0, 11), (2, 9), (3, 8), (1, 10), (4, 7)],
+                (1, 1),
+            ),
+            (
+                islands,
+                vec![(9, 0), (9, 1), (9, 2), (9, 5), (9, 6), (9, 7)],
+                (4, 3),
+            ),
+        ];
+        for (g, edges, (insert_passes, removal_passes)) in inputs {
+            let mut batched: OrderCore = OrderCore::new(g.clone(), 1);
+            let stats = batched.insert_edges(&edges);
+            assert_eq!(stats.skipped, 0);
+            assert_eq!(stats.passes, insert_passes);
+            let mut seq: OrderCore = OrderCore::new(g, 1);
+            for &(u, v) in &edges {
+                seq.insert_edge(u, v).unwrap();
+            }
+            assert_eq!(batched.cores(), seq.cores());
+            batched.validate();
+
+            // Removal mirror: tear the same edges back out.
+            let stats = batched.remove_edges(&edges);
+            assert_eq!(stats.skipped, 0);
+            assert_eq!(stats.passes, removal_passes);
+            for &(u, v) in &edges {
+                seq.remove_edge(u, v).unwrap();
+            }
+            assert_eq!(batched.cores(), seq.cores());
+            assert_eq!(batched.cores(), &core_decomposition(batched.graph())[..]);
+            batched.validate();
+        }
     }
 
     #[test]
@@ -558,83 +514,6 @@ mod tests {
             after - before
         );
         oc.validate();
-    }
-
-    #[test]
-    fn component_split_stats_match_sequential_passes() {
-        // Multi-component fixture: one K5 island (core 4) and one K4
-        // island (core 3), no path between them. The batch seeds both
-        // islands — i.e. both levels, one component each — so the
-        // component-parallel engine must report *identical*
-        // `passes`/`merged_seeds` (and every other counter) to the
-        // sequential merged-pass engine.
-        let mut g = fixtures::clique(5);
-        for _ in 0..5 {
-            g.add_vertex();
-        }
-        for a in 5..9u32 {
-            for b in (a + 1)..9 {
-                g.insert_edge(a, b).unwrap();
-            }
-        }
-        // Fresh chords: vertex 9 wires into both islands, violating
-        // Lemma 5.1 at two different levels in one batch.
-        let batch: Vec<(u32, u32)> = vec![(9, 0), (9, 1), (9, 2), (9, 5), (9, 6), (9, 7)];
-
-        let mut split: OrderCore = OrderCore::new(g.clone(), 3);
-        let split_stats = split.insert_edges_with(&batch, &crate::BatchOptions::component_split());
-        let mut merged: OrderCore = OrderCore::new(g.clone(), 3);
-        let merged_stats = merged.insert_edges(&batch);
-        assert_eq!(split_stats.passes, merged_stats.passes);
-        assert_eq!(split_stats.merged_seeds, merged_stats.merged_seeds);
-        assert_eq!(split_stats, merged_stats, "insert stats must merge exactly");
-        assert_eq!(split.cores(), merged.cores());
-        split.validate();
-
-        // Removal mirror: tear the same chords back out.
-        let split_rm = split.remove_edges_with(&batch, &crate::BatchOptions::component_split());
-        let merged_rm = merged.remove_edges(&batch);
-        assert_eq!(split_rm.passes, merged_rm.passes);
-        assert_eq!(split_rm.merged_seeds, merged_rm.merged_seeds);
-        assert_eq!(split_rm, merged_rm, "removal stats must merge exactly");
-        assert_eq!(split.cores(), merged.cores());
-        split.validate();
-    }
-
-    #[test]
-    fn component_split_runs_independent_passes_per_island() {
-        // When two seed components share a level, the split engine runs
-        // one pass per component (passes grows by the component count)
-        // while every other counter — and the resulting cores — matches
-        // the merged engine exactly.
-        let mut g = fixtures::clique(4);
-        for _ in 0..4 {
-            g.add_vertex();
-        }
-        for a in 4..8u32 {
-            for b in (a + 1)..8 {
-                g.insert_edge(a, b).unwrap();
-            }
-        }
-        // One violating chord per island, both at level 3.
-        let mut ga = g.clone();
-        ga.add_vertex();
-        ga.add_vertex();
-        let batch: Vec<(u32, u32)> = vec![(8, 0), (8, 1), (8, 2), (9, 4), (9, 5), (9, 6)];
-
-        let mut split: OrderCore = OrderCore::new(ga.clone(), 3);
-        let split_stats = split.insert_edges_with(&batch, &crate::BatchOptions::component_split());
-        let mut merged: OrderCore = OrderCore::new(ga, 3);
-        let merged_stats = merged.insert_edges(&batch);
-        assert_eq!(split.cores(), merged.cores());
-        assert_eq!(split_stats.merged_seeds, merged_stats.merged_seeds);
-        assert_eq!(split_stats.changed, merged_stats.changed);
-        assert_eq!(split_stats.noop, merged_stats.noop);
-        assert!(
-            split_stats.passes >= merged_stats.passes,
-            "independent component passes cannot be fewer than merged ones"
-        );
-        split.validate();
     }
 
     #[test]

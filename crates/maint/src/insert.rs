@@ -167,13 +167,13 @@ impl<S: OrderSeq> OrderCore<S> {
         self.vstar = vstar;
     }
 
-    /// `OrderInsert`'s ending phase, shared by [`OrderCore::promote_pass`]
-    /// and the parallel plan commit: raises `vstar` (in candidate order)
-    /// to level `k + 1` and repairs the k-order around it. `demotions`
+    /// `OrderInsert`'s ending phase of [`OrderCore::promote_pass`]: raises
+    /// `vstar` (in candidate order) to level `k + 1` and repairs the
+    /// k-order around it. `demotions`
     /// lists the pass's Observation 6.1 repositionings as `(d, pred)`:
     /// demoted `d` rejoined `O_K` right after `pred`. `epoch` is the
     /// pass's epoch; `vc_mark == epoch` marks `V*` during the repair scan.
-    pub(crate) fn finish_promote(
+    fn finish_promote(
         &mut self,
         k: u32,
         epoch: u32,

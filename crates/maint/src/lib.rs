@@ -28,11 +28,16 @@
 //! heap's rank keys mutually consistent without changing any decision the
 //! algorithm takes.
 //!
+//! [`OrderCore::insert_edges`] / [`OrderCore::remove_edges`] apply a
+//! batch with one multi-seed pass per affected level, always on the
+//! calling thread. [`PlannedCore`] prices each batch against a full
+//! recompute; the recompute is the only multi-core path (the parallel
+//! peel, [`Strategy::ParRecompute`], when a `Parallelism` is set).
+//!
 //! [`maintainer::CoreMaintainer`] unifies this engine with the traversal
 //! baseline and a naive recompute baseline for the benchmark harness.
 
 pub mod batch;
-pub mod components;
 pub mod journal;
 pub mod maintainer;
 pub mod order_core;
@@ -42,10 +47,8 @@ pub mod query;
 pub mod vertex;
 
 mod insert;
-mod par_pass;
 mod remove;
 
-pub use components::BatchOptions;
 pub use kcore_traversal::UpdateStats;
 pub use maintainer::{CoreMaintainer, RecomputeCore};
 pub use order_core::OrderCore;

@@ -187,44 +187,20 @@ impl CoreMaintainer for SubCoreAlgo {
 /// The naive baseline: rerun the `O(m + n)` decomposition after every
 /// update. Correct by construction; used as the ground-truth oracle and as
 /// the "no index" row in benchmarks.
-///
-/// With [`RecomputeCore::new_parallel`] the recomputation runs the
-/// level-synchronous parallel peel — the multi-core fallback the batch
-/// benchmarks show overtaking the maintenance path once batches approach
-/// the graph size (`BENCH_batch.json` `ratio_vs_recompute`).
 pub struct RecomputeCore {
     graph: DynamicGraph,
     core: Vec<u32>,
-    par: Option<kcore_decomp::Parallelism>,
 }
 
 impl RecomputeCore {
     /// Builds the baseline (one decomposition).
     pub fn new(graph: DynamicGraph) -> Self {
         let core = core_decomposition(&graph);
-        RecomputeCore {
-            graph,
-            core,
-            par: None,
-        }
-    }
-
-    /// Builds the baseline with every recomputation running the parallel
-    /// peel under `par` (identical core numbers, more cores).
-    pub fn new_parallel(graph: DynamicGraph, par: kcore_decomp::Parallelism) -> Self {
-        let core = kcore_decomp::par_core_decomposition(&graph, &par);
-        RecomputeCore {
-            graph,
-            core,
-            par: Some(par),
-        }
+        RecomputeCore { graph, core }
     }
 
     fn recompute(&mut self) -> UpdateStats {
-        let new = match &self.par {
-            Some(par) => kcore_decomp::par_core_decomposition(&self.graph, par),
-            None => core_decomposition(&self.graph),
-        };
+        let new = core_decomposition(&self.graph);
         let changed = new
             .iter()
             .zip(self.core.iter())

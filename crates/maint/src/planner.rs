@@ -8,12 +8,9 @@
 //! prices every batch with a fixed cost model and runs whichever family
 //! is cheaper —
 //!
-//! * the **pass family**: [`Strategy::Batched`], the merged multi-seed
-//!   order-based pass ([`OrderCore::insert_edges`] /
-//!   [`OrderCore::remove_edges`]), or [`Strategy::ParSplit`], the same
-//!   passes split per connected component of each level's seed pool
-//!   ([`crate::BatchOptions::split_components`]) with the plan phase on
-//!   the worker team;
+//! * the **passes**: [`Strategy::Batched`], one merged multi-seed
+//!   order-based pass per affected level ([`OrderCore::insert_edges`] /
+//!   [`OrderCore::remove_edges`]), always on the calling thread;
 //! * the **recompute family**: [`Strategy::Recompute`] /
 //!   [`Strategy::ParRecompute`] apply the batch raw, rerun the
 //!   decomposition ([`core_decomposition`], or the parallel peel), and
@@ -28,10 +25,11 @@
 //! deferred rebuild, `(n + m) · 40 ns` amortised over 16 batches: one
 //! rebuild re-enables order-based maintenance for every batch after it.
 //! [`PlanPolicy::Auto`] runs the passes unless they price strictly
-//! higher. With more than one worker thread the chosen family runs its
-//! parallel member. The prices are constants: the planner keeps no
-//! timing state, so a plan depends only on the policy, the thread
-//! count, the batch and graph sizes, and whether the order is fresh.
+//! higher. With more than one worker thread a recompute runs the
+//! parallel peel ([`Strategy::ParRecompute`]); the passes stay serial.
+//! The prices are constants: the planner keeps no timing state, so a
+//! plan depends only on the policy, the thread count, the batch and
+//! graph sizes, and whether the order is fresh.
 //!
 //! ## Deferred order rebuild
 //!
@@ -47,7 +45,6 @@
 //! ([`OrderCore::validate`] passes; property-tested for every
 //! [`PlanPolicy`]).
 
-use crate::components::BatchOptions;
 use crate::order_core::OrderCore;
 use kcore_decomp::{core_decomposition, korder_from_cores, par_core_decomposition, Parallelism};
 use kcore_graph::{DynamicGraph, EdgeListError, VertexId, DEFAULT_MAX_HOLE_RATIO};
@@ -75,9 +72,6 @@ const REBUILD_HORIZON_BATCHES: u64 = 16;
 pub enum Strategy {
     /// Merged multi-seed order-based passes (one per affected level).
     Batched,
-    /// Component-split passes with the plan phase on the worker team;
-    /// with one thread the component passes run serially.
-    ParSplit,
     /// Full recompute of core numbers; k-order rebuild deferred.
     Recompute,
     /// Full recompute on the level-synchronous parallel peel
@@ -93,9 +87,6 @@ pub enum PlanPolicy {
     Auto,
     /// Always run the merged order-based passes.
     ForceBatch,
-    /// Always run component-split passes, on the worker team when more
-    /// than one thread is configured.
-    ForceParSplit,
     /// Always recompute (order rebuild stays deferred). With more than
     /// one thread configured this executes — and is recorded as — the
     /// parallel peel.
@@ -122,8 +113,6 @@ pub struct PlannerStats {
     /// Pass pipelines dispatched to the merged order-based passes (a
     /// mixed churn micro-batch counts each executed half).
     pub batched_chosen: usize,
-    /// Pass pipelines dispatched to component-split passes.
-    pub par_split_chosen: usize,
     /// Recomputes actually executed (fully-skipped batches that changed
     /// nothing are not counted).
     pub recompute_chosen: usize,
@@ -139,10 +128,7 @@ pub struct PlannerStats {
 impl PlannerStats {
     /// Total dispatch decisions recorded (all strategies).
     pub fn decisions(&self) -> usize {
-        self.batched_chosen
-            + self.par_split_chosen
-            + self.recompute_chosen
-            + self.par_recompute_chosen
+        self.batched_chosen + self.recompute_chosen + self.par_recompute_chosen
     }
 }
 
@@ -150,11 +136,9 @@ impl std::fmt::Display for PlannerStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} decisions (batched {}, par-split {}, recompute {}, par-recompute {}; \
-             {} rebuilds)",
+            "{} decisions (batched {}, recompute {}, par-recompute {}; {} rebuilds)",
             self.decisions(),
             self.batched_chosen,
-            self.par_split_chosen,
             self.recompute_chosen,
             self.par_recompute_chosen,
             self.rebuilds,
@@ -169,8 +153,8 @@ impl std::fmt::Display for PlannerStats {
 pub struct Planner {
     cfg: PlannerConfig,
     stats: PlannerStats,
-    /// Worker threads the engine may use (1 = serial). Above 1 the
-    /// chosen family runs its parallel member.
+    /// Worker threads the engine may use (1 = serial). Above 1 a
+    /// recompute runs the parallel peel.
     threads: usize,
 }
 
@@ -206,20 +190,13 @@ impl Planner {
         m: usize,
         order_fresh: bool,
     ) -> Strategy {
-        let par = self.threads > 1;
-        let pass = if par {
-            Strategy::ParSplit
-        } else {
-            Strategy::Batched
-        };
-        let recompute = if par {
+        let recompute = if self.threads > 1 {
             Strategy::ParRecompute
         } else {
             Strategy::Recompute
         };
         match self.cfg.policy {
             PlanPolicy::ForceBatch => Strategy::Batched,
-            PlanPolicy::ForceParSplit => Strategy::ParSplit,
             PlanPolicy::ForceRecompute => recompute,
             PlanPolicy::Auto => {
                 let (b, units) = ((inserts + removes) as u64, (n + m) as u64);
@@ -230,7 +207,7 @@ impl Planner {
                 if est_pass > (units + b) * RECOMPUTE_NS_PER_UNIT {
                     recompute
                 } else {
-                    pass
+                    Strategy::Batched
                 }
             }
         }
@@ -240,7 +217,6 @@ impl Planner {
     fn record(&mut self, strategy: Strategy) {
         match strategy {
             Strategy::Batched => self.stats.batched_chosen += 1,
-            Strategy::ParSplit => self.stats.par_split_chosen += 1,
             Strategy::Recompute => self.stats.recompute_chosen += 1,
             Strategy::ParRecompute => self.stats.par_recompute_chosen += 1,
         }
@@ -299,8 +275,8 @@ impl<S: OrderSeq> PlannedCore<S> {
     }
 
     /// Recompute fallbacks run the level-synchronous parallel peel under
-    /// `par` (identical core numbers, more cores), and pass-family
-    /// batches run thread-parallel component passes.
+    /// `par` (identical core numbers, more cores). The order-based passes
+    /// stay on the calling thread.
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.set_parallelism(Some(par));
         self
@@ -453,45 +429,38 @@ impl<S: OrderSeq> PlannedCore<S> {
             .planner
             .plan(inserts.len(), removes.len(), n, m, self.order_fresh)
         {
-            s @ (Strategy::Recompute | Strategy::ParRecompute) => {
-                if self.recompute_batch(inserts, removes, &mut stats) {
-                    self.planner.record(s);
+            Strategy::Batched => {
+                if !inserts.is_empty() {
+                    self.run_passes(inserts, false, &mut stats);
+                }
+                if !removes.is_empty() {
+                    self.run_passes(removes, true, &mut stats);
                 }
             }
             s => {
-                if !inserts.is_empty() {
-                    self.run_passes(s, inserts, false, &mut stats);
-                }
-                if !removes.is_empty() {
-                    self.run_passes(s, removes, true, &mut stats);
+                if self.recompute_batch(inserts, removes, &mut stats) {
+                    self.planner.record(s);
                 }
             }
         }
         stats
     }
 
-    /// The pass-family execution path. `ParSplit` splits each level's
-    /// seed pool per component and hands the passes the configured
-    /// [`Parallelism`]; `Batched` runs the merged passes.
+    /// The [`Strategy::Batched`] execution path: the merged passes over
+    /// a fresh order.
     fn run_passes(
         &mut self,
-        strategy: Strategy,
         edges: &[(VertexId, VertexId)],
         removal: bool,
         stats: &mut UpdateStats,
     ) {
         self.ensure_order_fresh();
-        let split = strategy == Strategy::ParSplit;
-        let opts = BatchOptions {
-            split_components: split,
-            parallelism: if split { self.par } else { None },
-        };
         stats.absorb(if removal {
-            self.engine.remove_edges_with(edges, &opts)
+            self.engine.remove_edges(edges)
         } else {
-            self.engine.insert_edges_with(edges, &opts)
+            self.engine.insert_edges(edges)
         });
-        self.planner.record(strategy);
+        self.planner.record(Strategy::Batched);
     }
 
     /// The recompute strategy: raw-apply both halves (identical skip
@@ -590,19 +559,24 @@ mod tests {
         let batch: Vec<(u32, u32)> =
             vec![(0, 11), (1, 10), (2, 9), (3, 8), (4, 7), (0, 0), (5, 99)];
         let mut reference: Option<Vec<u32>> = None;
-        for policy in [
+        let policies = [
             PlanPolicy::Auto,
             PlanPolicy::ForceBatch,
-            PlanPolicy::ForceParSplit,
             PlanPolicy::ForceRecompute,
-        ] {
-            let mut pc = Planned::with_policy(fixtures::path(12), 9, policy);
+        ];
+        for (policy, threads) in policies.into_iter().flat_map(|p| [(p, 1), (p, 2)]) {
+            let mut pc = Planned::with_policy(fixtures::path(12), 9, policy)
+                .with_parallelism(Parallelism::exact(threads).with_cutoff(0));
             let stats = pc.insert_edges(&batch);
             assert_eq!(stats.skipped, 2, "{policy:?} skip semantics diverged");
+            if policy == PlanPolicy::ForceBatch {
+                // Threads never leave the passes.
+                assert_eq!(pc.planner_stats().last, Some(Strategy::Batched));
+            }
             pc.validate();
             let cores = pc.cores().to_vec();
             if let Some(r) = &reference {
-                assert_eq!(&cores, r, "{policy:?} cores diverged");
+                assert_eq!(&cores, r, "{policy:?} at {threads} threads: cores diverged");
             } else {
                 reference = Some(cores);
             }
@@ -675,20 +649,19 @@ mod tests {
         assert_eq!(plan(PlanPolicy::ForceRecompute, 321), Strategy::Recompute);
         assert_eq!(plan(PlanPolicy::ForceBatch, 322), Strategy::Batched);
         assert_eq!(plan(PlanPolicy::ForceBatch, 100_000), Strategy::Batched);
-        assert_eq!(plan(PlanPolicy::ForceParSplit, 100_000), Strategy::ParSplit);
     }
 
-    /// With threads the chosen family runs its parallel member; the
-    /// crossover between the families does not move.
+    /// With threads a recompute runs the parallel peel and the passes
+    /// stay `Batched`; the crossover between the families does not move.
     #[test]
     fn parallel_members_are_priced_distinctly_with_threads() {
-        use Strategy::{Batched, ParRecompute, ParSplit, Recompute};
+        use Strategy::{Batched, ParRecompute, Recompute};
         let ba = kcore_gen::barabasi_albert(20_000, 4, 1);
         let (bn, bm) = (ba.num_vertices(), ba.num_edges());
         let (n, m) = (20_000, 80_000);
         let rows = [
-            (128, 128, bn, bm, true, Batched, ParSplit),
-            (321, 0, n, m, true, Batched, ParSplit),
+            (128, 128, bn, bm, true, Batched, Batched),
+            (321, 0, n, m, true, Batched, Batched),
             (322, 0, n, m, true, Recompute, ParRecompute),
             (300, 0, n, m, false, Recompute, ParRecompute),
         ];
@@ -707,7 +680,7 @@ mod tests {
             for (n, m) in [(100usize, 200usize), (10_000, 80_000)] {
                 for fresh in [true, false] {
                     let got = p.plan(b, b / 2, n, m, fresh);
-                    assert!(!matches!(got, Strategy::ParSplit | Strategy::ParRecompute));
+                    assert_ne!(got, Strategy::ParRecompute);
                 }
             }
         }
@@ -722,10 +695,6 @@ mod tests {
         };
         assert_eq!(mk(PlanPolicy::ForceBatch, 1), Strategy::Batched);
         assert_eq!(mk(PlanPolicy::ForceBatch, 4), Strategy::Batched);
-        // ForceParSplit without threads runs the component passes
-        // serially; the strategy names the family member either way.
-        assert_eq!(mk(PlanPolicy::ForceParSplit, 1), Strategy::ParSplit);
-        assert_eq!(mk(PlanPolicy::ForceParSplit, 4), Strategy::ParSplit);
         // ForceRecompute rides the peel when threads are available.
         assert_eq!(mk(PlanPolicy::ForceRecompute, 4), Strategy::ParRecompute);
         assert_eq!(mk(PlanPolicy::ForceRecompute, 1), Strategy::Recompute);
@@ -735,19 +704,19 @@ mod tests {
     fn parallel_policies_agree_on_cores_and_record_choices() {
         let batch: Vec<(u32, u32)> = vec![(0, 11), (1, 10), (2, 9), (3, 8), (4, 7)];
         let par = Parallelism::exact(4).with_cutoff(0);
-        // Serial component split: ForceParSplit without threads.
-        let mut reference = Planned::with_policy(fixtures::path(12), 9, PlanPolicy::ForceParSplit);
+        let mut reference = Planned::with_policy(fixtures::path(12), 9, PlanPolicy::ForceBatch);
         reference.insert_edges(&batch);
         reference.validate();
 
-        let mut ps = Planned::with_policy(fixtures::path(12), 9, PlanPolicy::ForceParSplit)
+        // Threads leave the passes serial: still recorded as `Batched`.
+        let mut ps = Planned::with_policy(fixtures::path(12), 9, PlanPolicy::ForceBatch)
             .with_parallelism(par);
         assert_eq!(ps.parallelism(), Some(par));
         ps.insert_edges(&batch);
         ps.validate();
         assert_eq!(ps.cores(), reference.cores());
-        assert_eq!(ps.planner_stats().par_split_chosen, 1);
-        assert_eq!(ps.planner_stats().last, Some(Strategy::ParSplit));
+        assert_eq!(ps.planner_stats().batched_chosen, 1);
+        assert_eq!(ps.planner_stats().last, Some(Strategy::Batched));
 
         let mut pr = Planned::with_policy(fixtures::path(12), 9, PlanPolicy::ForceRecompute)
             .with_parallelism(par);

@@ -121,19 +121,13 @@ impl<S: OrderSeq> OrderCore<S> {
         self.vstar = vstar;
     }
 
-    /// `OrderRemoval`'s ending phase (Algorithm 4 lines 6–14), shared by
-    /// [`OrderCore::dismiss_pass`] and the parallel plan commit: drops
-    /// `vstar` (in dismissal order) to level `k − 1`, moves it to the end
-    /// of `O_{K−1}`, and repairs `deg⁺` and `mcd` around it in one fused
-    /// scan per dismissed vertex. `epoch` is the pass's epoch;
-    /// `queue_mark == epoch` marks `V*` during the scan.
-    pub(crate) fn finish_dismiss(
-        &mut self,
-        k: u32,
-        epoch: u32,
-        vstar: &[VertexId],
-        stats: &mut UpdateStats,
-    ) {
+    /// `OrderRemoval`'s ending phase (Algorithm 4 lines 6–14) of
+    /// [`OrderCore::dismiss_pass`]: drops `vstar` (in dismissal order) to
+    /// level `k − 1`, moves it to the end of `O_{K−1}`, and repairs `deg⁺`
+    /// and `mcd` around it in one fused scan per dismissed vertex. `epoch`
+    /// is the pass's epoch; `queue_mark == epoch` marks `V*` during the
+    /// scan.
+    fn finish_dismiss(&mut self, k: u32, epoch: u32, vstar: &[VertexId], stats: &mut UpdateStats) {
         stats.changed += vstar.len();
         if vstar.is_empty() {
             stats.noop += 1;

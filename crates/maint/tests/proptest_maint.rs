@@ -7,15 +7,14 @@ use kcore_graph::DynamicGraph;
 use kcore_maint::{BatchOp, CoreMaintainer, OrderCore, PlanPolicy, PlannedCore, RecomputeCore};
 use proptest::prelude::*;
 
-/// Every policy, plus the split and recompute policies once more on a
-/// two-thread `Parallelism` (cutoff zeroed so the worker-team paths
-/// genuinely run even on tiny property-test graphs). Without threads,
-/// `ForceParSplit` runs the serial component split.
-const ALL_POLICIES: [(PlanPolicy, bool); 6] = [
+/// Every policy, plus `Auto` and `ForceRecompute` once more on a
+/// two-thread `Parallelism` (cutoff zeroed so the parallel peel genuinely
+/// runs even on tiny property-test graphs). With threads, `Auto`
+/// dispatches both `Batched` and `ParRecompute`.
+const ALL_POLICIES: [(PlanPolicy, bool); 5] = [
     (PlanPolicy::Auto, false),
+    (PlanPolicy::Auto, true),
     (PlanPolicy::ForceBatch, false),
-    (PlanPolicy::ForceParSplit, false),
-    (PlanPolicy::ForceParSplit, true),
     (PlanPolicy::ForceRecompute, false),
     (PlanPolicy::ForceRecompute, true),
 ];
@@ -382,139 +381,5 @@ proptest! {
         }
         prop_assert_eq!(batched.cores(), seq.cores());
         batched.validate();
-    }
-}
-
-// ---------------------------------------------------------------------
-// PR 8: thread-parallel component passes must be bit-identical to the
-// serial component-split path — cores, k-order (`global_order`),
-// `UpdateStats`, and the drained core-change log, at every thread count.
-// ---------------------------------------------------------------------
-
-/// Runs `step` against a serial component-split engine and parallel
-/// engines at 1/2/4 threads, asserting every observable matches after
-/// every batch.
-fn assert_parallel_bit_identical(
-    base: &DynamicGraph,
-    seed: u64,
-    batches: &[(bool, Vec<(u32, u32)>)],
-) {
-    use kcore_decomp::Parallelism;
-    use kcore_maint::BatchOptions;
-
-    let serial_opts = BatchOptions::component_split();
-    let mut serial: OrderCore = OrderCore::new(base.clone(), seed);
-    serial.enable_core_change_tracking();
-
-    let par_engines: Vec<(BatchOptions, OrderCore)> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| {
-            // cutoff 0 forces the plan/apply path even on tiny pools.
-            let opts = BatchOptions::parallel(Parallelism::exact(t).with_cutoff(0));
-            let mut eng: OrderCore = OrderCore::new(base.clone(), seed);
-            eng.enable_core_change_tracking();
-            (opts, eng)
-        })
-        .collect();
-    let mut engines = par_engines;
-
-    for (removal, edges) in batches {
-        let serial_stats = if *removal {
-            serial.remove_edges_with(edges, &serial_opts)
-        } else {
-            serial.insert_edges_with(edges, &serial_opts)
-        };
-        let mut serial_log = Vec::new();
-        let serial_tracked = serial.drain_core_changes(&mut serial_log);
-
-        for (opts, eng) in engines.iter_mut() {
-            let stats = if *removal {
-                eng.remove_edges_with(edges, opts)
-            } else {
-                eng.insert_edges_with(edges, opts)
-            };
-            assert_eq!(stats, serial_stats, "UpdateStats diverged ({opts:?})");
-            let mut log = Vec::new();
-            let tracked = eng.drain_core_changes(&mut log);
-            assert_eq!(tracked, serial_tracked);
-            // Serial apply order makes even the *order* of the change
-            // log identical, which subsumes the canonical-sort bar.
-            assert_eq!(log, serial_log, "core-change log diverged ({opts:?})");
-            assert_eq!(eng.cores(), serial.cores());
-            assert_eq!(eng.global_order(), serial.global_order());
-            eng.validate();
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Insert batches on edge soups: parallel == serial, bit for bit.
-    #[test]
-    fn parallel_insert_bit_identical_on_edge_soups(
-        g in arb_graph(40, 80),
-        extra in prop::collection::vec((0u32..40, 0u32..40), 1..60),
-        seed in any::<u64>(),
-    ) {
-        let batch: Vec<(u32, u32)> = extra.into_iter().filter(|(a, b)| a != b).collect();
-        prop_assume!(!batch.is_empty());
-        assert_parallel_bit_identical(&g, seed, &[(false, batch)]);
-    }
-
-    /// Removal batches: parallel == serial, bit for bit.
-    #[test]
-    fn parallel_remove_bit_identical_on_edge_soups(
-        g in arb_graph(40, 160),
-        pick in prop::collection::vec(any::<prop::sample::Index>(), 1..40),
-        seed in any::<u64>(),
-    ) {
-        let edges: Vec<(u32, u32)> = g.edges().collect();
-        prop_assume!(!edges.is_empty());
-        let batch: Vec<(u32, u32)> = pick.iter().map(|i| edges[i.index(edges.len())]).collect();
-        assert_parallel_bit_identical(&g, seed, &[(true, batch)]);
-    }
-
-    /// Preferential-attachment-flavoured graphs (hubs force deep
-    /// demotion cascades) under alternating insert/remove churn.
-    #[test]
-    fn parallel_churn_bit_identical_on_ba_graphs(
-        hub_edges in prop::collection::vec((0u32..8, 0u32..48), 20..80),
-        churn in prop::collection::vec((any::<bool>(), 0u32..48, 0u32..48), 4..40),
-        seed in any::<u64>(),
-    ) {
-        let mut g = DynamicGraph::with_vertices(48);
-        for (hub, v) in hub_edges {
-            if hub != v && !g.has_edge(hub, v) {
-                g.insert_edge_unchecked(hub, v);
-            }
-        }
-        // Split the churn into alternating insert/remove batches.
-        let mut batches: Vec<(bool, Vec<(u32, u32)>)> = Vec::new();
-        let mut probe = g.clone();
-        for chunk in churn.chunks(8) {
-            let mut ins = Vec::new();
-            let mut rem = Vec::new();
-            for &(insert, a, b) in chunk {
-                if a == b {
-                    continue;
-                }
-                if insert && !probe.has_edge(a, b) {
-                    probe.insert_edge_unchecked(a, b);
-                    ins.push((a, b));
-                } else if !insert && probe.has_edge(a, b) {
-                    probe.remove_edge(a, b).unwrap();
-                    rem.push((a, b));
-                }
-            }
-            if !ins.is_empty() {
-                batches.push((false, ins));
-            }
-            if !rem.is_empty() {
-                batches.push((true, rem));
-            }
-        }
-        prop_assume!(!batches.is_empty());
-        assert_parallel_bit_identical(&g, seed, &batches);
     }
 }

@@ -14,11 +14,11 @@ use crate::{OrderTreap, NONE};
 /// any insertion — `OrderInsert` only compares keys captured within a
 /// single mutation-free pass, which is exactly what this permits.
 ///
-/// `Send + Sync` is a supertrait: parallel component passes plan against
-/// a shared `&OrderCore<S>` from worker threads, reading frozen order
-/// keys concurrently. Every implementation here is plain `Vec`-backed
-/// data, so the bound is free.
-pub trait OrderSeq: Send + Sync {
+/// Every pass reads and edits the k-order from one thread, so the trait
+/// asks for no thread-safety bound; an engine moves to another thread
+/// only when its concrete `A_k` is `Send`, as both implementations
+/// here are.
+pub trait OrderSeq {
     /// Creates a k-order with no levels; `seed` feeds any internal
     /// randomness.
     fn with_seed(seed: u64) -> Self;
