@@ -44,11 +44,9 @@
 //! `--max-append-overhead-ratio R` gates that ratio.
 //!
 //! The observability layer contributes an **observability** section:
-//! the churn workload run metrics-on (the default registry + stage
-//! histograms + span ring) and metrics-off (`ObsConfig::disabled()`),
-//! with `--max-obs-overhead-ratio R` gating the throughput ratio; the
-//! metrics-on run's Prometheus `render_text()` exposition is validated
-//! line-by-line and its registry JSON dump is embedded in the output.
+//! every run's Prometheus `render_text()` exposition is validated
+//! line-by-line, and the churn run's registry JSON dump is embedded in
+//! the output.
 //!
 //! Every section's final core numbers are asserted equal to the
 //! recompute oracle before any number is reported. `--min-ingest-throughput R`
@@ -63,7 +61,7 @@ use kcore_gen::{barabasi_albert, churn_stream, timestamp_edges, SlidingWindow};
 use kcore_graph::DynamicGraph;
 use kcore_ingest::durability::{encode_frame, snapshot_generation_path, DurabilityConfig};
 use kcore_ingest::sources::{apply_events, churn_events, window_event};
-use kcore_ingest::{recover, GraphEvent, IngestConfig, IngestService, ObsConfig};
+use kcore_ingest::{recover, GraphEvent, IngestConfig, IngestService};
 use kcore_maint::PlannerConfig;
 use std::io::Write;
 use std::time::Instant;
@@ -86,9 +84,6 @@ struct Args {
     /// `0.0` disables the gate (v3 checksummed journal encode cost over
     /// the plain v1 encode, in the recovery section).
     max_append_overhead_ratio: f64,
-    /// `0.0` disables the gate (metrics-off over metrics-on churn
-    /// events/sec, in the observability section).
-    max_obs_overhead_ratio: f64,
 }
 
 impl Args {
@@ -106,7 +101,6 @@ impl Args {
             min_ingest_throughput: 0.0,
             max_publish_cost_ratio: 0.0,
             max_append_overhead_ratio: 0.0,
-            max_obs_overhead_ratio: 0.0,
         };
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
@@ -140,16 +134,12 @@ impl Args {
                     a.max_append_overhead_ratio =
                         need(i).parse().expect("bad --max-append-overhead-ratio")
                 }
-                "--max-obs-overhead-ratio" => {
-                    a.max_obs_overhead_ratio =
-                        need(i).parse().expect("bad --max-obs-overhead-ratio")
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --n N  --attach M  --batches B  --inserts-per-batch I  \
                          --removes-per-batch R  --max-batch S  --queue Q  --seed S  \
                          --out FILE  --min-ingest-throughput EPS  --max-publish-cost-ratio R  \
-                         --max-append-overhead-ratio R  --max-obs-overhead-ratio R"
+                         --max-append-overhead-ratio R"
                     );
                     std::process::exit(0);
                 }
@@ -198,11 +188,10 @@ struct SectionReport {
     mirror_chunks: u64,
     tracked_drains: u64,
     full_syncs: u64,
-    /// Registry JSON dump from the run's writer (None when the section
-    /// ran with observability disabled).
-    metrics_json: Option<String>,
-    /// Prometheus exposition lines the run's registry rendered (0 when
-    /// observability was off) — every line validated well-formed.
+    /// Registry JSON dump from the run's writer.
+    metrics_json: String,
+    /// Prometheus exposition lines the run's registry rendered — every
+    /// line validated well-formed.
     exposition_lines: usize,
 }
 
@@ -340,7 +329,7 @@ fn run_section(
 ) -> SectionReport {
     let svc = IngestService::spawn_planned(base.clone(), seed, cfg).expect("spawn service");
     let handle = svc.snapshots();
-    let metrics = svc.metrics();
+    let metrics = svc.metrics().expect("the registry always exists");
     let mut staleness: Vec<u64> = Vec::with_capacity(events.len() / sample_every.max(1) + 1);
     let t0 = Instant::now();
     for (i, &e) in events.iter().enumerate() {
@@ -354,16 +343,9 @@ fn run_section(
     let secs = t0.elapsed().as_secs_f64();
     // Dump + validate the registry after the barrier, outside the timed
     // window: the exposition smoke-check rides every section for free.
-    let (metrics_json, exposition_lines) = match &metrics {
-        Some(m) => {
-            let snap = m.snapshot();
-            (
-                Some(snap.to_json()),
-                validate_exposition(&snap.render_text()),
-            )
-        }
-        None => (None, 0),
-    };
+    let snap = metrics.snapshot();
+    let (metrics_json, exposition_lines) =
+        (snap.to_json(), validate_exposition(&snap.render_text()));
     let (report, engine) = svc.shutdown();
 
     assert_eq!(
@@ -597,40 +579,13 @@ fn main() {
     );
     churn_lean_report.print();
 
-    // ---- observability: metrics-on vs metrics-off churn ----
-    // The identical stream with the registry, stage histograms, and span
-    // ring disabled — the honest price of the per-flush instrumentation.
-    // Per-flush recording is O(stages) atomics per batch, so the ratio
-    // should be statistical noise (gated at ≤1.05 in CI).
-    let churn_obs_off_report = run_section(
-        "churn_nobs",
-        &base,
-        &churn,
-        wall_cfg().observe(ObsConfig::disabled()),
-        args.seed,
-        args.inserts_per_batch + args.removes_per_batch,
-    );
-    churn_obs_off_report.print();
-    let obs_overhead_ratio = if churn_report.events_per_sec > 0.0 {
-        churn_obs_off_report.events_per_sec / churn_report.events_per_sec
-    } else {
-        1.0
-    };
     assert!(
         churn_report.exposition_lines > 0,
-        "metrics-on churn run must render a non-empty exposition"
-    );
-    assert_eq!(
-        churn_obs_off_report.exposition_lines, 0,
-        "metrics-off run must not carry a registry"
+        "the churn run must render a non-empty exposition"
     );
     println!(
-        "observability: metrics-on {:.0} events/sec, metrics-off {:.0} events/sec = {:.3}x \
-         overhead ({} exposition lines validated)",
-        churn_report.events_per_sec,
-        churn_obs_off_report.events_per_sec,
-        obs_overhead_ratio,
-        churn_report.exposition_lines,
+        "observability: {} exposition lines validated",
+        churn_report.exposition_lines
     );
 
     // ---- window: admit/expire over a timestamped stream ----
@@ -934,16 +889,6 @@ fn main() {
     } else {
         "enforced".to_string()
     };
-    let obs_gate_status = if args.max_obs_overhead_ratio <= 0.0 {
-        "disabled".to_string()
-    } else if host < GATE_CORES {
-        format!(
-            "waived (host_parallelism {host} < {GATE_CORES} required: producer + writer threads \
-             time-slice on one core and the throughput delta is scheduling noise)"
-        )
-    } else {
-        "enforced".to_string()
-    };
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -962,7 +907,6 @@ fn main() {
     for r in [
         &churn_report,
         &churn_lean_report,
-        &churn_obs_off_report,
         &window_report,
         &durable_report,
     ] {
@@ -970,15 +914,8 @@ fn main() {
         json.push_str(",\n");
     }
     json.push_str(&format!(
-        "  \"observability\": {{\n    \"on_events_per_sec\": {:.0},\n    \
-         \"off_events_per_sec\": {:.0},\n    \"overhead_ratio\": {obs_overhead_ratio:.4},\n    \
-         \"exposition_lines\": {},\n    \"max_obs_overhead_ratio\": {:.2},\n    \
-         \"obs_gate\": \"{obs_gate_status}\",\n    \"metrics\": {}\n  }},\n",
-        churn_report.events_per_sec,
-        churn_obs_off_report.events_per_sec,
-        churn_report.exposition_lines,
-        args.max_obs_overhead_ratio,
-        churn_report.metrics_json.as_deref().unwrap_or("null"),
+        "  \"observability\": {{\n    \"exposition_lines\": {},\n    \"metrics\": {}\n  }},\n",
+        churn_report.exposition_lines, churn_report.metrics_json,
     ));
     json.push_str(&format!(
         "  \"recover\": {{ \"events\": {}, \"replayed\": {}, \"secs\": {recover_secs:.4}, \
@@ -1050,7 +987,7 @@ fn main() {
         .expect("write BENCH_ingest.json");
     println!(
         "wrote {} (gate: {gate_status}, publish_gate: {publish_gate_status}, \
-         append_gate: {append_gate_status}, obs_gate: {obs_gate_status})",
+         append_gate: {append_gate_status})",
         args.out
     );
 
@@ -1076,14 +1013,6 @@ fn main() {
             "GATE FAILED: v3 checksummed append costs {append_overhead_ratio:.2}x the plain v1 \
              encode (allowed {:.2}x)",
             args.max_append_overhead_ratio
-        );
-        failed = true;
-    }
-    if obs_gate_status == "enforced" && obs_overhead_ratio > args.max_obs_overhead_ratio {
-        eprintln!(
-            "GATE FAILED: metrics-off churn runs {obs_overhead_ratio:.3}x the metrics-on \
-             throughput (allowed {:.2}x): observability is not cheap enough to leave on",
-            args.max_obs_overhead_ratio
         );
         failed = true;
     }

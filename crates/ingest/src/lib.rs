@@ -46,11 +46,11 @@
 //!   log-bucketed latency histograms with a per-flush stage breakdown)
 //!   plus a bounded [`kcore_obs::SpanRecorder`] whose spans use the
 //!   writer's own clock — bit-exact traces under
-//!   [`ClockMode::Scripted`]. Read live via [`IngestService::metrics`]
-//!   / [`IngestService::spans`], render with
+//!   [`ClockMode::Scripted`]. The registry is the writer's only ledger:
+//!   the shutdown [`IngestReport`] is read from it. Read live via
+//!   [`IngestService::metrics`] / [`IngestService::spans`], render with
 //!   [`MetricsSnapshot::render_text`] (Prometheus) or
-//!   [`MetricsSnapshot::to_json`]; opt out per service with
-//!   [`ObsConfig::disabled`].
+//!   [`MetricsSnapshot::to_json`]; [`ObsConfig`] sizes the span ring.
 //!
 //! ```
 //! use kcore_ingest::{GraphEvent, IngestConfig, IngestService};

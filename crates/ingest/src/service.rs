@@ -201,14 +201,12 @@ impl Default for RecoveryPolicy {
 
 /// Observability wiring for a service instance (see `kcore-obs`).
 ///
-/// Enabled by default: the cost is a handful of relaxed atomics and a
-/// few span records per *flush* (never per event) — the bench's
-/// `--max-obs-overhead-ratio` gate holds it under 5% on the churn
-/// workload. Disable for A/B overhead measurements.
+/// The metrics registry always exists: it is the writer's only counter
+/// store, and [`IngestReport`] is read from it at shutdown. The cost is
+/// a handful of relaxed atomics per event and per flush, plus a few span
+/// records per *flush* (never per event).
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
-    /// Register metrics and record flush-stage spans.
-    pub enabled: bool,
     /// Span-ring capacity in spans (a flush records one span per
     /// pipeline stage, currently 6).
     pub span_capacity: usize,
@@ -216,22 +214,11 @@ pub struct ObsConfig {
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig {
-            enabled: true,
-            span_capacity: 256,
-        }
+        ObsConfig { span_capacity: 256 }
     }
 }
 
 impl ObsConfig {
-    /// Metrics and tracing fully off (for overhead A/B runs).
-    pub fn disabled() -> Self {
-        ObsConfig {
-            enabled: false,
-            ..ObsConfig::default()
-        }
-    }
-
     /// Sets the retained-span ring capacity.
     pub fn with_span_capacity(mut self, cap: usize) -> Self {
         self.span_capacity = cap;
@@ -372,7 +359,10 @@ impl Default for RetryBudget {
     }
 }
 
-/// What the writer hands back at shutdown.
+/// What the writer hands back at shutdown, read from its metrics
+/// registry ([`IngestService::metrics`]): counter field `x` is
+/// `ingest_x_total`, [`UpdateStats`] field `y` is `engine_y_total`.
+/// `mirror_chunks` and `final_health` are read from writer state.
 #[derive(Debug, Default, Clone)]
 pub struct IngestReport {
     /// Events the writer received.
@@ -388,16 +378,14 @@ pub struct IngestReport {
     /// Index snapshots persisted (counted when the background write is
     /// joined).
     pub snapshots_persisted: u64,
-    /// Per-flush engine apply duration, writer-clock ns (the bench's
-    /// p50 / p99 batch-latency source; scripted clocks make these
-    /// synthetic). Exported as `ingest_flush_apply_ns`.
-    /// A bounded log-bucketed histogram — O(1) memory however long the
+    /// Per-flush engine apply duration, writer-clock ns (synthetic under
+    /// a scripted clock): the registry's `ingest_flush_apply_ns`. A
+    /// bounded log-bucketed histogram — O(1) memory however long the
     /// run, with p50/p99 exact to one bucket (≤ 12.5%).
     pub batch_apply: Histogram,
     /// Per-flush snapshot-maintenance cost (mirror sync + publication),
     /// **wall**-clock ns even under a scripted clock — metrics do not
-    /// affect determinism. Same histogram shape as `batch_apply`. This
-    /// is the publish-cost gate's sample source: O(changed), not O(n).
+    /// affect determinism; the registry's `ingest_publish_ns`.
     pub publish: Histogram,
     /// Chunks copy-on-written into the snapshot mirror, totalled over
     /// every flush (the "publish cost is proportional to the diff"
@@ -468,8 +456,8 @@ pub struct IngestService {
     tx: SyncSender<Msg>,
     snapshots: SnapshotHandle,
     health: Arc<AtomicU8>,
-    metrics: Option<MetricsRegistry>,
-    spans: Option<SpanRecorder>,
+    metrics: MetricsRegistry,
+    spans: SpanRecorder,
     writer: Option<JoinHandle<(IngestReport, PlannedCore)>>,
 }
 
@@ -553,12 +541,8 @@ impl IngestService {
             .map_or_else(Vec::new, |d| d.storage.engine_panics().to_vec());
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
         let health = Arc::new(AtomicU8::new(ServiceHealth::Healthy as u8));
-        let report = IngestReport::default();
-        let obs = cfg.obs.enabled.then(|| WriterObs::new(&cfg.obs, &report));
-        let (registry, spans) = match &obs {
-            Some(o) => (Some(o.registry.clone()), Some(o.spans.clone())),
-            None => (None, None),
-        };
+        let obs = WriterObs::new(&cfg.obs);
+        let (metrics, spans) = (obs.registry.clone(), obs.spans.clone());
         let writer = Writer {
             engine,
             cfg,
@@ -583,9 +567,9 @@ impl IngestService {
             recovery_attempts: 0,
             recovery_due_ns: 0,
             degraded_flushes_left: 0,
+            flushes: 0,
             panic_flushes,
             obs,
-            report,
         };
         let snapshots = SnapshotHandle::new(writer.compose_snapshot());
         let handle = snapshots.clone();
@@ -597,23 +581,22 @@ impl IngestService {
             tx,
             snapshots,
             health,
-            metrics: registry,
+            metrics,
             spans,
             writer: Some(thread),
         })
     }
 
-    /// The service's metrics registry (`None` when observability is
-    /// disabled). Snapshots are live and never block the writer:
+    /// The service's metrics registry, the writer's only ledger (always
+    /// `Some`). Snapshots are live and never block the writer:
     /// `svc.metrics().unwrap().snapshot()` from any thread.
     pub fn metrics(&self) -> Option<MetricsRegistry> {
-        self.metrics.clone()
+        Some(self.metrics.clone())
     }
 
-    /// The writer's flush-stage span ring (`None` when observability is
-    /// disabled). Under a scripted clock the retained spans are
-    /// bit-identical run over run.
-    pub fn spans(&self) -> Option<SpanRecorder> {
+    /// The writer's flush-stage span ring. Under a scripted clock the
+    /// retained spans are bit-identical run over run.
+    pub fn spans(&self) -> SpanRecorder {
         self.spans.clone()
     }
 
@@ -834,8 +817,33 @@ impl EngineObs {
     }
 }
 
-/// The writer's cached metric handles — registered once at spawn so the
-/// flush path never touches the registry lock.
+/// The flush pipeline's stages, in order: each has a span in the flush
+/// trace and a histogram `ingest_flush_{stage}_ns`.
+const FLUSH_STAGES: [&str; 6] = [
+    "batch_wait",
+    "apply",
+    "core_drain",
+    "journal_ship",
+    "mirror_sync",
+    "publish",
+];
+
+/// The `apply` stage, whose histogram is [`IngestReport::batch_apply`].
+const APPLY_STAGE: usize = 1;
+
+/// Recovery-ladder rungs as [`crate::RecoveryReport::rung_metric`] names
+/// them; each has a counter `ingest_recovery_rung_{rung}_total`.
+const RECOVERY_RUNGS: [&str; 5] = [
+    "primary",
+    "truncated_tail",
+    "older_generation",
+    "snapshot_only",
+    "genesis_replay",
+];
+
+/// The writer's metric handles — registered once at spawn so the flush
+/// path never touches the registry lock. The registry is the writer's
+/// only counter store: [`Writer::report`] reads [`IngestReport`] from it.
 struct WriterObs {
     registry: MetricsRegistry,
     spans: SpanRecorder,
@@ -850,18 +858,20 @@ struct WriterObs {
     recovery_failures: Counter,
     snapshots_persisted: Counter,
     checkpoint_failures: Counter,
-    rung_primary: Counter,
-    rung_truncated_tail: Counter,
-    rung_older_generation: Counter,
-    rung_snapshot_only: Counter,
-    rung_genesis_replay: Counter,
+    journal_ship_failures: Counter,
+    chunks_copied: Counter,
+    tracked_drains: Counter,
+    full_syncs: Counter,
+    /// `engine_{field}_total` per [`UpdateStats`] field (the paper's |V+|
+    /// and |V*|, Lemma 5.2 no-ops, passes and seeds), added per flush.
+    update: [Counter; 7],
+    /// In [`RECOVERY_RUNGS`] order.
+    rungs: [Counter; 5],
     recovery_ns: Histogram,
     health: Gauge,
-    stage_batch_wait: Histogram,
-    stage_core_drain: Histogram,
-    stage_journal_ship: Histogram,
-    stage_mirror_sync: Histogram,
-    stage_publish: Histogram,
+    publish: Histogram,
+    /// In [`FLUSH_STAGES`] order.
+    stages: [Histogram; 6],
     checkpoint_serialize: Histogram,
     checkpoint_write: Histogram,
     engine: EngineObs,
@@ -872,14 +882,8 @@ struct WriterObs {
 }
 
 impl WriterObs {
-    /// Registers every writer metric and shares the report's latency
-    /// histograms into the registry (same cells — recorded once, read
-    /// live from any thread): `batch_apply` is the `apply` stage's
-    /// `ingest_flush_apply_ns`.
-    fn new(cfg: &ObsConfig, report: &IngestReport) -> Self {
+    fn new(cfg: &ObsConfig) -> Self {
         let reg = MetricsRegistry::new();
-        reg.register_histogram("ingest_flush_apply_ns", &report.batch_apply);
-        reg.register_histogram("ingest_publish_ns", &report.publish);
         WriterObs {
             events: reg.counter("ingest_events_total"),
             batches: reg.counter("ingest_batches_total"),
@@ -892,18 +896,16 @@ impl WriterObs {
             recovery_failures: reg.counter("ingest_recovery_failures_total"),
             snapshots_persisted: reg.counter("ingest_snapshots_persisted_total"),
             checkpoint_failures: reg.counter("ingest_checkpoint_failures_total"),
-            rung_primary: reg.counter("ingest_recovery_rung_primary_total"),
-            rung_truncated_tail: reg.counter("ingest_recovery_rung_truncated_tail_total"),
-            rung_older_generation: reg.counter("ingest_recovery_rung_older_generation_total"),
-            rung_snapshot_only: reg.counter("ingest_recovery_rung_snapshot_only_total"),
-            rung_genesis_replay: reg.counter("ingest_recovery_rung_genesis_replay_total"),
+            journal_ship_failures: reg.counter("ingest_journal_ship_failures_total"),
+            chunks_copied: reg.counter("ingest_chunks_copied_total"),
+            tracked_drains: reg.counter("ingest_tracked_drains_total"),
+            full_syncs: reg.counter("ingest_full_syncs_total"),
+            update: UpdateStats::FIELDS.map(|f| reg.counter(&format!("engine_{f}_total"))),
+            rungs: RECOVERY_RUNGS.map(|r| reg.counter(&format!("ingest_recovery_rung_{r}_total"))),
             recovery_ns: reg.histogram("ingest_recovery_ns"),
             health: reg.gauge("ingest_health"),
-            stage_batch_wait: reg.histogram("ingest_flush_batch_wait_ns"),
-            stage_core_drain: reg.histogram("ingest_flush_core_drain_ns"),
-            stage_journal_ship: reg.histogram("ingest_flush_journal_ship_ns"),
-            stage_mirror_sync: reg.histogram("ingest_flush_mirror_sync_ns"),
-            stage_publish: reg.histogram("ingest_flush_publish_ns"),
+            publish: reg.histogram("ingest_publish_ns"),
+            stages: FLUSH_STAGES.map(|st| reg.histogram(&format!("ingest_flush_{st}_ns"))),
             checkpoint_serialize: reg.histogram("ingest_checkpoint_serialize_ns"),
             checkpoint_write: reg.histogram("ingest_checkpoint_write_ns"),
             engine: EngineObs::new(&reg),
@@ -913,16 +915,6 @@ impl WriterObs {
             team_busy: reg.gauge("team_busy"),
             spans: SpanRecorder::with_capacity(cfg.span_capacity),
             registry: reg,
-        }
-    }
-
-    fn rung_counter(&self, rung_metric: &str) -> &Counter {
-        match rung_metric {
-            "primary" => &self.rung_primary,
-            "truncated_tail" => &self.rung_truncated_tail,
-            "older_generation" => &self.rung_older_generation,
-            "snapshot_only" => &self.rung_snapshot_only,
-            _ => &self.rung_genesis_replay,
         }
     }
 }
@@ -986,13 +978,15 @@ struct Writer {
     recovery_due_ns: u64,
     /// Clean flushes left before `Degraded` clears to `Healthy`.
     degraded_flushes_left: u32,
+    /// Flushes applied so far (panicked ones excluded): the next flush's
+    /// trace id is `flushes + 1`.
+    flushes: u64,
     /// Flushes (0-based, panicked ones included) scripted to panic
     /// mid-batch by [`crate::faults::FaultPlan::panic_at_flush`]; empty
     /// outside the fault suite.
     panic_flushes: Vec<u64>,
-    /// Cached metric handles + span ring (None = observability off).
-    obs: Option<WriterObs>,
-    report: IngestReport,
+    /// Metric handles + span ring: the writer's only counter store.
+    obs: WriterObs,
 }
 
 impl Writer {
@@ -1009,39 +1003,24 @@ impl Writer {
 
     fn set_health(&self, h: ServiceHealth) {
         self.health.store(h as u8, Ordering::Release);
-        if let Some(o) = &self.obs {
-            o.health.set(h as u8 as f64);
-        }
+        self.obs.health.set(h as u8 as f64);
     }
 
     /// Parks the writer in `Failed`. Events still buffered will never be
     /// applied, so they are counted lost now and dropped: a `Failed`
     /// writer holds no work and sleeps until the next message.
     fn fail(&mut self) {
-        let lost = self.pending.len() as u64;
-        self.lose_events(lost);
+        self.obs.events_lost.add(self.pending.len() as u64);
         self.pending.clear();
         self.batch_open_ns = None;
         self.set_health(ServiceHealth::Failed);
-    }
-
-    /// Counts events dropped (panic, recovering-buffer overflow,
-    /// `Failed`, or unflushed at teardown) in both the report and the
-    /// registry.
-    fn lose_events(&mut self, n: u64) {
-        self.report.events_lost += n;
-        if let Some(o) = &self.obs {
-            o.events_lost.add(n);
-        }
     }
 
     /// Exports the engine-side observables that live outside the writer:
     /// planner decision counters, the k-order's relabel count and the
     /// process-wide worker-team occupancy gauges. Called once per flush.
     fn export_engine_obs(&mut self) {
-        let Some(o) = self.obs.as_mut() else {
-            return;
-        };
+        let o = &mut self.obs;
         o.engine.observe(&self.engine);
         let ts = kcore_decomp::team::stats();
         o.team_jobs.set(ts.jobs as f64);
@@ -1111,7 +1090,7 @@ impl Writer {
         let drained = buf.len() as u64;
         let mut copied = 0u64;
         if tracked {
-            self.report.tracked_drains += 1;
+            self.obs.tracked_drains.inc();
             let cores = self.engine.cores();
             for &v in &buf {
                 if self.mirror.apply(v, cores[v as usize]) {
@@ -1119,12 +1098,12 @@ impl Writer {
                 }
             }
         } else {
-            self.report.full_syncs += 1;
+            self.obs.full_syncs.inc();
             let (_, c) = self.mirror.sync_full(self.engine.cores());
             copied += c as u64;
         }
         self.change_buf = buf;
-        self.report.chunks_copied += copied;
+        self.obs.chunks_copied.add(copied);
         debug_assert!(
             self.mirror.snapshot_cores().to_vec() == self.engine.cores(),
             "mirror diverged from the engine"
@@ -1143,10 +1122,7 @@ impl Writer {
         handle.publish(snap.clone());
         self.subscribers.retain(|s| s.send(snap.clone()).is_ok());
         self.published_ops = self.ops;
-        self.report.epochs_published += 1;
-        if let Some(o) = &self.obs {
-            o.epochs.inc();
-        }
+        self.obs.epochs.inc();
     }
 
     /// Ships everything owed to the journal: queued-from-failure entries
@@ -1176,7 +1152,7 @@ impl Writer {
             }
         }
         if result.is_err() {
-            self.report.journal_ship_failures += 1;
+            self.obs.journal_ship_failures.inc();
             self.ship_failures += 1;
             if self.ship_failures >= self.max_io_retries() {
                 self.fail();
@@ -1185,29 +1161,17 @@ impl Writer {
             }
             return false;
         }
-        self.count_shipped(appended);
+        self.obs.shipped.add(appended);
         self.ship_failures = 0;
         true
-    }
-
-    /// Counts journal entries shipped (appended, or dropped by design
-    /// in in-memory mode) in both the report and the registry.
-    fn count_shipped(&mut self, n: u64) {
-        self.report.entries_shipped += n;
-        if let Some(o) = &self.obs {
-            o.shipped.add(n);
-        }
     }
 
     /// The engine panicked mid-batch: contain it. The batch (applied or
     /// not, it never reached the journal) is lost; the supervisor either
     /// schedules a `recover()` rebuild or parks in `Failed`.
     fn on_engine_panic(&mut self, lost: u64) {
-        self.report.engine_panics += 1;
-        if let Some(o) = &self.obs {
-            o.engine_panics.inc();
-        }
-        self.lose_events(lost);
+        self.obs.engine_panics.inc();
+        self.obs.events_lost.add(lost);
         if self.cfg.recovery.is_some() && self.cfg.durability.is_some() {
             self.set_health(ServiceHealth::Recovering);
             self.recovery_attempts = 0;
@@ -1255,10 +1219,7 @@ impl Writer {
                 match JournalSink::open(&d.journal_path, n, d.fsync, &d.storage) {
                     Ok(sink) if sink.existing() == next => self.sink = Some(sink),
                     _ => {
-                        self.report.recovery_failures += 1;
-                        if let Some(o) = &self.obs {
-                            o.recovery_failures.inc();
-                        }
+                        self.obs.recovery_failures.inc();
                         self.fail();
                         return;
                     }
@@ -1270,23 +1231,18 @@ impl Writer {
                     self.mirror.grow(n);
                 }
                 let (_, copied) = self.mirror.sync_full(self.engine.cores());
-                self.report.chunks_copied += copied as u64;
-                self.report.full_syncs += 1;
+                self.obs.chunks_copied.add(copied as u64);
+                self.obs.full_syncs.inc();
                 self.publish(handle);
-                self.report.recoveries += 1;
-                if let Some(o) = &self.obs {
-                    o.recoveries.inc();
-                    o.rung_counter(rung).inc();
-                    o.recovery_ns.record(recovery_elapsed);
-                }
+                self.obs.recoveries.inc();
+                let rung = RECOVERY_RUNGS.iter().position(|&r| r == rung);
+                self.obs.rungs[rung.expect("a known rung")].inc();
+                self.obs.recovery_ns.record(recovery_elapsed);
                 self.degraded_flushes_left = pol.healthy_after.max(1);
                 self.set_health(ServiceHealth::Degraded);
             }
             Err(_) if self.recovery_attempts < pol.max_attempts => {
-                self.report.recovery_retries += 1;
-                if let Some(o) = &self.obs {
-                    o.recovery_retries.inc();
-                }
+                self.obs.recovery_retries.inc();
                 let delay = pol.backoff_base_ns.saturating_mul(
                     (pol.backoff_factor.max(1) as u64)
                         .saturating_pow(self.recovery_attempts.saturating_sub(1)),
@@ -1294,10 +1250,7 @@ impl Writer {
                 self.recovery_due_ns = self.now().saturating_add(delay.max(1));
             }
             Err(_) => {
-                self.report.recovery_failures += 1;
-                if let Some(o) = &self.obs {
-                    o.recovery_failures.inc();
-                }
+                self.obs.recovery_failures.inc();
                 self.fail();
             }
         }
@@ -1324,14 +1277,14 @@ impl Writer {
         }
         // Flush number doubles as the trace id: every stage span of this
         // flush carries it, so the trace can be reassembled from the ring.
-        let trace = self.report.batches + 1;
+        let trace = self.flushes + 1;
         let open_ns = self.batch_open_ns.take().unwrap_or_else(|| self.now());
         let t0 = self.now();
         self.idle_flush_at_ns = t0.saturating_add(MIN_IDLE_FLUSH_GAP_NS);
         let batch_len = self.pending.len() as u64;
         // A scripted engine fault applies the first half of the batch,
         // then panics: the poisoned engine is ahead of the journal.
-        let attempt = self.report.batches + self.report.engine_panics;
+        let attempt = self.flushes + self.obs.engine_panics.get();
         let scripted_panic = self
             .panic_flushes
             .iter()
@@ -1362,11 +1315,12 @@ impl Writer {
                 return;
             }
         };
-        self.report.update_stats.absorb(stats);
-        self.report.batches += 1;
+        for (c, n) in self.obs.update.iter().zip(stats.values()) {
+            c.add(n as u64);
+        }
+        self.obs.batches.inc();
+        self.flushes += 1;
         let apply_end = self.now();
-        let apply_ns = apply_end.saturating_sub(t0);
-        self.report.batch_apply.record(apply_ns);
 
         // Journal the applied batch: its events at seqs `ops..ops + len`
         // (KJRN stores events only, no core transitions). Without a sink
@@ -1391,7 +1345,7 @@ impl Writer {
             }
         } else {
             self.pending.clear();
-            self.count_shipped(batch_len);
+            self.obs.shipped.add(batch_len);
         }
         let shipped = self.ship_owed();
         let ship_end = self.now();
@@ -1405,61 +1359,28 @@ impl Writer {
         let sync_end = self.now();
         let published_items = self.ops.saturating_sub(self.published_ops);
         self.publish(handle);
-        let publish_ns = p0.elapsed().as_nanos() as u64;
-        self.report.publish.record(publish_ns);
-
-        if let Some(o) = &self.obs {
-            o.batches.inc();
-            let pub_end = self.now();
-            // Stage breakdown, recorded in pipeline order: the oldest
-            // event's wait in the micro-batcher, engine apply,
-            // core-change drain, journal append/ship, mirror sync, COW
-            // publish. Spans carry writer-clock timestamps, so a
-            // scripted run yields a bit-exact trace.
-            let stages = [
-                ("batch_wait", open_ns, t0.saturating_sub(open_ns), batch_len),
-                ("apply", t0, apply_ns, batch_len),
-                (
-                    "core_drain",
-                    sync.drain_start,
-                    sync.drain_end.saturating_sub(sync.drain_start),
-                    sync.drained,
-                ),
-                (
-                    "journal_ship",
-                    apply_end,
-                    ship_end.saturating_sub(apply_end),
-                    batch_len,
-                ),
-                (
-                    "mirror_sync",
-                    sync.drain_end,
-                    sync_end.saturating_sub(sync.drain_end),
-                    sync.copied,
-                ),
-                (
-                    "publish",
-                    sync_end,
-                    pub_end.saturating_sub(sync_end),
-                    published_items,
-                ),
-            ];
-            // `apply` was recorded above: its registry cell is the
-            // report's `batch_apply`.
-            let hists = [
-                Some(&o.stage_batch_wait),
-                None,
-                Some(&o.stage_core_drain),
-                Some(&o.stage_journal_ship),
-                Some(&o.stage_mirror_sync),
-                Some(&o.stage_publish),
-            ];
-            for (hist, &(stage, start, dur, items)) in hists.iter().zip(&stages) {
-                if let Some(hist) = hist {
-                    hist.record(dur);
-                }
-                o.spans.record(trace, stage, start, dur, items);
-            }
+        let o = &self.obs;
+        o.publish.record(p0.elapsed().as_nanos() as u64);
+        let pub_end = self.now();
+        // Stage breakdown as `(start, end, items)`, in pipeline order:
+        // the oldest event's wait in the micro-batcher, engine apply,
+        // core-change drain, journal append/ship, mirror sync, COW
+        // publish. Spans carry writer-clock timestamps, so a scripted run
+        // yields a bit-exact trace.
+        let stages = [
+            (open_ns, t0, batch_len),
+            (t0, apply_end, batch_len),
+            (sync.drain_start, sync.drain_end, sync.drained),
+            (apply_end, ship_end, batch_len),
+            (sync.drain_end, sync_end, sync.copied),
+            (sync_end, pub_end, published_items),
+        ];
+        for ((stage, hist), (start, end, items)) in
+            FLUSH_STAGES.into_iter().zip(&o.stages).zip(stages)
+        {
+            let dur = end.saturating_sub(start);
+            hist.record(dur);
+            o.spans.record(trace, stage, start, dur, items);
         }
         self.export_engine_obs();
         // The cadence counts events, so it does not depend on how the
@@ -1501,10 +1422,9 @@ impl Writer {
             self.checkpoint_failed();
             return;
         }
-        if let Some(o) = &self.obs {
-            o.checkpoint_serialize
-                .record(s0.elapsed().as_nanos() as u64);
-        }
+        self.obs
+            .checkpoint_serialize
+            .record(s0.elapsed().as_nanos() as u64);
         let ops = self.ops;
         let write = std::thread::Builder::new()
             .name("kcore-ingest-checkpoint".into())
@@ -1529,28 +1449,20 @@ impl Writer {
         };
         let written = match write.join() {
             Ok((result, write_ns)) => {
-                if let Some(o) = &self.obs {
-                    o.checkpoint_write.record(write_ns);
-                }
+                self.obs.checkpoint_write.record(write_ns);
                 result.is_ok()
             }
             Err(_) => false,
         };
         if written {
-            self.report.snapshots_persisted += 1;
-            if let Some(o) = &self.obs {
-                o.snapshots_persisted.inc();
-            }
+            self.obs.snapshots_persisted.inc();
         } else {
             self.checkpoint_failed();
         }
     }
 
     fn checkpoint_failed(&mut self) {
-        self.report.checkpoint_failures += 1;
-        if let Some(o) = &self.obs {
-            o.checkpoint_failures.inc();
-        }
+        self.obs.checkpoint_failures.inc();
         self.degrade();
     }
 
@@ -1643,18 +1555,13 @@ impl Writer {
             flush_when_idle = wall;
             match msg {
                 Msg::Event(e) => {
-                    self.report.events += 1;
-                    if let Some(o) = &self.obs {
-                        o.events.inc();
-                    }
+                    self.obs.events.inc();
                     match self.health() {
-                        ServiceHealth::Failed => {
-                            self.lose_events(1);
-                        }
+                        ServiceHealth::Failed => self.obs.events_lost.inc(),
                         ServiceHealth::Recovering => {
                             // Buffer through the outage (bounded).
                             if self.pending.len() >= self.recovering_buffer_cap() {
-                                self.lose_events(1);
+                                self.obs.events_lost.inc();
                             } else {
                                 if self.pending.is_empty() {
                                     self.batch_open_ns = Some(self.now());
@@ -1702,9 +1609,7 @@ impl Writer {
                         // Crash simulation: pending events and the final
                         // persist are lost, shipped journal survives.
                         self.join_checkpoint();
-                        self.report.mirror_chunks = self.mirror.num_chunks() as u64;
-                        self.report.final_health = self.health();
-                        return (self.report, self.engine);
+                        return (self.report(), self.engine);
                     }
                     break;
                 }
@@ -1737,8 +1642,37 @@ impl Writer {
             }
         }
         self.join_checkpoint();
-        self.report.mirror_chunks = self.mirror.num_chunks() as u64;
-        self.report.final_health = self.health();
-        (self.report, self.engine)
+        (self.report(), self.engine)
+    }
+
+    /// The shutdown report, read from a registry snapshot (see
+    /// [`IngestReport`]). Called once, at whichever exit the writer takes.
+    fn report(&self) -> IngestReport {
+        let m = self.obs.registry.snapshot();
+        let c = |name: &str| m.counter(name).expect("registered at spawn");
+        IngestReport {
+            events: c("ingest_events_total"),
+            batches: c("ingest_batches_total"),
+            update_stats: UpdateStats::from_values(
+                UpdateStats::FIELDS.map(|f| c(&format!("engine_{f}_total")) as usize),
+            ),
+            epochs_published: c("ingest_epochs_published_total"),
+            entries_shipped: c("ingest_entries_shipped_total"),
+            snapshots_persisted: c("ingest_snapshots_persisted_total"),
+            batch_apply: self.obs.stages[APPLY_STAGE].clone(),
+            publish: self.obs.publish.clone(),
+            chunks_copied: c("ingest_chunks_copied_total"),
+            mirror_chunks: self.mirror.num_chunks() as u64,
+            tracked_drains: c("ingest_tracked_drains_total"),
+            full_syncs: c("ingest_full_syncs_total"),
+            engine_panics: c("ingest_engine_panics_total"),
+            recoveries: c("ingest_recoveries_total"),
+            recovery_retries: c("ingest_recovery_retries_total"),
+            recovery_failures: c("ingest_recovery_failures_total"),
+            journal_ship_failures: c("ingest_journal_ship_failures_total"),
+            checkpoint_failures: c("ingest_checkpoint_failures_total"),
+            events_lost: c("ingest_events_lost_total"),
+            final_health: self.health(),
+        }
     }
 }

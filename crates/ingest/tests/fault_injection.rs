@@ -19,7 +19,7 @@ use kcore_ingest::{
     recover, DurabilityConfig, FaultKind, FaultPlan, GraphEvent, IngestConfig, IngestService,
     OpClass, RecoveryPolicy, RetryBudget, ServiceHealth, StorageHandle,
 };
-use kcore_maint::PlannerConfig;
+use kcore_maint::{PlanPolicy, PlannerConfig, UpdateStats};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -218,7 +218,7 @@ fn fault_supervised_writer_self_heals_after_engine_panic() {
     // The registry's recovery-rung counters must tell the same story as
     // the report: one panic, one recovery, taken on the primary rung
     // (clean journal — no tail damage, no generation fallback).
-    let metrics = svc.metrics().expect("observability is on by default");
+    let metrics = svc.metrics().expect("the registry always exists");
     let snap = metrics.snapshot();
     assert_eq!(snap.counter("ingest_engine_panics_total"), Some(1));
     assert_eq!(snap.counter("ingest_recoveries_total"), Some(1));
@@ -482,4 +482,73 @@ fn fault_failed_writer_drops_buffered_events_and_sleeps() {
         report.events_lost, lost,
         "nothing was left to lose at shutdown"
     );
+}
+
+/// The registry is the writer's only ledger: after a durable stream with
+/// a failed checkpoint, an engine panic, its recovery, a failed journal
+/// append and lost events, every counter of the report equals its
+/// registry counter, and `update_stats` equals the `engine_*_total`
+/// counters.
+#[test]
+fn fault_report_is_read_from_the_registry() {
+    let dir = tmpdir("one_ledger");
+    // FileSync op 1 is the first periodic checkpoint; JournalAppend op 0
+    // is the header, op n the n-th shipped flush.
+    let plan = FaultPlan::new()
+        .fault(OpClass::FileSync, 1, FaultKind::IoError)
+        .fault(OpClass::JournalAppend, 6, FaultKind::IoError)
+        .panic_at_flush(3);
+    let d = DurabilityConfig::in_dir(&dir)
+        .snapshot_every(2)
+        .with_faults(plan);
+    let mut cfg = IngestConfig::scripted()
+        .max_batch(4)
+        .durable(d)
+        .self_healing(RecoveryPolicy::default());
+    // The passes, so every `UpdateStats` field moves.
+    cfg.planner = PlannerConfig::with_policy(PlanPolicy::ForceBatch);
+    let svc = IngestService::spawn_planned(DynamicGraph::with_vertices(N), SEED, cfg).unwrap();
+    let metrics = svc.metrics().expect("the registry always exists");
+    svc.submit_all(sweep_events()).unwrap();
+    svc.flush().unwrap();
+    let (r, _) = svc.shutdown();
+    let snap = metrics.snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap_or_else(|| panic!("{name}"));
+    assert_eq!(
+        (r.events, r.engine_panics, r.recoveries, r.events_lost),
+        (40, 1, 1, 4)
+    );
+    assert_eq!((r.checkpoint_failures, r.journal_ship_failures), (1, 1));
+    for (field, name) in [
+        (r.events, "events"),
+        (r.batches, "batches"),
+        (r.epochs_published, "epochs_published"),
+        (r.entries_shipped, "entries_shipped"),
+        (r.snapshots_persisted, "snapshots_persisted"),
+        (r.chunks_copied, "chunks_copied"),
+        (r.tracked_drains, "tracked_drains"),
+        (r.full_syncs, "full_syncs"),
+        (r.engine_panics, "engine_panics"),
+        (r.recoveries, "recoveries"),
+        (r.recovery_retries, "recovery_retries"),
+        (r.recovery_failures, "recovery_failures"),
+        (r.journal_ship_failures, "journal_ship_failures"),
+        (r.checkpoint_failures, "checkpoint_failures"),
+        (r.events_lost, "events_lost"),
+    ] {
+        assert_eq!(field, counter(&format!("ingest_{name}_total")), "{name}");
+    }
+    let u = r.update_stats;
+    assert!(u.visited > 0 && u.changed > 0 && u.skipped > 0 && u.passes > 0);
+    for (name, field) in UpdateStats::FIELDS.into_iter().zip(u.values()) {
+        assert_eq!(
+            field as u64,
+            counter(&format!("engine_{name}_total")),
+            "{name}"
+        );
+    }
+    let hist = |name: &str| snap.histogram(name).unwrap().count;
+    assert_eq!(r.batch_apply.count(), hist("ingest_flush_apply_ns"));
+    assert_eq!(r.publish.count(), hist("ingest_publish_ns"));
+    assert_eq!(r.publish.count(), r.batches);
 }

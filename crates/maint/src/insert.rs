@@ -153,34 +153,25 @@ impl<S: OrderSeq> OrderCore<S> {
         }
 
         // Surviving candidates are V*.
-        let mut vstar = std::mem::take(&mut self.vstar);
-        vstar.clear();
-        vstar.extend(
+        let vc_mark = &self.vc_mark;
+        self.vstar.clear();
+        self.vstar.extend(
             self.vc
                 .iter()
                 .copied()
-                .filter(|&w| self.vc_mark[w as usize] == epoch),
+                .filter(|&w| vc_mark[w as usize] == epoch),
         );
-        let demotions = std::mem::take(&mut self.demotions);
-        self.finish_promote(k, epoch, &vstar, &demotions, stats);
-        self.demotions = demotions;
-        self.vstar = vstar;
+        self.finish_promote(k, stats);
     }
 
     /// `OrderInsert`'s ending phase of [`OrderCore::promote_pass`]: raises
-    /// `vstar` (in candidate order) to level `k + 1` and repairs the
-    /// k-order around it. `demotions`
-    /// lists the pass's Observation 6.1 repositionings as `(d, pred)`:
-    /// demoted `d` rejoined `O_K` right after `pred`. `epoch` is the
-    /// pass's epoch; `vc_mark == epoch` marks `V*` during the repair scan.
-    fn finish_promote(
-        &mut self,
-        k: u32,
-        epoch: u32,
-        vstar: &[VertexId],
-        demotions: &[(VertexId, VertexId)],
-        stats: &mut UpdateStats,
-    ) {
+    /// `self.vstar` (in candidate order) to level `k + 1` and repairs the
+    /// k-order around it. `self.demotions` lists the pass's Observation
+    /// 6.1 repositionings as `(d, pred)`: demoted `d` rejoined `O_K` right
+    /// after `pred`. `vc_mark == self.epoch` (the pass's epoch) marks `V*`
+    /// during the repair scan.
+    fn finish_promote(&mut self, k: u32, stats: &mut UpdateStats) {
+        let (epoch, vstar) = (self.epoch, &self.vstar);
         stats.changed += vstar.len();
         self.change_log.record_slice(vstar);
         self.level_counts[k as usize] -= vstar.len();
@@ -232,7 +223,7 @@ impl<S: OrderSeq> OrderCore<S> {
 
         // A_K repairs deferred from the pass: first the Observation 6.1
         // repositionings, then the promotion moves into A_{K+1}.
-        for &(d, pred) in demotions {
+        for &(d, pred) in &self.demotions {
             self.order.remove(k, d);
             self.order.insert_after(k, pred, d);
         }

@@ -146,36 +146,52 @@ impl std::fmt::Display for PlannerStats {
     }
 }
 
-/// The cost model: policy, worker-thread count and decision counters.
-/// Usually owned by a [`PlannedCore`]; [`Planner::plan`] also prices
-/// batches standalone (e.g. for an external scheduler).
+/// The cost model: policy, parallelism and decision counters. Usually
+/// owned by a [`PlannedCore`]; [`Planner::plan`] also prices batches
+/// standalone (e.g. for an external scheduler).
 #[derive(Debug)]
 pub struct Planner {
     cfg: PlannerConfig,
     stats: PlannerStats,
-    /// Worker threads the engine may use (1 = serial). Above 1 a
-    /// recompute runs the parallel peel.
-    threads: usize,
+    /// The recompute's worker threads, resolved when set; `None` is
+    /// serial. Both [`Planner::plan`] and the recompute a [`PlannedCore`]
+    /// runs read it, so the strategy recorded is the one run.
+    par: Option<Parallelism>,
 }
 
 impl Planner {
-    /// A planner with the given configuration and one thread.
+    /// A serial planner with the given configuration.
     pub fn new(cfg: PlannerConfig) -> Self {
         Planner {
             cfg,
             stats: PlannerStats::default(),
-            threads: 1,
+            par: None,
         }
     }
 
-    /// Tells the planner how many worker threads the engine may use.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+    /// Sets the recompute's [`Parallelism`] (`None` = serial). With more
+    /// than one thread a recompute runs, and is recorded as, the
+    /// parallel peel ([`Strategy::ParRecompute`]).
+    pub fn set_parallelism(&mut self, par: Option<Parallelism>) {
+        self.par = par.map(|p| Parallelism {
+            threads: p.resolved_threads(),
+            ..p
+        });
     }
 
-    /// Worker threads the planner dispatches for.
+    /// The configured [`Parallelism`], its thread count resolved.
+    pub fn parallelism(&self) -> Option<Parallelism> {
+        self.par
+    }
+
+    /// Worker threads the planner dispatches for (1 = serial).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.par.map_or(1, |p| p.threads.max(1))
+    }
+
+    /// The parallel peel's configuration, when a recompute runs on it.
+    fn peel(&self) -> Option<&Parallelism> {
+        self.par.as_ref().filter(|p| p.threads > 1)
     }
 
     /// Prices a batch of `inserts + removes` edges against a graph with
@@ -190,7 +206,7 @@ impl Planner {
         m: usize,
         order_fresh: bool,
     ) -> Strategy {
-        let recompute = if self.threads > 1 {
+        let recompute = if self.peel().is_some() {
             Strategy::ParRecompute
         } else {
             Strategy::Recompute
@@ -231,8 +247,6 @@ impl Planner {
 pub struct PlannedCore<S: OrderSeq = TagList> {
     engine: OrderCore<S>,
     planner: Planner,
-    /// Runs recompute decompositions on the parallel peel when set.
-    par: Option<Parallelism>,
     /// `false` after a recompute until the deferred k-order rebuild runs.
     order_fresh: bool,
 }
@@ -264,12 +278,11 @@ impl<S: OrderSeq> PlannedCore<S> {
     }
 
     /// Wraps an existing index and planner (e.g. an index loaded from a
-    /// checkpoint).
+    /// checkpoint); the planner's parallelism carries over.
     pub fn from_parts(engine: OrderCore<S>, planner: Planner) -> Self {
         PlannedCore {
             engine,
             planner,
-            par: None,
             order_fresh: true,
         }
     }
@@ -282,17 +295,16 @@ impl<S: OrderSeq> PlannedCore<S> {
         self
     }
 
-    /// The configured [`Parallelism`], if any.
+    /// The configured [`Parallelism`], if any (see
+    /// [`Planner::parallelism`]).
     pub fn parallelism(&self) -> Option<Parallelism> {
-        self.par
+        self.planner.parallelism()
     }
 
     /// Re-points the engine at a (new) [`Parallelism`] — or back to
     /// serial with `None` — keeping the decision counters.
     pub fn set_parallelism(&mut self, par: Option<Parallelism>) {
-        self.par = par;
-        self.planner
-            .set_threads(par.map_or(1, |p| p.resolved_threads()));
+        self.planner.set_parallelism(par);
     }
 
     /// Decision counters.
@@ -506,7 +518,7 @@ impl<S: OrderSeq> PlannedCore<S> {
     /// Decomposes the current graph, refreshes cores + per-level counts,
     /// and marks the k-order stale.
     fn recompute_in_place(&mut self, stats: &mut UpdateStats) {
-        let new_core = match &self.par {
+        let new_core = match self.planner.peel() {
             Some(par) => par_core_decomposition(&self.engine.graph, par),
             None => core_decomposition(&self.engine.graph),
         };
@@ -668,7 +680,7 @@ mod tests {
         for (ins, rem, n, m, fresh, serial, parallel) in rows {
             let mut p = Planner::new(PlannerConfig::default());
             assert_eq!(p.plan(ins, rem, n, m, fresh), serial);
-            p.set_threads(4);
+            p.set_parallelism(Some(Parallelism::exact(4)));
             assert_eq!(p.plan(ins, rem, n, m, fresh), parallel);
         }
     }
@@ -690,7 +702,7 @@ mod tests {
     fn force_policies_degrade_without_threads() {
         let mk = |policy, threads| {
             let mut p = Planner::new(PlannerConfig::with_policy(policy));
-            p.set_threads(threads);
+            p.set_parallelism(Some(Parallelism::exact(threads)));
             p.plan(10, 0, 100, 200, true)
         };
         assert_eq!(mk(PlanPolicy::ForceBatch, 1), Strategy::Batched);
@@ -739,6 +751,28 @@ mod tests {
         pc.set_parallelism(None);
         assert_eq!(pc.planner().threads(), 1);
         assert_eq!(pc.parallelism(), None);
+    }
+
+    /// A planner given threads before [`PlannedCore::from_parts`] keeps
+    /// them: the recompute it records is the one it runs.
+    #[test]
+    fn threaded_planner_from_parts_runs_the_strategy_it_records() {
+        let par = Parallelism::exact(4).with_cutoff(0);
+        let mut planner = Planner::new(PlannerConfig::with_policy(PlanPolicy::ForceRecompute));
+        planner.set_parallelism(Some(par));
+        let engine = OrderCore::new(fixtures::path(12), 9);
+        let mut pc: Planned = PlannedCore::from_parts(engine, planner);
+        assert_eq!(pc.parallelism(), Some(par));
+        let jobs = kcore_decomp::team::stats().jobs;
+        pc.insert_edges(&[(0, 11), (2, 9)]);
+        assert_eq!(pc.planner_stats().last, Some(Strategy::ParRecompute));
+        assert_eq!(pc.planner_stats().par_recompute_chosen, 1);
+        assert!(
+            kcore_decomp::team::stats().jobs > jobs,
+            "the parallel peel must dispatch to the worker team"
+        );
+        assert_eq!(pc.cores(), &core_decomposition(pc.graph())[..]);
+        pc.validate();
     }
 
     #[test]

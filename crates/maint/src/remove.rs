@@ -67,7 +67,7 @@ impl<S: OrderSeq> OrderCore<S> {
         stats.passes += 1;
         // ---- find V* (traversal-removal routine, mcd-seeded) ----
         let epoch = self.bump_epoch();
-        let mut vstar = std::mem::take(&mut self.vstar);
+        let vstar = &mut self.vstar;
         vstar.clear();
         let (core, mcd) = (&mut self.core[..], &self.mcd[..]);
         let (touch_mark, cd_work) = (&mut self.touch_mark[..], &mut self.cd_work[..]);
@@ -117,17 +117,17 @@ impl<S: OrderSeq> OrderCore<S> {
             }
         }
         stats.visited += touched;
-        self.finish_dismiss(k, epoch, &vstar, stats);
-        self.vstar = vstar;
+        self.finish_dismiss(k, stats);
     }
 
     /// `OrderRemoval`'s ending phase (Algorithm 4 lines 6–14) of
-    /// [`OrderCore::dismiss_pass`]: drops `vstar` (in dismissal order) to
-    /// level `k − 1`, moves it to the end of `O_{K−1}`, and repairs `deg⁺`
-    /// and `mcd` around it in one fused scan per dismissed vertex. `epoch`
-    /// is the pass's epoch; `queue_mark == epoch` marks `V*` during the
-    /// scan.
-    fn finish_dismiss(&mut self, k: u32, epoch: u32, vstar: &[VertexId], stats: &mut UpdateStats) {
+    /// [`OrderCore::dismiss_pass`]: drops `self.vstar` (in dismissal
+    /// order) to level `k − 1`, moves it to the end of `O_{K−1}`, and
+    /// repairs `deg⁺` and `mcd` around it in one fused scan per dismissed
+    /// vertex. `queue_mark == self.epoch` (the pass's epoch) marks `V*`
+    /// during the scan.
+    fn finish_dismiss(&mut self, k: u32, stats: &mut UpdateStats) {
+        let (epoch, vstar) = (self.epoch, &self.vstar);
         stats.changed += vstar.len();
         if vstar.is_empty() {
             stats.noop += 1;

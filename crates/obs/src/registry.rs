@@ -87,13 +87,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Register an existing histogram handle (e.g. one owned by a
-    /// report struct) under `name`, sharing its cells.
-    pub fn register_histogram(&self, name: &str, h: &Histogram) {
-        let mut map = self.metrics.lock().unwrap();
-        map.insert(sanitize(name), Metric::Histogram(h.clone()));
-    }
-
     /// Names currently registered (sorted).
     pub fn names(&self) -> Vec<String> {
         self.metrics.lock().unwrap().keys().cloned().collect()

@@ -34,15 +34,49 @@ pub struct UpdateStats {
 }
 
 impl UpdateStats {
+    /// Field names, in declaration order (the order of
+    /// [`UpdateStats::values`]).
+    pub const FIELDS: [&'static str; 7] = [
+        "visited",
+        "changed",
+        "refreshed",
+        "noop",
+        "skipped",
+        "passes",
+        "merged_seeds",
+    ];
+
+    /// Field values, in [`UpdateStats::FIELDS`] order.
+    pub fn values(&self) -> [usize; 7] {
+        [
+            self.visited,
+            self.changed,
+            self.refreshed,
+            self.noop,
+            self.skipped,
+            self.passes,
+            self.merged_seeds,
+        ]
+    }
+
+    /// The stats whose [`UpdateStats::values`] are `values`.
+    pub fn from_values(values: [usize; 7]) -> Self {
+        let [visited, changed, refreshed, noop, skipped, passes, merged_seeds] = values;
+        UpdateStats {
+            visited,
+            changed,
+            refreshed,
+            noop,
+            skipped,
+            passes,
+            merged_seeds,
+        }
+    }
+
     /// Accumulates another update's counters into `self`.
     pub fn absorb(&mut self, other: UpdateStats) {
-        self.visited += other.visited;
-        self.changed += other.changed;
-        self.refreshed += other.refreshed;
-        self.noop += other.noop;
-        self.skipped += other.skipped;
-        self.passes += other.passes;
-        self.merged_seeds += other.merged_seeds;
+        let (a, b) = (self.values(), other.values());
+        *self = UpdateStats::from_values(std::array::from_fn(|i| a[i] + b[i]));
     }
 }
 

@@ -83,7 +83,7 @@ fn main() {
     // The writer's live metrics registry: counters, gauges, and the
     // per-flush stage-latency histograms, readable from any thread and
     // renderable as a Prometheus text exposition.
-    let metrics = svc.metrics().expect("observability is on by default");
+    let metrics = svc.metrics().expect("the registry always exists");
     let obs = metrics.snapshot();
     println!(
         "live metrics: {} events, {} batches, {} epochs | flush stages p99: \
