@@ -11,10 +11,10 @@
 //! of `Arc` clones, instead of the old `O(n)` full-vector rebuild.
 //!
 //! [`CoreMirror`] is the writer-side companion: the same chunked array
-//! plus an incrementally maintained per-level histogram, fed either by
-//! the engine's drained change set (`O(changed)`) or by a chunk-compare
-//! fallback ([`CoreMirror::sync_full`]) that still preserves sharing
-//! for untouched chunks.
+//! plus an incrementally maintained per-level histogram, fed by the
+//! engine's drained change set (`O(changed)`), or after a recovery by a
+//! chunk-compare resync ([`CoreMirror::sync_full`]) that still preserves
+//! sharing for untouched chunks.
 //!
 //! Invariant throughout: slots past `len` inside the last chunk are
 //! zero, so chunk-granular equality (and the shared all-zero chunk used
@@ -199,13 +199,6 @@ impl CoreMirror {
         self.cores.is_empty()
     }
 
-    /// Extends with core-0 vertices.
-    pub fn grow(&mut self, new_len: usize) {
-        let added = new_len - self.cores.len();
-        self.cores.grow(new_len);
-        self.counts[0] += added;
-    }
-
     /// Applies one vertex's (possibly unchanged) core value; returns
     /// `true` when a chunk was copy-on-written.
     #[inline]
@@ -223,12 +216,12 @@ impl CoreMirror {
         self.cores.set(v as usize, new_core)
     }
 
-    /// Fallback sync against the engine's full core slice: an `O(n)`
-    /// *compare* but an `O(changed)` *copy* — unchanged chunks keep
-    /// their shared allocation. Returns `(elements changed, chunks
+    /// Full resync against the engine's core slice (same length): an
+    /// `O(n)` *compare* but an `O(changed)` *copy* — unchanged chunks
+    /// keep their shared allocation. Returns `(elements changed, chunks
     /// copied)`.
     pub fn sync_full(&mut self, new: &[u32]) -> (usize, usize) {
-        assert_eq!(new.len(), self.cores.len, "grow before syncing");
+        assert_eq!(new.len(), self.cores.len, "the vertex count never changes");
         let mut changed = 0usize;
         let mut copied = 0usize;
         for ci in 0..self.cores.chunks.len() {
@@ -369,12 +362,8 @@ mod tests {
         m.apply(0, 0);
         assert_eq!(m.degeneracy(), 2, "emptied top levels are truncated");
         assert_eq!(m.histogram(), vec![1, 2, 1]);
-
-        m.grow(6);
-        assert_eq!(m.len(), 6);
-        assert_eq!(m.histogram(), vec![3, 2, 1]);
         let total: usize = m.histogram().iter().sum();
-        assert_eq!(total, 6);
+        assert_eq!(total, m.len());
     }
 
     #[test]

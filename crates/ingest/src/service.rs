@@ -75,7 +75,6 @@ use kcore_maint::{PlannedCore, PlannerConfig, UpdateStats};
 use kcore_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanRecorder};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -143,8 +142,9 @@ pub enum ServiceHealth {
 }
 
 impl ServiceHealth {
-    fn from_u8(v: u8) -> ServiceHealth {
-        match v {
+    /// Decodes the `ingest_health` gauge, the one record of the state.
+    fn from_gauge(g: &Gauge) -> ServiceHealth {
+        match g.get() as u8 {
             0 => ServiceHealth::Healthy,
             1 => ServiceHealth::Degraded,
             2 => ServiceHealth::Recovering,
@@ -394,11 +394,10 @@ pub struct IngestReport {
     /// Chunks backing the mirror at shutdown.
     pub mirror_chunks: u64,
     /// Mirror syncs served from the engine's tracked change set
-    /// (`O(changed)`).
+    /// (`O(changed)`): one per applied flush.
     pub tracked_drains: u64,
-    /// Mirror syncs that fell back to the chunk-compare path (`O(n)`
-    /// compare, still `O(changed)` copy): the resync after a recovery,
-    /// and flushes whose changes overflowed the engine's change log.
+    /// Mirror resyncs by chunk compare (`O(n)` compare, `O(changed)`
+    /// copy): one per successful recovery, against the rebuilt engine.
     pub full_syncs: u64,
     /// Engine panics caught by the supervisor.
     pub engine_panics: u64,
@@ -455,7 +454,8 @@ enum Msg {
 pub struct IngestService {
     tx: SyncSender<Msg>,
     snapshots: SnapshotHandle,
-    health: Arc<AtomicU8>,
+    /// The writer's `ingest_health` gauge.
+    health: Gauge,
     metrics: MetricsRegistry,
     spans: SpanRecorder,
     writer: Option<JoinHandle<(IngestReport, PlannedCore)>>,
@@ -540,9 +540,9 @@ impl IngestService {
             .as_ref()
             .map_or_else(Vec::new, |d| d.storage.engine_panics().to_vec());
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
-        let health = Arc::new(AtomicU8::new(ServiceHealth::Healthy as u8));
         let obs = WriterObs::new(&cfg.obs);
-        let (metrics, spans) = (obs.registry.clone(), obs.spans.clone());
+        let (metrics, spans, health) =
+            (obs.registry.clone(), obs.spans.clone(), obs.health.clone());
         let writer = Writer {
             engine,
             cfg,
@@ -560,7 +560,6 @@ impl IngestService {
             subscribers: Vec::new(),
             mirror,
             change_buf: Vec::new(),
-            health: health.clone(),
             unshipped: Vec::new(),
             ship_failures: 0,
             sync_pending: false,
@@ -698,10 +697,12 @@ impl IngestService {
         self.snapshots.clone()
     }
 
-    /// The writer's current health. Reads are lock-free; the state is
-    /// advisory (it can advance the instant after you read it).
+    /// The writer's current health, read from its `ingest_health`
+    /// gauge. Reads are lock-free; the state is advisory (it can advance
+    /// the instant after you read it). A read after a [`Self::flush`]
+    /// barrier sees every transition the barrier's flush made.
     pub fn health(&self) -> ServiceHealth {
-        ServiceHealth::from_u8(self.health.load(Ordering::Acquire))
+        ServiceHealth::from_gauge(&self.health)
     }
 
     /// Subscribes to every future snapshot publication (unbounded
@@ -961,8 +962,6 @@ struct Writer {
     mirror: CoreMirror,
     /// Reused drain buffer (no steady-state allocation per flush).
     change_buf: Vec<VertexId>,
-    /// Shared with [`IngestService::health`].
-    health: Arc<AtomicU8>,
     /// Journal entries not yet appended (durable mode only): the last
     /// flush's batch, plus any whose append failed — retried on later
     /// flushes (the engine applied them; only the ship is outstanding).
@@ -998,11 +997,10 @@ impl Writer {
     }
 
     fn health(&self) -> ServiceHealth {
-        ServiceHealth::from_u8(self.health.load(Ordering::Acquire))
+        ServiceHealth::from_gauge(&self.obs.health)
     }
 
     fn set_health(&self, h: ServiceHealth) {
-        self.health.store(h as u8, Ordering::Release);
         self.obs.health.set(h as u8 as f64);
     }
 
@@ -1071,36 +1069,27 @@ impl Writer {
         }
     }
 
-    /// Brings the mirror up to date with the engine after a flush —
-    /// `O(changed)` via the drained change set, or, when the engine's
-    /// change log was overwhelmed, the chunk-compare fallback (O(n)
-    /// compare, O(changed) copy, and untouched chunks keep their
-    /// snapshot-shared allocation). Returns the stage breakdown for the
-    /// flush trace.
+    /// Brings the mirror up to date with the engine after a flush, in
+    /// `O(changed)`: the engine's drained change set names every vertex
+    /// whose core moved. Returns the stage breakdown for the flush trace.
     fn sync_mirror(&mut self) -> MirrorSync {
-        let n = self.engine.graph().num_vertices();
-        if n > self.mirror.len() {
-            self.mirror.grow(n);
-        }
         let drain_start = self.now();
         let mut buf = std::mem::take(&mut self.change_buf);
         buf.clear();
         let tracked = self.engine.drain_core_changes(&mut buf);
+        debug_assert!(
+            tracked,
+            "tracking is armed at spawn and after every recovery"
+        );
         let drain_end = self.now();
         let drained = buf.len() as u64;
         let mut copied = 0u64;
-        if tracked {
-            self.obs.tracked_drains.inc();
-            let cores = self.engine.cores();
-            for &v in &buf {
-                if self.mirror.apply(v, cores[v as usize]) {
-                    copied += 1;
-                }
+        self.obs.tracked_drains.inc();
+        let cores = self.engine.cores();
+        for &v in &buf {
+            if self.mirror.apply(v, cores[v as usize]) {
+                copied += 1;
             }
-        } else {
-            self.obs.full_syncs.inc();
-            let (_, c) = self.mirror.sync_full(self.engine.cores());
-            copied += c as u64;
         }
         self.change_buf = buf;
         self.obs.chunks_copied.add(copied);
@@ -1225,11 +1214,10 @@ impl Writer {
                     }
                 }
                 // Arm tracking on the rebuilt engine and resync the
-                // mirror against it in full.
+                // mirror against it in full. `recover()` checks the
+                // index against the journal's vertex count, so the
+                // mirror's length still matches.
                 self.engine.enable_core_change_tracking();
-                if n > self.mirror.len() {
-                    self.mirror.grow(n);
-                }
                 let (_, copied) = self.mirror.sync_full(self.engine.cores());
                 self.obs.chunks_copied.add(copied as u64);
                 self.obs.full_syncs.inc();

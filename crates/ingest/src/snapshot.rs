@@ -55,8 +55,8 @@ pub struct CoreSnapshot {
     pub histogram: Vec<usize>,
     /// Largest `k` with a non-empty k-core.
     pub degeneracy: u32,
-    /// Publication time (writer-clock nanoseconds: wall elapsed, or the
-    /// scripted clock's value — the staleness metric of the bench).
+    /// Publication time (writer-clock nanoseconds: wall time since the
+    /// writer started, or the scripted clock's value).
     pub published_at_ns: u64,
 }
 

@@ -426,6 +426,64 @@ fn publication_shares_untouched_chunks_across_epochs() {
     assert_eq!(report.publish.count(), report.batches);
 }
 
+/// Publish cost does not depend on the vertex count: the same churn
+/// over the same active region, inside universes of `n` and `16·n`
+/// vertices, leaves exactly the same chunks unshared between every two
+/// consecutive epochs — the chunks holding a changed core, never more
+/// than the vertices whose core changed. The rest of each universe is a
+/// ring of core-2 vertices, so a publish that rebuilt its chunks would
+/// unshare all of them.
+#[test]
+fn publish_unshares_the_same_chunks_at_every_universe_size() {
+    use crate::chunked::CHUNK;
+    let active_n = 2 * CHUNK;
+    let active = barabasi_albert(active_n, 4, 11);
+    let events: Vec<GraphEvent> = churn_stream(&active, 12, 48, 32, 12)
+        .iter()
+        .flat_map(churn_events)
+        .collect();
+    let unshared_per_epoch = |n: usize| {
+        let mut base = DynamicGraph::with_vertices(n);
+        for (u, v) in active.edge_vec() {
+            base.insert_edge_unchecked(u, v);
+        }
+        for v in active_n..n {
+            let next = if v + 1 == n { active_n } else { v + 1 };
+            base.insert_edge_unchecked(v as u32, next as u32);
+        }
+        let cfg = IngestConfig::scripted().max_batch(96);
+        let svc = IngestService::spawn_planned(base, 5, cfg).unwrap();
+        let mut prev = svc.snapshots().load();
+        let epochs = svc.subscribe().unwrap();
+        svc.submit_all(events.iter().copied()).unwrap();
+        svc.flush().unwrap();
+        let (report, _) = svc.shutdown();
+        let mut unshared = Vec::new();
+        for snap in epochs.try_iter() {
+            let chunks = snap.cores.num_chunks() - snap.cores.shared_chunks(&prev.cores);
+            let changed: Vec<usize> = (0..n)
+                .filter(|&v| snap.cores.get(v) != prev.cores.get(v))
+                .collect();
+            let mut dirty: Vec<usize> = changed.iter().map(|v| v / CHUNK).collect();
+            dirty.dedup();
+            let epoch = snap.epoch;
+            assert_eq!(
+                chunks,
+                dirty.len(),
+                "n = {n}, epoch {epoch}: unshared chunks"
+            );
+            assert!(chunks <= changed.len(), "n = {n}, epoch {epoch}");
+            unshared.push(chunks);
+            prev = snap;
+        }
+        assert_eq!(unshared.len() as u64, report.epochs_published);
+        unshared
+    };
+    let small = unshared_per_epoch(2 * active_n);
+    assert!(small.iter().sum::<usize>() > 0, "the churn changed no core");
+    assert_eq!(small, unshared_per_epoch(32 * active_n));
+}
+
 #[test]
 fn wall_clock_mode_flushes_when_the_queue_runs_dry() {
     // The one wall-clock test: a real-time service flushes a
@@ -635,6 +693,101 @@ fn metrics_registry_exposes_flush_pipeline_counters() {
     let (report, _) = svc.shutdown();
     assert_eq!(report.batches, 1);
     assert_eq!(report.batch_apply.count(), 1);
+}
+
+/// Checks a Prometheus text exposition line by line. Every non-empty
+/// line is a `# TYPE <name> <counter|gauge|histogram>` comment or a
+/// `<series> <value>` sample with a legal metric name and a finite (or
+/// `+Inf`) value, and each sample belongs to the family declared just
+/// above it: a counter or gauge renders one unlabelled `<name>` sample,
+/// a histogram `<name>_bucket{le="<bound>"}` samples plus `<name>_sum`
+/// and `<name>_count`. Returns the families seen per kind, in the order
+/// counter, gauge, histogram.
+fn validate_exposition(text: &str) -> [usize; 3] {
+    const KINDS: [&str; 3] = ["counter", "gauge", "histogram"];
+    let name_ok = |name: &str| {
+        name.chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+            && name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+    };
+    let number_ok = |v: &str| v == "+Inf" || v.parse::<f64>().is_ok_and(f64::is_finite);
+    let mut families = [0usize; 3];
+    let mut family: Option<(&str, usize)> = None;
+    for line in text.lines().filter(|l| !l.is_empty()) {
+        if let Some(rest) = line.strip_prefix("# ") {
+            let parts: Vec<&str> = rest.split(' ').collect();
+            let [tag, name, kind] = parts[..] else {
+                panic!("malformed comment: {line:?}");
+            };
+            assert_eq!(tag, "TYPE", "malformed comment: {line:?}");
+            assert!(name_ok(name), "bad metric name: {line:?}");
+            let kind = KINDS.iter().position(|&k| k == kind);
+            let kind = kind.unwrap_or_else(|| panic!("bad metric type: {line:?}"));
+            families[kind] += 1;
+            family = Some((name, kind));
+            continue;
+        }
+        let (series, value) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("sample without a value: {line:?}"));
+        assert!(number_ok(value), "bad sample value: {line:?}");
+        let (name, kind) = family.unwrap_or_else(|| panic!("sample before any TYPE: {line:?}"));
+        let in_family = match (KINDS[kind], series.split_once('{')) {
+            ("histogram", Some((bucket, labels))) => {
+                let le = labels
+                    .strip_prefix("le=\"")
+                    .and_then(|l| l.strip_suffix("\"}"))
+                    .unwrap_or_else(|| panic!("expected one le label: {line:?}"));
+                assert!(number_ok(le), "bad le bound: {line:?}");
+                bucket.strip_suffix("_bucket") == Some(name)
+            }
+            ("histogram", None) => series
+                .strip_prefix(name)
+                .is_some_and(|suffix| suffix == "_sum" || suffix == "_count"),
+            (_, labels) => labels.is_none() && series == name,
+        };
+        assert!(in_family, "sample outside its {name} family: {line:?}");
+    }
+    families
+}
+
+/// The live registry of a durable writer that took a checkpoint, an
+/// engine panic and a recovery renders a well-formed Prometheus
+/// exposition holding every metric kind.
+#[test]
+fn prometheus_exposition_is_well_formed_after_a_recovery() {
+    use crate::faults::FaultPlan;
+    let dir = tmpdir("exposition");
+    let d = DurabilityConfig::in_dir(&dir)
+        .snapshot_every(2)
+        .with_faults(FaultPlan::new().panic_at_flush(3));
+    let cfg = IngestConfig::scripted()
+        .max_batch(4)
+        .durable(d)
+        .self_healing(RecoveryPolicy::default());
+    let svc = IngestService::spawn_planned(path_graph(12), 3, cfg).unwrap();
+    let metrics = svc.metrics().expect("the registry always exists");
+    // 24 chords of the 12-path, never a self loop (4i + 2 is not 0 mod 12).
+    svc.submit_all((0u32..24).map(|i| GraphEvent::EdgeInserted(i % 12, (i * 5 + 2) % 12)))
+        .unwrap();
+    svc.flush().unwrap();
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("ingest_engine_panics_total"), Some(1));
+    assert_eq!(snap.counter("ingest_recoveries_total"), Some(1));
+    assert!(snap.counter("ingest_snapshots_persisted_total") > Some(0));
+    let text = snap.render_text();
+    let [counters, gauges, histograms] = validate_exposition(&text);
+    assert_eq!(counters + gauges + histograms, snap.len());
+    assert!(counters > 0 && gauges > 0 && histograms > 0);
+    // The recovery's timing sample renders finite buckets too.
+    assert!(text.contains("ingest_recovery_ns_count 1"));
+    assert!(text
+        .lines()
+        .any(|l| l.starts_with("ingest_recovery_ns_bucket{le=\"") && !l.contains("+Inf")));
+    svc.shutdown();
 }
 
 #[test]

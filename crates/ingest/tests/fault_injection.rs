@@ -1,5 +1,6 @@
-//! Fault-injection integration tests: the kill-at-every-failpoint sweep
-//! and the supervised self-healing writer, all under the scripted clock
+//! Fault-injection integration tests: the kill-at-every-failpoint sweep,
+//! every recovery rung from one damaged durable directory, and the
+//! supervised self-healing writer, all under the scripted clock
 //! and the scripted [`StorageHandle`] — zero wall-clock sleeps, zero
 //! nondeterminism, including on the 1-CPU CI container. The one
 //! exception is the idle-`Failed`-writer test, which needs the wall
@@ -16,8 +17,9 @@ use kcore_decomp::core_decomposition;
 use kcore_graph::DynamicGraph;
 use kcore_ingest::sources::{apply_events, churn_events};
 use kcore_ingest::{
-    recover, DurabilityConfig, FaultKind, FaultPlan, GraphEvent, IngestConfig, IngestService,
-    OpClass, RecoveryPolicy, RetryBudget, ServiceHealth, StorageHandle,
+    recover, snapshot_generation_path, DurabilityConfig, FaultKind, FaultPlan, GraphEvent,
+    IngestConfig, IngestService, OpClass, RecoveryPolicy, RecoveryRung, RetryBudget, ServiceHealth,
+    StorageHandle,
 };
 use kcore_maint::{PlanPolicy, PlannerConfig, UpdateStats};
 use std::collections::BTreeSet;
@@ -140,6 +142,113 @@ fn fault_kill_at_every_failpoint_recovers_reported_prefix() {
                 }
             }
         }
+    }
+}
+
+/// Copies every file of a durable directory (journal + snapshot
+/// generations) into a fresh directory.
+fn copy_durable_dir(src: &std::path::Path, dst: &std::path::Path) {
+    for entry in std::fs::read_dir(src).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+    }
+}
+
+fn flip_byte(path: &std::path::Path, at: impl FnOnce(usize) -> usize) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let i = at(bytes.len());
+    bytes[i] ^= 0xFF;
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// One scripted durable run, damaged once per scenario, reaches every
+/// rung of the recovery ladder, and each rung restores exactly the
+/// oracle state of the prefix it reports durable.
+#[test]
+fn fault_every_recovery_rung_from_one_durable_directory() {
+    // The run starts from the empty universe, so the journal alone
+    // holds every edge and genesis replay can rebuild the final state.
+    // No periodic snapshots: gen 0 is the shutdown checkpoint (all 40
+    // ops) and gen 1 the spawn-time one (0 ops). Every flush ships one
+    // 4-event frame.
+    let src = tmpdir("rungs_src");
+    let events = sweep_events();
+    let cfg = IngestConfig::scripted()
+        .max_batch(4)
+        .durable(DurabilityConfig::in_dir(&src));
+    let svc = IngestService::spawn_planned(DynamicGraph::with_vertices(N), SEED, cfg).unwrap();
+    svc.submit_all(events.iter().copied()).unwrap();
+    let (report, _) = svc.shutdown();
+    assert_eq!((report.batches, report.snapshots_persisted), (10, 1));
+
+    fn journal(d: &std::path::Path) -> PathBuf {
+        d.join("ingest.kjrn")
+    }
+    fn gen(d: &std::path::Path, g: usize) -> PathBuf {
+        snapshot_generation_path(&d.join("ingest.ksnp"), g)
+    }
+    type Damage = fn(&std::path::Path);
+    let scenarios: [(&str, Damage, RecoveryRung, u64); 5] = [
+        ("clean", |_| {}, RecoveryRung::Primary, 40),
+        (
+            // Tear the last frame; gen 0 is demoted to the 0-ops
+            // checkpoint, or it would be ahead of the torn journal and
+            // the snapshot-only rung would fire instead.
+            "torn_tail",
+            |d| {
+                std::fs::copy(gen(d, 1), gen(d, 0)).unwrap();
+                let len = std::fs::metadata(journal(d)).unwrap().len();
+                let f = std::fs::OpenOptions::new().write(true).open(journal(d));
+                f.unwrap().set_len(len - 7).unwrap();
+            },
+            RecoveryRung::TruncatedTail,
+            36,
+        ),
+        (
+            // The newest snapshot's CRC rejects it; gen 1 plus the whole
+            // journal recovers.
+            "corrupt_newest_snapshot",
+            |d| flip_byte(&gen(d, 0), |len| len - 1),
+            RecoveryRung::OlderGeneration(1),
+            40,
+        ),
+        (
+            // A broken magic makes the journal unparseable; the newest
+            // snapshot alone recovers.
+            "unparseable_journal",
+            |d| flip_byte(&journal(d), |_| 0),
+            RecoveryRung::SnapshotOnly,
+            40,
+        ),
+        (
+            "no_snapshots",
+            |d| {
+                std::fs::remove_file(gen(d, 0)).unwrap();
+                std::fs::remove_file(gen(d, 1)).unwrap();
+            },
+            RecoveryRung::GenesisReplay,
+            40,
+        ),
+    ];
+    for (name, damage, rung, durable) in scenarios {
+        let dir = tmpdir(&format!("rung_{name}"));
+        copy_durable_dir(&src, &dir);
+        damage(&dir);
+        let rec = recover(
+            &DurabilityConfig::in_dir(&dir),
+            SEED,
+            PlannerConfig::default(),
+            8,
+        )
+        .unwrap_or_else(|e| panic!("{name}: recover failed: {e:?}"));
+        assert_eq!(rec.report.rung, rung, "{name}: wrong rung");
+        assert_eq!(rec.report.durable_ops, durable, "{name}: durable prefix");
+        assert_eq!(rec.next_seq, durable, "{name}: resume seq");
+        assert_eq!(
+            rec.engine.cores(),
+            &oracle(&events[..durable as usize])[..],
+            "{name}: recovered state is not the oracle on its durable prefix"
+        );
     }
 }
 

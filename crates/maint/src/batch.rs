@@ -31,8 +31,9 @@
 //! entries (self loops, duplicates — also within the batch —, missing
 //! edges, out-of-range endpoints) instead of erroring, counting them in
 //! [`UpdateStats::skipped`]: a stream replayer wants throughput, not a
-//! transaction abort on the first dirty record. Use
-//! [`OrderCore::apply_batch`] for all-or-nothing semantics.
+//! transaction abort on the first dirty record. The single-edge
+//! [`OrderCore::insert_edge`] / [`OrderCore::remove_edge`] report each
+//! invalid edge as an error.
 //!
 //! Core numbers of the final graph are order-independent, so neither the
 //! deferred passes nor the merged per-level walks change any observable

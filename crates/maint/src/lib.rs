@@ -54,7 +54,6 @@ pub use maintainer::{CoreMaintainer, RecomputeCore};
 pub use order_core::OrderCore;
 pub use persist::PersistError;
 pub use planner::{PlanPolicy, PlannedCore, Planner, PlannerConfig, PlannerStats, Strategy};
-pub use vertex::BatchOp;
 
 /// `OrderCore` instantiated with the paper's treap-backed `A_k` (the
 /// ablation variant).

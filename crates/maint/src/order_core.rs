@@ -1,9 +1,7 @@
 //! The [`OrderCore`] structure: graph + k-order index + per-vertex degrees.
 
 use kcore_decomp::validate::compute_mcd;
-use kcore_decomp::{
-    core_decomposition, korder_decomposition, korder_from_cores, Heuristic, KOrder,
-};
+use kcore_decomp::{korder_decomposition, Heuristic, KOrder};
 use kcore_graph::{DynamicGraph, VertexId};
 use kcore_order::{MinRankHeap, OrderSeq, TagList};
 
@@ -14,34 +12,17 @@ use kcore_order::{MinRankHeap, OrderSeq, TagList};
 ///
 /// Entries may repeat (a vertex promoted and later dismissed in one
 /// batch appears twice); consumers read the *final* core value per id,
-/// so duplicates are harmless. `full` marks the log overwhelmed (e.g. a
-/// rebuild whose diff could not be taken) — the next drain then reports
-/// "do a full sync" instead of a vertex list.
+/// so duplicates are harmless.
 #[derive(Debug, Default)]
 pub(crate) struct CoreChangeLog {
     pub(crate) enabled: bool,
-    pub(crate) full: bool,
     pub(crate) ids: Vec<VertexId>,
 }
 
 impl CoreChangeLog {
-    /// `true` while per-vertex recording is worthwhile.
-    #[inline]
-    pub(crate) fn is_active(&self) -> bool {
-        self.enabled && !self.full
-    }
-
-    /// Records one changed vertex (no-op when inactive).
-    #[inline]
-    pub(crate) fn record(&mut self, v: VertexId) {
-        if self.is_active() {
-            self.ids.push(v);
-        }
-    }
-
-    /// Records a batch of changed vertices (no-op when inactive).
+    /// Records a batch of changed vertices (no-op when tracking is off).
     pub(crate) fn record_slice(&mut self, vs: &[VertexId]) {
-        if self.is_active() {
+        if self.enabled {
             self.ids.extend_from_slice(vs);
         }
     }
@@ -226,34 +207,19 @@ impl<S: OrderSeq> OrderCore<S> {
     pub fn rebuild_from_korder(&mut self, ko: KOrder) {
         assert_eq!(ko.core.len(), self.graph.num_vertices());
         // The rebuild replaces `core` wholesale; tracking needs the diff.
-        // The O(n) compare is amortised by the O(n + m) rebuild itself,
-        // and a rebuild with *unchanged* cores (the deferred k-order
-        // refresh after a recompute) records nothing.
-        if self.change_log.is_active() {
-            if ko.core.len() == self.core.len() {
-                for v in 0..self.core.len() {
-                    if self.core[v] != ko.core[v] {
-                        self.change_log.record(v as VertexId);
-                    }
+        // `core` always spans the graph's vertices, so the two arrays
+        // line up. The O(n) compare is amortised by the O(n + m) rebuild
+        // itself, and a rebuild with *unchanged* cores (the deferred
+        // k-order refresh after a recompute) records nothing.
+        if self.change_log.enabled {
+            for (v, (&old, &new)) in self.core.iter().zip(&ko.core).enumerate() {
+                if old != new {
+                    self.change_log.ids.push(v as VertexId);
                 }
-            } else {
-                self.change_log.full = true;
-                self.change_log.ids.clear();
             }
         }
         self.mcd = compute_mcd(&self.graph, &ko.core);
         self.install_korder(ko);
-    }
-
-    /// Recomputes cores from scratch and rebuilds the order index through
-    /// the [`korder_from_cores`] bridge — cheaper than a full
-    /// [`korder_decomposition`] because the victim-selection machinery is
-    /// skipped. Used by the bulk path of [`OrderCore::apply_batch`] and
-    /// by tests of the recompute fallback.
-    pub fn rebuild_via_decomposition(&mut self) {
-        let core = core_decomposition(&self.graph);
-        let ko = korder_from_cores(&self.graph, &core);
-        self.rebuild_from_korder(ko);
     }
 
     /// Shared tail of [`OrderCore::from_korder`] /
@@ -337,19 +303,16 @@ impl<S: OrderSeq> OrderCore<S> {
     /// publish copy-on-write snapshots without an `O(n)` copy per epoch.
     pub fn enable_core_change_tracking(&mut self) {
         self.change_log.enabled = true;
-        self.change_log.full = false;
         self.change_log.ids.clear();
     }
 
     /// Appends the vertices whose core number changed since the last
     /// drain to `out` (possibly with duplicates — read the final core
     /// value per id) and clears the log. Returns `false` when tracking
-    /// is off or the log was overwhelmed: the caller must then fall
-    /// back to a full compare against [`OrderCore::cores`].
+    /// is off: the caller must then compare against
+    /// [`OrderCore::cores`] itself.
     pub fn drain_core_changes(&mut self, out: &mut Vec<VertexId>) -> bool {
-        if !self.change_log.enabled || self.change_log.full {
-            self.change_log.full = false;
-            self.change_log.ids.clear();
+        if !self.change_log.enabled {
             return false;
         }
         out.extend_from_slice(&self.change_log.ids);

@@ -526,7 +526,7 @@ impl<S: OrderSeq> PlannedCore<S> {
         // core-change tracking is on — feeds the change log, at no extra
         // asymptotic cost (the recompute already paid O(n + m)).
         let mut changed = 0usize;
-        let log_active = self.engine.change_log.is_active();
+        let log_active = self.engine.change_log.enabled;
         for (v, (&new, &old)) in new_core.iter().zip(&self.engine.core).enumerate() {
             if new != old {
                 changed += 1;

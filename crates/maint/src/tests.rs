@@ -11,6 +11,14 @@ fn order_core(g: &DynamicGraph) -> OrderCore {
     OrderCore::new(g.clone(), 42)
 }
 
+/// Rebuilds the index wholesale from a fresh decomposition, the way the
+/// planner refreshes its k-order after a recompute.
+fn rebuild_from_decomposition(oc: &mut OrderCore) {
+    let core = kcore_decomp::core_decomposition(oc.graph());
+    let ko = kcore_decomp::korder_from_cores(oc.graph(), &core);
+    oc.rebuild_from_korder(ko);
+}
+
 #[test]
 fn build_validates_on_fixtures() {
     for g in [
@@ -484,7 +492,7 @@ fn histogram_and_degeneracy_track_updates_incrementally() {
             }
         }
         if round % 20 == 19 {
-            oc.rebuild_via_decomposition();
+            rebuild_from_decomposition(&mut oc);
         }
         let (hist, max) = recount(&oc);
         assert_eq!(oc.degeneracy(), max);
@@ -557,7 +565,7 @@ fn change_tracking_covers_batches_and_rebuilds() {
         oc.remove_edges(&[(0, 9)]);
         // A wholesale rebuild must diff instead of losing the changes.
         oc.insert_edge(2, 11).unwrap();
-        oc.rebuild_via_decomposition();
+        rebuild_from_decomposition(oc);
     });
 }
 

@@ -4,7 +4,7 @@
 
 use kcore_decomp::{Heuristic, Parallelism};
 use kcore_graph::DynamicGraph;
-use kcore_maint::{BatchOp, CoreMaintainer, OrderCore, PlanPolicy, PlannedCore, RecomputeCore};
+use kcore_maint::{CoreMaintainer, OrderCore, PlanPolicy, PlannedCore, RecomputeCore};
 use proptest::prelude::*;
 
 /// Every policy, plus `Auto` and `ForceRecompute` once more on a
@@ -354,12 +354,13 @@ proptest! {
         }
     }
 
-    /// Batch application (either path) equals sequential application.
+    /// A planned batch equals sequential application on either path:
+    /// the merged passes (`ForceBatch`) and the full recompute
+    /// (`ForceRecompute`).
     #[test]
     fn batch_equals_sequential(
         g in arb_graph(14, 30),
         extra in prop::collection::vec((0u32..14, 0u32..14), 1..20),
-        frac in 0.0f64..2.0,
     ) {
         let mut ops = Vec::new();
         {
@@ -367,19 +368,20 @@ proptest! {
             for &(a, b) in &extra {
                 if a != b && !probe.has_edge(a, b) {
                     probe.insert_edge_unchecked(a, b);
-                    ops.push(BatchOp::Insert(a, b));
+                    ops.push((a, b));
                 }
             }
         }
         prop_assume!(!ops.is_empty());
-        let mut batched: OrderCore = OrderCore::new(g.clone(), 5);
-        batched.apply_batch(&ops, frac).unwrap();
-        let mut seq: OrderCore = OrderCore::new(g, 5);
-        for &op in &ops {
-            let BatchOp::Insert(a, b) = op else { unreachable!() };
+        let mut seq: OrderCore = OrderCore::new(g.clone(), 5);
+        for &(a, b) in &ops {
             seq.insert_edge(a, b).unwrap();
         }
-        prop_assert_eq!(batched.cores(), seq.cores());
-        batched.validate();
+        for policy in [PlanPolicy::ForceBatch, PlanPolicy::ForceRecompute] {
+            let mut batched: PlannedCore = PlannedCore::with_policy(g.clone(), 5, policy);
+            batched.insert_edges(&ops);
+            prop_assert_eq!(batched.cores(), seq.cores(), "{:?}", policy);
+            batched.validate();
+        }
     }
 }

@@ -105,24 +105,21 @@ fn persist_mid_stream_and_diverge_nowhere() {
     reloaded.validate();
 }
 
-/// Batch path at dataset scale: a big batch through the rebuild path
-/// equals incremental application.
+/// Batch paths at dataset scale: one big batch through the planner's
+/// recompute, and through its merged passes, equals incremental
+/// application.
 #[test]
 fn batch_rebuild_equals_incremental() {
-    use kcore::maint::BatchOp;
+    use kcore::{PlanPolicy, PlannedCore};
     let ds = load_dataset("facebook", Scale::Tiny, 500);
-    let ops: Vec<BatchOp> = ds
-        .stream
-        .iter()
-        .map(|&(u, v)| BatchOp::Insert(u, v))
-        .collect();
-
-    let mut bulk = OrderCore::new(ds.base.clone(), 5);
-    bulk.apply_batch(&ops, 0.0).unwrap(); // force rebuild path
     let mut incr = OrderCore::new(ds.base.clone(), 5);
     for &(u, v) in &ds.stream {
         incr.insert_edge(u, v).unwrap();
     }
-    assert_eq!(bulk.cores(), incr.cores());
-    bulk.validate();
+    for policy in [PlanPolicy::ForceRecompute, PlanPolicy::ForceBatch] {
+        let mut bulk = PlannedCore::with_policy(ds.base.clone(), 5, policy);
+        bulk.insert_edges(&ds.stream);
+        assert_eq!(bulk.cores(), incr.cores(), "{policy:?}");
+        bulk.validate();
+    }
 }
