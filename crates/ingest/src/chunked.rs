@@ -17,8 +17,7 @@
 //! sharing for untouched chunks.
 //!
 //! Invariant throughout: slots past `len` inside the last chunk are
-//! zero, so chunk-granular equality (and the shared all-zero chunk used
-//! for growth) never needs a length-aware compare.
+//! zero, so chunk-granular equality never needs a length-aware compare.
 
 use kcore_graph::VertexId;
 use std::sync::{Arc, OnceLock};
@@ -97,18 +96,6 @@ impl ChunkedCores {
         copied
     }
 
-    /// Extends to `new_len` with zeros. New whole chunks alias one
-    /// static all-zero chunk until first written.
-    pub fn grow(&mut self, new_len: usize) {
-        assert!(new_len >= self.len, "ChunkedCores never shrinks");
-        while self.chunks.len() * CHUNK < new_len {
-            self.chunks.push(zero_chunk());
-        }
-        // Slots between the old and new length inside existing chunks
-        // are already zero by the padding invariant.
-        self.len = new_len;
-    }
-
     /// Iterates the elements in order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.chunks
@@ -185,18 +172,6 @@ impl CoreMirror {
             cores: ChunkedCores::from_slice(cores),
             counts,
         }
-    }
-
-    /// Logical length.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// `true` when empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cores.is_empty()
     }
 
     /// Applies one vertex's (possibly unchanged) core value; returns
@@ -333,23 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_shares_the_zero_chunk() {
-        let mut a = ChunkedCores::from_slice(&[]);
-        a.grow(3 * CHUNK);
-        let b = a.clone();
-        assert_eq!(a.shared_chunks(&b), 3);
-        assert_eq!(a.get(3 * CHUNK - 1), 0);
-        // All-zero chunks also alias each other via the static chunk.
-        assert!(a.chunk_ptr_eq(&a.clone(), 0));
-
-        // Growth into a partial chunk keeps the padding-zero invariant.
-        let mut c = ChunkedCores::from_slice(&[7; 10]);
-        c.grow(20);
-        assert_eq!(c.len(), 20);
-        assert_eq!(c.get(15), 0);
-    }
-
-    #[test]
     fn mirror_tracks_histogram_and_degeneracy() {
         let mut m = CoreMirror::from_slice(&[0, 1, 1, 2]);
         assert_eq!(m.histogram(), vec![1, 2, 1]);
@@ -363,7 +321,7 @@ mod tests {
         assert_eq!(m.degeneracy(), 2, "emptied top levels are truncated");
         assert_eq!(m.histogram(), vec![1, 2, 1]);
         let total: usize = m.histogram().iter().sum();
-        assert_eq!(total, m.len());
+        assert_eq!(total, 4);
     }
 
     #[test]

@@ -47,11 +47,21 @@
 //!
 //! These are the only versions read: a journal or snapshot whose header
 //! declares any other version is refused, never upgraded in place.
+//!
+//! ## Recovery
+//!
+//! [`recover`] takes one path whichever rung of the ladder fires: it
+//! chooses a source (a snapshot generation and the `ops` it covers, or
+//! genesis), repairs the journal (truncates its damaged suffix, or resets
+//! it at the snapshot's `ops`), replays the journal tail once through the
+//! planner, and returns the engine with one [`RecoveryReport`]. Repairs
+//! land before it returns, so recovering the same directory again
+//! restores the same prefix and finds no damage.
 
 use crate::faults::StorageHandle;
 use kcore_graph::DynamicGraph;
 use kcore_maint::journal::{replay_batched, GraphEvent, JournalEntry};
-use kcore_maint::{OrderCore, PersistError, PlannedCore, Planner, PlannerConfig, UpdateStats};
+use kcore_maint::{OrderCore, PersistError, PlannedCore, Planner, PlannerConfig};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -342,11 +352,8 @@ pub struct JournalSink {
     path: PathBuf,
     storage: StorageHandle,
     fsync: bool,
-    /// Seq the next appended record must carry (`base` + intact records
-    /// at open).
+    /// Events the journal held at open (`base` + intact records).
     existing: u64,
-    /// Records appended through this sink instance.
-    appended: u64,
     /// Byte length of the validated prefix — where a failed append is
     /// truncated back to so the file never holds a partial frame
     /// followed by a good one.
@@ -380,7 +387,6 @@ impl JournalSink {
                 storage: storage.clone(),
                 fsync,
                 existing: 0,
-                appended: 0,
                 intact_len: HEADER_BYTES as u64,
             });
         }
@@ -404,13 +410,13 @@ impl JournalSink {
             storage: storage.clone(),
             fsync,
             existing: contents.base + contents.events.len() as u64,
-            appended: 0,
             intact_len: contents.intact_bytes,
         })
     }
 
-    /// Seq the next appended record must carry for the file to stay
-    /// gap-free (`base` + intact records at open + appends since).
+    /// Events the journal held when this sink opened it (`base` + intact
+    /// records): the seq a resumed writer must continue at for the file
+    /// to stay gap-free.
     pub fn existing(&self) -> u64 {
         self.existing
     }
@@ -431,7 +437,6 @@ impl JournalSink {
             return Err(e);
         }
         self.intact_len += frame.len() as u64;
-        self.appended += entries.len() as u64;
         if self.fsync {
             self.storage.with(|io| io.sync_data(&self.path))?;
         }
@@ -443,11 +448,6 @@ impl JournalSink {
     pub fn sync(&mut self) -> io::Result<()> {
         self.storage.with(|io| io.sync_data(&self.path))
     }
-
-    /// Records appended through this sink instance.
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
 }
 
 // ------------------------------------------------------- journal: read
@@ -457,9 +457,6 @@ impl JournalSink {
 pub struct JournalContents {
     /// Vertex universe the journal was created over.
     pub n: usize,
-    /// Format version the file carries (always 3: other versions are
-    /// refused).
-    pub version: u32,
     /// Seq of the first record (non-zero after a snapshot-only reset).
     pub base: u64,
     /// Intact events, gap-free from `base`.
@@ -485,14 +482,7 @@ impl JournalContents {
 /// recovery source. A corrupt *header* is an error: nothing in the file
 /// can be trusted.
 pub fn read_journal(path: &Path) -> Result<JournalContents, RecoverError> {
-    read_journal_with(&StorageHandle::real(), path)
-}
-
-fn read_journal_with(
-    storage: &StorageHandle,
-    path: &Path,
-) -> Result<JournalContents, RecoverError> {
-    let bytes = storage
+    let bytes = StorageHandle::real()
         .with(|io| io.read(path))
         .map_err(|_| RecoverError::BadJournal("journal file missing or unreadable"))?;
     parse_journal(&bytes)
@@ -599,7 +589,6 @@ fn parse_journal(bytes: &[u8]) -> Result<JournalContents, RecoverError> {
     }
     Ok(JournalContents {
         n,
-        version: JOURNAL_VERSION,
         base,
         events,
         intact_bytes: intact as u64,
@@ -644,23 +633,6 @@ pub fn persist_index_snapshot(d: &DurabilityConfig, ops: u64, payload: &[u8]) ->
         io.rename(&tmp, path)?;
         io.sync_dir(path.parent().unwrap_or_else(|| Path::new(".")))
     })
-}
-
-/// Persists a single snapshot file (no rotation) through real storage —
-/// the standalone form of [`persist_index_snapshot`], same temp-file +
-/// fsync + rename + directory-fsync protocol.
-pub fn save_index_snapshot(path: &Path, ops: u64, index: &OrderCore) -> io::Result<()> {
-    let mut payload = Vec::new();
-    index.save(&mut payload)?;
-    let d = DurabilityConfig {
-        journal_path: PathBuf::new(),
-        snapshot_path: path.to_path_buf(),
-        snapshot_every_batches: 0,
-        fsync: false,
-        snapshot_generations: 1,
-        storage: StorageHandle::real(),
-    };
-    persist_index_snapshot(&d, ops, &payload)
 }
 
 /// Loads a v2 index snapshot: `(ops covered, restored index)`. The CRC
@@ -708,9 +680,10 @@ pub enum RecoveryRung {
     /// Newest snapshot, but the journal carried a damaged suffix that
     /// was truncated to the last checksummed frame.
     TruncatedTail,
-    /// The newest snapshot generation was unusable; this older retained
-    /// generation recovered (journal replay covered the difference).
-    OlderGeneration(usize),
+    /// The newest snapshot generation was unusable; an older retained
+    /// generation ([`RecoveryReport::snapshot_generation`]) recovered and
+    /// journal replay covered the difference.
+    OlderGeneration,
     /// The journal was unusable or behind the snapshot; state comes from
     /// the snapshot alone and the journal was reset at its `ops`.
     SnapshotOnly,
@@ -724,7 +697,7 @@ impl std::fmt::Display for RecoveryRung {
         match self {
             RecoveryRung::Primary => write!(f, "primary"),
             RecoveryRung::TruncatedTail => write!(f, "truncated-tail"),
-            RecoveryRung::OlderGeneration(g) => write!(f, "older-generation({g})"),
+            RecoveryRung::OlderGeneration => write!(f, "older-generation"),
             RecoveryRung::SnapshotOnly => write!(f, "snapshot-only"),
             RecoveryRung::GenesisReplay => write!(f, "genesis-replay"),
         }
@@ -742,19 +715,20 @@ pub struct RecoveryReport {
     /// not be paired with the journal).
     pub snapshots_rejected: usize,
     /// Events the restored state covers — journal seqs `0..durable_ops`
-    /// are reflected, everything past them is lost.
+    /// are reflected, everything past them is lost. A resumed service
+    /// continues the journal here
+    /// ([`crate::IngestService::spawn_recovered`] starts its writer's
+    /// event count at this seq).
     pub durable_ops: u64,
-    /// Events replayed from the journal on top of the snapshot.
+    /// Events replayed from the journal on top of the snapshot (or the
+    /// empty universe).
     pub replayed: usize,
-    /// Journal format version read (3; 0 = missing/unreadable).
-    pub journal_version: u32,
     /// Why the journal's readable prefix ended early, if it did.
     pub journal_damage: Option<&'static str>,
-    /// Journal bytes discarded past the last checksummed frame.
+    /// Journal bytes discarded: those past the last checksummed frame,
+    /// or the whole file when the journal was reset
+    /// ([`RecoveryRung::SnapshotOnly`]).
     pub journal_truncated_bytes: u64,
-    /// Whether the journal was reset (fresh v3 header at
-    /// `base = durable_ops`) because it could not be repaired in place.
-    pub journal_reset: bool,
     /// Wall-clock time the whole ladder took, nanoseconds. Purely
     /// observational (per-rung recovery timing for the metrics layer);
     /// never feeds back into recovery decisions.
@@ -762,43 +736,16 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Stable metric name of the rung that fired (generation-agnostic),
-    /// matching the `recovery_rung_*` counter names the ingest service
-    /// registers.
+    /// Stable metric name of the rung that fired, matching the
+    /// `recovery_rung_*` counter names the ingest service registers.
     pub fn rung_metric(&self) -> &'static str {
         match self.rung {
             RecoveryRung::Primary => "primary",
             RecoveryRung::TruncatedTail => "truncated_tail",
-            RecoveryRung::OlderGeneration(_) => "older_generation",
+            RecoveryRung::OlderGeneration => "older_generation",
             RecoveryRung::SnapshotOnly => "snapshot_only",
             RecoveryRung::GenesisReplay => "genesis_replay",
         }
-    }
-
-    /// One-line JSON for ops logs and bench embedding.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rung\":\"{}\",\"snapshot_generation\":{},\"snapshots_rejected\":{},\
-             \"durable_ops\":{},\"replayed\":{},\"journal_version\":{},\
-             \"journal_damage\":{},\"journal_truncated_bytes\":{},\"journal_reset\":{},\
-             \"elapsed_ns\":{}}}",
-            self.rung,
-            match self.snapshot_generation {
-                Some(g) => g.to_string(),
-                None => "null".to_string(),
-            },
-            self.snapshots_rejected,
-            self.durable_ops,
-            self.replayed,
-            self.journal_version,
-            match self.journal_damage {
-                Some(d) => format!("\"{d}\""),
-                None => "null".to_string(),
-            },
-            self.journal_truncated_bytes,
-            self.journal_reset,
-            self.elapsed_ns,
-        )
     }
 }
 
@@ -822,58 +769,58 @@ impl std::fmt::Display for RecoveryReport {
                 self.journal_truncated_bytes
             )?;
         }
-        if self.journal_reset {
+        if self.rung == RecoveryRung::SnapshotOnly {
             write!(f, " · journal reset")?;
         }
         Ok(())
     }
 }
 
-/// What [`recover`] restored.
+/// What [`recover`] restored: the engine, and the report of how.
 pub struct Recovered {
     /// The rebuilt engine — planner-driven, order index fresh only if
     /// the tail replay ended on an order-based batch (call
     /// [`PlannedCore::ensure_order_fresh`] if you need it eagerly).
     pub engine: PlannedCore,
-    /// Events the restored state covers — the journal seq the resumed
-    /// service must continue from ([`crate::IngestService::spawn_recovered`]
-    /// starts its writer's event count there).
-    pub next_seq: u64,
-    /// Events replayed from the journal tail (those past the snapshot).
-    pub replayed: usize,
-    /// Aggregate stats of the tail replay.
-    pub replay_stats: UpdateStats,
-    /// Whether an index snapshot was used (vs a full-journal replay).
-    pub from_snapshot: bool,
-    /// Whether the journal carried damage (the intact prefix was
-    /// recovered; the damaged bytes are unrecoverable by design).
-    pub torn_tail: bool,
-    /// Which ladder rung fired and exactly what was lost.
+    /// Which ladder rung fired, the seq the journal resumes at
+    /// ([`RecoveryReport::durable_ops`]) and exactly what was lost.
     pub report: RecoveryReport,
 }
 
-/// Restores a service's engine from its durability directory, escalating
-/// down a ladder of sources until one validates:
+/// Restores a service's engine from its durability directory. Every
+/// rung of the escalation ladder runs the same four steps:
+///
+/// 1. **Source** — the newest snapshot generation that validates and
+///    fits the journal, or genesis (the empty universe at seq 0) when
+///    none does;
+/// 2. **Journal repair** — truncate the journal's damaged suffix to the
+///    last checksummed frame, or, when the journal is unusable or lost a
+///    suffix the snapshot still covers, reset it to an empty v3 file
+///    based at the snapshot's `ops`;
+/// 3. **Replay** — the journal tail past the source, **through the
+///    planner** ([`replay_batched`] onto a [`PlannedCore`]):
+///    `replay_batch` groups events into micro-batches and the planner
+///    prices each one (recompute vs order-based passes), so a long tail
+///    replays at batch speed;
+/// 4. **Report** — which rung fired and exactly what was lost, in
+///    [`Recovered::report`].
+///
+/// The rungs, from the clean path down:
 ///
 /// 1. newest snapshot + intact journal tail ([`RecoveryRung::Primary`]);
-/// 2. same, with the journal's damaged suffix truncated to the last
-///    checksummed frame ([`RecoveryRung::TruncatedTail`]);
+/// 2. same, with the journal's damaged suffix truncated
+///    ([`RecoveryRung::TruncatedTail`]);
 /// 3. an older retained snapshot generation when newer ones fail
 ///    validation ([`RecoveryRung::OlderGeneration`]);
-/// 4. the snapshot alone, resetting the journal, when the journal is
-///    unusable or lost a suffix the snapshot still covers
+/// 4. the snapshot alone, resetting the journal
 ///    ([`RecoveryRung::SnapshotOnly`]);
 /// 5. a full replay from the empty universe when no snapshot is usable
 ///    ([`RecoveryRung::GenesisReplay`]).
 ///
-/// The tail replays **through the planner** ([`replay_batched`] onto a
-/// [`PlannedCore`]): `replay_batch` groups events into micro-batches and
-/// the planner prices each one (recompute vs order-based passes), so a
-/// long tail replays at batch speed. The returned
-/// [`Recovered::report`] says which rung fired and exactly what was
-/// lost; repairs (suffix truncation, journal reset) are performed before
-/// returning, so a subsequent [`crate::IngestService::spawn_recovered`]
-/// opens clean files.
+/// Repairs are made before returning, so a subsequent
+/// [`crate::IngestService::spawn_recovered`] opens clean files, and a
+/// second `recover()` over the same directory restores the same prefix
+/// with no journal damage left to report.
 pub fn recover(
     d: &DurabilityConfig,
     seed: u64,
@@ -893,17 +840,18 @@ fn recover_impl(
     replay_batch: usize,
 ) -> Result<Recovered, RecoverError> {
     let storage = &d.storage;
-    let raw_len = std::fs::metadata(&d.journal_path).map(|m| m.len()).ok();
-    let journal: Option<JournalContents> = match storage.with(|io| io.read(&d.journal_path)) {
-        Ok(bytes) => parse_journal(&bytes).ok(),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+    // The journal's length on disk and its intact prefix; `None` when the
+    // file is missing or its header is unusable.
+    let (journal_len, journal) = match storage.with(|io| io.read(&d.journal_path)) {
+        Ok(bytes) => (bytes.len() as u64, parse_journal(&bytes).ok()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => (0, None),
         Err(e) => return Err(RecoverError::Io(e)),
     };
 
-    // Scan the snapshot generations newest-first, keeping the best
-    // replayable candidate (snapshot + journal tail) and, separately,
-    // the newest candidate that is *ahead* of the journal's durable
-    // prefix (usable only by resetting the journal).
+    // 1. Source. Scan the snapshot generations newest-first, keeping the
+    // first one the journal can replay from and, separately, the newest
+    // one *ahead* of the journal's durable prefix (usable only by
+    // resetting the journal).
     let mut rejected = 0usize;
     let mut replayable: Option<(usize, u64, OrderCore)> = None;
     let mut ahead: Option<(usize, u64, OrderCore)> = None;
@@ -945,127 +893,71 @@ fn recover_impl(
             }
         }
     }
-
-    // Prefer whichever source covers the longest durable prefix. An
-    // `ahead` candidate by construction covers strictly more events than
-    // the journal's durable prefix (the journal lost a suffix the
-    // snapshot still reflects), so when both exist the snapshot-only
-    // rung loses nothing the journal still has.
-    if ahead.is_some() {
-        replayable = None;
-    }
-
-    if let Some((generation, ops, index)) = replayable {
-        let j = journal.as_ref().expect("replayable requires a journal");
-        let damage = j.damage;
-        let truncated = raw_len
-            .unwrap_or(j.intact_bytes)
-            .saturating_sub(j.intact_bytes);
-        if damage.is_some() {
-            storage.with(|io| io.truncate(&d.journal_path, j.intact_bytes))?;
+    // An `ahead` snapshot covers strictly more events than the journal's
+    // durable prefix, so it wins: resetting the journal at its `ops`
+    // loses nothing the journal still has.
+    let reset = ahead.is_some();
+    let (generation, ops, index) = match ahead.or(replayable) {
+        Some((g, ops, index)) => (Some(g), ops, index),
+        None => {
+            // Genesis: the journal must carry the full history from seq 0.
+            let Some(j) = &journal else {
+                return Err(RecoverError::BadJournal(
+                    "journal file missing or unreadable, and no usable snapshot",
+                ));
+            };
+            if j.base != 0 {
+                return Err(RecoverError::Mismatch(
+                    "journal starts past genesis with no usable snapshot",
+                ));
+            }
+            let empty = OrderCore::new(DynamicGraph::with_vertices(j.n), seed);
+            (None, 0, empty)
         }
-        let rung = match (generation, damage) {
-            (0, None) => RecoveryRung::Primary,
-            (0, Some(_)) => RecoveryRung::TruncatedTail,
-            (g, _) => RecoveryRung::OlderGeneration(g),
-        };
-        let mut engine = PlannedCore::from_parts(index, Planner::new(planner));
-        let tail_at = (ops - j.base) as usize;
-        let tail = j.events[tail_at..].iter().map(|&(_, e)| e);
-        let replay_stats = replay_batched(&mut engine, tail, replay_batch.max(1));
-        let replayed = j.events.len() - tail_at;
-        return Ok(Recovered {
-            engine,
-            next_seq: j.durable_seq(),
-            replayed,
-            replay_stats,
-            from_snapshot: true,
-            torn_tail: damage.is_some(),
-            report: RecoveryReport {
-                rung,
-                snapshot_generation: Some(generation),
-                snapshots_rejected: rejected,
-                durable_ops: j.durable_seq(),
-                replayed,
-                journal_version: j.version,
-                journal_damage: damage,
-                journal_truncated_bytes: truncated,
-                journal_reset: false,
-                elapsed_ns: 0,
-            },
-        });
-    }
-
-    if let Some((generation, ops, index)) = ahead {
-        // Snapshot-only: reset the journal to an empty v3 file based at
-        // the snapshot's coverage, so the resumed service appends from a
-        // consistent seq.
-        let n = index.graph().num_vertices();
-        write_journal_atomic(storage, &d.journal_path, &encode_journal_header(n, ops))?;
-        let engine = PlannedCore::from_parts(index, Planner::new(planner));
-        return Ok(Recovered {
-            engine,
-            next_seq: ops,
-            replayed: 0,
-            replay_stats: UpdateStats::default(),
-            from_snapshot: true,
-            torn_tail: journal.as_ref().is_some_and(|j| j.damage.is_some()),
-            report: RecoveryReport {
-                rung: RecoveryRung::SnapshotOnly,
-                snapshot_generation: Some(generation),
-                snapshots_rejected: rejected,
-                durable_ops: ops,
-                replayed: 0,
-                journal_version: journal.as_ref().map(|j| j.version).unwrap_or(0),
-                journal_damage: journal.as_ref().and_then(|j| j.damage),
-                journal_truncated_bytes: raw_len.unwrap_or(0),
-                journal_reset: true,
-                elapsed_ns: 0,
-            },
-        });
-    }
-
-    // Genesis: no usable snapshot anywhere — the journal must carry the
-    // full history from seq 0.
-    let Some(j) = journal else {
-        return Err(RecoverError::BadJournal(
-            "journal file missing or unreadable, and no usable snapshot",
-        ));
     };
-    if j.base != 0 {
-        return Err(RecoverError::Mismatch(
-            "journal starts past genesis with no usable snapshot",
-        ));
-    }
-    let truncated = raw_len
-        .unwrap_or(j.intact_bytes)
-        .saturating_sub(j.intact_bytes);
-    if j.damage.is_some() {
-        storage.with(|io| io.truncate(&d.journal_path, j.intact_bytes))?;
-    }
-    let mut engine = PlannedCore::with_config(DynamicGraph::with_vertices(j.n), seed, planner);
-    let replay_stats = replay_batched(
-        &mut engine,
-        j.events.iter().map(|&(_, e)| e),
-        replay_batch.max(1),
-    );
+
+    // 2. Journal repair, and the tail left to replay past the source.
+    let (tail, durable_ops, journal_truncated_bytes): (&[(u64, GraphEvent)], u64, u64) =
+        match &journal {
+            Some(j) if !reset => {
+                if j.damage.is_some() {
+                    storage.with(|io| io.truncate(&d.journal_path, j.intact_bytes))?;
+                }
+                let from = (ops - j.base) as usize;
+                let dropped = journal_len - j.intact_bytes;
+                (&j.events[from..], j.durable_seq(), dropped)
+            }
+            _ => {
+                let n = index.graph().num_vertices();
+                write_journal_atomic(storage, &d.journal_path, &encode_journal_header(n, ops))?;
+                (&[], ops, journal_len)
+            }
+        };
+
+    // 3. Replay.
+    let mut engine = PlannedCore::from_parts(index, Planner::new(planner));
+    let events = tail.iter().map(|&(_, e)| e);
+    replay_batched(&mut engine, events, replay_batch.max(1));
+
+    // 4. Report.
+    let journal_damage = journal.as_ref().and_then(|j| j.damage);
+    let rung = match generation {
+        None => RecoveryRung::GenesisReplay,
+        Some(_) if reset => RecoveryRung::SnapshotOnly,
+        Some(0) if journal_damage.is_none() => RecoveryRung::Primary,
+        Some(0) => RecoveryRung::TruncatedTail,
+        Some(_) => RecoveryRung::OlderGeneration,
+    };
     Ok(Recovered {
         engine,
-        next_seq: j.durable_seq(),
-        replayed: j.events.len(),
-        replay_stats,
-        from_snapshot: false,
-        torn_tail: j.damage.is_some(),
         report: RecoveryReport {
-            rung: RecoveryRung::GenesisReplay,
-            snapshot_generation: None,
+            rung,
+            snapshot_generation: generation,
             snapshots_rejected: rejected,
-            durable_ops: j.durable_seq(),
-            replayed: j.events.len(),
-            journal_version: j.version,
-            journal_damage: j.damage,
-            journal_truncated_bytes: truncated,
-            journal_reset: false,
+            durable_ops,
+            replayed: tail.len(),
+            journal_damage,
+            journal_truncated_bytes,
             elapsed_ns: 0,
         },
     })
@@ -1111,12 +1003,10 @@ mod tests {
         assert_eq!(sink.existing(), 2);
         j.remove_edge(0, 2).unwrap();
         sink.append(&j.drain_since(2)).unwrap();
-        assert_eq!(sink.appended(), 1);
         drop(sink);
 
         let contents = read_journal(&jp).unwrap();
         assert_eq!(contents.n, 6);
-        assert_eq!(contents.version, JOURNAL_VERSION);
         assert_eq!(contents.base, 0);
         assert!(contents.damage.is_none());
         assert_eq!(
@@ -1163,10 +1053,8 @@ mod tests {
             ..DurabilityConfig::in_dir(&dir)
         };
         let rec = recover(&d, 3, PlannerConfig::default(), 64).unwrap();
-        assert!(rec.torn_tail);
-        assert!(!rec.from_snapshot);
-        assert_eq!(rec.next_seq, 1);
         assert_eq!(rec.report.rung, RecoveryRung::GenesisReplay);
+        assert!(rec.report.journal_damage.is_some());
         assert_eq!(rec.report.durable_ops, 1);
         assert!(rec.report.journal_truncated_bytes > 0);
         let mut oracle = DynamicGraph::with_vertices(5);
@@ -1182,9 +1070,12 @@ mod tests {
     #[test]
     fn snapshot_rejects_garbage_and_survives_rename_protocol() {
         let dir = tmpdir("snap");
-        let sp = dir.join("s.ksnp");
+        let d = DurabilityConfig::in_dir(&dir).generations(1);
+        let sp = d.snapshot_path.clone();
         let index: OrderCore = OrderCore::new(path_graph(4), 9);
-        save_index_snapshot(&sp, 7, &index).unwrap();
+        let mut payload = Vec::new();
+        index.save(&mut payload).unwrap();
+        persist_index_snapshot(&d, 7, &payload).unwrap();
         assert!(
             !sp.with_extension("ksnp.tmp").exists(),
             "temp file renamed away"
@@ -1266,7 +1157,6 @@ mod tests {
         let jp = dir.join("j.kjrn");
         std::fs::write(&jp, &bytes).unwrap();
         let contents = read_journal(&jp).unwrap();
-        assert_eq!(contents.version, JOURNAL_VERSION);
         assert!(contents.damage.is_none());
         let expect: Vec<(u64, GraphEvent)> = entries.iter().map(|e| (e.seq, e.event)).collect();
         assert_eq!(contents.events, expect);
@@ -1358,7 +1248,7 @@ mod tests {
         let rec = recover(&d, 7, PlannerConfig::default(), 64).unwrap();
         assert_eq!(rec.report.rung, RecoveryRung::Primary);
         assert_eq!(rec.report.snapshot_generation, Some(0));
-        assert_eq!(rec.replayed, 0);
+        assert_eq!(rec.report.replayed, 0);
         assert_eq!(rec.engine.cores(), j.engine().cores());
 
         // Corrupt the newest generation: the ladder falls back to gen 1
@@ -1369,9 +1259,10 @@ mod tests {
         corrupt[mid] ^= 0xFF;
         std::fs::write(&d.snapshot_path, &corrupt).unwrap();
         let rec = recover(&d, 7, PlannerConfig::default(), 64).unwrap();
-        assert_eq!(rec.report.rung, RecoveryRung::OlderGeneration(1));
+        assert_eq!(rec.report.rung, RecoveryRung::OlderGeneration);
+        assert_eq!(rec.report.snapshot_generation, Some(1));
         assert_eq!(rec.report.snapshots_rejected, 1);
-        assert_eq!(rec.replayed, 2);
+        assert_eq!(rec.report.replayed, 2);
         assert_eq!(rec.engine.cores(), j.engine().cores());
 
         // Corrupt both: genesis replay still restores everything.
@@ -1379,7 +1270,7 @@ mod tests {
         let rec = recover(&d, 7, PlannerConfig::default(), 64).unwrap();
         assert_eq!(rec.report.rung, RecoveryRung::GenesisReplay);
         assert_eq!(rec.report.snapshots_rejected, 2);
-        assert_eq!(rec.replayed, 4);
+        assert_eq!(rec.report.replayed, 4);
         assert_eq!(rec.engine.cores(), j.engine().cores());
     }
 
@@ -1407,8 +1298,7 @@ mod tests {
         std::fs::write(&d.journal_path, &bytes).unwrap();
         let rec = recover(&d, 7, PlannerConfig::default(), 64).unwrap();
         assert_eq!(rec.report.rung, RecoveryRung::SnapshotOnly);
-        assert!(rec.report.journal_reset);
-        assert_eq!(rec.next_seq, 3);
+        assert_eq!(rec.report.durable_ops, 3);
         assert_eq!(rec.engine.cores(), j.engine().cores());
         let reset = read_journal(&d.journal_path).unwrap();
         assert_eq!(reset.base, 3);

@@ -32,8 +32,9 @@
 //!   [`recover`] restores snapshot + journal tail (replayed in
 //!   planner-priced batches) after a crash,
 //!   escalating down a ladder of fallbacks (truncate torn tail → older
-//!   snapshot generation → genesis replay) and reporting which rung
-//!   fired in a [`RecoveryReport`].
+//!   snapshot generation → snapshot alone → genesis replay) through one
+//!   choose-repair-replay path, and returns the engine with a
+//!   [`RecoveryReport`] of which rung fired.
 //! * **Fault tolerance** — storage I/O is routed through a
 //!   [`faults::JournalIo`] seam so tests inject short writes, failed
 //!   fsyncs, bit flips, and crashes at scripted operation counts, and
@@ -50,7 +51,7 @@
 //!   the shutdown [`IngestReport`] is read from it. Read live via
 //!   [`IngestService::metrics`] / [`IngestService::spans`], render with
 //!   [`MetricsSnapshot::render_text`] (Prometheus) or
-//!   [`MetricsSnapshot::to_json`]; [`ObsConfig`] sizes the span ring.
+//!   [`MetricsSnapshot::to_json`].
 //!
 //! ```
 //! use kcore_ingest::{GraphEvent, IngestConfig, IngestService};
@@ -91,8 +92,8 @@ pub use kcore_obs::{
     Span, SpanRecorder,
 };
 pub use service::{
-    ClockMode, IngestConfig, IngestError, IngestPause, IngestReport, IngestService, ObsConfig,
-    RecoveryPolicy, RetryBudget, ServiceHealth,
+    ClockMode, IngestConfig, IngestError, IngestPause, IngestReport, IngestService, RecoveryPolicy,
+    RetryBudget, ServiceHealth,
 };
 pub use snapshot::{CoreSnapshot, SnapshotHandle, SnapshotReceiver};
 

@@ -178,10 +178,6 @@ pub struct RecoveryPolicy {
     pub backoff_base_ns: u64,
     /// Multiplier between consecutive attempt delays.
     pub backoff_factor: u32,
-    /// Seed for the rebuilt index.
-    pub seed: u64,
-    /// Micro-batch size for the recovery replay.
-    pub replay_batch: usize,
     /// Clean flushes before `Degraded` clears back to `Healthy`.
     pub healthy_after: u32,
 }
@@ -192,37 +188,8 @@ impl Default for RecoveryPolicy {
             max_attempts: 3,
             backoff_base_ns: 1_000_000, // 1 ms
             backoff_factor: 2,
-            seed: 0xC0DE,
-            replay_batch: 256,
             healthy_after: 2,
         }
-    }
-}
-
-/// Observability wiring for a service instance (see `kcore-obs`).
-///
-/// The metrics registry always exists: it is the writer's only counter
-/// store, and [`IngestReport`] is read from it at shutdown. The cost is
-/// a handful of relaxed atomics per event and per flush, plus a few span
-/// records per *flush* (never per event).
-#[derive(Debug, Clone)]
-pub struct ObsConfig {
-    /// Span-ring capacity in spans (a flush records one span per
-    /// pipeline stage, currently 6).
-    pub span_capacity: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig { span_capacity: 256 }
-    }
-}
-
-impl ObsConfig {
-    /// Sets the retained-span ring capacity.
-    pub fn with_span_capacity(mut self, cap: usize) -> Self {
-        self.span_capacity = cap;
-        self
     }
 }
 
@@ -231,7 +198,8 @@ impl ObsConfig {
 pub struct IngestConfig {
     /// Bounded-queue capacity — the backpressure depth.
     pub queue_capacity: usize,
-    /// Flush when this many events are buffered.
+    /// Flush when this many events are buffered; also the micro-batch
+    /// size of a self-healing `recover()` replay.
     pub max_batch: usize,
     /// Scripted clock only: flush when a tick finds the oldest buffered
     /// event this old (`u64::MAX` disables interval flushes: size,
@@ -259,9 +227,6 @@ pub struct IngestConfig {
     /// writer parks in [`ServiceHealth::Failed`] and keeps serving
     /// reads instead of dying.
     pub recovery: Option<RecoveryPolicy>,
-    /// Observability wiring: metrics registry + flush-stage span tracer
-    /// ([`IngestService::metrics`] / [`IngestService::spans`]).
-    pub obs: ObsConfig,
 }
 
 impl Default for IngestConfig {
@@ -275,7 +240,6 @@ impl Default for IngestConfig {
             planner: PlannerConfig::default(),
             parallelism: None,
             recovery: None,
-            obs: ObsConfig::default(),
         }
     }
 }
@@ -325,12 +289,6 @@ impl IngestConfig {
     /// `par` (see [`IngestConfig::parallelism`]).
     pub fn parallel(mut self, par: Parallelism) -> Self {
         self.parallelism = Some(par);
-        self
-    }
-
-    /// Sets the observability wiring (metrics registry + span tracer).
-    pub fn observe(mut self, obs: ObsConfig) -> Self {
-        self.obs = obs;
         self
     }
 }
@@ -383,10 +341,6 @@ pub struct IngestReport {
     /// bounded log-bucketed histogram — O(1) memory however long the
     /// run, with p50/p99 exact to one bucket (≤ 12.5%).
     pub batch_apply: Histogram,
-    /// Per-flush snapshot-maintenance cost (mirror sync + publication),
-    /// **wall**-clock ns even under a scripted clock — metrics do not
-    /// affect determinism; the registry's `ingest_publish_ns`.
-    pub publish: Histogram,
     /// Chunks copy-on-written into the snapshot mirror, totalled over
     /// every flush (the "publish cost is proportional to the diff"
     /// witness; compare against `mirror_chunks` × flushes).
@@ -470,10 +424,11 @@ impl IngestService {
     }
 
     /// Resumes a recovered service: the engine continues from the
-    /// restored state and journaling continues at the recovered seq, so
-    /// the (re-opened, append-only) journal stays gap-free.
+    /// restored state and journaling continues at the recovered seq
+    /// ([`crate::RecoveryReport::durable_ops`]), so the (re-opened,
+    /// append-only) journal stays gap-free.
     pub fn spawn_recovered(rec: Recovered, cfg: IngestConfig) -> io::Result<Self> {
-        Self::spawn_with_engine(rec.engine, rec.next_seq, cfg)
+        Self::spawn_with_engine(rec.engine, rec.report.durable_ops, cfg)
     }
 
     /// Spawns the writer thread over `engine`. `start_seq` is the journal
@@ -485,39 +440,12 @@ impl IngestService {
     ) -> io::Result<Self> {
         // Open the sink on the caller's thread so setup errors surface
         // synchronously instead of poisoning the writer.
-        let sink = match &cfg.durability {
-            Some(d) => {
-                let sink = JournalSink::open(
-                    &d.journal_path,
-                    engine.graph().num_vertices(),
-                    d.fsync,
-                    &d.storage,
-                )?;
-                // Seqs appended by this service continue at `start_seq`;
-                // the file must hold exactly that many records or the
-                // gap-free invariant breaks. The dangerous misuse this
-                // rejects: a *fresh* spawn (start_seq 0) over a
-                // directory that already holds a journal — appending
-                // restarted seqs would make every later recovery read
-                // the old run's prefix and silently truncate the new
-                // run's records as a "torn tail". Resume with
-                // `recover()` + `spawn_recovered`, or point durability
-                // at a fresh directory.
-                if sink.existing() != start_seq {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "journal already holds {} events but the service would resume at seq \
-                             {start_seq}; recover() + spawn_recovered to continue this journal, \
-                             or use a fresh durability directory",
-                            sink.existing()
-                        ),
-                    ));
-                }
-                Some(sink)
-            }
-            None => None,
-        };
+        let n = engine.graph().num_vertices();
+        let sink = cfg
+            .durability
+            .as_ref()
+            .map(|d| open_sink(d, n, start_seq))
+            .transpose()?;
         if let Some(d) = &cfg.durability {
             // Checkpoint zero: the journal only records *events*, so a
             // service spawned over a non-empty base graph must persist
@@ -540,7 +468,7 @@ impl IngestService {
             .as_ref()
             .map_or_else(Vec::new, |d| d.storage.engine_panics().to_vec());
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
-        let obs = WriterObs::new(&cfg.obs);
+        let obs = WriterObs::new();
         let (metrics, spans, health) =
             (obs.registry.clone(), obs.spans.clone(), obs.health.clone());
         let writer = Writer {
@@ -773,6 +701,31 @@ pub struct IngestPause {
     _release: mpsc::Sender<()>,
 }
 
+/// Opens `d`'s journal for append over an `n`-vertex universe and checks
+/// that it holds exactly `start_seq` events: the writer's appends
+/// continue at `start_seq`, so any other count would break the journal's
+/// gap-free invariant. The dangerous misuse this rejects is a *fresh*
+/// spawn (seq 0) over a directory that already holds a journal:
+/// appending restarted seqs would make every later recovery read the old
+/// run's prefix and silently truncate the new run's records as a "torn
+/// tail". Resume with `recover()` + `spawn_recovered`, or point
+/// durability at a fresh directory.
+fn open_sink(d: &DurabilityConfig, n: usize, start_seq: u64) -> io::Result<JournalSink> {
+    let sink = JournalSink::open(&d.journal_path, n, d.fsync, &d.storage)?;
+    if sink.existing() != start_seq {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "journal already holds {} events but the service would resume at seq \
+                 {start_seq}; recover() + spawn_recovered to continue this journal, or use a \
+                 fresh durability directory",
+                sink.existing()
+            ),
+        ));
+    }
+    Ok(sink)
+}
+
 /// Engine metric handles plus the last exported counter values — the
 /// [`kcore_maint::PlannerStats`] counters and the k-order's relabel
 /// count are cumulative, so the writer exports deltas to keep the
@@ -832,6 +785,9 @@ const FLUSH_STAGES: [&str; 6] = [
 /// The `apply` stage, whose histogram is [`IngestReport::batch_apply`].
 const APPLY_STAGE: usize = 1;
 
+/// Spans the writer's span ring retains (a flush records one per stage).
+const SPAN_CAPACITY: usize = 256;
+
 /// Recovery-ladder rungs as [`crate::RecoveryReport::rung_metric`] names
 /// them; each has a counter `ingest_recovery_rung_{rung}_total`.
 const RECOVERY_RUNGS: [&str; 5] = [
@@ -870,7 +826,6 @@ struct WriterObs {
     rungs: [Counter; 5],
     recovery_ns: Histogram,
     health: Gauge,
-    publish: Histogram,
     /// In [`FLUSH_STAGES`] order.
     stages: [Histogram; 6],
     checkpoint_serialize: Histogram,
@@ -883,7 +838,7 @@ struct WriterObs {
 }
 
 impl WriterObs {
-    fn new(cfg: &ObsConfig) -> Self {
+    fn new() -> Self {
         let reg = MetricsRegistry::new();
         WriterObs {
             events: reg.counter("ingest_events_total"),
@@ -905,7 +860,6 @@ impl WriterObs {
             rungs: RECOVERY_RUNGS.map(|r| reg.counter(&format!("ingest_recovery_rung_{r}_total"))),
             recovery_ns: reg.histogram("ingest_recovery_ns"),
             health: reg.gauge("ingest_health"),
-            publish: reg.histogram("ingest_publish_ns"),
             stages: FLUSH_STAGES.map(|st| reg.histogram(&format!("ingest_flush_{st}_ns"))),
             checkpoint_serialize: reg.histogram("ingest_checkpoint_serialize_ns"),
             checkpoint_write: reg.histogram("ingest_checkpoint_write_ns"),
@@ -914,7 +868,7 @@ impl WriterObs {
             team_tasks: reg.gauge("team_tasks"),
             team_workers: reg.gauge("team_workers_spawned"),
             team_busy: reg.gauge("team_busy"),
-            spans: SpanRecorder::with_capacity(cfg.span_capacity),
+            spans: SpanRecorder::with_capacity(SPAN_CAPACITY),
             registry: reg,
         }
     }
@@ -1185,9 +1139,10 @@ impl Writer {
         // still be renaming.
         self.join_checkpoint();
         self.recovery_attempts += 1;
-        match recover(&d, pol.seed, self.cfg.planner.clone(), pol.replay_batch) {
+        let seed = self.engine.seed();
+        match recover(&d, seed, self.cfg.planner.clone(), self.cfg.max_batch) {
             Ok(rec) => {
-                let next = rec.next_seq;
+                let next = rec.report.durable_ops;
                 let rung = rec.report.rung_metric();
                 let recovery_elapsed = rec.report.elapsed_ns;
                 // Recovery rebuilds the engine from journal + snapshot,
@@ -1204,10 +1159,9 @@ impl Writer {
                 // The journal was repaired by recover(); a fresh sink
                 // must agree with the recovered seq or something is
                 // still wrong on disk.
-                let n = self.engine.graph().num_vertices();
-                match JournalSink::open(&d.journal_path, n, d.fsync, &d.storage) {
-                    Ok(sink) if sink.existing() == next => self.sink = Some(sink),
-                    _ => {
+                match open_sink(&d, self.engine.graph().num_vertices(), next) {
+                    Ok(sink) => self.sink = Some(sink),
+                    Err(_) => {
                         self.obs.recovery_failures.inc();
                         self.fail();
                         return;
@@ -1338,17 +1292,12 @@ impl Writer {
         let shipped = self.ship_owed();
         let ship_end = self.now();
 
-        // Snapshot maintenance: sync the mirror and publish. Timed on the
-        // wall clock even in scripted mode — publish cost is a
-        // real-machine metric, and reading `Instant` does not perturb
-        // scripted determinism.
-        let p0 = Instant::now();
+        // Snapshot maintenance: sync the mirror and publish.
         let sync = self.sync_mirror();
         let sync_end = self.now();
         let published_items = self.ops.saturating_sub(self.published_ops);
         self.publish(handle);
         let o = &self.obs;
-        o.publish.record(p0.elapsed().as_nanos() as u64);
         let pub_end = self.now();
         // Stage breakdown as `(start, end, items)`, in pipeline order:
         // the oldest event's wait in the micro-batcher, engine apply,
@@ -1648,7 +1597,6 @@ impl Writer {
             entries_shipped: c("ingest_entries_shipped_total"),
             snapshots_persisted: c("ingest_snapshots_persisted_total"),
             batch_apply: self.obs.stages[APPLY_STAGE].clone(),
-            publish: self.obs.publish.clone(),
             chunks_copied: c("ingest_chunks_copied_total"),
             mirror_chunks: self.mirror.num_chunks() as u64,
             tracked_drains: c("ingest_tracked_drains_total"),

@@ -261,12 +261,12 @@ fn durable_roundtrip_recovers_graceful_shutdown_state() {
     assert_eq!(report.entries_shipped, events.len() as u64);
 
     let rec = recover(&d, 99, PlannerConfig::default(), 64).unwrap();
-    assert!(rec.from_snapshot);
-    assert!(!rec.torn_tail);
-    assert_eq!(rec.next_seq, events.len() as u64);
+    assert_eq!(rec.report.snapshot_generation, Some(0));
+    assert!(rec.report.journal_damage.is_none());
+    assert_eq!(rec.report.durable_ops, events.len() as u64);
     assert_eq!(rec.engine.cores(), engine.cores());
     // The final persist covers everything: zero tail replay needed.
-    assert_eq!(rec.replayed, 0);
+    assert_eq!(rec.report.replayed, 0);
 
     // A *fresh* spawn over the populated durability dir must be refused:
     // its seqs would restart at 0 and corrupt the journal's gap-free
@@ -322,8 +322,11 @@ fn crash_recovery_matches_never_crashed_run() {
     // graph and nothing else) + the whole journaled tail replayed
     // through the planner.
     let rec = recover(&d, 57, PlannerConfig::default(), 32).unwrap();
-    assert!(rec.from_snapshot, "checkpoint zero must exist");
-    let journaled = rec.next_seq as usize;
+    assert!(
+        rec.report.snapshot_generation.is_some(),
+        "checkpoint zero must exist"
+    );
+    let journaled = rec.report.durable_ops as usize;
     assert!(journaled >= part_a.len(), "flushed prefix must be durable");
     let clean = {
         let svc =
@@ -359,7 +362,7 @@ fn crash_recovery_matches_never_crashed_run() {
     // And the re-opened journal is gap-free: a final recovery replays
     // the whole stream.
     let rec2 = recover(&d, 5, PlannerConfig::default(), 64).unwrap();
-    assert_eq!(rec2.next_seq, stream.len() as u64);
+    assert_eq!(rec2.report.durable_ops, stream.len() as u64);
     assert_eq!(rec2.engine.cores(), engine.cores());
 }
 
@@ -412,6 +415,7 @@ fn publication_shares_untouched_chunks_across_epochs() {
     assert_eq!(s1.histogram, vec![n - 3, 0, 3]);
     assert_eq!(s2.histogram, vec![n - 5, 2, 3]);
 
+    let metrics = svc.metrics().expect("the registry always exists");
     let (report, _) = svc.shutdown();
     assert_eq!(report.mirror_chunks, 3);
     assert!(
@@ -423,7 +427,9 @@ fn publication_shares_untouched_chunks_across_epochs() {
     // copy per flush (the flush()-barrier publish clones every chunk
     // into the snapshot, forcing the next write to copy).
     assert_eq!(report.chunks_copied, 2);
-    assert_eq!(report.publish.count(), report.batches);
+    let m = metrics.snapshot();
+    let publishes = m.histogram("ingest_flush_publish_ns").unwrap();
+    assert_eq!(publishes.count, report.batches);
 }
 
 /// Publish cost does not depend on the vertex count: the same churn
@@ -591,15 +597,12 @@ fn recovery_preserves_writer_parallelism() {
 
 #[test]
 fn scripted_flush_trace_is_bit_exact_across_runs() {
-    use crate::service::ObsConfig;
     // Two identical scripted runs must produce byte-identical span
     // rings: writer-clock timestamps, deterministic item counts, stable
     // stage order. This is the determinism contract of the tracing
     // layer — a wall-clock leak into any span breaks it.
     let run = || {
-        let cfg = IngestConfig::scripted()
-            .max_batch(2)
-            .observe(ObsConfig::default().with_span_capacity(64));
+        let cfg = IngestConfig::scripted().max_batch(2);
         let svc = IngestService::spawn_planned(path_graph(6), 3, cfg).unwrap();
         let spans = svc.spans();
         svc.submit(GraphEvent::EdgeInserted(0, 2)).unwrap();

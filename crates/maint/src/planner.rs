@@ -287,6 +287,11 @@ impl<S: OrderSeq> PlannedCore<S> {
         }
     }
 
+    /// The seed the index was built or loaded with.
+    pub fn seed(&self) -> u64 {
+        self.engine.seed
+    }
+
     /// Recompute fallbacks run the level-synchronous parallel peel under
     /// `par` (identical core numbers, more cores). The order-based passes
     /// stay on the calling thread.
