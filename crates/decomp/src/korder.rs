@@ -1,9 +1,18 @@
 //! Peeling that emits a **k-order** (Definition 5.1) together with core
-//! numbers and remaining degrees `deg⁺` (Definition 5.2).
+//! numbers, remaining degrees `deg⁺` (Definition 5.2) and max-core
+//! degrees `mcd` (Section IV).
 //!
 //! This is Algorithm 1 with the Section-VI instrumentation — "append `u` to
 //! `O_{k−1}`; `deg⁺(u) ← deg(u)`" — and a pluggable victim-selection
-//! heuristic among the vertices eligible for removal (`deg < k`):
+//! heuristic among the vertices eligible for removal (`deg < k`). Both
+//! per-vertex degrees come out of the one neighbour scan the peel already
+//! runs when it pops a vertex: `deg⁺` is the remaining degree at that
+//! moment (every unpeeled neighbour comes later in the order, and the
+//! count never moves again), and `mcd` adds the neighbours already peeled
+//! at the same level (every earlier neighbour of a lower level has a
+//! smaller core number). No pass over the adjacency follows the peel.
+//!
+//! The heuristics:
 //!
 //! * [`Heuristic::SmallDegFirst`] — the paper's choice: always peel a
 //!   vertex of minimum remaining degree (lazy bucket queue, `O(m + n)`);
@@ -59,6 +68,9 @@ pub struct KOrder {
     /// Remaining degree `deg⁺(v)` — the number of neighbours of `v` that
     /// appear *after* `v` in `order`.
     pub deg_plus: Vec<u32>,
+    /// Max-core degree `mcd(v)` — the number of neighbours `w` of `v`
+    /// with `core(w) >= core(v)`.
+    pub mcd: Vec<u32>,
 }
 
 impl KOrder {
@@ -168,7 +180,7 @@ impl Pool {
 }
 
 /// Runs Algorithm 1 with the given heuristic, producing core numbers, the
-/// global k-order, and `deg⁺`.
+/// global k-order, `deg⁺` and `mcd` in one peel.
 ///
 /// ```
 /// use kcore_graph::fixtures;
@@ -180,30 +192,73 @@ impl Pool {
 /// assert!(ko.deg_plus.iter().all(|&d| d <= 2)); // Lemma 5.1
 /// ```
 pub fn korder_decomposition(g: &DynamicGraph, heuristic: Heuristic, seed: u64) -> KOrder {
-    let (core, order) = peel_order(g, heuristic, seed);
-    let deg_plus = deg_plus_of_order(g, &order);
+    let n = g.num_vertices();
+    let mut rdeg: Vec<u32> = (0..n).map(|v| g.degree(v as VertexId) as u32).collect();
+    let mut removed = vec![false; n];
+    let mut pooled = vec![false; n];
+    let mut core = vec![0u32; n];
+    let mut order: Vec<VertexId> = Vec::with_capacity(n);
+    let mut mcd = vec![0u32; n];
+
+    let mut pool = Pool::new(heuristic, g.max_degree(), seed);
+    // waiting[d] holds (possibly stale) vertices whose remaining degree was
+    // d when last touched while still >= the round threshold; bucket d is
+    // drained into the pool exactly once, when k reaches d + 1.
+    let mut waiting: Vec<Vec<u32>> = vec![Vec::new(); g.max_degree() + 1];
+    for v in 0..n as u32 {
+        waiting[rdeg[v as usize] as usize].push(v);
+    }
+    let mut left = n;
+    let mut k: u32 = 1;
+    while left > 0 {
+        // Vertices crossing the threshold as k grows: rdeg == k - 1 now.
+        if let Some(bucket) = waiting.get_mut(k as usize - 1) {
+            for v in std::mem::take(bucket) {
+                let vi = v as usize;
+                if !removed[vi] && !pooled[vi] && rdeg[vi] < k {
+                    pooled[vi] = true;
+                    pool.push(v, rdeg[vi]);
+                }
+            }
+        }
+        while let Some(v) = pool.pop(&rdeg, &removed) {
+            removed[v as usize] = true;
+            left -= 1;
+            core[v as usize] = k - 1;
+            order.push(v);
+            let mut same_level = 0;
+            for &w in g.neighbors(v) {
+                let wi = w as usize;
+                if removed[wi] {
+                    same_level += u32::from(core[wi] == k - 1);
+                    continue;
+                }
+                rdeg[wi] -= 1;
+                if rdeg[wi] < k {
+                    if !pooled[wi] {
+                        pooled[wi] = true;
+                        pool.push(w, rdeg[wi]);
+                    } else if !matches!(heuristic, Heuristic::RandomDegFirst) {
+                        // re-key under the new degree (lazy duplicate)
+                        pool.push(w, rdeg[wi]);
+                    }
+                } else {
+                    // still above threshold: park for a later round
+                    waiting[rdeg[wi] as usize].push(w);
+                }
+            }
+            mcd[v as usize] = rdeg[v as usize] + same_level;
+        }
+        k += 1;
+    }
+
+    // A peeled vertex's remaining degree never moves again: it is `deg⁺`.
     KOrder {
         core,
         order,
-        deg_plus,
+        deg_plus: rdeg,
+        mcd,
     }
-}
-
-/// `deg⁺` from final positions: neighbours occurring later in the order.
-fn deg_plus_of_order(g: &DynamicGraph, order: &[VertexId]) -> Vec<u32> {
-    let mut pos = vec![0u32; g.num_vertices()];
-    for (i, &v) in order.iter().enumerate() {
-        pos[v as usize] = i as u32;
-    }
-    (0..g.num_vertices())
-        .map(|v| {
-            let pv = pos[v];
-            g.neighbors(v as VertexId)
-                .iter()
-                .filter(|&&w| pos[w as usize] > pv)
-                .count() as u32
-        })
-        .collect()
 }
 
 /// Builds a k-order from **already computed** core numbers — the
@@ -220,7 +275,8 @@ fn deg_plus_of_order(g: &DynamicGraph, order: &[VertexId]) -> Vec<u32> {
 /// satisfies the Algorithm 1 eligibility rule at its own level, so
 /// Lemma 5.1 (`deg⁺(v) <= core(v)`) holds along the order by
 /// construction — [`crate::validate::is_valid_korder`] accepts the
-/// result (property-tested).
+/// result (property-tested). As in [`korder_decomposition`], `deg⁺` and
+/// `mcd` are recorded in the peel's own neighbour scan.
 ///
 /// `core` **must** be the exact core numbers of `g`; the constrained peel
 /// stalls otherwise and the function panics rather than emit a corrupt
@@ -251,6 +307,7 @@ pub fn korder_from_cores(g: &DynamicGraph, core: &[u32]) -> KOrder {
     let mut queued = vec![false; n];
     let mut peeled = vec![false; n];
     let mut order: Vec<VertexId> = Vec::with_capacity(n);
+    let mut mcd = vec![0u32; n];
     let mut queue: Vec<VertexId> = Vec::new();
     for k in 0..=max_k {
         // Seed: level-k vertices already at or under the threshold.
@@ -268,9 +325,11 @@ pub fn korder_from_cores(g: &DynamicGraph, core: &[u32]) -> KOrder {
             qi += 1;
             peeled[v as usize] = true;
             order.push(v);
+            let mut same_level = 0;
             for &w in g.neighbors(v) {
                 let wi = w as usize;
                 if peeled[wi] {
+                    same_level += u32::from(core[wi] == k);
                     continue;
                 }
                 rdeg[wi] -= 1;
@@ -279,6 +338,7 @@ pub fn korder_from_cores(g: &DynamicGraph, core: &[u32]) -> KOrder {
                     queue.push(w);
                 }
             }
+            mcd[v as usize] = rdeg[v as usize] + same_level;
         }
         assert_eq!(
             queue.len() as u32,
@@ -288,74 +348,12 @@ pub fn korder_from_cores(g: &DynamicGraph, core: &[u32]) -> KOrder {
     }
     debug_assert_eq!(order.len(), n);
 
-    let deg_plus = deg_plus_of_order(g, &order);
     KOrder {
         core: core.to_vec(),
         order,
-        deg_plus,
+        deg_plus: rdeg,
+        mcd,
     }
-}
-
-/// The victim loop of Algorithm 1: core numbers plus the deterministic
-/// peel order.
-fn peel_order(g: &DynamicGraph, heuristic: Heuristic, seed: u64) -> (Vec<u32>, Vec<VertexId>) {
-    let n = g.num_vertices();
-    let mut rdeg: Vec<u32> = (0..n).map(|v| g.degree(v as VertexId) as u32).collect();
-    let mut removed = vec![false; n];
-    let mut pooled = vec![false; n];
-    let mut core = vec![0u32; n];
-    let mut order: Vec<VertexId> = Vec::with_capacity(n);
-
-    let mut pool = Pool::new(heuristic, g.max_degree(), seed);
-    // waiting[d] holds (possibly stale) vertices whose remaining degree was
-    // d when last touched while still >= the round threshold; bucket d is
-    // drained into the pool exactly once, when k reaches d + 1.
-    let mut waiting: Vec<Vec<u32>> = vec![Vec::new(); g.max_degree() + 1];
-    for v in 0..n as u32 {
-        waiting[rdeg[v as usize] as usize].push(v);
-    }
-    let mut left = n;
-    let mut k: u32 = 1;
-    while left > 0 {
-        // Vertices crossing the threshold as k grows: rdeg == k - 1 now.
-        if let Some(bucket) = waiting.get_mut(k as usize - 1) {
-            for v in std::mem::take(bucket) {
-                let vi = v as usize;
-                if !removed[vi] && !pooled[vi] && rdeg[vi] < k {
-                    pooled[vi] = true;
-                    pool.push(v, rdeg[vi]);
-                }
-            }
-        }
-        while let Some(v) = pool.pop(&rdeg, &removed) {
-            removed[v as usize] = true;
-            left -= 1;
-            core[v as usize] = k - 1;
-            order.push(v);
-            for &w in g.neighbors(v) {
-                let wi = w as usize;
-                if removed[wi] {
-                    continue;
-                }
-                rdeg[wi] -= 1;
-                if rdeg[wi] < k {
-                    if !pooled[wi] {
-                        pooled[wi] = true;
-                        pool.push(w, rdeg[wi]);
-                    } else if !matches!(heuristic, Heuristic::RandomDegFirst) {
-                        // re-key under the new degree (lazy duplicate)
-                        pool.push(w, rdeg[wi]);
-                    }
-                } else {
-                    // still above threshold: park for a later round
-                    waiting[rdeg[wi] as usize].push(w);
-                }
-            }
-        }
-        k += 1;
-    }
-
-    (core, order)
 }
 
 #[cfg(test)]

@@ -71,17 +71,19 @@ pub fn compute_cd_levels(g: &DynamicGraph, core: &[u32], h: usize) -> Vec<Vec<u3
 /// 2. `ko.order` is a permutation of the vertices grouped as
 ///    `O_0 O_1 O_2 …`;
 /// 3. `ko.deg_plus` counts later neighbours;
-/// 4. Lemma 5.1 holds: `deg⁺(v) <= k` for every `v ∈ O_k`.
+/// 4. Lemma 5.1 holds: `deg⁺(v) <= k` for every `v ∈ O_k`;
+/// 5. `ko.mcd` equals [`compute_mcd`] of the core numbers.
 ///
 /// Returns a human-readable violation description on failure.
 pub fn is_valid_korder(g: &DynamicGraph, ko: &KOrder) -> Result<(), String> {
     let n = g.num_vertices();
-    if ko.core.len() != n || ko.order.len() != n || ko.deg_plus.len() != n {
+    if ko.core.len() != n || ko.order.len() != n || ko.deg_plus.len() != n || ko.mcd.len() != n {
         return Err(format!(
-            "size mismatch: n={n}, core={}, order={}, deg+={}",
+            "size mismatch: n={n}, core={}, order={}, deg+={}, mcd={}",
             ko.core.len(),
             ko.order.len(),
-            ko.deg_plus.len()
+            ko.deg_plus.len(),
+            ko.mcd.len()
         ));
     }
     let reference = core_decomposition(g);
@@ -130,6 +132,13 @@ pub fn is_valid_korder(g: &DynamicGraph, ko: &KOrder) -> Result<(), String> {
                 later, ko.core[v as usize]
             ));
         }
+    }
+    let mcd = compute_mcd(g, &ko.core);
+    if let Some(v) = (0..n).find(|&v| ko.mcd[v] != mcd[v]) {
+        return Err(format!(
+            "mcd mismatch at {v}: stored {} vs actual {}",
+            ko.mcd[v], mcd[v]
+        ));
     }
     Ok(())
 }
@@ -223,6 +232,10 @@ mod tests {
 
         let mut bad = good.clone();
         bad.order[0] = bad.order[1];
+        assert!(is_valid_korder(&g, &bad).is_err());
+
+        let mut bad = good.clone();
+        bad.mcd[5] -= 1;
         assert!(is_valid_korder(&g, &bad).is_err());
     }
 

@@ -6,11 +6,64 @@ use kcore_decomp::bucket::{core_histogram, kcore_subgraph, kcore_vertices};
 use kcore_decomp::regions::{ordercore_sizes, purecore_sizes, subcore_sizes};
 use kcore_decomp::validate::{compute_cd_levels, compute_mcd, compute_pcd};
 use kcore_decomp::{
-    core_decomposition, is_valid_korder, korder_decomposition, par_core_decomposition, Heuristic,
-    Parallelism,
+    core_decomposition, is_valid_korder, korder_decomposition, korder_from_cores,
+    par_core_decomposition, Heuristic, KOrder, Parallelism,
 };
-use kcore_graph::DynamicGraph;
+use kcore_graph::{DynamicGraph, VertexId};
 use proptest::prelude::*;
+
+/// `deg⁺` recounted from final positions: each vertex's neighbours that
+/// come later in `order`.
+fn later_neighbours(g: &DynamicGraph, order: &[VertexId]) -> Vec<u32> {
+    let mut pos = vec![0usize; g.num_vertices()];
+    for (i, &v) in order.iter().enumerate() {
+        pos[v as usize] = i;
+    }
+    (0..g.num_vertices())
+        .map(|v| {
+            g.neighbors(v as VertexId)
+                .iter()
+                .filter(|&&w| pos[w as usize] > pos[v])
+                .count() as u32
+        })
+        .collect()
+}
+
+/// FNV-1a over the `core`, `order` and `deg⁺` words of `kos`.
+fn digest(kos: &[KOrder]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for ko in kos {
+        for w in ko.core.iter().chain(&ko.order).chain(&ko.deg_plus) {
+            for b in w.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// The one-scan peel emits exactly the k-orders the earlier build did,
+/// when `deg⁺` came from a recount after the peel: the digests below
+/// were taken from that build, over every heuristic and the
+/// cores-to-k-order bridge on four generator graphs.
+#[test]
+fn korder_outputs_are_pinned() {
+    let mut peels = Vec::new();
+    let mut bridges = Vec::new();
+    for g in [
+        kcore_gen::barabasi_albert(2_000, 3, 1),
+        kcore_gen::barabasi_albert(2_000, 5, 2),
+        kcore_gen::erdos_renyi_gnm(1_500, 4_000, 7),
+        kcore_gen::heterogeneous_social(1_500, 6, 0.3, 9),
+    ] {
+        for h in Heuristic::ALL {
+            peels.push(korder_decomposition(&g, h, 11));
+        }
+        bridges.push(korder_from_cores(&g, &core_decomposition(&g)));
+    }
+    assert_eq!(digest(&peels), 0x8337_763d_b790_ccb3);
+    assert_eq!(digest(&bridges), 0x2137_3164_d80b_195b);
+}
 
 /// Asserts the parallel peel (at 1, 2 and 4 threads, cutoff 0 so the
 /// threads actually engage) is bit-identical to the sequential
@@ -82,14 +135,22 @@ proptest! {
         }
     }
 
-    /// Every heuristic produces a valid k-order (Lemma 5.1 + grouping +
-    /// correct cores + correct deg+).
+    /// Every heuristic, and the cores-to-k-order bridge, produces a valid
+    /// k-order (Lemma 5.1 + grouping + correct cores), and the `deg⁺` and
+    /// `mcd` each peel reads off its pops equal the definitions: the
+    /// later-neighbour recount and `compute_mcd`.
     #[test]
     fn all_heuristics_yield_valid_korders(g in arb_graph(), seed in any::<u64>()) {
-        for h in Heuristic::ALL {
-            let ko = korder_decomposition(&g, h, seed);
-            if let Err(e) = is_valid_korder(&g, &ko) {
-                prop_assert!(false, "{h:?}: {e}");
+        let mut kos: Vec<KOrder> = Heuristic::ALL
+            .iter()
+            .map(|&h| korder_decomposition(&g, h, seed))
+            .collect();
+        kos.push(korder_from_cores(&g, &core_decomposition(&g)));
+        for ko in &kos {
+            prop_assert_eq!(&ko.deg_plus, &later_neighbours(&g, &ko.order));
+            prop_assert_eq!(&ko.mcd, &compute_mcd(&g, &ko.core));
+            if let Err(e) = is_valid_korder(&g, ko) {
+                prop_assert!(false, "{e}");
             }
         }
     }

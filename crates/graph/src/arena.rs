@@ -7,20 +7,24 @@
 //! algorithm in this workspace. [`AdjArena`] replaces it with:
 //!
 //! * one backing `Vec<VertexId>` (`buf`) holding every neighbour list;
-//! * per-vertex `(offset, len, cap)` slots into that buffer;
-//! * **amortised-doubling growth**: a list that outgrows its slot is
-//!   relocated to the end of the buffer with doubled capacity (the old
-//!   slot becomes a hole);
-//! * **CSR-style compaction on demand**: when holes exceed the live
-//!   data, the buffer is rebuilt tight-packed in vertex order — which
-//!   also restores perfect scan locality. Compaction is **never**
-//!   triggered implicitly by a mutation: callers invoke
-//!   [`AdjArena::maintain`] at their own batch boundaries, so a
-//!   removal-heavy stream pays the `O(live)` rebuild once per batch
+//! * per-vertex `(offset, len, cap)` rows into that buffer;
+//! * **one row-sizing rule**: compaction and batch reservation give a
+//!   row of `len` neighbours a capacity of `len + max(len / 4, 2)`, so
+//!   a freshly laid-out row absorbs a quarter of its degree (at least
+//!   two edges) before it has to move;
+//! * **amortised-doubling growth**: a [`AdjArena::push`] that outgrows
+//!   its row relocates it to the end of the buffer with doubled
+//!   capacity (the old row becomes a hole);
+//! * **CSR-style compaction on demand**: when relocation holes outweigh
+//!   the rows, the buffer is rebuilt in vertex order with every row
+//!   re-sized by the rule above — which also restores scan locality.
+//!   Compaction is **never** triggered implicitly by a mutation: callers
+//!   invoke [`AdjArena::maintain`] at their own batch boundaries, so a
+//!   churn-heavy stream pays the `O(live)` rebuild once per batch
 //!   instead of as a latency spike in the middle of one;
 //! * **batch pre-reservation** ([`AdjArena::reserve`]): a caller that
 //!   knows how many neighbours a vertex is about to gain can size the
-//!   slot once, so the steady-state push path never allocates or
+//!   row once, so the steady-state push path never allocates or
 //!   relocates (the zero-per-edge-allocation guarantee the batched
 //!   update engine relies on).
 //!
@@ -37,6 +41,14 @@ const COMPACT_SLACK: usize = 4096;
 /// Minimum slot capacity allocated on first growth.
 const MIN_CAP: u32 = 4;
 
+/// Spare capacity a row of `len` neighbours is laid out with, by
+/// [`AdjArena::compact`] and [`AdjArena::reserve`]: a quarter of its
+/// length, at least two.
+#[inline]
+fn headroom(len: u32) -> u32 {
+    (len / 4).max(2)
+}
+
 /// Flat adjacency storage: one contiguous buffer, per-vertex slices.
 #[derive(Clone, Default)]
 pub struct AdjArena {
@@ -50,6 +62,9 @@ pub struct AdjArena {
     cap: Vec<u32>,
     /// Sum of `len` — the number of live half-edges.
     live: usize,
+    /// Sum of `cap` — the buffer entries owned by rows; the rest of the
+    /// buffer is relocation holes.
+    capacity: usize,
     /// Number of compactions performed so far (diagnostics; lets tests
     /// assert a removal batch compacts at most once).
     compactions: u64,
@@ -69,6 +84,7 @@ impl AdjArena {
             len: vec![0; n],
             cap: vec![0; n],
             live: 0,
+            capacity: 0,
             compactions: 0,
         }
     }
@@ -85,7 +101,15 @@ impl AdjArena {
         self.live
     }
 
-    /// Total backing-buffer entries, live + holes (diagnostics).
+    /// Sum of the row capacities: live half-edges plus each row's spare
+    /// room (diagnostics).
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Total backing-buffer entries: row capacities plus relocation
+    /// holes (diagnostics).
     #[inline]
     pub fn backing_len(&self) -> usize {
         self.buf.len()
@@ -155,21 +179,23 @@ impl AdjArena {
         // Fill the headroom so `buf.len()` always covers every slot.
         self.buf.resize(new_off + new_cap as usize, 0);
         self.off[vi] = new_off as u32;
+        self.capacity = self.capacity - self.cap[vi] as usize + new_cap as usize;
         self.cap[vi] = new_cap;
     }
 
     /// Ensures `v`'s slot can take `additional` more neighbours without
     /// relocating. One relocation at most — this is the batch
-    /// pre-reservation hook.
+    /// pre-reservation hook. A row that must move is sized for its new
+    /// length plus the same headroom [`AdjArena::compact`] gives it.
     pub fn reserve(&mut self, v: VertexId, additional: usize) {
         let vi = v as usize;
         let need = self.len[vi] as u64 + additional as u64;
-        assert!(
-            need <= u32::MAX as u64,
-            "AdjArena slot capacity exceeds u32 offsets"
-        );
         if need > self.cap[vi] as u64 {
-            self.relocate(vi, (need as u32).max(MIN_CAP));
+            let need = u32::try_from(need)
+                .ok()
+                .and_then(|n| n.checked_add(headroom(n)))
+                .expect("AdjArena slot capacity exceeds u32 offsets");
+            self.relocate(vi, need);
         }
     }
 
@@ -210,9 +236,15 @@ impl AdjArena {
     }
 
     /// The explicit compaction policy hook: compacts when the backing
-    /// buffer exceeds `max_hole_ratio * live + slack` entries, i.e. when
-    /// holes outweigh live data by the given factor. Returns whether a
-    /// compaction ran.
+    /// buffer exceeds `max_hole_ratio * capacity + slack` entries, i.e.
+    /// when relocation holes outweigh the rows' own capacity by
+    /// `max_hole_ratio - 1`. Returns whether a compaction ran.
+    ///
+    /// Only holes count: a row's spare capacity (the headroom
+    /// [`AdjArena::compact`] lays out, or room a removal left behind) is
+    /// part of the row, so a just-compacted arena never trips this check
+    /// however small its degrees, and a row whose degree falls keeps its
+    /// room until a compaction runs for other reasons.
     ///
     /// Mutations never compact on their own; batch writers call this once
     /// per batch (and single-edge engines once per update — the check is
@@ -220,7 +252,7 @@ impl AdjArena {
     /// spike into a scheduled, amortised step.
     pub fn maintain(&mut self, max_hole_ratio: f64) -> bool {
         debug_assert!(max_hole_ratio >= 1.0, "ratio below 1.0 compacts always");
-        if self.buf.len() as f64 > max_hole_ratio * self.live as f64 + COMPACT_SLACK as f64 {
+        if self.buf.len() as f64 > max_hole_ratio * self.capacity as f64 + COMPACT_SLACK as f64 {
             self.compact();
             return true;
         }
@@ -233,18 +265,27 @@ impl AdjArena {
         self.compactions
     }
 
-    /// Rebuilds the buffer tight-packed in vertex order (CSR layout):
-    /// drops every hole and restores sequential-scan locality. `O(live)`.
+    /// Rebuilds the buffer in vertex order (CSR layout), dropping every
+    /// hole and restoring sequential-scan locality. Each row of `len`
+    /// neighbours gets capacity `len + max(len / 4, 2)`, and the buffer is
+    /// exactly the sum of those capacities. `O(n + live)`.
     pub fn compact(&mut self) {
-        let mut new_buf = Vec::with_capacity(self.live);
+        let total: usize = self.len.iter().map(|&l| (l + headroom(l)) as usize).sum();
+        assert!(
+            total <= u32::MAX as usize,
+            "AdjArena backing buffer exceeds u32 offsets"
+        );
+        let mut new_buf = Vec::with_capacity(total);
         for vi in 0..self.off.len() {
             let o = self.off[vi] as usize;
-            let l = self.len[vi] as usize;
+            let l = self.len[vi];
             self.off[vi] = new_buf.len() as u32;
-            self.cap[vi] = l as u32;
-            new_buf.extend_from_slice(&self.buf[o..o + l]);
+            self.cap[vi] = l + headroom(l);
+            new_buf.extend_from_slice(&self.buf[o..o + l as usize]);
+            new_buf.resize(new_buf.len() + headroom(l) as usize, 0);
         }
         self.buf = new_buf;
+        self.capacity = total;
         self.compactions += 1;
     }
 
@@ -254,7 +295,7 @@ impl AdjArena {
         if self.len.len() != n || self.cap.len() != n {
             return Err("slot vectors disagree on n".into());
         }
-        let mut live = 0usize;
+        let (mut live, mut capacity) = (0usize, 0usize);
         for vi in 0..n {
             if self.len[vi] > self.cap[vi] {
                 return Err(format!("len > cap at vertex {vi}"));
@@ -264,11 +305,50 @@ impl AdjArena {
                 return Err(format!("slot of vertex {vi} overruns the buffer"));
             }
             live += self.len[vi] as usize;
+            capacity += self.cap[vi] as usize;
         }
         if live != self.live {
             return Err(format!(
                 "live count mismatch: counted {live}, stored {}",
                 self.live
+            ));
+        }
+        if capacity != self.capacity {
+            return Err(format!(
+                "capacity mismatch: counted {capacity}, stored {}",
+                self.capacity
+            ));
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+impl AdjArena {
+    /// Verifies the layout [`AdjArena::compact`] leaves: rows in vertex
+    /// order, back to back, each of capacity `len + headroom(len)`, and
+    /// a buffer that is exactly the sum of the capacities.
+    pub(crate) fn check_compacted(&self) -> Result<(), String> {
+        self.check()?;
+        let mut at = 0usize;
+        for vi in 0..self.off.len() {
+            if self.off[vi] as usize != at {
+                return Err(format!("row {vi} starts at {}, not {at}", self.off[vi]));
+            }
+            let want = self.len[vi] + headroom(self.len[vi]);
+            if self.cap[vi] != want {
+                return Err(format!(
+                    "row {vi} has capacity {}, not {want}",
+                    self.cap[vi]
+                ));
+            }
+            at += want as usize;
+        }
+        if self.buf.len() != at || self.capacity != at {
+            return Err(format!(
+                "buffer {} / capacity {} != rows {at}",
+                self.buf.len(),
+                self.capacity
             ));
         }
         Ok(())
@@ -334,51 +414,112 @@ mod tests {
         a.check().unwrap();
     }
 
+    /// Every row's contents, by vertex.
+    fn rows(a: &AdjArena) -> Vec<Vec<u32>> {
+        (0..a.num_vertices() as u32)
+            .map(|v| a.slice(v).to_vec())
+            .collect()
+    }
+
+    /// Grows every one of `n` rows to `len` neighbours one reserved edge
+    /// at a time: each reservation that does not fit moves the row with
+    /// only headroom to spare, so the old rows pile up as holes.
+    fn reserved_rows(n: usize, len: u32) -> AdjArena {
+        let mut a = AdjArena::with_vertices(n);
+        for v in 0..n as u32 {
+            for i in 0..len {
+                a.reserve(v, 1);
+                a.push(v, i);
+            }
+        }
+        a
+    }
+
     #[test]
     fn compact_drops_holes() {
         let mut a = AdjArena::with_vertices(8);
         for v in 0..8u32 {
-            for i in 0..20u32 {
+            for i in 0..20u32 + v {
                 a.push(v, i);
             }
         }
-        let before: Vec<Vec<u32>> = (0..8).map(|v| a.slice(v).to_vec()).collect();
-        assert!(a.backing_len() > a.half_edges());
+        let before = rows(&a);
+        assert!(a.backing_len() > a.capacity(), "doubling must leave holes");
         a.compact();
-        assert_eq!(a.backing_len(), a.half_edges());
-        for v in 0..8u32 {
-            assert_eq!(a.slice(v), before[v as usize].as_slice());
+        a.check_compacted().unwrap();
+        assert_eq!(rows(&a), before);
+        a.check().unwrap();
+    }
+
+    #[test]
+    fn compact_gives_empty_and_small_rows_headroom() {
+        let mut a = AdjArena::with_vertices(3);
+        a.push(1, 7);
+        for i in 0..12u32 {
+            a.push(2, i);
         }
+        a.compact();
+        a.check_compacted().unwrap();
+        assert_eq!((a.spare(0), a.spare(1), a.spare(2)), (2, 2, 3));
+        assert_eq!(a.capacity(), 2 + 3 + 15);
+    }
+
+    #[test]
+    fn reserve_sizes_a_moved_row_with_headroom() {
+        let mut a = AdjArena::with_vertices(1);
+        a.push(0, 1);
+        a.reserve(0, 39);
+        // 40 neighbours after the batch, plus a quarter of that.
+        assert_eq!(a.spare(0), 39 + 10);
+        a.reserve(0, 49);
+        assert_eq!(a.spare(0), 49, "a row that fits does not move");
         a.check().unwrap();
     }
 
     #[test]
     fn maintain_compacts_only_past_the_ratio() {
-        let mut a = AdjArena::with_vertices(64);
-        // Repeated doubling leaves holes behind every relocation.
-        for v in 0..64u32 {
-            for i in 0..300u32 {
-                a.push(v, i);
-            }
-        }
-        // Trim most lists so holes vastly outweigh live data.
+        let mut a = reserved_rows(64, 300);
+        assert_eq!(a.compactions(), 0, "no mutation may compact implicitly");
+        assert!(a.backing_len() > 2 * a.capacity() + COMPACT_SLACK);
+        let before = rows(&a);
+        // A huge ratio tolerates the holes…
+        assert!(!a.maintain(1.0e6));
+        assert_eq!(a.compactions(), 0);
+        // …the default ratio does not.
+        assert!(a.maintain(2.0));
+        assert_eq!(a.compactions(), 1);
+        a.check_compacted().unwrap();
+        assert_eq!(rows(&a), before);
+        // Idempotent once laid out.
+        assert!(!a.maintain(2.0));
+        // Removals leave no holes: trimmed rows keep their room, and
+        // nothing trips.
         for v in 0..64u32 {
             while a.len_of(v) > 2 {
                 a.swap_remove(v, 0);
             }
         }
-        assert_eq!(a.compactions(), 0, "no mutation may compact implicitly");
-        // A huge ratio tolerates the holes…
-        assert!(!a.maintain(1.0e6));
-        assert_eq!(a.compactions(), 0);
-        // …the default-ish ratio does not.
-        assert!(a.maintain(2.0));
-        assert_eq!(a.compactions(), 1);
-        assert_eq!(a.backing_len(), a.half_edges());
-        // Idempotent once tight.
         assert!(!a.maintain(2.0));
         assert_eq!(a.compactions(), 1);
         a.check().unwrap();
+    }
+
+    #[test]
+    fn compacted_matching_does_not_trip_maintain() {
+        // A perfect matching: every row holds one neighbour, so headroom
+        // is twice the live data — a live-based trigger would fire on
+        // every check.
+        let n = 20_000u32;
+        let mut a = AdjArena::with_vertices(n as usize);
+        for v in (0..n).step_by(2) {
+            a.push(v, v + 1);
+            a.push(v + 1, v);
+        }
+        a.compact();
+        a.check_compacted().unwrap();
+        assert!(a.backing_len() > 2 * a.half_edges() + COMPACT_SLACK);
+        assert!(!a.maintain(2.0));
+        assert_eq!(a.compactions(), 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::fmt;
 pub type VertexId = u32;
 
 /// The hole ratio at which [`DynamicGraph::maintain_adjacency`] compacts —
-/// backing entries may grow to twice the live half-edges (plus slack)
+/// the backing buffer may grow to twice the rows' capacity (plus slack)
 /// before a CSR rebuild is scheduled.
 pub const DEFAULT_MAX_HOLE_RATIO: f64 = 2.0;
 
@@ -238,17 +238,21 @@ impl DynamicGraph {
         self.adj.reserve(v, additional);
     }
 
-    /// Rebuilds adjacency tight-packed in vertex order (CSR layout),
-    /// dropping relocation holes and restoring scan locality.
+    /// Rebuilds adjacency in vertex order (CSR layout), dropping
+    /// relocation holes and restoring scan locality. Every row of `d`
+    /// neighbours is laid out with room for `max(d / 4, 2)` more, so the
+    /// next edges a vertex gains do not move its row. The index
+    /// constructors call this once before their first scan of the graph.
     pub fn compact_adjacency(&mut self) {
         self.adj.compact();
     }
 
-    /// The adjacency compaction policy hook: compacts when holes exceed
-    /// `max_hole_ratio * live + slack` backing entries (see
-    /// [`AdjArena::maintain`]). Returns whether a compaction ran. Call at
-    /// batch boundaries; [`DEFAULT_MAX_HOLE_RATIO`] matches the historical
-    /// amortised policy.
+    /// The adjacency compaction policy hook: compacts when the backing
+    /// buffer exceeds `max_hole_ratio` times the rows' capacity plus a
+    /// slack, so only relocation holes count and a freshly laid-out
+    /// graph never trips it (see [`AdjArena::maintain`]). Returns whether
+    /// a compaction ran. Call at batch boundaries with
+    /// [`DEFAULT_MAX_HOLE_RATIO`].
     pub fn maintain_adjacency(&mut self, max_hole_ratio: f64) -> bool {
         self.adj.maintain(max_hole_ratio)
     }
@@ -259,10 +263,15 @@ impl DynamicGraph {
         self.adj.compactions()
     }
 
-    /// `(live half-edges, backing-buffer entries)` of the adjacency
-    /// arena — the difference is relocation holes (diagnostics).
-    pub fn adjacency_footprint(&self) -> (usize, usize) {
-        (self.adj.half_edges(), self.adj.backing_len())
+    /// `(live half-edges, row capacity, backing-buffer entries)` of the
+    /// adjacency arena: capacity minus live is the rows' spare room,
+    /// backing minus capacity is relocation holes (diagnostics).
+    pub fn adjacency_footprint(&self) -> (usize, usize, usize) {
+        (
+            self.adj.half_edges(),
+            self.adj.capacity(),
+            self.adj.backing_len(),
+        )
     }
 
     /// Maximum degree over all vertices (0 for an empty graph).
@@ -460,31 +469,38 @@ mod tests {
 
     #[test]
     fn removal_never_compacts_implicitly() {
-        // Build enough relocation churn that the old per-remove policy
-        // would have compacted, then check removal leaves the holes alone
-        // until maintain_adjacency is invoked.
+        // Grow a complete graph the way batch writers do, reserving room
+        // edge by edge, so relocation holes outweigh the rows; then check
+        // removal leaves the holes alone until maintain_adjacency runs.
         let mut g = DynamicGraph::with_vertices(200);
         for u in 0..200u32 {
-            for v in 0..200u32 {
-                if u < v {
-                    g.insert_edge_unchecked(u, v);
-                }
+            for v in u + 1..200u32 {
+                g.reserve_neighbors(u, 1);
+                g.reserve_neighbors(v, 1);
+                g.insert_edge_unchecked(u, v);
             }
         }
         for u in 0..200u32 {
-            for v in 0..200u32 {
-                if u < v && (u + v) % 20 != 0 {
+            for v in u + 1..200u32 {
+                if (u + v) % 20 != 0 {
                     g.remove_edge(u, v).unwrap();
                 }
             }
         }
         assert_eq!(g.adjacency_compactions(), 0);
-        let (live, backing) = g.adjacency_footprint();
-        assert!(backing > 2 * live, "test graph must actually have holes");
+        let (_, capacity, backing) = g.adjacency_footprint();
+        assert!(
+            backing > 2 * capacity,
+            "test graph must actually have holes"
+        );
+        let before: Vec<Vec<VertexId>> = (0..200).map(|v| g.neighbors(v).to_vec()).collect();
         assert!(g.maintain_adjacency(DEFAULT_MAX_HOLE_RATIO));
         assert_eq!(g.adjacency_compactions(), 1);
-        let (live, backing) = g.adjacency_footprint();
-        assert_eq!(live, backing);
+        g.adj.check_compacted().unwrap();
+        for (v, row) in before.iter().enumerate() {
+            assert_eq!(g.neighbors(v as VertexId), row.as_slice());
+        }
+        assert!(!g.maintain_adjacency(DEFAULT_MAX_HOLE_RATIO));
         g.check_consistency().unwrap();
     }
 

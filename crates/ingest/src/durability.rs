@@ -624,10 +624,12 @@ pub fn persist_index_snapshot(d: &DurabilityConfig, ops: u64, payload: &[u8]) ->
     })?;
     for g in (1..d.snapshot_generations.max(1)).rev() {
         let from = snapshot_generation_path(path, g - 1);
-        if from.exists() {
-            let to = snapshot_generation_path(path, g);
-            d.storage.with(|io| io.rename(&from, &to))?;
-        }
+        d.storage.with(|io| {
+            if io.exists(&from)? {
+                io.rename(&from, &snapshot_generation_path(path, g))?;
+            }
+            io::Result::Ok(())
+        })?;
     }
     d.storage.with(|io| {
         io.rename(&tmp, path)?;
@@ -857,10 +859,14 @@ fn recover_impl(
     let mut ahead: Option<(usize, u64, OrderCore)> = None;
     for g in 0..d.snapshot_generations.max(1) {
         let p = snapshot_generation_path(&d.snapshot_path, g);
-        if !p.exists() {
-            continue;
-        }
-        let (ops, index) = match load_snapshot_with(storage, &p, seed) {
+        // A failed check rejects the generation, as a failed read of it
+        // would.
+        let loaded = match storage.with(|io| io.exists(&p)) {
+            Ok(false) => continue,
+            Ok(true) => load_snapshot_with(storage, &p, seed),
+            Err(e) => Err(RecoverError::Io(e)),
+        };
+        let (ops, index) = match loaded {
             Ok(loaded) => loaded,
             Err(_) => {
                 rejected += 1;

@@ -2,7 +2,8 @@
 //!
 //! Every byte the ingest service persists flows through the [`JournalIo`]
 //! trait — journal appends, snapshot writes, fsyncs, renames, directory
-//! syncs, reads and truncations. Production uses [`RealIo`] (plain
+//! syncs, reads, truncations, and the existence checks that decide which
+//! of those run. Production uses [`RealIo`] (plain
 //! `std::fs`); tests swap in [`FaultyIo`], which executes a scripted
 //! [`FaultPlan`] against per-class operation counters: *the k-th journal
 //! append fails short*, *the 2nd rename crashes the process*, *the 0th
@@ -56,10 +57,13 @@ pub enum OpClass {
     Read,
     /// Truncations (torn-tail and failed-append repair).
     Truncate,
+    /// Existence checks (which snapshot generations to rotate or load,
+    /// whether checkpoint zero is due).
+    Exists,
 }
 
 /// Number of [`OpClass`] variants (per-class counter array size).
-const OP_CLASSES: usize = 8;
+const OP_CLASSES: usize = 9;
 
 impl OpClass {
     fn idx(self) -> usize {
@@ -72,6 +76,7 @@ impl OpClass {
             OpClass::DirSync => 5,
             OpClass::Read => 6,
             OpClass::Truncate => 7,
+            OpClass::Exists => 8,
         }
     }
 
@@ -85,6 +90,7 @@ impl OpClass {
         OpClass::DirSync,
         OpClass::Read,
         OpClass::Truncate,
+        OpClass::Exists,
     ];
 }
 
@@ -188,6 +194,8 @@ pub trait JournalIo: Send {
     fn read(&mut self, path: &Path) -> io::Result<Vec<u8>>;
     /// Truncates `path` to `len` bytes.
     fn truncate(&mut self, path: &Path, len: u64) -> io::Result<()>;
+    /// Whether `path` exists; an error when that cannot be determined.
+    fn exists(&mut self, path: &Path) -> io::Result<bool>;
 
     /// Faults this handle has injected so far (empty for real storage).
     fn fired(&self) -> Vec<InjectedFault> {
@@ -250,6 +258,10 @@ impl JournalIo for RealIo {
 
     fn truncate(&mut self, path: &Path, len: u64) -> io::Result<()> {
         OpenOptions::new().write(true).open(path)?.set_len(len)
+    }
+
+    fn exists(&mut self, path: &Path) -> io::Result<bool> {
+        path.try_exists()
     }
 }
 
@@ -386,6 +398,13 @@ impl JournalIo for FaultyIo {
         match self.arm(OpClass::Truncate)? {
             None => self.inner.truncate(path, len),
             Some(_) => Err(io::Error::other("truncate failed (scripted)")),
+        }
+    }
+
+    fn exists(&mut self, path: &Path) -> io::Result<bool> {
+        match self.arm(OpClass::Exists)? {
+            None => self.inner.exists(path),
+            Some(_) => Err(io::Error::other("exists check failed (scripted)")),
         }
     }
 

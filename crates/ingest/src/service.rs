@@ -451,7 +451,7 @@ impl IngestService {
             // service spawned over a non-empty base graph must persist
             // the base state once — otherwise a crash before the first
             // periodic snapshot would lose the base edges irrecoverably.
-            if !d.snapshot_path.exists() {
+            if !d.storage.with(|io| io.exists(&d.snapshot_path))? {
                 let mut payload = Vec::new();
                 engine.order().save(&mut payload)?;
                 persist_index_snapshot(d, start_seq, &payload)?;

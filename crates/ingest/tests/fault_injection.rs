@@ -183,9 +183,6 @@ fn fault_every_recovery_rung_from_one_durable_directory() {
     fn journal(d: &std::path::Path) -> PathBuf {
         d.join("ingest.kjrn")
     }
-    fn gen(d: &std::path::Path, g: usize) -> PathBuf {
-        snapshot_generation_path(&d.join("ingest.ksnp"), g)
-    }
     type Damage = fn(&std::path::Path);
     // (name, damage, rung, durable prefix, rung of a second recover()).
     let scenarios: [(&str, Damage, RecoveryRung, u64, RecoveryRung); 5] = [
@@ -278,6 +275,70 @@ fn fault_every_recovery_rung_from_one_durable_directory() {
             "{name}: repeat cores"
         );
     }
+}
+
+/// Existence checks go through the storage seam, and a failed one is
+/// handled like a failure of the operation it guards: at recovery, a
+/// failed check of the newest snapshot generation rejects it exactly as
+/// a failed read of it does; at spawn, a failed checkpoint-zero check
+/// fails the spawn exactly as a failed checkpoint write does.
+#[test]
+fn fault_at_an_exists_check_matches_one_at_the_guarded_operation() {
+    // gen 0 is the shutdown checkpoint (40 ops), gen 1 the spawn-time
+    // one (0 ops).
+    let src = tmpdir("exists_src");
+    let events = sweep_events();
+    let cfg = IngestConfig::scripted()
+        .max_batch(4)
+        .durable(DurabilityConfig::in_dir(&src));
+    let svc = IngestService::spawn_planned(DynamicGraph::with_vertices(N), SEED, cfg).unwrap();
+    svc.submit_all(events.iter().copied()).unwrap();
+    drop(svc.shutdown());
+
+    // Read 0 is the journal; Read 1 is gen 0, the read Exists 0 guards.
+    let recovered: Vec<_> = [(OpClass::Exists, 0), (OpClass::Read, 1)]
+        .into_iter()
+        .map(|(class, nth)| {
+            let dir = tmpdir(&format!("exists_recover_{class:?}"));
+            copy_durable_dir(&src, &dir);
+            let storage =
+                StorageHandle::faulty(FaultPlan::new().fault(class, nth, FaultKind::IoError));
+            let d = DurabilityConfig::in_dir(&dir).with_storage(storage.clone());
+            let rec = recover(&d, SEED, PlannerConfig::default(), 8).unwrap();
+            assert_eq!(
+                storage.fired_faults(),
+                vec![(class, nth, FaultKind::IoError)]
+            );
+            rec
+        })
+        .collect();
+    for rec in &recovered {
+        assert_eq!(rec.report.rung, RecoveryRung::OlderGeneration);
+        assert_eq!(rec.report.snapshot_generation, Some(1));
+        assert_eq!(rec.report.snapshots_rejected, 1);
+        assert_eq!(rec.report.durable_ops, 40);
+        assert_eq!(rec.engine.cores(), &oracle(&events)[..]);
+    }
+
+    // The spawn's first existence check is checkpoint zero's; FileWrite
+    // 0 is that checkpoint's temp file.
+    for (class, nth) in [(OpClass::Exists, 0), (OpClass::FileWrite, 0)] {
+        let dir = tmpdir(&format!("exists_spawn_{class:?}"));
+        let storage = StorageHandle::faulty(FaultPlan::new().fault(class, nth, FaultKind::IoError));
+        let cfg = IngestConfig::scripted()
+            .durable(DurabilityConfig::in_dir(&dir).with_storage(storage.clone()));
+        let spawned = IngestService::spawn_planned(kcore_graph::fixtures::path(N), SEED, cfg);
+        assert!(spawned.is_err(), "{class:?}: spawn must fail");
+        assert_eq!(
+            storage.fired_faults(),
+            vec![(class, nth, FaultKind::IoError)]
+        );
+        assert!(!gen(&dir, 0).exists(), "{class:?}: no checkpoint zero");
+    }
+}
+
+fn gen(d: &std::path::Path, g: usize) -> PathBuf {
+    snapshot_generation_path(&d.join("ingest.ksnp"), g)
 }
 
 /// 16 inserts over an empty 12-vertex graph, flushed 4 at a time.

@@ -286,7 +286,7 @@ impl<S: OrderSeq> OrderCore<S> {
         }
 
         // One compaction opportunity per batch, before the passes rescan
-        // the touched neighbourhoods with (ideally) tight-packed lists.
+        // the touched neighbourhoods (ideally laid out in vertex order).
         self.graph.maintain_adjacency(DEFAULT_MAX_HOLE_RATIO);
     }
 
@@ -515,6 +515,30 @@ mod tests {
             after - before
         );
         oc.validate();
+    }
+
+    #[test]
+    fn churn_compacts_a_pinned_number_of_times() {
+        // A churn stream shaped like the durable ingest benchmark's:
+        // BA(20k, 4), then 2,750 batches of 96 fresh inserts and 64
+        // removals (440k events). The build lays the graph out once;
+        // after that only relocation holes can trigger a compaction, and
+        // at every batch boundary the buffer stays within twice the rows'
+        // capacity plus the slack.
+        let g = kcore_gen::barabasi_albert(20_000, 4, 0x6B_636F_7265);
+        let stream = kcore_gen::churn_stream(&g, 2_750, 96, 64, 1);
+        let mut oc: OrderCore = OrderCore::new(g, 1);
+        assert_eq!(oc.graph().adjacency_compactions(), 1, "the build's layout");
+        for b in &stream {
+            oc.insert_edges(&b.inserts);
+            oc.remove_edges(&b.removes);
+            let (_, capacity, backing) = oc.graph().adjacency_footprint();
+            assert!(
+                backing <= 2 * capacity + 4096,
+                "backing {backing} past twice the capacity {capacity}"
+            );
+        }
+        assert_eq!(oc.graph().adjacency_compactions(), 2);
     }
 
     #[test]

@@ -150,27 +150,31 @@ impl<S: OrderSeq> std::fmt::Debug for OrderCore<S> {
 }
 
 impl<S: OrderSeq> OrderCore<S> {
-    /// Builds the index: a k-order via [`korder_decomposition`] (the
-    /// paper's "small deg⁺ first" heuristic by default — pass another for
-    /// the Fig 9 study), then the `A_k` structures and `mcd`.
-    pub fn with_heuristic(graph: DynamicGraph, heuristic: Heuristic, seed: u64) -> Self {
+    /// Builds the index: lays the graph's adjacency out once
+    /// ([`DynamicGraph::compact_adjacency`]), then one peel via
+    /// [`korder_decomposition`] (the paper's "small deg⁺ first"
+    /// heuristic by default — pass another for the Fig 9 study) yields
+    /// the k-order, `deg⁺` and `mcd`, from which the `A_k` structures
+    /// are built.
+    pub fn with_heuristic(mut graph: DynamicGraph, heuristic: Heuristic, seed: u64) -> Self {
+        graph.compact_adjacency();
         let ko = korder_decomposition(&graph, heuristic, seed);
         Self::from_korder(graph, ko, seed)
     }
 
     /// Assembles the full index from a precomputed [`KOrder`] of `graph`
     /// (shared by [`OrderCore::with_heuristic`] and the persistence
-    /// loader). `A_k` structures are built by chaining `insert_after` at
-    /// the current tail: one stride step per element for the label list
+    /// loader), taking `core`, `deg⁺` and `mcd` from it as they are.
+    /// `A_k` structures are built by chaining `insert_after` at the
+    /// current tail: one stride step per element for the label list
     /// (never a relabel), and no right-spine walk for the treap.
     pub(crate) fn from_korder(graph: DynamicGraph, ko: KOrder, seed: u64) -> Self {
         let n = graph.num_vertices();
-        let mcd = compute_mcd(&graph, &ko.core);
         let mut core = OrderCore {
             graph,
             core: Vec::new(),
             deg_plus: Vec::new(),
-            mcd,
+            mcd: Vec::new(),
             order: S::with_seed(seed),
             seed,
             level_counts: Vec::new(),
@@ -218,14 +222,12 @@ impl<S: OrderSeq> OrderCore<S> {
                 }
             }
         }
-        self.mcd = compute_mcd(&self.graph, &ko.core);
         self.install_korder(ko);
     }
 
     /// Shared tail of [`OrderCore::from_korder`] /
     /// [`OrderCore::rebuild_from_korder`]: installs order structures and
-    /// per-vertex order state from `ko` (whose `mcd` counterpart the
-    /// caller has already stored).
+    /// per-vertex order state (`core`, `deg⁺`, `mcd`) from `ko`.
     fn install_korder(&mut self, ko: KOrder) {
         let max_k = ko.core.iter().copied().max().unwrap_or(0);
         self.order.clear();
@@ -244,6 +246,7 @@ impl<S: OrderSeq> OrderCore<S> {
         }
         self.core = ko.core;
         self.deg_plus = ko.deg_plus;
+        self.mcd = ko.mcd;
         for &c in &self.core {
             self.level_counts[c as usize] += 1;
         }

@@ -145,6 +145,9 @@ impl<S: OrderSeq> OrderCore<S> {
             }
             graph.insert_edge_unchecked(u, v);
         }
+        // Lay the adjacency out once, before the validation scans below
+        // and the engine's first batch.
+        graph.compact_adjacency();
         let order: Vec<VertexId> = words[at..at + n].to_vec();
         at += n;
         let core: Vec<u32> = words[at..at + n].to_vec();
@@ -187,6 +190,7 @@ impl<S: OrderSeq> OrderCore<S> {
             core,
             order,
             deg_plus,
+            mcd,
         };
         Ok(OrderCore::from_korder(graph, ko, seed))
     }
