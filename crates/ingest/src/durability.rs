@@ -10,6 +10,19 @@
 //! persists the full index ([`OrderCore::save`] under a small header
 //! carrying the covered-prefix length) from a background thread. A
 //! crash therefore loses at most the events that never reached a flush.
+//!
+//! One ordering invariant keeps a crash from ever recovering a silently
+//! wrong state: **no journal bytes before a durable snapshot of their
+//! base.** The journal records events only, so journal frames over a
+//! base graph whose snapshot never reached the disk would replay onto
+//! the empty universe. The writer's first checkpoint ("checkpoint zero",
+//! taken when the directory has no snapshot or no journal) therefore
+//! holds the journal until its snapshot's directory fsync has returned:
+//! with no journal yet, its job creates the file only then, and nothing
+//! ships before the writer has joined it. A new journal is created
+//! temp-file + fsync + rename + directory fsync, like a snapshot, so
+//! fsynced appends cannot vanish with their file.
+//!
 //! All file traffic goes through the
 //! [`crate::faults::JournalIo`] seam, so every failure mode — torn
 //! write, failed fsync, bit flip, crash at a failpoint — is a scripted,
@@ -80,9 +93,14 @@ const SNAP_HEADER_BYTES: usize = 4 + 4 + 8 + 4;
 // ---------------------------------------------------------------- CRC32
 
 /// IEEE CRC-32 (reflected, poly 0xEDB88320) — the journal/snapshot
-/// record checksum. Hand-rolled table so the crate stays dependency-free.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// record checksum, computed slice-by-8 (Kounavis & Berry, "A
+/// Systematic Approach to Building High Performance Software-Based CRC
+/// Generators", ISCC 2005): eight bytes per step through eight 256-entry
+/// tables built at compile time, the bytewise loop over table 0 for the
+/// tail. Every CRC is bit-identical to the bytewise one. Hand-rolled
+/// tables so the crate stays dependency-free.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -95,13 +113,24 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    // Table k advances a byte's CRC through k further zero bytes.
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// Incremental CRC-32 over multiple slices.
 pub(crate) struct Crc32(u32);
@@ -112,9 +141,23 @@ impl Crc32 {
     }
 
     pub(crate) fn update(&mut self, bytes: &[u8]) -> &mut Self {
+        let t = &CRC_TABLES;
         let mut c = self.0;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.0 = c;
         self
@@ -333,18 +376,6 @@ pub(crate) fn encode_journal_header(n: usize, base: u64) -> Vec<u8> {
     out
 }
 
-/// Atomically (re)writes a journal file: temp file + fsync + rename +
-/// parent-directory fsync. Used for the snapshot-only journal reset.
-fn write_journal_atomic(storage: &StorageHandle, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("kjrn.tmp");
-    storage.with(|io| {
-        io.write_file(&tmp, bytes)?;
-        io.sync_file(&tmp)?;
-        io.rename(&tmp, path)?;
-        io.sync_dir(path.parent().unwrap_or_else(|| Path::new(".")))
-    })
-}
-
 /// The append-only journal file, opened once by the writer thread. All
 /// traffic routes through the config's [`StorageHandle`].
 #[derive(Debug)]
@@ -361,7 +392,8 @@ pub struct JournalSink {
 }
 
 impl JournalSink {
-    /// Creates the journal (writing a v3 header) or re-opens an existing
+    /// Creates the journal (a v3 header based at seq 0, written temp
+    /// file + fsync + rename + directory fsync) or re-opens an existing
     /// one for append after validating its header against `n`. A file of
     /// any other version is refused; a damaged suffix is truncated so
     /// resumed appends continue the intact prefix.
@@ -371,24 +403,55 @@ impl JournalSink {
         fsync: bool,
         storage: &StorageHandle,
     ) -> io::Result<JournalSink> {
+        match Self::open_existing(path, n, fsync, storage)? {
+            Some(sink) => Ok(sink),
+            None => Self::create(path, n, 0, fsync, storage),
+        }
+    }
+
+    /// Creates (or atomically replaces) an empty journal over `n`
+    /// vertices whose first record will carry seq `base`: temp file +
+    /// fsync + rename + parent-directory fsync, so the file's existence
+    /// is as durable as the appends that follow it. Also makes the
+    /// snapshot-only recovery's journal reset.
+    pub(crate) fn create(
+        path: &Path,
+        n: usize,
+        base: u64,
+        fsync: bool,
+        storage: &StorageHandle,
+    ) -> io::Result<JournalSink> {
+        let tmp = path.with_extension("kjrn.tmp");
+        storage.with(|io| {
+            io.write_file(&tmp, &encode_journal_header(n, base))?;
+            io.sync_file(&tmp)?;
+            io.rename(&tmp, path)?;
+            io.sync_dir(path.parent().unwrap_or_else(|| Path::new(".")))
+        })?;
+        Ok(JournalSink {
+            path: path.to_path_buf(),
+            storage: storage.clone(),
+            fsync,
+            existing: base,
+            intact_len: HEADER_BYTES as u64,
+        })
+    }
+
+    /// [`JournalSink::open`] without the create: `None` when no journal
+    /// (or an empty file) is at `path`.
+    pub(crate) fn open_existing(
+        path: &Path,
+        n: usize,
+        fsync: bool,
+        storage: &StorageHandle,
+    ) -> io::Result<Option<JournalSink>> {
         let bytes = match storage.with(|io| io.read(path)) {
             Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
         if bytes.is_empty() {
-            let header = encode_journal_header(n, 0);
-            storage.with(|io| io.append(path, &header))?;
-            if fsync {
-                storage.with(|io| io.sync_data(path))?;
-            }
-            return Ok(JournalSink {
-                path: path.to_path_buf(),
-                storage: storage.clone(),
-                fsync,
-                existing: 0,
-                intact_len: HEADER_BYTES as u64,
-            });
+            return Ok(None);
         }
         let contents = parse_journal(&bytes).map_err(|e| match e {
             RecoverError::Io(io) => io,
@@ -405,13 +468,13 @@ impl JournalSink {
             // intact prefix instead of landing behind garbage.
             storage.with(|io| io.truncate(path, contents.intact_bytes))?;
         }
-        Ok(JournalSink {
+        Ok(Some(JournalSink {
             path: path.to_path_buf(),
             storage: storage.clone(),
             fsync,
             existing: contents.base + contents.events.len() as u64,
             intact_len: contents.intact_bytes,
-        })
+        }))
     }
 
     /// Events the journal held when this sink opened it (`base` + intact
@@ -935,7 +998,7 @@ fn recover_impl(
             }
             _ => {
                 let n = index.graph().num_vertices();
-                write_journal_atomic(storage, &d.journal_path, &encode_journal_header(n, ops))?;
+                JournalSink::create(&d.journal_path, n, ops, d.fsync, storage)?;
                 (&[], ops, journal_len)
             }
         };
@@ -1318,9 +1381,11 @@ mod tests {
     fn fault_failed_append_truncates_partial_frame() {
         let dir = tmpdir("shortappend");
         let jp = dir.join("j.kjrn");
+        // The header is written through the atomic create, so append 0
+        // is the first frame.
         let storage = StorageHandle::faulty(FaultPlan::new().fault(
             OpClass::JournalAppend,
-            1,
+            0,
             FaultKind::ShortWrite { keep: 10 },
         ));
         let mut j: Journaled<OrderCore> =

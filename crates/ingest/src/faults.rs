@@ -41,11 +41,13 @@ use std::sync::{Arc, Mutex};
 /// file), so indices are a pure function of the call sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
-    /// Appending bytes to the journal (header creation included).
+    /// Appending a frame to the journal (a new journal's header is a
+    /// [`OpClass::FileWrite`]).
     JournalAppend,
     /// `fsync` of journal data after an append.
     JournalSync,
-    /// Whole-file writes: snapshot temp files, journal rewrites/resets.
+    /// Whole-file writes: snapshot temp files, journal creation and
+    /// resets.
     FileWrite,
     /// `fsync` of a freshly written file before its rename.
     FileSync,
@@ -58,7 +60,7 @@ pub enum OpClass {
     /// Truncations (torn-tail and failed-append repair).
     Truncate,
     /// Existence checks (which snapshot generations to rotate or load,
-    /// whether checkpoint zero is due).
+    /// whether a spawn's directory holds a snapshot).
     Exists,
 }
 
@@ -425,8 +427,8 @@ impl JournalIo for FaultyIo {
 }
 
 /// Cloneable, thread-safe handle to one [`JournalIo`] implementation.
-/// The writer thread, its checkpoint writes, the spawn-time sink open,
-/// and `recover()` all share the same handle, so a scripted plan sees
+/// The writer thread, its checkpoint writes, the spawn-time journal
+/// check, and `recover()` all share the same handle, so a scripted plan sees
 /// one global operation sequence.
 #[derive(Clone)]
 pub struct StorageHandle {

@@ -26,13 +26,20 @@
 //! half-applied batch (see [`SnapshotHandle`] for what a load and a
 //! publish can wait on).
 //!
-//! Periodic index checkpoints are split in two: the writer serialises
-//! the index (the only step that reads engine state) and a thread
-//! spawned for that checkpoint writes it through
-//! [`persist_index_snapshot`]. At most one write is in flight; the
-//! writer joins it before the next checkpoint, at every
-//! [`IngestService::flush`] barrier, before `recover()`, and at
-//! shutdown or abort, and only then counts the outcome.
+//! Index checkpoints are split in two: the writer serialises the index
+//! (the only step that reads engine state) and a thread spawned for that
+//! checkpoint writes it through [`persist_index_snapshot`]. At most one
+//! write is in flight; the writer joins it before the next checkpoint,
+//! at every [`IngestService::flush`] barrier, before `recover()`, and at
+//! shutdown or abort, and only then counts the outcome. The first one,
+//! checkpoint zero, persists the base state of a durable directory that
+//! has no snapshot or no journal yet. The writer serialises it before it
+//! reads its first message, so the spawn itself does no storage writes.
+//! Checkpoint zero holds the journal: when none exists, its thread
+//! creates it after the snapshot's directory fsync, and the writer's
+//! first ship joins it first. If it fails, the writer goes
+//! [`ServiceHealth::Failed`], because without a durable base no event
+//! can be made durable.
 //!
 //! ## Clocks and determinism
 //!
@@ -333,8 +340,8 @@ pub struct IngestReport {
     pub epochs_published: u64,
     /// Journal entries shipped to the sink.
     pub entries_shipped: u64,
-    /// Index snapshots persisted (counted when the background write is
-    /// joined).
+    /// Index snapshots persisted, checkpoint zero included (counted when
+    /// the background write is joined).
     pub snapshots_persisted: u64,
     /// Per-flush engine apply duration, writer-clock ns (synthetic under
     /// a scripted clock): the registry's `ingest_flush_apply_ns`. A
@@ -417,6 +424,16 @@ pub struct IngestService {
 
 impl IngestService {
     /// Spawns the default planner-driven service over `graph`.
+    ///
+    /// # Errors
+    ///
+    /// With durability on, only the synchronous checks fail the spawn:
+    /// reading an existing journal (an I/O error, a bad header, a vertex
+    /// count other than `graph`'s, or any events in it — a fresh stream
+    /// starts at seq 0) and checking whether a snapshot exists.
+    /// Checkpoint zero is written after the spawn returns; its failure
+    /// leaves the writer [`ServiceHealth::Failed`] once the first ship or
+    /// [`IngestService::flush`] barrier joins it.
     pub fn spawn_planned(graph: DynamicGraph, seed: u64, cfg: IngestConfig) -> io::Result<Self> {
         let mut engine = PlannedCore::with_config(graph, seed, cfg.planner.clone());
         engine.set_parallelism(cfg.parallelism);
@@ -427,6 +444,12 @@ impl IngestService {
     /// restored state and journaling continues at the recovered seq
     /// ([`crate::RecoveryReport::durable_ops`]), so the (re-opened,
     /// append-only) journal stays gap-free.
+    ///
+    /// # Errors
+    ///
+    /// As [`IngestService::spawn_planned`], except that an existing
+    /// journal must hold exactly `durable_ops` events. Checkpoint zero,
+    /// due when recovery left no snapshot, is again the writer's.
     pub fn spawn_recovered(rec: Recovered, cfg: IngestConfig) -> io::Result<Self> {
         Self::spawn_with_engine(rec.engine, rec.report.durable_ops, cfg)
     }
@@ -438,25 +461,31 @@ impl IngestService {
         start_seq: u64,
         cfg: IngestConfig,
     ) -> io::Result<Self> {
-        // Open the sink on the caller's thread so setup errors surface
-        // synchronously instead of poisoning the writer.
+        // The synchronous checks run on the caller's thread, so a
+        // directory the service cannot resume fails the spawn instead of
+        // poisoning the writer: an existing journal must hold exactly
+        // `start_seq` events, and the snapshot check must succeed.
         let n = engine.graph().num_vertices();
-        let sink = cfg
-            .durability
-            .as_ref()
-            .map(|d| open_sink(d, n, start_seq))
-            .transpose()?;
-        if let Some(d) = &cfg.durability {
-            // Checkpoint zero: the journal only records *events*, so a
-            // service spawned over a non-empty base graph must persist
-            // the base state once — otherwise a crash before the first
-            // periodic snapshot would lose the base edges irrecoverably.
-            if !d.storage.with(|io| io.exists(&d.snapshot_path))? {
-                let mut payload = Vec::new();
-                engine.order().save(&mut payload)?;
-                persist_index_snapshot(d, start_seq, &payload)?;
+        let (sink, checkpoint_zero) = match &cfg.durability {
+            None => (None, None),
+            Some(d) => {
+                let sink = open_sink(d, n, start_seq)?;
+                let snapshot = d.storage.with(|io| io.exists(&d.snapshot_path))?;
+                // Checkpoint zero: the journal only records *events*, so
+                // the base state must be durable before the first event
+                // is — otherwise a crash would replay the journal onto
+                // the empty universe and lose the base edges. The writer
+                // takes it as its first checkpoint and holds the journal
+                // until it has joined; it is due when no snapshot exists,
+                // or when no journal does (an older run's snapshot cannot
+                // be the base of a journal it never saw).
+                match sink {
+                    Some(sink) if snapshot => (Some(sink), None),
+                    Some(sink) => (None, Some(JournalHandoff::Opened(sink))),
+                    None => (None, Some(JournalHandoff::Create)),
+                }
             }
-        }
+        };
         // Core-change tracking feeds the copy-on-write snapshot mirror
         // in O(changed).
         engine.enable_core_change_tracking();
@@ -502,7 +531,7 @@ impl IngestService {
         let handle = snapshots.clone();
         let thread = std::thread::Builder::new()
             .name("kcore-ingest-writer".into())
-            .spawn(move || writer.run(rx, handle))
+            .spawn(move || writer.run(rx, handle, checkpoint_zero))
             .expect("spawn ingest writer");
         Ok(IngestService {
             tx,
@@ -701,7 +730,8 @@ pub struct IngestPause {
     _release: mpsc::Sender<()>,
 }
 
-/// Opens `d`'s journal for append over an `n`-vertex universe and checks
+/// Opens `d`'s existing journal for append over an `n`-vertex universe
+/// (`None` when there is none; checkpoint zero creates it) and checks
 /// that it holds exactly `start_seq` events: the writer's appends
 /// continue at `start_seq`, so any other count would break the journal's
 /// gap-free invariant. The dangerous misuse this rejects is a *fresh*
@@ -710,8 +740,10 @@ pub struct IngestPause {
 /// run's prefix and silently truncate the new run's records as a "torn
 /// tail". Resume with `recover()` + `spawn_recovered`, or point
 /// durability at a fresh directory.
-fn open_sink(d: &DurabilityConfig, n: usize, start_seq: u64) -> io::Result<JournalSink> {
-    let sink = JournalSink::open(&d.journal_path, n, d.fsync, &d.storage)?;
+fn open_sink(d: &DurabilityConfig, n: usize, start_seq: u64) -> io::Result<Option<JournalSink>> {
+    let Some(sink) = JournalSink::open_existing(&d.journal_path, n, d.fsync, &d.storage)? else {
+        return Ok(None);
+    };
     if sink.existing() != start_seq {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -723,7 +755,7 @@ fn open_sink(d: &DurabilityConfig, n: usize, start_seq: u64) -> io::Result<Journ
             ),
         ));
     }
-    Ok(sink)
+    Ok(Some(sink))
 }
 
 /// Engine metric handles plus the last exported counter values — the
@@ -883,13 +915,29 @@ struct MirrorSync {
     copied: u64,
 }
 
-/// A background checkpoint write: the `persist_index_snapshot` result and
-/// its wall-clock duration in ns.
-type CheckpointWrite = JoinHandle<(io::Result<()>, u64)>;
+/// A background checkpoint write: its result and its wall-clock duration
+/// in ns. The result carries checkpoint zero's journal (see
+/// [`JournalHandoff`]); a periodic checkpoint's carries `None`.
+type CheckpointWrite = JoinHandle<(io::Result<Option<JournalSink>>, u64)>;
+
+/// What a checkpoint's job does with the journal once its snapshot is
+/// durable. Checkpoint zero hands the writer its journal, so the writer
+/// holds no sink, and ships nothing, until that checkpoint has joined.
+enum JournalHandoff {
+    /// A periodic checkpoint: the writer already holds the journal.
+    Held,
+    /// Checkpoint zero over the existing journal, opened at spawn.
+    Opened(JournalSink),
+    /// Checkpoint zero with no journal yet: the job creates it, based at
+    /// the snapshot's `ops`, after the snapshot's directory fsync.
+    Create,
+}
 
 struct Writer {
     engine: PlannedCore,
     cfg: IngestConfig,
+    /// The journal: `None` in memory mode, and in durable mode until
+    /// checkpoint zero has joined and handed it over.
     sink: Option<JournalSink>,
     pending: Vec<GraphEvent>,
     /// Writer-clock time the current batch opened (first buffered event).
@@ -1076,9 +1124,18 @@ impl Writer {
     /// against a journal that stopped growing would turn the next crash
     /// into silent data loss.
     fn ship_owed(&mut self) -> bool {
-        let Some(sink) = &mut self.sink else {
+        if self.cfg.durability.is_none() {
             // In-memory mode: nothing is ever owed.
             return true;
+        }
+        if self.sink.is_none() {
+            // Checkpoint zero still holds the journal: no journal bytes
+            // before a durable snapshot of their base.
+            self.join_checkpoint();
+        }
+        let Some(sink) = &mut self.sink else {
+            // Checkpoint zero failed, and the writer with it.
+            return false;
         };
         let appended = self.unshipped.len() as u64;
         let mut result = Ok(());
@@ -1160,8 +1217,8 @@ impl Writer {
                 // must agree with the recovered seq or something is
                 // still wrong on disk.
                 match open_sink(&d, self.engine.graph().num_vertices(), next) {
-                    Ok(sink) => self.sink = Some(sink),
-                    Err(_) => {
+                    Ok(Some(sink)) => self.sink = Some(sink),
+                    _ => {
                         self.obs.recovery_failures.inc();
                         self.fail();
                         return;
@@ -1329,7 +1386,7 @@ impl Writer {
                     >= (d.snapshot_every_batches as u64)
                         .saturating_mul(self.cfg.max_batch.max(1) as u64)
         }) {
-            self.persist();
+            self.persist(JournalHandoff::Held);
         }
         // A fully clean flush works a degraded service back to healthy.
         if shipped && self.health() == ServiceHealth::Degraded {
@@ -1343,9 +1400,10 @@ impl Writer {
     /// Starts an index checkpoint covering `ops`: serialises the index
     /// here, then hands the payload to a thread spawned for this
     /// checkpoint, which writes it into the rotation through
-    /// [`persist_index_snapshot`]. A previous write still in flight is
-    /// joined first; this one is counted when it is joined.
-    fn persist(&mut self) {
+    /// [`persist_index_snapshot`] and then deals with the journal as
+    /// `journal` says. A previous write still in flight is joined first;
+    /// this one is counted when it is joined.
+    fn persist(&mut self, journal: JournalHandoff) {
         let Some(d) = self.cfg.durability.clone() else {
             return;
         };
@@ -1362,12 +1420,20 @@ impl Writer {
         self.obs
             .checkpoint_serialize
             .record(s0.elapsed().as_nanos() as u64);
-        let ops = self.ops;
+        let (ops, n) = (self.ops, self.engine.graph().num_vertices());
         let write = std::thread::Builder::new()
             .name("kcore-ingest-checkpoint".into())
             .spawn(move || {
                 let w0 = Instant::now();
-                let result = persist_index_snapshot(&d, ops, &payload);
+                let result =
+                    persist_index_snapshot(&d, ops, &payload).and_then(|()| match journal {
+                        JournalHandoff::Held => Ok(None),
+                        JournalHandoff::Opened(sink) => Ok(Some(sink)),
+                        JournalHandoff::Create => {
+                            JournalSink::create(&d.journal_path, n, ops, d.fsync, &d.storage)
+                                .map(Some)
+                        }
+                    });
                 (result, w0.elapsed().as_nanos() as u64)
             });
         match write {
@@ -1376,10 +1442,8 @@ impl Writer {
         }
     }
 
-    /// Waits for the checkpoint write in flight, if any, and counts its
-    /// outcome. Failures are contained: the journal still carries every
-    /// event, so a missed checkpoint only makes a future recovery replay
-    /// more — the service degrades instead of dying.
+    /// Waits for the checkpoint write in flight, if any, counts its
+    /// outcome, and takes checkpoint zero's journal.
     fn join_checkpoint(&mut self) {
         let Some(write) = self.checkpoint.take() else {
             return;
@@ -1387,20 +1451,35 @@ impl Writer {
         let written = match write.join() {
             Ok((result, write_ns)) => {
                 self.obs.checkpoint_write.record(write_ns);
-                result.is_ok()
+                result
             }
-            Err(_) => false,
+            Err(_) => Err(io::Error::other("checkpoint thread panicked")),
         };
-        if written {
-            self.obs.snapshots_persisted.inc();
-        } else {
-            self.checkpoint_failed();
+        match written {
+            Ok(journal) => {
+                self.obs.snapshots_persisted.inc();
+                if journal.is_some() {
+                    self.sink = journal;
+                }
+            }
+            Err(_) => self.checkpoint_failed(),
         }
     }
 
+    /// Counts a failed checkpoint. A periodic checkpoint's failure is
+    /// contained: the journal still carries every event, so a missed
+    /// checkpoint only makes a future recovery replay more — the service
+    /// degrades instead of dying. Checkpoint zero's fails the writer:
+    /// without a durable base no event can be made durable. It is the
+    /// failure with no journal held: every later checkpoint starts after
+    /// checkpoint zero has joined and handed the journal over.
     fn checkpoint_failed(&mut self) {
         self.obs.checkpoint_failures.inc();
-        self.degrade();
+        if self.sink.is_none() {
+            self.fail();
+        } else {
+            self.degrade();
+        }
     }
 
     /// Scripted clock only: whether a tick has carried the writer clock
@@ -1418,7 +1497,17 @@ impl Writer {
         self.cfg.queue_capacity.max(self.cfg.max_batch).max(1) * RECOVERING_BUFFER_FACTOR
     }
 
-    fn run(mut self, rx: Receiver<Msg>, handle: SnapshotHandle) -> (IngestReport, PlannedCore) {
+    fn run(
+        mut self,
+        rx: Receiver<Msg>,
+        handle: SnapshotHandle,
+        checkpoint_zero: Option<JournalHandoff>,
+    ) -> (IngestReport, PlannedCore) {
+        // Checkpoint zero is serialised before the first message is read
+        // and written like any checkpoint; the first ship joins it.
+        if let Some(journal) = checkpoint_zero {
+            self.persist(journal);
+        }
         let wall = self.cfg.clock == ClockMode::Wall;
         // Wall clock: set by every message (and every recovery wake-up),
         // cleared by the flush it triggers once the queue is empty and
@@ -1574,7 +1663,7 @@ impl Writer {
                         ServiceHealth::Recovering | ServiceHealth::Failed
                     )
                 {
-                    self.persist();
+                    self.persist(JournalHandoff::Held);
                 }
             }
         }

@@ -318,8 +318,8 @@ fn crash_recovery_matches_never_crashed_run() {
     svc.abort(); // crash: pending + queued B lost, journal keeps A's prefix
 
     // Recovery must reproduce a never-crashed run over the journaled
-    // prefix: checkpoint zero (persisted at spawn, covering the base
-    // graph and nothing else) + the whole journaled tail replayed
+    // prefix: checkpoint zero (the writer's first checkpoint, covering
+    // the base graph and nothing else) + the whole journaled tail replayed
     // through the planner.
     let rec = recover(&d, 57, PlannerConfig::default(), 32).unwrap();
     assert!(
@@ -900,16 +900,75 @@ fn kjrn_v3_frames_of_a_churn_stream_are_pinned() {
     assert_eq!(crc32(&bytes), 0x1cb4_57d0);
 }
 
+/// CRC-32 one byte per step, each byte shifted through bit by bit: the
+/// reference `Crc32` is held to, sharing none of its tables.
+fn bytewise_crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= b as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// `len` seeded pseudo-random bytes (splitmix64).
+fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed;
+    (0..len)
+        .map(|_| {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn slice_by_8_crc_matches_the_bytewise_reference() {
+    use crate::durability::{crc32, Crc32};
+    assert_eq!(
+        bytewise_crc32(b"123456789"),
+        0xCBF4_3926,
+        "the IEEE check value"
+    );
+    // Every length around the 8-byte step and its tail.
+    let buf = seeded_bytes(1, 64);
+    for len in 0..=64 {
+        assert_eq!(crc32(&buf[..len]), bytewise_crc32(&buf[..len]), "len {len}");
+    }
+    // Seeded buffers up to 64 KiB, odd lengths included.
+    for (seed, len) in [(2, 65_536), (3, 65_535), (4, 4_097), (5, 1_000), (6, 9)] {
+        let buf = seeded_bytes(seed, len);
+        assert_eq!(crc32(&buf), bytewise_crc32(&buf), "seed {seed} len {len}");
+    }
+    // Incremental equals one-shot wherever the first slice ends.
+    let buf = seeded_bytes(7, 203);
+    for split in 0..=16 {
+        let mut c = Crc32::new();
+        c.update(&buf[..split]).update(&buf[split..]);
+        assert_eq!(c.finish(), bytewise_crc32(&buf), "split at {split}");
+    }
+}
+
 #[test]
 fn failed_background_checkpoint_degrades_at_the_next_flush_barrier() {
     use crate::durability::load_index_snapshot;
     use crate::faults::{FaultKind, FaultPlan, OpClass};
     let dir = tmpdir("checkpoint_fail");
-    // FileSync op 0 is checkpoint zero at spawn; op 1 is the first
-    // periodic checkpoint, written on the background thread.
+    // FileSync op 0 is checkpoint zero's snapshot and op 1 the journal
+    // its job then creates; op 2 is the first periodic checkpoint. All
+    // three run on checkpoint threads.
     let d = DurabilityConfig::in_dir(&dir)
         .snapshot_every(2)
-        .with_faults(FaultPlan::new().fault(OpClass::FileSync, 1, FaultKind::IoError));
+        .with_faults(FaultPlan::new().fault(OpClass::FileSync, 2, FaultKind::IoError));
     let base = barabasi_albert(40, 3, 13);
     let events: Vec<GraphEvent> = churn_stream(&base, 2, 6, 2, 3)
         .iter()
@@ -925,7 +984,8 @@ fn failed_background_checkpoint_degrades_at_the_next_flush_barrier() {
     let metrics = svc.metrics().unwrap();
 
     // Flush 2 starts the checkpoint whose fsync fails; the barrier joins
-    // it and only then does the failure show.
+    // it and only then does the failure show. Checkpoint zero is timed
+    // like any checkpoint.
     for &e in &events[..8] {
         svc.submit(e).unwrap();
     }
@@ -936,12 +996,13 @@ fn failed_background_checkpoint_degrades_at_the_next_flush_barrier() {
         snap.histogram("ingest_checkpoint_serialize_ns")
             .unwrap()
             .count,
-        1
+        2
     );
     assert_eq!(
         snap.histogram("ingest_checkpoint_write_ns").unwrap().count,
-        1
+        2
     );
+    assert_eq!(snap.counter("ingest_snapshots_persisted_total"), Some(1));
     // The failed write published nothing: checkpoint zero is still the
     // newest generation.
     assert_eq!(load_index_snapshot(&d.snapshot_path, 1).unwrap().0, 0);
@@ -954,7 +1015,10 @@ fn failed_background_checkpoint_degrades_at_the_next_flush_barrier() {
     assert_eq!(svc.health(), ServiceHealth::Healthy);
     let (report, engine) = svc.shutdown();
     assert_eq!(report.checkpoint_failures, 1);
-    assert_eq!(report.snapshots_persisted, 2, "flush 4 + the final persist");
+    assert_eq!(
+        report.snapshots_persisted, 3,
+        "checkpoint zero, flush 4 and the final persist"
+    );
     assert_eq!(report.final_health, ServiceHealth::Healthy);
     // The registry counts the same outcomes as the report.
     let snap = metrics.snapshot();
@@ -1003,13 +1067,14 @@ fn checkpoint_cadence_counts_events_not_flushes() {
         svc.flush().unwrap();
     }
     let snap = metrics.snapshot();
+    // Checkpoint zero plus one periodic checkpoint.
     assert_eq!(snap.counter("ingest_batches_total"), Some(8));
-    assert_eq!(snap.counter("ingest_snapshots_persisted_total"), Some(1));
+    assert_eq!(snap.counter("ingest_snapshots_persisted_total"), Some(2));
     assert_eq!(
         snap.histogram("ingest_checkpoint_serialize_ns")
             .unwrap()
             .count,
-        1
+        2
     );
     assert_eq!(
         load_index_snapshot(&d.snapshot_path, 12).unwrap().0,
@@ -1018,7 +1083,7 @@ fn checkpoint_cadence_counts_events_not_flushes() {
     );
     let (report, _) = svc.shutdown();
     assert_eq!(
-        report.snapshots_persisted, 2,
-        "periodic + the final persist"
+        report.snapshots_persisted, 3,
+        "checkpoint zero, the periodic one and the final persist"
     );
 }

@@ -6,12 +6,15 @@
 //! exception is the idle-`Failed`-writer test, which needs the wall
 //! clock to show that the writer does not spin.
 //!
-//! The sweep is profile-then-kill: one clean run over instrumented
+//! The sweeps are profile-then-kill: one clean run over instrumented
 //! storage records how many operations of each class the workload
 //! performs, then one run per (class, nth) crashes storage at exactly
 //! that operation and asserts recovery is bit-identical to the
 //! decomposition oracle on the prefix the [`RecoveryReport`] claims
-//! durable — never a silently wrong state.
+//! durable — never a silently wrong state. One sweep starts from the
+//! empty universe and runs a long stream; the other starts from a base
+//! graph with edges, which only checkpoint zero records, and kills at
+//! every operation of the spawn and the first flushes.
 
 use kcore_decomp::core_decomposition;
 use kcore_graph::DynamicGraph;
@@ -74,8 +77,9 @@ fn run_sweep_workload(dir: &std::path::Path, storage: StorageHandle) {
     let cfg = IngestConfig::scripted().max_batch(4).durable(d);
     let svc = match IngestService::spawn_planned(DynamicGraph::with_vertices(N), SEED, cfg) {
         Ok(svc) => svc,
-        // The crash fired during sink open or checkpoint zero: the
-        // "service never started" outcome, also covered by the sweep.
+        // The crash fired at the spawn's journal read or snapshot check:
+        // the "service never started" outcome, also covered by the
+        // sweep. A crash in checkpoint zero fails the writer instead.
         Err(_) => return,
     };
     for e in sweep_events() {
@@ -83,6 +87,50 @@ fn run_sweep_workload(dir: &std::path::Path, storage: StorageHandle) {
     }
     svc.flush().unwrap();
     svc.abort();
+}
+
+/// Asserts what a restarted process may find after the kill at
+/// `(class, nth)`: `recover()` restores the oracle state of `base` plus
+/// the prefix it reports durable, or it fails and no journal byte is on
+/// disk.
+fn assert_recovers_reported_prefix(
+    dir: &std::path::Path,
+    base: &DynamicGraph,
+    events: &[GraphEvent],
+    (class, nth): (OpClass, u64),
+) {
+    // Recover with plain storage, exactly as a restarted process would.
+    let rd = DurabilityConfig::in_dir(dir).generations(2);
+    match recover(&rd, SEED, PlannerConfig::default(), 8) {
+        Ok(rec) => {
+            let durable = rec.report.durable_ops as usize;
+            assert!(durable <= events.len());
+            let expect = apply_events(base, &events[..durable]);
+            assert_eq!(
+                rec.engine.cores(),
+                &core_decomposition(&expect)[..],
+                "({class:?}, {nth}): recovered state is not the oracle on the reported \
+                 durable prefix (rung {})",
+                rec.report.rung
+            );
+            assert_eq!(
+                rec.engine.graph().num_edges(),
+                expect.num_edges(),
+                "({class:?}, {nth}): recovered graph has the wrong edges (rung {})",
+                rec.report.rung
+            );
+        }
+        Err(e) => {
+            // Only legitimate when the kill predates any durable journal
+            // bytes at all.
+            let len = std::fs::metadata(&rd.journal_path).map(|m| m.len()).ok();
+            assert!(
+                len.is_none() || len == Some(0),
+                "({class:?}, {nth}): recovery failed ({e}) despite a journal of {len:?} \
+                 bytes on disk"
+            );
+        }
+    }
 }
 
 #[test]
@@ -99,7 +147,7 @@ fn fault_kill_at_every_failpoint_recovers_reported_prefix() {
         "profile left an op class unexercised: {counts:?}"
     );
 
-    let events = sweep_events();
+    let (empty, events) = (DynamicGraph::with_vertices(N), sweep_events());
     for &(class, count) in &counts {
         // Fault indices are 0-based: `nth` is the value of the class
         // counter when the operation is attempted.
@@ -111,34 +159,104 @@ fn fault_kill_at_every_failpoint_recovers_reported_prefix() {
                 storage.crashed(),
                 "crash at ({class:?}, {nth}) never fired — profile out of sync"
             );
-            // Recover with plain storage, exactly as a restarted
-            // process would.
-            let rd = DurabilityConfig::in_dir(&dir).generations(2);
-            match recover(&rd, SEED, PlannerConfig::default(), 8) {
-                Ok(rec) => {
-                    let durable = rec.report.durable_ops as usize;
-                    assert!(durable <= events.len());
-                    assert_eq!(
-                        rec.engine.cores(),
-                        &oracle(&events[..durable])[..],
-                        "({class:?}, {nth}): recovered state is not the oracle on the \
-                         reported durable prefix (rung {})",
-                        rec.report.rung
-                    );
-                }
-                Err(e) => {
-                    // Only legitimate when the kill predates any
-                    // durable journal bytes at all.
-                    let len = std::fs::metadata(&rd.journal_path).map(|m| m.len()).ok();
-                    assert!(
-                        len.is_none() || len == Some(0),
-                        "({class:?}, {nth}): recovery failed ({e}) despite a journal \
-                         of {len:?} bytes on disk"
-                    );
-                }
-            }
+            assert_recovers_reported_prefix(&dir, &empty, &events, (class, nth));
         }
     }
+}
+
+/// Events of the base-graph sweep: the first 14 of [`sweep_events`].
+const BASE_SWEEP_EVENTS: usize = 14;
+
+/// The sweep workload over a base graph with edges: a durable scripted
+/// service over the 16-vertex path, fsync on, a periodic snapshot every
+/// 8 events, three size flushes and a barrier, then an unclean abort.
+/// Its removals take path edges out, so the journal alone never holds
+/// the base.
+fn run_base_sweep_workload(dir: &std::path::Path, storage: StorageHandle) {
+    let mut d = DurabilityConfig::in_dir(dir)
+        .snapshot_every(2)
+        .generations(2)
+        .with_storage(storage);
+    d.fsync = true;
+    let cfg = IngestConfig::scripted().max_batch(4).durable(d);
+    let Ok(svc) = IngestService::spawn_planned(kcore_graph::fixtures::path(N), SEED, cfg) else {
+        return;
+    };
+    svc.submit_all(sweep_events().into_iter().take(BASE_SWEEP_EVENTS))
+        .unwrap();
+    svc.flush().unwrap();
+    svc.abort();
+}
+
+#[test]
+fn fault_kill_at_every_failpoint_over_a_base_graph_keeps_its_edges() {
+    let profile = StorageHandle::faulty(FaultPlan::new());
+    run_base_sweep_workload(&tmpdir("base_sweep_profile"), profile.clone());
+    let counts = profile.op_counts();
+    let total: u64 = counts.iter().map(|&(_, c)| c).sum();
+    assert!(total >= 20, "workload too small to be a meaningful sweep");
+
+    let base = kcore_graph::fixtures::path(N);
+    let events: Vec<GraphEvent> = sweep_events().into_iter().take(BASE_SWEEP_EVENTS).collect();
+    for &(class, count) in &counts {
+        for nth in 0..count {
+            let dir = tmpdir(&format!("base_sweep_{class:?}_{nth}"));
+            let storage = StorageHandle::faulty(FaultPlan::new().crash(class, nth));
+            run_base_sweep_workload(&dir, storage.clone());
+            assert!(
+                storage.crashed(),
+                "crash at ({class:?}, {nth}) never fired — profile out of sync"
+            );
+            assert_recovers_reported_prefix(&dir, &base, &events, (class, nth));
+        }
+    }
+
+    // A crash at checkpoint zero's first write leaves nothing to recover:
+    // the journal would only be created after that snapshot is durable.
+    let dir = tmpdir("base_sweep_checkpoint_zero");
+    run_base_sweep_workload(
+        &dir,
+        StorageHandle::faulty(FaultPlan::new().crash(OpClass::FileWrite, 0)),
+    );
+    assert!(recover(
+        &DurabilityConfig::in_dir(&dir),
+        SEED,
+        PlannerConfig::default(),
+        8
+    )
+    .is_err());
+    assert!(!dir.join("ingest.kjrn").exists());
+}
+
+/// A fresh spawn into a directory that holds an older run's snapshots
+/// but no journal still takes checkpoint zero: the old snapshot is not
+/// the base of the new journal, so recovery must not replay onto it.
+#[test]
+fn fault_fresh_spawn_over_a_stale_snapshot_takes_checkpoint_zero() {
+    let dir = tmpdir("stale_snapshot");
+    let cfg = || {
+        IngestConfig::scripted()
+            .max_batch(4)
+            .durable(DurabilityConfig::in_dir(&dir))
+    };
+    // The older run, over the empty universe, loses its journal.
+    let svc = IngestService::spawn_planned(DynamicGraph::with_vertices(N), SEED, cfg()).unwrap();
+    drop(svc.shutdown());
+    std::fs::remove_file(dir.join("ingest.kjrn")).unwrap();
+
+    let base = kcore_graph::fixtures::path(N);
+    let events = sweep_events();
+    let svc = IngestService::spawn_planned(base.clone(), SEED, cfg()).unwrap();
+    svc.submit_all(events[..8].iter().copied()).unwrap();
+    svc.flush().unwrap();
+    svc.abort();
+    let d = DurabilityConfig::in_dir(&dir);
+    let rec = recover(&d, SEED, PlannerConfig::default(), 8).unwrap();
+    assert_eq!(rec.report.durable_ops, 8);
+    assert_eq!(
+        rec.engine.cores(),
+        &core_decomposition(&apply_events(&base, &events[..8]))[..]
+    );
 }
 
 /// Copies every file of a durable directory (journal + snapshot
@@ -168,8 +286,8 @@ fn fault_every_recovery_rung_from_one_durable_directory() {
     // The run starts from the empty universe, so the journal alone
     // holds every edge and genesis replay can rebuild the final state.
     // No periodic snapshots: gen 0 is the shutdown checkpoint (all 40
-    // ops) and gen 1 the spawn-time one (0 ops). Every flush ships one
-    // 4-event frame.
+    // ops) and gen 1 checkpoint zero (0 ops); both are counted. Every
+    // flush ships one 4-event frame.
     let src = tmpdir("rungs_src");
     let events = sweep_events();
     let cfg = IngestConfig::scripted()
@@ -178,7 +296,7 @@ fn fault_every_recovery_rung_from_one_durable_directory() {
     let svc = IngestService::spawn_planned(DynamicGraph::with_vertices(N), SEED, cfg).unwrap();
     svc.submit_all(events.iter().copied()).unwrap();
     let (report, _) = svc.shutdown();
-    assert_eq!((report.batches, report.snapshots_persisted), (10, 1));
+    assert_eq!((report.batches, report.snapshots_persisted), (10, 2));
 
     fn journal(d: &std::path::Path) -> PathBuf {
         d.join("ingest.kjrn")
@@ -280,12 +398,14 @@ fn fault_every_recovery_rung_from_one_durable_directory() {
 /// Existence checks go through the storage seam, and a failed one is
 /// handled like a failure of the operation it guards: at recovery, a
 /// failed check of the newest snapshot generation rejects it exactly as
-/// a failed read of it does; at spawn, a failed checkpoint-zero check
-/// fails the spawn exactly as a failed checkpoint write does.
+/// a failed read of it does. At spawn, the snapshot check is synchronous
+/// and its failure fails the spawn; the checkpoint-zero write it guards
+/// is the writer's, and its failure fails the writer, with nothing
+/// durable left behind.
 #[test]
 fn fault_at_an_exists_check_matches_one_at_the_guarded_operation() {
-    // gen 0 is the shutdown checkpoint (40 ops), gen 1 the spawn-time
-    // one (0 ops).
+    // gen 0 is the shutdown checkpoint (40 ops), gen 1 checkpoint zero
+    // (0 ops).
     let src = tmpdir("exists_src");
     let events = sweep_events();
     let cfg = IngestConfig::scripted()
@@ -320,21 +440,49 @@ fn fault_at_an_exists_check_matches_one_at_the_guarded_operation() {
         assert_eq!(rec.engine.cores(), &oracle(&events)[..]);
     }
 
-    // The spawn's first existence check is checkpoint zero's; FileWrite
-    // 0 is that checkpoint's temp file.
-    for (class, nth) in [(OpClass::Exists, 0), (OpClass::FileWrite, 0)] {
+    // Exists 0 is the spawn's snapshot check; FileWrite 0 is checkpoint
+    // zero's temp file, written after the spawn has returned.
+    let spawn = |class: OpClass| {
         let dir = tmpdir(&format!("exists_spawn_{class:?}"));
-        let storage = StorageHandle::faulty(FaultPlan::new().fault(class, nth, FaultKind::IoError));
+        let storage = StorageHandle::faulty(FaultPlan::new().fault(class, 0, FaultKind::IoError));
         let cfg = IngestConfig::scripted()
             .durable(DurabilityConfig::in_dir(&dir).with_storage(storage.clone()));
         let spawned = IngestService::spawn_planned(kcore_graph::fixtures::path(N), SEED, cfg);
-        assert!(spawned.is_err(), "{class:?}: spawn must fail");
-        assert_eq!(
-            storage.fired_faults(),
-            vec![(class, nth, FaultKind::IoError)]
-        );
-        assert!(!gen(&dir, 0).exists(), "{class:?}: no checkpoint zero");
-    }
+        (dir, storage, spawned)
+    };
+    let nothing_durable = |dir: &std::path::Path| {
+        assert!(!gen(dir, 0).exists() && !gen(dir, 1).exists());
+        assert!(!dir.join("ingest.kjrn").exists(), "no journal");
+        let d = DurabilityConfig::in_dir(dir);
+        assert!(recover(&d, SEED, PlannerConfig::default(), 8).is_err());
+    };
+
+    let (dir, storage, spawned) = spawn(OpClass::Exists);
+    assert!(spawned.is_err(), "a failed snapshot check fails the spawn");
+    assert_eq!(
+        storage.fired_faults(),
+        vec![(OpClass::Exists, 0, FaultKind::IoError)]
+    );
+    nothing_durable(&dir);
+
+    // The spawn succeeds; the first barrier joins the failed checkpoint
+    // and leaves the writer `Failed`, its buffered events lost.
+    let (dir, storage, spawned) = spawn(OpClass::FileWrite);
+    let svc = spawned.expect("checkpoint zero is not written by the spawn");
+    svc.submit_all(events[..4].iter().copied()).unwrap();
+    assert_eq!(svc.flush().unwrap().ops, 0);
+    assert_eq!(svc.health(), ServiceHealth::Failed);
+    let snap = svc.metrics().unwrap().snapshot();
+    assert_eq!(snap.counter("ingest_checkpoint_failures_total"), Some(1));
+    assert_eq!(snap.counter("ingest_snapshots_persisted_total"), Some(0));
+    assert_eq!(snap.counter("ingest_events_lost_total"), Some(4));
+    assert_eq!(
+        storage.fired_faults(),
+        vec![(OpClass::FileWrite, 0, FaultKind::IoError)]
+    );
+    let (report, _) = svc.shutdown();
+    assert_eq!(report.final_health, ServiceHealth::Failed);
+    nothing_durable(&dir);
 }
 
 fn gen(d: &std::path::Path, g: usize) -> PathBuf {
@@ -475,7 +623,7 @@ fn fault_supervised_writer_self_heals_after_engine_panic() {
 fn fault_recovery_backoff_is_scripted_and_bounded() {
     let dir = tmpdir("backoff");
     let events = heal_events();
-    // Read op 0 is the spawn-time sink open; ops 1 and 2 are the journal
+    // Read op 0 is the spawn's journal check; ops 1 and 2 are the journal
     // reads of recovery attempts 1 and 2 — both fail, attempt 3 is clean.
     // The second flush panics.
     let storage = StorageHandle::faulty(
@@ -612,9 +760,10 @@ fn thread_cpu_ms(tid: &str) -> u64 {
 
 #[test]
 fn fault_failed_writer_drops_buffered_events_and_sleeps() {
-    // JournalAppend 0 writes the journal header at spawn; the crash at
-    // append 1 fails the first batch and every append after it, so the
-    // writer exhausts its journal retries and parks in `Failed`.
+    // JournalAppend 0 is the first batch's frame (the journal header is
+    // written by checkpoint zero's atomic create): the crash there fails
+    // it and every append after it, so the writer exhausts its journal
+    // retries and parks in `Failed`.
     let base = kcore_gen::barabasi_albert(2000, 4, 3);
     let events: Vec<GraphEvent> = kcore_gen::churn_stream(&base, 40, 6, 2, 5)
         .iter()
@@ -623,7 +772,7 @@ fn fault_failed_writer_drops_buffered_events_and_sleeps() {
     let (svc, tid) = (0..50)
         .find_map(|attempt| {
             let dir = tmpdir(&format!("failed_idle_{attempt}"));
-            let storage = StorageHandle::faulty(FaultPlan::new().crash(OpClass::JournalAppend, 1));
+            let storage = StorageHandle::faulty(FaultPlan::new().crash(OpClass::JournalAppend, 0));
             let cfg = IngestConfig::default()
                 .durable(DurabilityConfig::in_dir(&dir).with_storage(storage));
             // Other tests spawn writers concurrently: keep this one only
@@ -686,11 +835,12 @@ fn fault_failed_writer_drops_buffered_events_and_sleeps() {
 #[test]
 fn fault_report_is_read_from_the_registry() {
     let dir = tmpdir("one_ledger");
-    // FileSync op 1 is the first periodic checkpoint; JournalAppend op 0
-    // is the header, op n the n-th shipped flush.
+    // FileSync ops 0 and 1 are checkpoint zero's snapshot and the journal
+    // it creates, op 2 the first periodic checkpoint; JournalAppend op n
+    // is the (n + 1)-th shipped flush.
     let plan = FaultPlan::new()
-        .fault(OpClass::FileSync, 1, FaultKind::IoError)
-        .fault(OpClass::JournalAppend, 6, FaultKind::IoError)
+        .fault(OpClass::FileSync, 2, FaultKind::IoError)
+        .fault(OpClass::JournalAppend, 5, FaultKind::IoError)
         .panic_at_flush(3);
     let d = DurabilityConfig::in_dir(&dir)
         .snapshot_every(2)
