@@ -89,6 +89,34 @@ impl AdjArena {
         }
     }
 
+    /// An arena whose rows are empty but laid out for the given final
+    /// lengths exactly as [`AdjArena::compact`] lays them out, so pushing
+    /// up to `lens[v]` neighbours onto each row `v` fills it in place and
+    /// leaves the compacted layout. A bulk builder sizes every row once.
+    pub(crate) fn with_row_lengths(lens: &[u32]) -> Self {
+        let mut off = Vec::with_capacity(lens.len());
+        let mut cap = Vec::with_capacity(lens.len());
+        let mut total = 0usize;
+        for &l in lens {
+            off.push(total as u32);
+            cap.push(l + headroom(l));
+            total += (l + headroom(l)) as usize;
+            assert!(
+                total <= u32::MAX as usize,
+                "AdjArena backing buffer exceeds u32 offsets"
+            );
+        }
+        AdjArena {
+            buf: vec![0; total],
+            off,
+            len: vec![0; lens.len()],
+            cap,
+            live: 0,
+            capacity: total,
+            compactions: 0,
+        }
+    }
+
     /// Number of vertices (slots).
     #[inline]
     pub fn num_vertices(&self) -> usize {

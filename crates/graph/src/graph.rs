@@ -99,6 +99,51 @@ impl DynamicGraph {
         g
     }
 
+    /// Builds a graph over `n` vertices from an edge list that must
+    /// already be simple, laying the adjacency out once: one pass counts
+    /// degrees (and refuses out-of-range endpoints and self loops), every
+    /// row is sized as [`compact_adjacency`][Self::compact_adjacency]
+    /// sizes it, a second pass fills the rows in list order, and a scan
+    /// with one stamp per vertex refuses a repeated edge. Memory is the
+    /// graph plus `O(n)`; `edges` is iterated twice.
+    pub fn try_from_edge_list<I>(n: usize, edges: I) -> Result<Self, EdgeListError>
+    where
+        I: IntoIterator<Item = (VertexId, VertexId)>,
+        I::IntoIter: Clone,
+    {
+        let edges = edges.into_iter();
+        let mut scratch = vec![0u32; n];
+        let mut m = 0usize;
+        for (u, v) in edges.clone() {
+            if u == v {
+                return Err(EdgeListError::SelfLoop(u));
+            }
+            for w in [u, v] {
+                if w as usize >= n {
+                    return Err(EdgeListError::UnknownVertex(w));
+                }
+                scratch[w as usize] += 1;
+            }
+            m += 1;
+        }
+        let mut adj = AdjArena::with_row_lengths(&scratch);
+        for (u, v) in edges {
+            adj.push(u, v);
+            adj.push(v, u);
+        }
+        // `scratch[w] == u` once row `u` has listed `w`.
+        scratch.fill(NO_VERTEX);
+        for u in 0..n as VertexId {
+            for &w in adj.slice(u) {
+                if scratch[w as usize] == u {
+                    return Err(EdgeListError::Duplicate(u, w));
+                }
+                scratch[w as usize] = u;
+            }
+        }
+        Ok(DynamicGraph { adj, m })
+    }
+
     /// Number of vertices (`n`).
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -430,6 +475,35 @@ mod tests {
         assert_eq!(g.num_vertices(), 8);
         assert_eq!(g.num_edges(), 2);
         assert!(g.has_edge(2, 7));
+    }
+
+    #[test]
+    fn edge_list_build_matches_pushes_and_refuses_non_simple_lists() {
+        let list = [(0, 3), (3, 1), (2, 0), (1, 2), (4, 0)];
+        let g = DynamicGraph::try_from_edge_list(5, list).unwrap();
+        // The rows the one-edge-at-a-time build gives, compacted.
+        let mut want = DynamicGraph::with_vertices(5);
+        for (u, v) in list {
+            want.insert_edge_unchecked(u, v);
+        }
+        want.compact_adjacency();
+        for v in 0..5 {
+            assert_eq!(g.neighbors(v), want.neighbors(v));
+        }
+        assert_eq!(g.num_edges(), 5);
+        g.adj.check_compacted().unwrap();
+        g.check_consistency().unwrap();
+
+        let refuse = |list: &[(VertexId, VertexId)]| {
+            DynamicGraph::try_from_edge_list(5, list.iter().copied()).unwrap_err()
+        };
+        assert_eq!(refuse(&[(0, 1), (2, 2)]), EdgeListError::SelfLoop(2));
+        assert_eq!(refuse(&[(0, 5)]), EdgeListError::UnknownVertex(5));
+        assert_eq!(
+            refuse(&[(0, 1), (2, 3), (1, 0)]),
+            EdgeListError::Duplicate(0, 1)
+        );
+        assert_eq!(refuse(&[(3, 4), (3, 4)]), EdgeListError::Duplicate(3, 4));
     }
 
     #[test]

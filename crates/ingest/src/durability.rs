@@ -70,6 +70,12 @@
 //! planner, and returns the engine with one [`RecoveryReport`]. Repairs
 //! land before it returns, so recovering the same directory again
 //! restores the same prefix and finds no damage.
+//!
+//! Its memory is one read of the journal file, the snapshot it loads and
+//! the tail it replays. One frame walk validates the journal and counts
+//! its intact events without keeping them; the replay then decodes only
+//! the frames that reach past the snapshot's `ops`, streaming them into
+//! [`replay_batched`].
 
 use crate::faults::StorageHandle;
 use kcore_graph::DynamicGraph;
@@ -88,7 +94,7 @@ const HEADER_BYTES: usize = 4 + 4 + 4 + 8 + 4;
 /// Frame header: marker, count, first_seq, payload_len, crc.
 const FRAME_HEADER_BYTES: usize = 4 + 4 + 8 + 4 + 4;
 /// Snapshot header: magic, version, ops, crc.
-const SNAP_HEADER_BYTES: usize = 4 + 4 + 8 + 4;
+pub(crate) const SNAP_HEADER_BYTES: usize = 4 + 4 + 8 + 4;
 
 // ---------------------------------------------------------------- CRC32
 
@@ -339,30 +345,40 @@ fn get_leb128(bytes: &[u8], at: &mut usize) -> Option<u64> {
 /// by construction — seqs are stored once, as `first_seq`). Public so
 /// the bench can measure the encoding cost and byte size.
 pub fn encode_frame(entries: &[JournalEntry]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + entries.len() * 6);
+    encode_frame_into(entries, &mut out);
+    out
+}
+
+/// [`encode_frame`] appending to `out`, in one buffer: room for the
+/// header, the payload, then the header and the CRC filled in over the
+/// slice. The journal sink reuses one buffer across appends.
+fn encode_frame_into(entries: &[JournalEntry], out: &mut Vec<u8>) {
     debug_assert!(entries.windows(2).all(|w| w[1].seq == w[0].seq + 1));
-    let mut payload = Vec::with_capacity(entries.len() * 6);
+    let start = out.len();
+    out.resize(start + FRAME_HEADER_BYTES, 0);
     let mut prev_u = 0u32;
     for e in entries {
         let (kind, u, v) = match e.event {
             GraphEvent::EdgeInserted(u, v) => (0u8, u, v),
             GraphEvent::EdgeRemoved(u, v) => (1u8, u, v),
         };
-        payload.push(kind);
-        put_leb128(&mut payload, zigzag(i64::from(u) - i64::from(prev_u)));
-        put_leb128(&mut payload, zigzag(i64::from(v) - i64::from(u)));
+        out.push(kind);
+        put_leb128(out, zigzag(i64::from(u) - i64::from(prev_u)));
+        put_leb128(out, zigzag(i64::from(v) - i64::from(u)));
         prev_u = u;
     }
+    let payload_len = (out.len() - start - FRAME_HEADER_BYTES) as u32;
     let first_seq = entries.first().map_or(0, |e| e.seq);
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    out.extend_from_slice(&first_seq.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let frame = &mut out[start..];
+    frame[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    frame[4..8].copy_from_slice(&(entries.len() as u32).to_le_bytes());
+    frame[8..16].copy_from_slice(&first_seq.to_le_bytes());
+    frame[16..20].copy_from_slice(&payload_len.to_le_bytes());
     let mut crc = Crc32::new();
-    crc.update(&out[4..20]).update(&payload);
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    crc.update(&frame[4..20])
+        .update(&frame[FRAME_HEADER_BYTES..]);
+    frame[20..24].copy_from_slice(&crc.finish().to_le_bytes());
 }
 
 pub(crate) fn encode_journal_header(n: usize, base: u64) -> Vec<u8> {
@@ -389,6 +405,9 @@ pub struct JournalSink {
     /// truncated back to so the file never holds a partial frame
     /// followed by a good one.
     intact_len: u64,
+    /// The frame being appended, kept across appends so a flush encodes
+    /// without allocating.
+    frame: Vec<u8>,
 }
 
 impl JournalSink {
@@ -434,6 +453,7 @@ impl JournalSink {
             fsync,
             existing: base,
             intact_len: HEADER_BYTES as u64,
+            frame: Vec::new(),
         })
     }
 
@@ -453,27 +473,28 @@ impl JournalSink {
         if bytes.is_empty() {
             return Ok(None);
         }
-        let contents = parse_journal(&bytes).map_err(|e| match e {
+        let scan = scan_journal(&bytes).map_err(|e| match e {
             RecoverError::Io(io) => io,
             other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
         })?;
-        if contents.n != n {
+        if scan.n != n {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("journal declares {} vertices, engine has {n}", contents.n),
+                format!("journal declares {} vertices, engine has {n}", scan.n),
             ));
         }
-        if contents.damage.is_some() {
+        if scan.damage.is_some() {
             // Drop the damaged bytes so resumed appends continue the
             // intact prefix instead of landing behind garbage.
-            storage.with(|io| io.truncate(path, contents.intact_bytes))?;
+            storage.with(|io| io.truncate(path, scan.intact_bytes))?;
         }
         Ok(Some(JournalSink {
             path: path.to_path_buf(),
             storage: storage.clone(),
             fsync,
-            existing: contents.base + contents.events.len() as u64,
-            intact_len: contents.intact_bytes,
+            existing: scan.durable_seq(),
+            intact_len: scan.intact_bytes,
+            frame: Vec::new(),
         }))
     }
 
@@ -492,14 +513,15 @@ impl JournalSink {
         if entries.is_empty() {
             return Ok(());
         }
-        let frame = encode_frame(entries);
-        if let Err(e) = self.storage.with(|io| io.append(&self.path, &frame)) {
+        self.frame.clear();
+        encode_frame_into(entries, &mut self.frame);
+        if let Err(e) = self.storage.with(|io| io.append(&self.path, &self.frame)) {
             let _ = self
                 .storage
                 .with(|io| io.truncate(&self.path, self.intact_len));
             return Err(e);
         }
-        self.intact_len += frame.len() as u64;
+        self.intact_len += self.frame.len() as u64;
         if self.fsync {
             self.storage.with(|io| io.sync_data(&self.path))?;
         }
@@ -548,141 +570,272 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, RecoverError> {
     let bytes = StorageHandle::real()
         .with(|io| io.read(path))
         .map_err(|_| RecoverError::BadJournal("journal file missing or unreadable"))?;
-    parse_journal(&bytes)
-}
-
-fn parse_journal(bytes: &[u8]) -> Result<JournalContents, RecoverError> {
-    if bytes.len() < HEADER_BYTES {
-        return Err(RecoverError::BadJournal("shorter than the header"));
-    }
-    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-    if word(0) != JOURNAL_MAGIC {
-        return Err(RecoverError::BadJournal("not a kcore journal"));
-    }
-    if word(20) != crc32(&bytes[..20]) {
-        return Err(RecoverError::BadJournal("journal header checksum mismatch"));
-    }
-    if word(4) != JOURNAL_VERSION {
-        return Err(RecoverError::BadJournal("unsupported journal version"));
-    }
-    let n = word(8) as usize;
-    let base = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let mut events = Vec::new();
-    let mut at = HEADER_BYTES;
-    let mut intact = at;
-    let mut damage = None;
-    let mut expected_seq = base;
-    'frames: while at < bytes.len() {
-        if at + FRAME_HEADER_BYTES > bytes.len() {
-            damage = Some("torn frame header");
-            break;
-        }
-        if word(at) != FRAME_MAGIC {
-            damage = Some("bad frame marker");
-            break;
-        }
-        let count = word(at + 4) as usize;
-        let first_seq = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap());
-        let payload_len = word(at + 16) as usize;
-        let Some(end) = payload_len.checked_add(at + FRAME_HEADER_BYTES) else {
-            damage = Some("frame length overflow");
-            break;
-        };
-        if end > bytes.len() {
-            damage = Some("torn frame body");
-            break;
-        }
-        let payload = &bytes[at + FRAME_HEADER_BYTES..end];
-        let mut crc = Crc32::new();
-        crc.update(&bytes[at + 4..at + 20]).update(payload);
-        if word(at + 20) != crc.finish() {
-            damage = Some("frame checksum mismatch");
-            break;
-        }
-        if first_seq != expected_seq {
-            damage = Some("sequence break");
-            break;
-        }
-        // The CRC already vouches for the bytes; the decode checks below
-        // guard against a frame that was *written* malformed.
-        let mut frame_events = Vec::with_capacity(count);
-        let mut r = 0usize;
-        let mut prev_u = 0u32;
-        for i in 0..count {
-            let Some(&kind) = payload.get(r) else {
-                damage = Some("frame payload underrun");
-                break 'frames;
-            };
-            r += 1;
-            if kind > 1 {
-                damage = Some("unknown record kind");
-                break 'frames;
-            }
-            let (Some(du), Some(dv)) = (get_leb128(payload, &mut r), get_leb128(payload, &mut r))
-            else {
-                damage = Some("frame payload underrun");
-                break 'frames;
-            };
-            let Some(u) = u32::try_from(i64::from(prev_u) + unzigzag(du)).ok() else {
-                damage = Some("vertex delta out of range");
-                break 'frames;
-            };
-            let Some(v) = u32::try_from(i64::from(u) + unzigzag(dv)).ok() else {
-                damage = Some("vertex delta out of range");
-                break 'frames;
-            };
-            prev_u = u;
-            frame_events.push((
-                first_seq + i as u64,
-                if kind == 0 {
-                    GraphEvent::EdgeInserted(u, v)
-                } else {
-                    GraphEvent::EdgeRemoved(u, v)
-                },
-            ));
-        }
-        if r != payload.len() {
-            damage = Some("frame payload overrun");
-            break;
-        }
-        expected_seq += frame_events.len() as u64;
-        events.extend(frame_events);
-        at = end;
-        intact = at;
-    }
+    let scan = scan_journal(&bytes)?;
+    let events = (scan.base..)
+        .zip(scan.events_from(&bytes, scan.base))
+        .collect();
     Ok(JournalContents {
-        n,
-        base,
+        n: scan.n,
+        base: scan.base,
         events,
-        intact_bytes: intact as u64,
-        damage,
+        intact_bytes: scan.intact_bytes,
+        damage: scan.damage,
     })
 }
 
-// ----------------------------------------------------------- snapshots
-
-fn encode_snapshot(ops: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SNAP_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&ops.to_le_bytes());
-    let mut crc = Crc32::new();
-    crc.update(&ops.to_le_bytes()).update(payload);
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// A validated journal without its events: the header's fields and the
+/// extent of the intact prefix. Recovery and the sink's re-open decide
+/// from this alone; only the events a replay needs are decoded again,
+/// by [`JournalScan::events_from`].
+#[derive(Debug, Clone, Copy)]
+struct JournalScan {
+    n: usize,
+    base: u64,
+    /// Intact events, gap-free from `base`.
+    events: u64,
+    /// Byte length of the intact prefix (header + whole valid frames).
+    intact_bytes: u64,
+    damage: Option<&'static str>,
 }
+
+impl JournalScan {
+    /// Seq one past the last intact event.
+    fn durable_seq(&self) -> u64 {
+        self.base + self.events
+    }
+
+    /// The intact events of `bytes` (the file this scan validated) from
+    /// seq `from` on. Frames that end at or before `from` are skipped
+    /// without decoding, and no frame's CRC is computed again.
+    fn events_from<'a>(&self, bytes: &'a [u8], from: u64) -> impl Iterator<Item = GraphEvent> + 'a {
+        let intact = self.intact_bytes as usize;
+        let mut at = HEADER_BYTES;
+        std::iter::from_fn(move || {
+            (at < intact).then(|| {
+                let f = frame_at(bytes, at).expect("a validated frame");
+                at = f.end;
+                f
+            })
+        })
+        .filter(move |f| f.first_seq + f.count as u64 > from)
+        .flat_map(move |f| {
+            let skip = from.saturating_sub(f.first_seq) as usize;
+            Records::new(f.payload, f.count)
+                .skip(skip)
+                .map(|r| r.expect("a validated record"))
+        })
+    }
+}
+
+/// One frame: its header fields and payload.
+struct Frame<'a> {
+    count: usize,
+    first_seq: u64,
+    /// The bytes the frame CRC covers ahead of the payload, and the CRC.
+    covered_header: &'a [u8],
+    stored_crc: u32,
+    payload: &'a [u8],
+    /// Offset one past the frame.
+    end: usize,
+}
+
+impl Frame<'_> {
+    fn crc_matches(&self) -> bool {
+        let mut crc = Crc32::new();
+        crc.update(self.covered_header).update(self.payload);
+        crc.finish() == self.stored_crc
+    }
+}
+
+fn word(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+/// Reads the frame at `at`, checking its marker and its extent; the
+/// caller checks its CRC.
+fn frame_at(bytes: &[u8], at: usize) -> Result<Frame<'_>, &'static str> {
+    if at + FRAME_HEADER_BYTES > bytes.len() {
+        return Err("torn frame header");
+    }
+    if word(bytes, at) != FRAME_MAGIC {
+        return Err("bad frame marker");
+    }
+    let payload_len = word(bytes, at + 16) as usize;
+    let Some(end) = payload_len.checked_add(at + FRAME_HEADER_BYTES) else {
+        return Err("frame length overflow");
+    };
+    if end > bytes.len() {
+        return Err("torn frame body");
+    }
+    Ok(Frame {
+        count: word(bytes, at + 4) as usize,
+        first_seq: u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()),
+        covered_header: &bytes[at + 4..at + 20],
+        stored_crc: word(bytes, at + 20),
+        payload: &bytes[at + FRAME_HEADER_BYTES..end],
+        end,
+    })
+}
+
+/// Decodes a frame payload's `count` delta records in order.
+struct Records<'a> {
+    payload: &'a [u8],
+    at: usize,
+    prev_u: u32,
+    left: usize,
+}
+
+impl<'a> Records<'a> {
+    fn new(payload: &'a [u8], count: usize) -> Self {
+        Records {
+            payload,
+            at: 0,
+            prev_u: 0,
+            left: count,
+        }
+    }
+
+    /// Decodes every record and checks that they fill the payload
+    /// exactly. The CRC already vouches for the bytes; this guards
+    /// against a frame that was *written* malformed.
+    fn validate(mut self) -> Result<(), &'static str> {
+        for r in &mut self {
+            r?;
+        }
+        if self.at != self.payload.len() {
+            return Err("frame payload overrun");
+        }
+        Ok(())
+    }
+
+    /// Decodes the record at `at`.
+    fn decode(&mut self) -> Result<GraphEvent, &'static str> {
+        let &kind = self.payload.get(self.at).ok_or("frame payload underrun")?;
+        self.at += 1;
+        if kind > 1 {
+            return Err("unknown record kind");
+        }
+        let (Some(du), Some(dv)) = (
+            get_leb128(self.payload, &mut self.at),
+            get_leb128(self.payload, &mut self.at),
+        ) else {
+            return Err("frame payload underrun");
+        };
+        let out_of_range = |_| "vertex delta out of range";
+        let u = u32::try_from(i64::from(self.prev_u) + unzigzag(du)).map_err(out_of_range)?;
+        let v = u32::try_from(i64::from(u) + unzigzag(dv)).map_err(out_of_range)?;
+        self.prev_u = u;
+        Ok(if kind == 0 {
+            GraphEvent::EdgeInserted(u, v)
+        } else {
+            GraphEvent::EdgeRemoved(u, v)
+        })
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = Result<GraphEvent, &'static str>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let record = self.decode();
+        if record.is_err() {
+            // Nothing after a malformed record can be decoded.
+            self.left = 0;
+        }
+        Some(record)
+    }
+}
+
+/// Validates a v3 journal frame by frame without keeping its events:
+/// header (magic, CRC, version), then each frame's marker, CRC, seq
+/// continuity and record decoding. Corruption past the header ends the
+/// intact prefix at the last fully valid frame (`damage`); a corrupt
+/// header is an error.
+fn scan_journal(bytes: &[u8]) -> Result<JournalScan, RecoverError> {
+    if bytes.len() < HEADER_BYTES {
+        return Err(RecoverError::BadJournal("shorter than the header"));
+    }
+    if word(bytes, 0) != JOURNAL_MAGIC {
+        return Err(RecoverError::BadJournal("not a kcore journal"));
+    }
+    if word(bytes, 20) != crc32(&bytes[..20]) {
+        return Err(RecoverError::BadJournal("journal header checksum mismatch"));
+    }
+    if word(bytes, 4) != JOURNAL_VERSION {
+        return Err(RecoverError::BadJournal("unsupported journal version"));
+    }
+    let base = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    let mut scan = JournalScan {
+        n: word(bytes, 8) as usize,
+        base,
+        events: 0,
+        intact_bytes: HEADER_BYTES as u64,
+        damage: None,
+    };
+    let mut at = HEADER_BYTES;
+    while at < bytes.len() {
+        let frame = frame_at(bytes, at).and_then(|f| {
+            if !f.crc_matches() {
+                return Err("frame checksum mismatch");
+            }
+            if f.first_seq != scan.durable_seq() {
+                return Err("sequence break");
+            }
+            Records::new(f.payload, f.count).validate()?;
+            Ok(f)
+        });
+        match frame {
+            Ok(f) => {
+                scan.events += f.count as u64;
+                at = f.end;
+                scan.intact_bytes = at as u64;
+            }
+            Err(damage) => {
+                scan.damage = Some(damage);
+                break;
+            }
+        }
+    }
+    Ok(scan)
+}
+
+// ----------------------------------------------------------- snapshots
 
 /// Persists the index snapshot into `d`'s rotation: temp file + fsync +
 /// generation shift (`ksnp` → `ksnp.1` → …, oldest dropped) + rename +
 /// parent-directory fsync. The directory fsync is what makes the rename
 /// itself durable across power loss.
 pub fn persist_index_snapshot(d: &DurabilityConfig, ops: u64, payload: &[u8]) -> io::Result<()> {
+    let mut snapshot = Vec::with_capacity(SNAP_HEADER_BYTES + payload.len());
+    snapshot.resize(SNAP_HEADER_BYTES, 0);
+    snapshot.extend_from_slice(payload);
+    persist_framed_snapshot(d, ops, &mut snapshot)
+}
+
+/// [`persist_index_snapshot`] of a buffer that holds the payload after
+/// [`SNAP_HEADER_BYTES`] of room: fills in the header and its CRC in
+/// place, then writes the whole buffer into the rotation. The writer
+/// serialises each checkpoint straight into such a buffer and reuses it.
+pub(crate) fn persist_framed_snapshot(
+    d: &DurabilityConfig,
+    ops: u64,
+    snapshot: &mut [u8],
+) -> io::Result<()> {
+    let mut crc = Crc32::new();
+    crc.update(&ops.to_le_bytes())
+        .update(&snapshot[SNAP_HEADER_BYTES..]);
+    snapshot[0..4].copy_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
+    snapshot[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    snapshot[8..16].copy_from_slice(&ops.to_le_bytes());
+    snapshot[16..20].copy_from_slice(&crc.finish().to_le_bytes());
     let path = &d.snapshot_path;
-    let bytes = encode_snapshot(ops, payload);
     let tmp = path.with_extension("ksnp.tmp");
     d.storage.with(|io| {
-        io.write_file(&tmp, &bytes)?;
+        io.write_file(&tmp, snapshot)?;
         io.sync_file(&tmp)
     })?;
     for g in (1..d.snapshot_generations.max(1)).rev() {
@@ -731,7 +884,8 @@ fn load_snapshot_with(
             "snapshot checksum mismatch",
         )));
     }
-    let index: OrderCore = OrderCore::load(payload, seed).map_err(RecoverError::BadSnapshot)?;
+    let index: OrderCore =
+        OrderCore::load_bytes(payload, seed).map_err(RecoverError::BadSnapshot)?;
     Ok((ops, index))
 }
 
@@ -862,8 +1016,9 @@ pub struct Recovered {
 ///    last checksummed frame, or, when the journal is unusable or lost a
 ///    suffix the snapshot still covers, reset it to an empty v3 file
 ///    based at the snapshot's `ops`;
-/// 3. **Replay** — the journal tail past the source, **through the
-///    planner** ([`replay_batched`] onto a [`PlannedCore`]):
+/// 3. **Replay** — the journal tail past the source, decoded straight
+///    out of the journal bytes, **through the planner**
+///    ([`replay_batched`] onto a [`PlannedCore`]):
 ///    `replay_batch` groups events into micro-batches and the planner
 ///    prices each one (recompute vs order-based passes), so a long tail
 ///    replays at batch speed;
@@ -905,13 +1060,16 @@ fn recover_impl(
     replay_batch: usize,
 ) -> Result<Recovered, RecoverError> {
     let storage = &d.storage;
-    // The journal's length on disk and its intact prefix; `None` when the
-    // file is missing or its header is unusable.
-    let (journal_len, journal) = match storage.with(|io| io.read(&d.journal_path)) {
-        Ok(bytes) => (bytes.len() as u64, parse_journal(&bytes).ok()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => (0, None),
+    // The journal, read once, and its intact prefix's extent; `None` when
+    // the file is missing or its header is unusable. The scan keeps no
+    // events: the replay below decodes only the tail it needs.
+    let bytes = match storage.with(|io| io.read(&d.journal_path)) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(RecoverError::Io(e)),
     };
+    let journal_len = bytes.len() as u64;
+    let journal = scan_journal(&bytes).ok();
 
     // 1. Source. Scan the snapshot generations newest-first, keeping the
     // first one the journal can replay from and, separately, the newest
@@ -986,27 +1144,26 @@ fn recover_impl(
     };
 
     // 2. Journal repair, and the tail left to replay past the source.
-    let (tail, durable_ops, journal_truncated_bytes): (&[(u64, GraphEvent)], u64, u64) =
-        match &journal {
-            Some(j) if !reset => {
-                if j.damage.is_some() {
-                    storage.with(|io| io.truncate(&d.journal_path, j.intact_bytes))?;
-                }
-                let from = (ops - j.base) as usize;
-                let dropped = journal_len - j.intact_bytes;
-                (&j.events[from..], j.durable_seq(), dropped)
+    let (tail, durable_ops, journal_truncated_bytes) = match &journal {
+        Some(j) if !reset => {
+            if j.damage.is_some() {
+                storage.with(|io| io.truncate(&d.journal_path, j.intact_bytes))?;
             }
-            _ => {
-                let n = index.graph().num_vertices();
-                JournalSink::create(&d.journal_path, n, ops, d.fsync, storage)?;
-                (&[], ops, journal_len)
-            }
-        };
+            let dropped = journal_len - j.intact_bytes;
+            (Some(j), j.durable_seq(), dropped)
+        }
+        _ => {
+            let n = index.graph().num_vertices();
+            JournalSink::create(&d.journal_path, n, ops, d.fsync, storage)?;
+            (None, ops, journal_len)
+        }
+    };
 
-    // 3. Replay.
+    // 3. Replay, streaming the tail's events out of the journal bytes.
     let mut engine = PlannedCore::from_parts(index, Planner::new(planner));
-    let events = tail.iter().map(|&(_, e)| e);
-    replay_batched(&mut engine, events, replay_batch.max(1));
+    if let Some(j) = tail {
+        replay_batched(&mut engine, j.events_from(&bytes, ops), replay_batch.max(1));
+    }
 
     // 4. Report.
     let journal_damage = journal.as_ref().and_then(|j| j.damage);
@@ -1024,7 +1181,7 @@ fn recover_impl(
             snapshot_generation: generation,
             snapshots_rejected: rejected,
             durable_ops,
-            replayed: tail.len(),
+            replayed: (durable_ops - ops) as usize,
             journal_damage,
             journal_truncated_bytes,
             elapsed_ns: 0,

@@ -27,11 +27,14 @@
 //! publish can wait on).
 //!
 //! Index checkpoints are split in two: the writer serialises the index
-//! (the only step that reads engine state) and a thread spawned for that
-//! checkpoint writes it through [`persist_index_snapshot`]. At most one
-//! write is in flight; the writer joins it before the next checkpoint,
-//! at every [`IngestService::flush`] barrier, before `recover()`, and at
-//! shutdown or abort, and only then counts the outcome. The first one,
+//! (the only step that reads engine state) into a buffer it keeps across
+//! checkpoints, and a thread spawned for that checkpoint frames it (the
+//! snapshot header and CRC, filled in place) and writes it through the
+//! [`crate::persist_index_snapshot`] write path, then hands the buffer
+//! back. At most one write is in flight; the writer joins it before the
+//! next checkpoint, at every [`IngestService::flush`] barrier, before
+//! `recover()`, and at shutdown or abort, and only then counts the
+//! outcome. The first one,
 //! checkpoint zero, persists the base state of a durable directory that
 //! has no snapshot or no journal yet. The writer serialises it before it
 //! reads its first message, so the spawn itself does no storage writes.
@@ -72,7 +75,7 @@
 
 use crate::chunked::CoreMirror;
 use crate::durability::{
-    persist_index_snapshot, recover, DurabilityConfig, JournalSink, Recovered,
+    persist_framed_snapshot, recover, DurabilityConfig, JournalSink, Recovered, SNAP_HEADER_BYTES,
 };
 use crate::snapshot::{CoreSnapshot, SnapshotHandle, SnapshotReceiver};
 use kcore_decomp::Parallelism;
@@ -514,6 +517,7 @@ impl IngestService {
             events_since_persist: 0,
             idle_flush_at_ns: 0,
             checkpoint: None,
+            checkpoint_buf: Vec::new(),
             subscribers: Vec::new(),
             mirror,
             change_buf: Vec::new(),
@@ -915,10 +919,11 @@ struct MirrorSync {
     copied: u64,
 }
 
-/// A background checkpoint write: its result and its wall-clock duration
-/// in ns. The result carries checkpoint zero's journal (see
+/// A background checkpoint write: its result, its wall-clock duration in
+/// ns, and the snapshot buffer it wrote, handed back for the next
+/// checkpoint. The result carries checkpoint zero's journal (see
 /// [`JournalHandoff`]); a periodic checkpoint's carries `None`.
-type CheckpointWrite = JoinHandle<(io::Result<Option<JournalSink>>, u64)>;
+type CheckpointWrite = JoinHandle<(io::Result<Option<JournalSink>>, u64, Vec<u8>)>;
 
 /// What a checkpoint's job does with the journal once its snapshot is
 /// durable. Checkpoint zero hands the writer its journal, so the writer
@@ -958,6 +963,10 @@ struct Writer {
     idle_flush_at_ns: u64,
     /// The checkpoint write in flight, if any (at most one).
     checkpoint: Option<CheckpointWrite>,
+    /// The snapshot buffer, kept across checkpoints: `persist` serialises
+    /// the index into it after room for the snapshot header, the
+    /// checkpoint thread frames and writes it, and the join hands it back.
+    checkpoint_buf: Vec<u8>,
     subscribers: Vec<mpsc::Sender<Arc<CoreSnapshot>>>,
     /// Copy-on-write mirror of the engine's cores + incremental
     /// histogram — what snapshots are composed from, in O(changed).
@@ -1398,11 +1407,12 @@ impl Writer {
     }
 
     /// Starts an index checkpoint covering `ops`: serialises the index
-    /// here, then hands the payload to a thread spawned for this
-    /// checkpoint, which writes it into the rotation through
-    /// [`persist_index_snapshot`] and then deals with the journal as
-    /// `journal` says. A previous write still in flight is joined first;
-    /// this one is counted when it is joined.
+    /// here into the kept snapshot buffer, then hands the buffer to a
+    /// thread spawned for this checkpoint, which frames it and writes it
+    /// into the rotation (the [`crate::persist_index_snapshot`] write
+    /// path) and then deals with the journal as `journal` says. The
+    /// snapshot CRC runs on that thread, not here. A previous write still
+    /// in flight is joined first; this one is counted when it is joined.
     fn persist(&mut self, journal: JournalHandoff) {
         let Some(d) = self.cfg.durability.clone() else {
             return;
@@ -1410,13 +1420,12 @@ impl Writer {
         self.join_checkpoint();
         self.events_since_persist = 0;
         let s0 = Instant::now();
-        let mut payload: Vec<u8> = Vec::new();
+        let mut snapshot = std::mem::take(&mut self.checkpoint_buf);
+        snapshot.clear();
+        snapshot.resize(SNAP_HEADER_BYTES, 0);
         // `order()` refreshes a deferred k-order first, so the persisted
         // form always round-trips through `OrderCore::load` validation.
-        if self.engine.order().save(&mut payload).is_err() {
-            self.checkpoint_failed();
-            return;
-        }
+        self.engine.order().save_into(&mut snapshot);
         self.obs
             .checkpoint_serialize
             .record(s0.elapsed().as_nanos() as u64);
@@ -1426,7 +1435,7 @@ impl Writer {
             .spawn(move || {
                 let w0 = Instant::now();
                 let result =
-                    persist_index_snapshot(&d, ops, &payload).and_then(|()| match journal {
+                    persist_framed_snapshot(&d, ops, &mut snapshot).and_then(|()| match journal {
                         JournalHandoff::Held => Ok(None),
                         JournalHandoff::Opened(sink) => Ok(Some(sink)),
                         JournalHandoff::Create => {
@@ -1434,7 +1443,7 @@ impl Writer {
                                 .map(Some)
                         }
                     });
-                (result, w0.elapsed().as_nanos() as u64)
+                (result, w0.elapsed().as_nanos() as u64, snapshot)
             });
         match write {
             Ok(write) => self.checkpoint = Some(write),
@@ -1449,8 +1458,9 @@ impl Writer {
             return;
         };
         let written = match write.join() {
-            Ok((result, write_ns)) => {
+            Ok((result, write_ns, snapshot)) => {
                 self.obs.checkpoint_write.record(write_ns);
+                self.checkpoint_buf = snapshot;
                 result
             }
             Err(_) => Err(io::Error::other("checkpoint thread panicked")),

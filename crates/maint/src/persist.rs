@@ -6,13 +6,14 @@
 //! checkpoint the index. The format stores the graph (edge list), the
 //! global k-order, and the three per-vertex arrays (`core`, `deg⁺`,
 //! `mcd`), all little-endian `u32`, guarded by a magic header and an
-//! Fx-hash checksum. Loading re-validates the cheap structural facts
-//! (grouping, Lemma 5.1) and rebuilds the `A_k` lists by tail appends
-//! (one stride step per vertex, no relabel).
+//! Fx-hash checksum. Loading parses the bytes in place, lays the
+//! adjacency out once from the edge list, re-validates the cheap
+//! structural facts (simple graph, grouping, Lemma 5.1) and rebuilds the
+//! `A_k` lists by tail appends (one stride step per vertex, no relabel).
 
 use crate::order_core::OrderCore;
 use kcore_decomp::validate::compute_mcd;
-use kcore_graph::{DynamicGraph, FxHashSet, VertexId};
+use kcore_graph::{DynamicGraph, EdgeListError, VertexId};
 use kcore_order::OrderSeq;
 use std::hash::{BuildHasher, Hasher};
 use std::io::{self, Read, Write};
@@ -50,26 +51,32 @@ impl From<io::Error> for PersistError {
     }
 }
 
-fn checksum(words: &[u32]) -> u64 {
+fn checksum(word_bytes: &[u8]) -> u64 {
     let mut h = kcore_graph::FxBuildHasher::default().build_hasher();
-    for &w in words {
-        h.write_u32(w);
+    for i in 0..word_bytes.len() / 4 {
+        h.write_u32(word(word_bytes, i));
     }
     h.finish()
 }
 
+/// The `i`-th little-endian `u32` of `bytes`.
+fn word(bytes: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap())
+}
+
 impl<S: OrderSeq> OrderCore<S> {
-    /// Serialises the index (graph + k-order + per-vertex arrays) in one
-    /// pass: each word is written once, little-endian, into a buffer of
-    /// the final size while the checksum runs over it.
-    pub fn save<W: Write>(&self, mut out: W) -> io::Result<()> {
+    /// Appends the serialised index (graph + k-order + per-vertex arrays)
+    /// to `out` in one pass: each word is written once, little-endian,
+    /// while the checksum runs over it. A caller that keeps `out` across
+    /// saves allocates nothing once it has grown to the index's size.
+    pub fn save_into(&self, out: &mut Vec<u8>) {
         let n = self.graph.num_vertices();
         let m = self.graph.num_edges();
-        let mut bytes: Vec<u8> = Vec::with_capacity(4 * (4 + 2 * m + 4 * n) + 8);
+        out.reserve(4 * (4 + 2 * m + 4 * n) + 8);
         let mut sum = kcore_graph::FxBuildHasher::default().build_hasher();
         let mut put = |w: u32| {
             sum.write_u32(w);
-            bytes.extend_from_slice(&w.to_le_bytes());
+            out.extend_from_slice(&w.to_le_bytes());
         };
         for w in [MAGIC, VERSION, n as u32, m as u32] {
             put(w);
@@ -94,7 +101,14 @@ impl<S: OrderSeq> OrderCore<S> {
                 put(w);
             }
         }
-        bytes.extend_from_slice(&sum.finish().to_le_bytes());
+        out.extend_from_slice(&sum.finish().to_le_bytes());
+    }
+
+    /// Serialises the index to `out` ([`OrderCore::save_into`], then one
+    /// write).
+    pub fn save<W: Write>(&self, mut out: W) -> io::Result<()> {
+        let mut bytes = Vec::new();
+        self.save_into(&mut bytes);
         out.write_all(&bytes)
     }
 
@@ -104,57 +118,47 @@ impl<S: OrderSeq> OrderCore<S> {
         self.save(io::BufWriter::new(file))
     }
 
-    /// Deserialises an index previously written by [`OrderCore::save`].
-    /// Each level's `A_k` is rebuilt from the stored k-order; the stored
-    /// arrays are structurally validated (checksum, permutation, core
-    /// grouping, Lemma 5.1, `mcd` definition).
+    /// Deserialises an index previously written by [`OrderCore::save`]
+    /// ([`OrderCore::load_bytes`] over everything `input` yields).
     pub fn load<R: Read>(mut input: R, seed: u64) -> Result<Self, PersistError> {
         let mut bytes = Vec::new();
         input.read_to_end(&mut bytes)?;
-        if bytes.len() < 24 || (bytes.len() - 8) % 4 != 0 {
+        Self::load_bytes(&bytes, seed)
+    }
+
+    /// Deserialises an index from the bytes [`OrderCore::save`] wrote,
+    /// parsing them in place. The graph is built in one layout from the
+    /// edge list ([`DynamicGraph::try_from_edge_list`]: no edge hash set),
+    /// only the four per-vertex arrays are copied out, and each level's
+    /// `A_k` is rebuilt from the stored k-order. The stored arrays are
+    /// structurally validated (checksum, simple graph, permutation, core
+    /// grouping, Lemma 5.1, `mcd` definition).
+    pub fn load_bytes(bytes: &[u8], seed: u64) -> Result<Self, PersistError> {
+        if bytes.len() < 24 || !(bytes.len() - 8).is_multiple_of(4) {
             return Err(PersistError::BadHeader);
         }
         let (word_bytes, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let words: Vec<u32> = word_bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        if words[0] != MAGIC || words[1] != VERSION {
+        if word(word_bytes, 0) != MAGIC || word(word_bytes, 1) != VERSION {
             return Err(PersistError::BadHeader);
         }
         let stored_sum = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-        if checksum(&words) != stored_sum {
+        if checksum(word_bytes) != stored_sum {
             return Err(PersistError::Corrupted("checksum mismatch"));
         }
-        let n = words[2] as usize;
-        let m = words[3] as usize;
-        if words.len() != 4 + 2 * m + 4 * n {
+        let n = word(word_bytes, 2) as usize;
+        let m = word(word_bytes, 3) as usize;
+        if word_bytes.len() != 4 * (4 + 2 * m + 4 * n) {
             return Err(PersistError::Corrupted("length mismatch"));
         }
-        let mut at = 4usize;
-        let mut graph = DynamicGraph::with_vertices(n);
-        let mut seen: FxHashSet<u64> = FxHashSet::default();
-        for _ in 0..m {
-            let (u, v) = (words[at], words[at + 1]);
-            at += 2;
-            if u as usize >= n || v as usize >= n || u == v {
-                return Err(PersistError::Corrupted("bad edge"));
-            }
-            if !seen.insert(kcore_graph::edge_key(u, v)) {
-                return Err(PersistError::Corrupted("duplicate edge"));
-            }
-            graph.insert_edge_unchecked(u, v);
-        }
-        // Lay the adjacency out once, before the validation scans below
-        // and the engine's first batch.
-        graph.compact_adjacency();
-        let order: Vec<VertexId> = words[at..at + n].to_vec();
-        at += n;
-        let core: Vec<u32> = words[at..at + n].to_vec();
-        at += n;
-        let deg_plus: Vec<u32> = words[at..at + n].to_vec();
-        at += n;
-        let mcd: Vec<u32> = words[at..at + n].to_vec();
+        let (edge_bytes, arrays) = word_bytes[16..].split_at(8 * m);
+        let edges = edge_bytes.chunks_exact(8).map(|e| (word(e, 0), word(e, 1)));
+        let graph = DynamicGraph::try_from_edge_list(n, edges).map_err(|e| match e {
+            EdgeListError::Duplicate(..) => PersistError::Corrupted("duplicate edge"),
+            _ => PersistError::Corrupted("bad edge"),
+        })?;
+        let array =
+            |a: usize| -> Vec<u32> { (a * n..(a + 1) * n).map(|i| word(arrays, i)).collect() };
+        let (order, core, deg_plus, mcd) = (array(0), array(1), array(2), array(3));
 
         // Structural validation.
         let mut pos = vec![u32::MAX; n];
@@ -271,6 +275,19 @@ mod tests {
             <OrderCore>::load(&[][..], 1).unwrap_err(),
             PersistError::BadHeader
         ));
+
+        // one edge repeated, checksum recomputed: only the duplicate is
+        // at fault. The triangle's edges are words 4..10; the second
+        // overwrites the third.
+        let mut bad = buf.clone();
+        bad.copy_within(24..32, 32);
+        let words = bad.len() - 8;
+        let sum = checksum(&bad[..words]);
+        bad[words..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            <OrderCore>::load(&bad[..], 1).unwrap_err(),
+            PersistError::Corrupted("duplicate edge")
+        ));
     }
 
     /// The two-pass encoder `save` replaced: collect every word into a
@@ -288,8 +305,8 @@ mod tests {
         words.extend_from_slice(&oc.core);
         words.extend_from_slice(&oc.deg_plus);
         words.extend_from_slice(&oc.mcd);
-        let sum = checksum(&words);
         let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let sum = checksum(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
         bytes
     }
@@ -321,7 +338,24 @@ mod tests {
         let mut buf = Vec::new();
         oc.save(&mut buf).unwrap();
         assert_eq!(buf, reference_save(&oc));
-        assert_eq!(roundtrip(&oc).cores(), oc.cores());
+
+        // The bulk row build keeps every row's order: the loaded index
+        // saves the same file again.
+        let loaded = roundtrip(&oc);
+        assert_eq!(loaded.cores(), oc.cores());
+        let mut again = Vec::new();
+        loaded.save(&mut again).unwrap();
+        assert_eq!(again, buf);
+        // And it is laid out as `compact_adjacency` lays it out: the same
+        // footprint, with no relocation holes.
+        let mut compacted = loaded.graph.clone();
+        compacted.compact_adjacency();
+        let (_, capacity, backing) = loaded.graph.adjacency_footprint();
+        assert_eq!(capacity, backing);
+        assert_eq!(
+            loaded.graph.adjacency_footprint(),
+            compacted.adjacency_footprint()
+        );
     }
 
     #[test]
