@@ -27,13 +27,17 @@
 //!   compaction exactly once, between the apply and pass phases, instead
 //!   of risking a latency spike inside a per-edge hot loop.
 //!
-//! Unlike the single-edge API, the batch entry points **skip** invalid
-//! entries (self loops, duplicates — also within the batch —, missing
-//! edges, out-of-range endpoints) instead of erroring, counting them in
+//! The batch entry points **skip** invalid entries (self loops,
+//! duplicates — also within the batch —, missing edges, out-of-range
+//! endpoints) instead of erroring, counting them in
 //! [`UpdateStats::skipped`]: a stream replayer wants throughput, not a
-//! transaction abort on the first dirty record. The single-edge
-//! [`OrderCore::insert_edge`] / [`OrderCore::remove_edge`] report each
-//! invalid edge as an error.
+//! transaction abort on the first dirty record.
+//!
+//! The single-edge [`OrderCore::insert_edge`] / [`OrderCore::remove_edge`]
+//! are batches of one, so this module holds the only apply phase: they
+//! run the batch entry point and turn a skipped entry into its
+//! [`EdgeListError`]. A batch whose only entry is skipped changes no core,
+//! edge or order position.
 //!
 //! Core numbers of the final graph are order-independent, so neither the
 //! deferred passes nor the merged per-level walks change any observable
@@ -41,11 +45,43 @@
 //! edge-at-a-time updates and a from-scratch decomposition.
 
 use crate::order_core::OrderCore;
-use kcore_graph::{VertexId, DEFAULT_MAX_HOLE_RATIO};
+use kcore_graph::{EdgeListError, VertexId, DEFAULT_MAX_HOLE_RATIO};
 use kcore_order::OrderSeq;
 use kcore_traversal::UpdateStats;
 
 impl<S: OrderSeq> OrderCore<S> {
+    /// Inserts the edge `(u, v)`, updating core numbers and the k-order:
+    /// [`OrderCore::insert_edges`] over a batch of one. Errors (with no
+    /// state change) on self loops, duplicates, and unknown endpoints.
+    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Result<UpdateStats, EdgeListError> {
+        let stats = self.insert_edges(&[(u, v)]);
+        if stats.skipped == 0 {
+            return Ok(stats);
+        }
+        let n = self.graph.num_vertices() as VertexId;
+        Err(if u == v {
+            EdgeListError::SelfLoop(u)
+        } else if u >= n {
+            EdgeListError::UnknownVertex(u)
+        } else if v >= n {
+            EdgeListError::UnknownVertex(v)
+        } else {
+            EdgeListError::Duplicate(u, v)
+        })
+    }
+
+    /// Removes the edge `(u, v)`, updating core numbers and the k-order:
+    /// [`OrderCore::remove_edges`] over a batch of one. Errors (with no
+    /// state change) when the edge is absent.
+    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<UpdateStats, EdgeListError> {
+        let stats = self.remove_edges(&[(u, v)]);
+        if stats.skipped == 0 {
+            Ok(stats)
+        } else {
+            Err(EdgeListError::Missing(u, v))
+        }
+    }
+
     /// Inserts a batch of edges, updating core numbers and the k-order.
     /// Invalid entries (self loops, duplicate edges — including
     /// duplicates within `edges` —, unknown endpoints) are skipped and
@@ -131,17 +167,8 @@ impl<S: OrderSeq> OrderCore<S> {
                 self.mcd[v as usize] += 1;
             }
 
-            // Root = earlier endpoint in k-order; same-level ties compare
-            // A_k order keys.
-            let root = if cu < cv {
-                u
-            } else if cv < cu {
-                v
-            } else if self.order_key(u) < self.order_key(v) {
-                u
-            } else {
-                v
-            };
+            // Root = earlier endpoint in the (frozen) k-order.
+            let root = if self.precedes(u, v) { u } else { v };
             let ri = root as usize;
             self.deg_plus[ri] += 1;
             if self.deg_plus[ri] <= self.core[ri] {
@@ -252,17 +279,8 @@ impl<S: OrderSeq> OrderCore<S> {
             if cv <= cu {
                 self.mcd[v as usize] -= 1;
             }
-            // The earlier endpoint counted the later one in deg⁺;
-            // same-level ties compare A_k order keys.
-            let earlier = if cu < cv {
-                u
-            } else if cv < cu {
-                v
-            } else if self.order_key(u) < self.order_key(v) {
-                u
-            } else {
-                v
-            };
+            // The earlier endpoint counted the later one in deg⁺.
+            let earlier = if self.precedes(u, v) { u } else { v };
             self.deg_plus[earlier as usize] -= 1;
 
             // A vertex becomes a dismissal seed the moment its mcd drops
@@ -487,13 +505,13 @@ mod tests {
         assert!(stats.changed > 0, "a 1k-edge tear must change some core");
         assert!(stats.merged_seeds >= stats.passes);
 
-        // The sequential loop runs exactly one pass per removal.
+        // Each single removal is a no-op or runs exactly one pass.
         let mut seq: OrderCore = OrderCore::new(g, 9);
         let mut seq_stats = kcore_traversal::UpdateStats::default();
         for &(u, v) in &batch {
             seq_stats.absorb(seq.remove_edge(u, v).unwrap());
         }
-        assert_eq!(seq_stats.passes, batch.len());
+        assert_eq!(seq_stats.passes + seq_stats.noop, batch.len());
         assert_eq!(batched.cores(), seq.cores());
     }
 

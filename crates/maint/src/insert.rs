@@ -1,9 +1,10 @@
 //! `OrderInsert` — Algorithm 2 of the paper, with `RemoveCandidates`
 //! (Algorithm 3).
 //!
-//! One pass over `O_K` starting at the root (the earlier endpoint of the
-//! new edge), *jumping* between the vertices that still need attention via
-//! the min-heap `B` keyed by pass-start ranks:
+//! One pass over `O_K` starting at the seeds (the roots — earlier
+//! endpoints of new edges — that broke Lemma 5.1 at level `K`; the paper's
+//! single root is a batch of one), *jumping* between the vertices that
+//! still need attention via the min-heap `B` keyed by pass-start ranks:
 //!
 //! * **Case-1** (`deg* + deg⁺ > K`): the vertex becomes a candidate
 //!   (joins `VC`, leaves `O_K`), and grants one `deg*` to every later
@@ -23,79 +24,23 @@
 //! `deg⁺`/`mcd` are repaired around them.
 
 use crate::order_core::{OrderCore, StarDeg};
-use kcore_graph::{EdgeListError, VertexId};
+use kcore_graph::VertexId;
 use kcore_order::OrderSeq;
 use kcore_traversal::UpdateStats;
 
 impl<S: OrderSeq> OrderCore<S> {
-    /// Inserts the edge `(u, v)`, updating core numbers and the k-order.
-    /// Errors (with no state change) on self loops, duplicates, and
-    /// unknown endpoints.
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Result<UpdateStats, EdgeListError> {
-        let n = self.graph.num_vertices() as VertexId;
-        if u == v {
-            return Err(EdgeListError::SelfLoop(u));
-        }
-        if u >= n {
-            return Err(EdgeListError::UnknownVertex(u));
-        }
-        if v >= n {
-            return Err(EdgeListError::UnknownVertex(v));
-        }
-        if self.graph.has_edge(u, v) {
-            return Err(EdgeListError::Duplicate(u, v));
-        }
-        self.graph.insert_edge_unchecked(u, v);
-        let mut stats = UpdateStats::default();
-
-        // mcd reflects the new edge immediately (old core numbers).
-        let (cu, cv) = (self.core[u as usize], self.core[v as usize]);
-        if cv >= cu {
-            self.mcd[u as usize] += 1;
-        }
-        if cu >= cv {
-            self.mcd[v as usize] += 1;
-        }
-
-        // Root = the earlier endpoint in k-order; it gains the deg⁺.
-        let root = if cu < cv {
-            u
-        } else if cv < cu {
-            v
-        } else if self.order.key(u) < self.order.key(v) {
-            u
-        } else {
-            v
-        };
-        self.insert_post_root(root, &mut stats);
-        Ok(stats)
-    }
-
-    /// Shared tail of edge insertion once the root (earlier endpoint) is
-    /// known: bump its `deg⁺`, apply the Lemma 5.2 short-circuit, and run
-    /// the promotion pass only when the k-order actually broke.
-    pub(crate) fn insert_post_root(&mut self, root: VertexId, stats: &mut UpdateStats) {
-        let k = self.core[root as usize];
-        self.deg_plus[root as usize] += 1;
-        if self.deg_plus[root as usize] <= k {
-            // Lemma 5.2: O_K is still a valid k-order; nothing changes.
-            stats.noop += 1;
-            return;
-        }
-        self.promote_pass(&[root], k, stats);
-    }
-
     /// `OrderInsert`'s pass + ending phase (Algorithms 2 and 3): finds
     /// `V*` at level `k` and repairs the k-order. `seeds` are the
-    /// Lemma 5.1 violators (`deg⁺ > k`) triggering the pass — one root
-    /// for a single-edge insert, every violating root of a level for the
-    /// batched engine. The pass machinery is seed-count agnostic: the
-    /// heap `B` processes violators in pass-start rank order either way.
+    /// Lemma 5.1 violators (`deg⁺ > k`) of level `k` that the apply phase
+    /// of [`OrderCore::insert_edges`] collected: one root after a
+    /// single-edge insert, every violating root of the level after a
+    /// larger batch. The heap `B` processes them in pass-start rank order
+    /// either way.
     ///
     /// With multiple seeds, promoted vertices can still violate Lemma 5.1
-    /// at level `k + 1` (a batch may raise a core by more than one);
-    /// callers with multi-edge batches must re-check the promoted set
-    /// (`self.vstar`) and cascade upward.
+    /// at level `k + 1` (a batch may raise a core by more than one); the
+    /// pass phase re-checks the promoted set (`self.vstar`) and cascades
+    /// upward.
     pub(crate) fn promote_pass(&mut self, seeds: &[VertexId], k: u32, stats: &mut UpdateStats) {
         stats.passes += 1;
         stats.merged_seeds += seeds.len();
@@ -107,7 +52,7 @@ impl<S: OrderSeq> OrderCore<S> {
         for &root in seeds {
             debug_assert_eq!(self.core[root as usize], k);
             debug_assert!(self.deg_plus[root as usize] > k);
-            let rank = self.order_key(root);
+            let rank = self.order.key(root);
             self.heap.push(rank, root);
         }
 

@@ -12,12 +12,16 @@
 //! * per vertex, `core`, `deg⁺` (remaining degree, Definition 5.2) and
 //!   `mcd` (needed by removals).
 //!
-//! [`OrderCore::insert_edge`] implements `OrderInsert` (Algorithm 2 with
-//! `RemoveCandidates`, Algorithm 3); [`OrderCore::remove_edge`] implements
-//! `OrderRemoval` (Algorithm 4). Both maintain the k-order so that
-//! Lemma 5.1 (`deg⁺(v) <= k` for all `v ∈ O_k`) holds after every update —
-//! [`OrderCore::validate`] asserts exactly that, plus agreement with a
-//! from-scratch decomposition.
+//! [`OrderCore::insert_edges`] implements `OrderInsert` (Algorithm 2 with
+//! `RemoveCandidates`, Algorithm 3); [`OrderCore::remove_edges`]
+//! implements `OrderRemoval` (Algorithm 4). The paper states both one edge
+//! at a time; here an apply phase admits a whole batch against the frozen
+//! k-order, then one multi-seed pass runs per affected level.
+//! [`OrderCore::insert_edge`] / [`OrderCore::remove_edge`] are batches of
+//! one that return an error where a batch skips the entry. Both maintain
+//! the k-order so that Lemma 5.1 (`deg⁺(v) <= k` for all `v ∈ O_k`) holds
+//! after every update — [`OrderCore::validate`] asserts exactly that,
+//! plus agreement with a from-scratch decomposition.
 //!
 //! One deliberate deviation from a literal reading of the pseudocode, with
 //! no semantic effect: the `A_K` structure is **frozen during a pass** and
@@ -28,11 +32,10 @@
 //! heap's rank keys mutually consistent without changing any decision the
 //! algorithm takes.
 //!
-//! [`OrderCore::insert_edges`] / [`OrderCore::remove_edges`] apply a
-//! batch with one multi-seed pass per affected level, always on the
-//! calling thread. [`PlannedCore`] prices each batch against a full
-//! recompute; the recompute is the only multi-core path (the parallel
-//! peel, [`Strategy::ParRecompute`], when a `Parallelism` is set).
+//! Maintenance always runs on the calling thread. [`PlannedCore`] prices
+//! each batch against a full recompute; the recompute is the only
+//! multi-core path (the parallel peel, [`Strategy::ParRecompute`], when a
+//! `Parallelism` is set).
 //!
 //! [`maintainer::CoreMaintainer`] unifies this engine with the traversal
 //! baseline and a naive recompute baseline for the benchmark harness.

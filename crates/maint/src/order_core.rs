@@ -324,8 +324,8 @@ impl<S: OrderSeq> OrderCore<S> {
     }
 
     /// Number of Observation 6.1 demotions (candidates retracted out of
-    /// `VC` and re-inserted into `O_K`) during the most recent
-    /// `insert_edge` (diagnostics).
+    /// `VC` and re-inserted into `O_K`) during the most recent promotion
+    /// pass (diagnostics).
     pub fn last_demotions(&self) -> usize {
         self.demotions.len()
     }
@@ -389,14 +389,6 @@ impl<S: OrderSeq> OrderCore<S> {
             + self.queue.capacity()
             + self.vstar.capacity()
             + self.demotions.capacity()
-    }
-
-    /// Order key of `v` inside its level's `A_k`: same-level vertices
-    /// compare by it while `A_k` is unmutated, which holds for an apply
-    /// phase and for a whole promotion/dismissal pass.
-    #[inline]
-    pub(crate) fn order_key(&self, v: VertexId) -> u64 {
-        self.order.key(v)
     }
 
     #[inline]

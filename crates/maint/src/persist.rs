@@ -375,21 +375,31 @@ mod tests {
         }
     }
 
-    /// [`churned_ba`]'s stream summed per direction: the pass counters
-    /// pin every decision the promotion and dismissal passes take, so a
-    /// change to how a pass walks its vertices cannot silently alter what
-    /// it visits, changes or refreshes.
+    /// [`churned_ba`]'s stream summed per direction, applied in its
+    /// batches and edge by edge: the pass counters pin every decision the
+    /// promotion and dismissal passes take, so a change to how a pass
+    /// walks its vertices cannot silently alter what it visits, changes
+    /// or refreshes.
     #[test]
     fn churned_stream_pass_counters_are_pinned() {
-        fn counters<S: OrderSeq>() -> (UpdateStats, UpdateStats) {
+        fn counters<S: OrderSeq>(per_edge: bool) -> (UpdateStats, UpdateStats) {
             use crate::CoreMaintainer;
             use kcore_gen::{barabasi_albert, churn_stream};
             let base = barabasi_albert(2000, 4, 17);
             let mut oc: OrderCore<S> = OrderCore::new(base.clone(), 5);
             let (mut ins, mut rem) = (UpdateStats::default(), UpdateStats::default());
             for b in churn_stream(&base, 24, 96, 96, 31) {
-                ins.absorb(oc.insert_batch(&b.inserts));
-                rem.absorb(oc.remove_batch(&b.removes));
+                if per_edge {
+                    for &(u, v) in &b.inserts {
+                        ins.absorb(oc.insert_edge(u, v).unwrap());
+                    }
+                    for &(u, v) in &b.removes {
+                        rem.absorb(oc.remove_edge(u, v).unwrap());
+                    }
+                } else {
+                    ins.absorb(oc.insert_batch(&b.inserts));
+                    rem.absorb(oc.remove_batch(&b.removes));
+                }
             }
             (ins, rem)
         }
@@ -411,8 +421,37 @@ mod tests {
             passes: 88,
             merged_seeds: 1196,
         };
-        assert_eq!(counters::<kcore_order::TagList>(), (inserts, removes));
-        assert_eq!(counters::<kcore_order::TreapLevels>(), (inserts, removes));
+        assert_eq!(counters::<kcore_order::TagList>(false), (inserts, removes));
+        assert_eq!(
+            counters::<kcore_order::TreapLevels>(false),
+            (inserts, removes)
+        );
+
+        // Edge by edge, a removal that leaves every `mcd >= core` is a
+        // no-op and runs no pass: passes + noop = 2,304 removals.
+        let inserts = UpdateStats {
+            visited: 6352,
+            changed: 2519,
+            refreshed: 10058,
+            noop: 630,
+            skipped: 0,
+            passes: 1674,
+            merged_seeds: 1674,
+        };
+        let removes = UpdateStats {
+            visited: 6323,
+            changed: 2077,
+            refreshed: 4343,
+            noop: 1165,
+            skipped: 0,
+            passes: 1139,
+            merged_seeds: 1185,
+        };
+        assert_eq!(counters::<kcore_order::TagList>(true), (inserts, removes));
+        assert_eq!(
+            counters::<kcore_order::TreapLevels>(true),
+            (inserts, removes)
+        );
     }
 
     #[test]

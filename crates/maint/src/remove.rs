@@ -7,62 +7,27 @@
 //! `deg⁺` and decrementing the `deg⁺` of the level-K vertices that
 //! preceded them. No `pcd` is maintained — that is the whole point.
 //!
-//! The pass machinery is **seed-count agnostic**: a single-edge removal
-//! seeds the peel from the two endpoints, while the batched engine
-//! ([`OrderCore::remove_edges`](crate::order_core::OrderCore)) hands it
-//! every dismissible vertex of a level at once and runs one merged pass
-//! per affected level, cascading downward.
+//! The pass machinery is **seed-count agnostic**: the apply phase of
+//! [`OrderCore::remove_edges`] hands it every dismissible vertex of a
+//! level at once — at most the two endpoints after a single-edge removal,
+//! which is a batch of one — and runs one merged pass per affected level,
+//! cascading downward. A removal that leaves every `mcd >= core` runs no
+//! pass at all.
 
 use crate::order_core::OrderCore;
-use kcore_graph::{EdgeListError, VertexId, DEFAULT_MAX_HOLE_RATIO};
+use kcore_graph::VertexId;
 use kcore_order::OrderSeq;
 use kcore_traversal::UpdateStats;
 
 impl<S: OrderSeq> OrderCore<S> {
-    /// Removes the edge `(u, v)`, updating core numbers and the k-order.
-    /// Errors (with no state change) when the edge is absent.
-    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<UpdateStats, EdgeListError> {
-        if !self.graph.has_edge(u, v) {
-            return Err(EdgeListError::Missing(u, v));
-        }
-        self.graph.remove_edge(u, v).expect("edge present");
-        // Adjacency compaction is an explicit policy step now; the O(1)
-        // check per update preserves the old amortised behaviour.
-        self.graph.maintain_adjacency(DEFAULT_MAX_HOLE_RATIO);
-        let mut stats = UpdateStats::default();
-
-        let (cu, cv) = (self.core[u as usize], self.core[v as usize]);
-        debug_assert!(cu >= 1 && cv >= 1, "an incident edge implies core >= 1");
-        // mcd loses the removed edge (Algorithm 4 lines 3–4).
-        if cu <= cv {
-            self.mcd[u as usize] -= 1;
-        }
-        if cv <= cu {
-            self.mcd[v as usize] -= 1;
-        }
-        // The earlier endpoint counted the later one in deg⁺.
-        let earlier = if cu < cv {
-            u
-        } else if cv < cu {
-            v
-        } else if self.order.key(u) < self.order.key(v) {
-            u
-        } else {
-            v
-        };
-        self.deg_plus[earlier as usize] -= 1;
-
-        self.dismiss_pass(&[u, v], cu.min(cv), &mut stats);
-        Ok(stats)
-    }
-
     /// `OrderRemoval`'s dismissal pass (Algorithm 4): finds `V*` at level
-    /// `k` by an mcd-seeded peeling from `seeds` (roots not at level `k`,
-    /// or with `mcd >= k`, contribute nothing and are skipped) and moves
-    /// the dismissed vertices to the end of `O_{K−1}`, repairing `deg⁺`
-    /// and `mcd` around them in one fused scan per dismissed vertex. The
+    /// `k` by an mcd-seeded peeling from `seeds` — distinct vertices at
+    /// level `k` with `mcd < k`, so `V*` is never empty — and moves the
+    /// dismissed vertices to the end of `O_{K−1}`, repairing `deg⁺` and
+    /// `mcd` around them in one fused scan per dismissed vertex. The
+    /// apply phase of [`OrderCore::remove_edges`] has already made the
     /// graph mutations, mcd decrements, and the earlier endpoints' `deg⁺`
-    /// decrements have already happened.
+    /// decrements.
     pub(crate) fn dismiss_pass(&mut self, seeds: &[VertexId], k: u32, stats: &mut UpdateStats) {
         stats.passes += 1;
         // ---- find V* (traversal-removal routine, mcd-seeded) ----
@@ -71,31 +36,21 @@ impl<S: OrderSeq> OrderCore<S> {
         vstar.clear();
         let (core, mcd) = (&mut self.core[..], &self.mcd[..]);
         let (touch_mark, cd_work) = (&mut self.touch_mark[..], &mut self.cd_work[..]);
-        let queue_mark = &mut self.queue_mark[..];
-        let queue = &mut self.queue;
-        queue.clear();
-        let mut touched = 0usize;
+        // Seeds are dismissed outright; the peel below never reads their
+        // `cd_work` (it skips vertices no longer at level `k`). `V*` in
+        // dismissal order doubles as the peel's FIFO queue.
         for &root in seeds {
             let ri = root as usize;
-            if core[ri] != k {
-                continue;
-            }
-            if touch_mark[ri] != epoch {
-                touch_mark[ri] = epoch;
-                cd_work[ri] = mcd[ri];
-                touched += 1;
-                stats.merged_seeds += 1;
-            }
-            if cd_work[ri] < k {
-                core[ri] = k - 1; // dismiss
-                queue_mark[ri] = epoch; // marks membership of V*
-                vstar.push(root);
-                queue.push(root);
-            }
+            debug_assert_eq!(core[ri], k, "seed {root} is not at level {k}");
+            debug_assert!(mcd[ri] < k, "seed {root} is not dismissible");
+            core[ri] = k - 1; // dismiss
+            vstar.push(root);
         }
+        stats.merged_seeds += seeds.len();
+        let mut touched = seeds.len();
         let mut qi = 0;
-        while qi < queue.len() {
-            let w = queue[qi];
+        while qi < vstar.len() {
+            let w = vstar[qi];
             qi += 1;
             for &z in self.graph.neighbors(w) {
                 let zi = z as usize;
@@ -110,9 +65,7 @@ impl<S: OrderSeq> OrderCore<S> {
                 cd_work[zi] -= 1;
                 if cd_work[zi] < k {
                     core[zi] = k - 1; // dismiss
-                    queue_mark[zi] = epoch;
                     vstar.push(z);
-                    queue.push(z);
                 }
             }
         }
@@ -129,10 +82,6 @@ impl<S: OrderSeq> OrderCore<S> {
     fn finish_dismiss(&mut self, k: u32, stats: &mut UpdateStats) {
         let (epoch, vstar) = (self.epoch, &self.vstar);
         stats.changed += vstar.len();
-        if vstar.is_empty() {
-            stats.noop += 1;
-            return;
-        }
         self.change_log.record_slice(vstar);
         self.level_counts[k as usize] -= vstar.len();
         self.level_counts[k as usize - 1] += vstar.len();

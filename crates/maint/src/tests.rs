@@ -59,22 +59,31 @@ fn insert_between_isolated() {
 #[test]
 fn insert_errors_leave_state_unchanged() {
     let mut oc = order_core(&fixtures::triangle());
-    assert!(matches!(
-        oc.insert_edge(0, 0),
-        Err(EdgeListError::SelfLoop(0))
-    ));
-    assert!(matches!(
-        oc.insert_edge(0, 1),
-        Err(EdgeListError::Duplicate(0, 1))
-    ));
-    assert!(matches!(
-        oc.insert_edge(0, 7),
-        Err(EdgeListError::UnknownVertex(7))
-    ));
-    assert!(matches!(
-        oc.remove_edge(0, 9),
-        Err(EdgeListError::Missing(0, 9))
-    ));
+    let state = |oc: &OrderCore| {
+        (
+            oc.cores().to_vec(),
+            oc.graph().num_edges(),
+            oc.global_order(),
+        )
+    };
+    let before = state(&oc);
+    // (insert?, u, v, error)
+    for (insert, u, v, expected) in [
+        (true, 0, 0, EdgeListError::SelfLoop(0)),
+        (true, 0, 1, EdgeListError::Duplicate(0, 1)),
+        (true, 0, 7, EdgeListError::UnknownVertex(7)),
+        (false, 0, 9, EdgeListError::Missing(0, 9)),
+        (false, 1, 1, EdgeListError::Missing(1, 1)),
+        (false, 9, 0, EdgeListError::Missing(9, 0)),
+    ] {
+        let result = if insert {
+            oc.insert_edge(u, v)
+        } else {
+            oc.remove_edge(u, v)
+        };
+        assert_eq!(result, Err(expected));
+        assert_eq!(state(&oc), before, "{expected} changed the index");
+    }
     oc.validate();
 }
 
