@@ -20,9 +20,12 @@
 //! * **Lemma 5.2 short-circuit** — no-op edges (the vast majority, see
 //!   Fig 10b of the paper) are counted and dropped before any order
 //!   structure is touched;
-//! * **shared scratch** — the min-heap `B`, candidate set `VC`, and the
-//!   epoch-stamped scratch arrays live on the engine and are reused
-//!   across the whole batch (no per-edge setup beyond an epoch bump);
+//! * **shared scratch** — the min-heap `B`, candidate set `VC`, and one
+//!   epoch-stamped 16-byte record per vertex (`deg*` or the peel's `cd`,
+//!   the vertex's place in `V*`, and its candidate, queue and seed-pool
+//!   marks) live on the engine and are reused across the whole batch: an
+//!   epoch bump clears them all, and a pass finds a vertex's whole state
+//!   in one place;
 //! * **scheduled compaction** — removal batches consider adjacency-arena
 //!   compaction exactly once, between the apply and pass phases, instead
 //!   of risking a latency spike inside a per-edge hot loop.
@@ -44,7 +47,7 @@
 //! core value — property-tested in `tests/proptest_maint.rs` against both
 //! edge-at-a-time updates and a from-scratch decomposition.
 
-use crate::order_core::OrderCore;
+use crate::order_core::{OrderCore, PassScratch};
 use kcore_graph::{EdgeListError, VertexId, DEFAULT_MAX_HOLE_RATIO};
 use kcore_order::OrderSeq;
 use kcore_traversal::UpdateStats;
@@ -174,8 +177,7 @@ impl<S: OrderSeq> OrderCore<S> {
             if self.deg_plus[ri] <= self.core[ri] {
                 // Lemma 5.2: the k-order absorbs this edge unchanged.
                 stats.noop += 1;
-            } else if self.touch_mark[ri] != dirty_epoch {
-                self.touch_mark[ri] = dirty_epoch;
+            } else if self.scratch[ri].mark(dirty_epoch, PassScratch::DIRTY) {
                 self.batch_seeds.push(root);
             }
         }
@@ -290,8 +292,7 @@ impl<S: OrderSeq> OrderCore<S> {
                 let xi = x as usize;
                 if self.mcd[xi] < self.core[xi] {
                     dirty = true;
-                    if self.touch_mark[xi] != dirty_epoch {
-                        self.touch_mark[xi] = dirty_epoch;
+                    if self.scratch[xi].mark(dirty_epoch, PassScratch::DIRTY) {
                         self.batch_seeds.push(x);
                     }
                 }

@@ -8,7 +8,8 @@
 //!
 //! * **Case-1** (`deg* + deg⁺ > K`): the vertex becomes a candidate
 //!   (joins `VC`, leaves `O_K`), and grants one `deg*` to every later
-//!   same-core neighbour — which thereby enters `B`;
+//!   same-core neighbour — which enters `B` on its first grant of the
+//!   pass, and only then;
 //! * **Case-2a** (`deg* = 0`): never popped from `B` at all — these are
 //!   the vertices the algorithm skips wholesale, the source of its
 //!   advantage over the traversal DFS;
@@ -23,7 +24,7 @@
 //! vertices move (order-preserved) to the *front* of `O_{K+1}`, and
 //! `deg⁺`/`mcd` are repaired around them.
 
-use crate::order_core::{OrderCore, StarDeg};
+use crate::order_core::{OrderCore, PassScratch};
 use kcore_graph::VertexId;
 use kcore_order::OrderSeq;
 use kcore_traversal::UpdateStats;
@@ -61,27 +62,29 @@ impl<S: OrderSeq> OrderCore<S> {
         // frozen until the ending phase, so a popped key is its vertex's
         // rank.
         loop {
-            let mut star = StarDeg::new(&mut self.star_mark, &mut self.deg_star, epoch);
-            let (vc_mark, deg_plus) = (&mut self.vc_mark[..], &mut self.deg_plus[..]);
+            let (scratch, deg_plus) = (&mut self.scratch[..], &mut self.deg_plus[..]);
             let popped = self.heap.pop_valid(|w| {
                 let wi = w as usize;
-                vc_mark[wi] != epoch && (star.get(wi) > 0 || deg_plus[wi] > k)
+                let r = &scratch[wi];
+                !r.has(epoch, PassScratch::IN_VC) && (r.work(epoch) > 0 || deg_plus[wi] > k)
             });
             let Some((rank_w, w)) = popped else { break };
             stats.visited += 1;
             let wi = w as usize;
-            let star_w = star.get(wi);
+            let star_w = scratch[wi].work(epoch);
             if star_w + deg_plus[wi] > k {
                 // Case-1: w is a potential candidate.
-                vc_mark[wi] = epoch;
+                scratch[wi].mark(epoch, PassScratch::IN_VC);
                 self.vc.push(w);
-                // Grant candidate degree to later same-core neighbours.
+                // Grant candidate degree to later same-core neighbours. A
+                // neighbour enters B on its first grant only: its key is
+                // frozen, so a second entry could only pop stale.
                 let (core, order) = (&self.core[..], &self.order);
                 for &z in self.graph.neighbors(w) {
                     let zi = z as usize;
                     if core[zi] == k {
                         let rank_z = order.key(z);
-                        if rank_w < rank_z && star.inc(zi) == 1 {
+                        if rank_w < rank_z && scratch[zi].grant(epoch) {
                             self.heap.push(rank_z, z);
                         }
                     }
@@ -92,19 +95,19 @@ impl<S: OrderSeq> OrderCore<S> {
                 // the new order whether they are promoted or demoted, so
                 // deg* folds into deg⁺.
                 debug_assert!(star_w > 0);
-                deg_plus[wi] += star.take(wi);
+                deg_plus[wi] += scratch[wi].take(epoch);
                 self.remove_candidates(w, rank_w, k, epoch);
             }
         }
 
         // Surviving candidates are V*.
-        let vc_mark = &self.vc_mark;
+        let scratch = &self.scratch;
         self.vstar.clear();
         self.vstar.extend(
             self.vc
                 .iter()
                 .copied()
-                .filter(|&w| vc_mark[w as usize] == epoch),
+                .filter(|&w| scratch[w as usize].has(epoch, PassScratch::IN_VC)),
         );
         self.finish_promote(k, stats);
     }
@@ -113,8 +116,8 @@ impl<S: OrderSeq> OrderCore<S> {
     /// `self.vstar` (in candidate order) to level `k + 1` and repairs the
     /// k-order around it. `self.demotions` lists the pass's Observation
     /// 6.1 repositionings as `(d, pred)`: demoted `d` rejoined `O_K` right
-    /// after `pred`. `vc_mark == self.epoch` (the pass's epoch) marks `V*`
-    /// during the repair scan.
+    /// after `pred`. The `IN_VC` mark of the pass's epoch, with each
+    /// member's index in `V*`, marks `V*` during the repair scan.
     fn finish_promote(&mut self, k: u32, stats: &mut UpdateStats) {
         let (epoch, vstar) = (self.epoch, &self.vstar);
         stats.changed += vstar.len();
@@ -124,8 +127,7 @@ impl<S: OrderSeq> OrderCore<S> {
 
         for (i, &w) in vstar.iter().enumerate() {
             self.core[w as usize] = k + 1;
-            self.vc_mark[w as usize] = epoch;
-            self.vc_pos[w as usize] = i as u32;
+            self.scratch[w as usize].mark_at(epoch, PassScratch::IN_VC, i as u32);
         }
 
         // One scan per promoted vertex repairs both deg⁺ and mcd.
@@ -136,7 +138,7 @@ impl<S: OrderSeq> OrderCore<S> {
         // neighbours with core > k; their neighbours already at level K+1
         // gain one mcd. The two repairs are write-disjoint, so fusing the
         // scans is safe.
-        let (core, vc_mark, vc_pos) = (&self.core[..], &self.vc_mark[..], &self.vc_pos[..]);
+        let (core, scratch) = (&self.core[..], &self.scratch[..]);
         let (deg_plus, mcd) = (&mut self.deg_plus[..], &mut self.mcd[..]);
         for (idx, &w) in vstar.iter().enumerate() {
             let mut dp = 0u32;
@@ -150,8 +152,8 @@ impl<S: OrderSeq> OrderCore<S> {
                 if cz > k + 1 {
                     dp += 1;
                 } else if cz == k + 1 {
-                    if vc_mark[zi] == epoch {
-                        if (vc_pos[zi] as usize) > idx {
+                    if let Some(pos) = scratch[zi].pos_if(epoch, PassScratch::IN_VC) {
+                        if pos as usize > idx {
                             dp += 1;
                         }
                     } else {
@@ -187,19 +189,17 @@ impl<S: OrderSeq> OrderCore<S> {
     /// order. Order tests compare pass-start keys (`A_K` is frozen during
     /// the pass).
     fn remove_candidates(&mut self, w: VertexId, rank_w: u64, k: u32, epoch: u32) {
-        let mut star = StarDeg::new(&mut self.star_mark, &mut self.deg_star, epoch);
         let (core, order) = (&self.core[..], &self.order);
-        let (deg_plus, vc_mark) = (&mut self.deg_plus[..], &mut self.vc_mark[..]);
-        let queue_mark = &mut self.queue_mark[..];
+        let (deg_plus, scratch) = (&mut self.deg_plus[..], &mut self.scratch[..]);
         let queue = &mut self.queue;
         queue.clear();
         // w will stay at level K: candidates counted it in deg⁺.
         for &z in self.graph.neighbors(w) {
             let zi = z as usize;
-            if vc_mark[zi] == epoch {
+            let r = &mut scratch[zi];
+            if r.has(epoch, PassScratch::IN_VC) {
                 deg_plus[zi] -= 1;
-                if deg_plus[zi] + star.get(zi) <= k && queue_mark[zi] != epoch {
-                    queue_mark[zi] = epoch;
+                if deg_plus[zi] + r.work(epoch) <= k && r.mark(epoch, PassScratch::QUEUED) {
                     queue.push(z);
                 }
             }
@@ -212,8 +212,8 @@ impl<S: OrderSeq> OrderCore<S> {
             let di = d as usize;
             // Demote d: leave VC, fold deg* into deg⁺, rejoin O_K after
             // the cursor.
-            deg_plus[di] += star.take(di);
-            vc_mark[di] = 0;
+            deg_plus[di] += scratch[di].take(epoch);
+            scratch[di].unmark(PassScratch::IN_VC);
             self.demotions.push((d, cursor));
             cursor = d;
 
@@ -224,21 +224,21 @@ impl<S: OrderSeq> OrderCore<S> {
                     continue;
                 }
                 let rank_z = order.key(z);
+                let r = &mut scratch[zi];
                 if rank_w < rank_z {
                     // Unvisited vertex after the frontier: loses one
                     // candidate-granted degree (heap entry goes stale
                     // lazily if this was its last).
-                    star.dec(zi);
-                } else if vc_mark[zi] == epoch {
+                    r.revoke(epoch);
+                } else if r.has(epoch, PassScratch::IN_VC) {
                     // A remaining candidate. d granted z a deg* iff
                     // rank_d < rank_z; otherwise z counted d in deg⁺.
                     if rank_d < rank_z {
-                        star.dec(zi);
+                        r.revoke(epoch);
                     } else {
                         deg_plus[zi] -= 1;
                     }
-                    if deg_plus[zi] + star.get(zi) <= k && queue_mark[zi] != epoch {
-                        queue_mark[zi] = epoch;
+                    if deg_plus[zi] + r.work(epoch) <= k && r.mark(epoch, PassScratch::QUEUED) {
                         queue.push(z);
                     }
                 }

@@ -28,59 +28,143 @@ impl CoreChangeLog {
     }
 }
 
-/// `deg*`, the candidate degrees of the current promotion pass, read and
-/// written through its epoch stamp (a stale stamp reads as 0). It borrows
-/// `star_mark` and `deg_star` apart from the rest of [`OrderCore`], so a
-/// neighbour scan can hold it next to the other fields it touches.
-pub(crate) struct StarDeg<'a> {
-    mark: &'a mut [u32],
-    deg: &'a mut [u32],
-    epoch: u32,
+/// A vertex's scratch for the passes, one 16-byte record per vertex:
+/// the epoch `stamp` it was last written in, and for that epoch the
+/// pass's `work` counter (`deg*` in a promotion pass, the peel's `cd` in
+/// a dismissal pass), the vertex's `pos` in `V*` during an ending phase,
+/// and the [`PassScratch::IN_VC`], [`PassScratch::QUEUED`] and
+/// [`PassScratch::DIRTY`] marks. A record with a stale stamp reads as all
+/// zero, so a pass starts from clean scratch after one epoch bump.
+///
+/// A promotion pass stamps a vertex ahead of its frontier only by a
+/// `deg*` grant ([`PassScratch::grant`]); [`PassScratch::revoke`] and
+/// [`PassScratch::take`] leave an unstamped record alone. So a grant that
+/// finds the record unstamped is the vertex's first of the pass, and only
+/// that grant pushes the vertex into `B`.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PassScratch {
+    stamp: u32,
+    work: u32,
+    pos: u32,
+    flags: u32,
 }
 
-impl<'a> StarDeg<'a> {
-    #[inline]
-    pub(crate) fn new(mark: &'a mut [u32], deg: &'a mut [u32], epoch: u32) -> Self {
-        Self { mark, deg, epoch }
-    }
+const _: () = assert!(std::mem::size_of::<PassScratch>() == 16);
 
-    /// `deg*` of `v`.
+impl PassScratch {
+    /// In `VC`: a candidate of the current promotion pass, or a member of
+    /// `V*` during its ending phase.
+    pub(crate) const IN_VC: u32 = 1;
+    /// Queued: in `RemoveCandidates`' demotion queue, or a member of `V*`
+    /// during a dismissal's ending phase.
+    pub(crate) const QUEUED: u32 = 2;
+    /// Already in the apply phase's seed pool.
+    pub(crate) const DIRTY: u32 = 4;
+
+    /// `work` of the record, 0 when it is stale.
     #[inline]
-    pub(crate) fn get(&self, v: usize) -> u32 {
-        if self.mark[v] == self.epoch {
-            self.deg[v]
+    pub(crate) fn work(&self, epoch: u32) -> u32 {
+        if self.stamp == epoch {
+            self.work
         } else {
             0
         }
     }
 
+    /// `true` when `flag` is set in `epoch`.
     #[inline]
-    fn set(&mut self, v: usize, value: u32) {
-        self.mark[v] = self.epoch;
-        self.deg[v] = value;
+    pub(crate) fn has(&self, epoch: u32, flag: u32) -> bool {
+        self.stamp == epoch && self.flags & flag != 0
     }
 
-    /// Adds one to `deg*` of `v`; returns the new value.
+    /// `true` when the record was written in `epoch`.
     #[inline]
-    pub(crate) fn inc(&mut self, v: usize) -> u32 {
-        let new = self.get(v) + 1;
-        self.set(v, new);
+    pub(crate) fn is_fresh(&self, epoch: u32) -> bool {
+        self.stamp == epoch
+    }
+
+    /// The record for `epoch`, zeroed first when it is stale.
+    #[inline]
+    fn fresh(&mut self, epoch: u32) -> &mut Self {
+        if self.stamp != epoch {
+            *self = PassScratch {
+                stamp: epoch,
+                ..PassScratch::default()
+            };
+        }
+        self
+    }
+
+    /// Sets `flag` in `epoch`; returns `true` when it was not set yet.
+    #[inline]
+    pub(crate) fn mark(&mut self, epoch: u32, flag: u32) -> bool {
+        let r = self.fresh(epoch);
+        let new = r.flags & flag == 0;
+        r.flags |= flag;
         new
     }
 
-    /// Takes one from `deg*` of `v`, stopping at 0.
+    /// Sets `flag` in `epoch` and records `pos`, the vertex's index in
+    /// `V*`.
     #[inline]
-    pub(crate) fn dec(&mut self, v: usize) {
-        let new = self.get(v).saturating_sub(1);
-        self.set(v, new);
+    pub(crate) fn mark_at(&mut self, epoch: u32, flag: u32, pos: u32) {
+        let r = self.fresh(epoch);
+        r.flags |= flag;
+        r.pos = pos;
     }
 
-    /// Zeroes `deg*` of `v`; returns the old value.
+    /// The `pos` recorded by [`PassScratch::mark_at`], when `flag` is set
+    /// in `epoch`.
     #[inline]
-    pub(crate) fn take(&mut self, v: usize) -> u32 {
-        let old = self.get(v);
-        self.set(v, 0);
-        old
+    pub(crate) fn pos_if(&self, epoch: u32, flag: u32) -> Option<u32> {
+        self.has(epoch, flag).then_some(self.pos)
+    }
+
+    /// Clears `flag` of a record written in the current epoch.
+    #[inline]
+    pub(crate) fn unmark(&mut self, flag: u32) {
+        self.flags &= !flag;
+    }
+
+    /// Sets `work` in `epoch`.
+    #[inline]
+    pub(crate) fn set_work(&mut self, epoch: u32, work: u32) {
+        self.fresh(epoch).work = work;
+    }
+
+    /// Takes one from `work`, a record written in the current epoch.
+    #[inline]
+    pub(crate) fn dec_work(&mut self) -> u32 {
+        self.work -= 1;
+        self.work
+    }
+
+    /// Grants one `deg*`; returns `true` on the vertex's first grant of
+    /// the pass.
+    #[inline]
+    pub(crate) fn grant(&mut self, epoch: u32) -> bool {
+        let first = self.stamp != epoch;
+        self.fresh(epoch).work += 1;
+        first
+    }
+
+    /// Takes one `deg*` back, stopping at 0. A vertex never granted in
+    /// `epoch` stays unstamped.
+    #[inline]
+    pub(crate) fn revoke(&mut self, epoch: u32) {
+        if self.stamp == epoch {
+            self.work = self.work.saturating_sub(1);
+        }
+    }
+
+    /// Zeroes `deg*`; returns the old value.
+    #[inline]
+    pub(crate) fn take(&mut self, epoch: u32) -> u32 {
+        if self.stamp == epoch {
+            std::mem::take(&mut self.work)
+        } else {
+            0
+        }
     }
 }
 
@@ -118,19 +202,16 @@ pub struct OrderCore<S: OrderSeq = TagList> {
     /// The per-level seed slice the pass loop is currently working on.
     pub(crate) level_seeds: Vec<VertexId>,
 
-    // ---- per-operation scratch, epoch-stamped ----
+    // ---- per-operation scratch ----
+    /// The current epoch: [`PassScratch`] records stamped with another
+    /// read as zero.
     pub(crate) epoch: u32,
-    pub(crate) deg_star: Vec<u32>,
-    pub(crate) star_mark: Vec<u32>,
-    pub(crate) vc_mark: Vec<u32>,
-    pub(crate) queue_mark: Vec<u32>,
+    /// One epoch-stamped record per vertex.
+    pub(crate) scratch: Vec<PassScratch>,
     pub(crate) heap: MinRankHeap,
     pub(crate) vc: Vec<VertexId>,
-    pub(crate) vc_pos: Vec<u32>,
     pub(crate) demotions: Vec<(VertexId, VertexId)>,
     pub(crate) queue: Vec<VertexId>,
-    pub(crate) cd_work: Vec<u32>,
-    pub(crate) touch_mark: Vec<u32>,
     pub(crate) vstar: Vec<VertexId>,
 
     /// Opt-in core-change tracking for incremental snapshot publication.
@@ -183,17 +264,11 @@ impl<S: OrderSeq> OrderCore<S> {
             batch_seeds: Vec::new(),
             level_seeds: Vec::new(),
             epoch: 0,
-            deg_star: vec![0; n],
-            star_mark: vec![0; n],
-            vc_mark: vec![0; n],
-            queue_mark: vec![0; n],
+            scratch: vec![PassScratch::default(); n],
             heap: MinRankHeap::new(),
             vc: Vec::new(),
-            vc_pos: vec![0; n],
             demotions: Vec::new(),
             queue: Vec::new(),
-            cd_work: vec![0; n],
-            touch_mark: vec![0; n],
             vstar: Vec::new(),
             change_log: CoreChangeLog::default(),
         };
@@ -358,13 +433,7 @@ impl<S: OrderSeq> OrderCore<S> {
         self.ensure_level(0);
         self.order.insert_last(0, v);
         self.level_counts[0] += 1;
-        self.deg_star.push(0);
-        self.star_mark.push(0);
-        self.vc_mark.push(0);
-        self.queue_mark.push(0);
-        self.vc_pos.push(0);
-        self.cd_work.push(0);
-        self.touch_mark.push(0);
+        self.scratch.push(PassScratch::default());
         v
     }
 
@@ -391,8 +460,15 @@ impl<S: OrderSeq> OrderCore<S> {
             + self.demotions.capacity()
     }
 
+    /// Starts a new epoch and returns it. After `u32::MAX` epochs every
+    /// record is reset and the count restarts at 1: a wrapped epoch would
+    /// meet old stamps and read them as fresh.
     #[inline]
     pub(crate) fn bump_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.scratch.fill(PassScratch::default());
+            self.epoch = 0;
+        }
         self.epoch += 1;
         self.epoch
     }

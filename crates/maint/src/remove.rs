@@ -14,7 +14,7 @@
 //! cascading downward. A removal that leaves every `mcd >= core` runs no
 //! pass at all.
 
-use crate::order_core::OrderCore;
+use crate::order_core::{OrderCore, PassScratch};
 use kcore_graph::VertexId;
 use kcore_order::OrderSeq;
 use kcore_traversal::UpdateStats;
@@ -35,10 +35,12 @@ impl<S: OrderSeq> OrderCore<S> {
         let vstar = &mut self.vstar;
         vstar.clear();
         let (core, mcd) = (&mut self.core[..], &self.mcd[..]);
-        let (touch_mark, cd_work) = (&mut self.touch_mark[..], &mut self.cd_work[..]);
+        let scratch = &mut self.scratch[..];
         // Seeds are dismissed outright; the peel below never reads their
-        // `cd_work` (it skips vertices no longer at level `k`). `V*` in
-        // dismissal order doubles as the peel's FIFO queue.
+        // `cd` (it skips vertices no longer at level `k`). `V*` in
+        // dismissal order doubles as the peel's FIFO queue. A vertex's
+        // record is stamped when the peel first touches it, with its `cd`
+        // starting at `mcd`.
         for &root in seeds {
             let ri = root as usize;
             debug_assert_eq!(core[ri], k, "seed {root} is not at level {k}");
@@ -57,13 +59,12 @@ impl<S: OrderSeq> OrderCore<S> {
                 if core[zi] != k {
                     continue;
                 }
-                if touch_mark[zi] != epoch {
-                    touch_mark[zi] = epoch;
-                    cd_work[zi] = mcd[zi];
+                let r = &mut scratch[zi];
+                if !r.is_fresh(epoch) {
+                    r.set_work(epoch, mcd[zi]);
                     touched += 1;
                 }
-                cd_work[zi] -= 1;
-                if cd_work[zi] < k {
+                if r.dec_work() < k {
                     core[zi] = k - 1; // dismiss
                     vstar.push(z);
                 }
@@ -77,8 +78,8 @@ impl<S: OrderSeq> OrderCore<S> {
     /// [`OrderCore::dismiss_pass`]: drops `self.vstar` (in dismissal
     /// order) to level `k − 1`, moves it to the end of `O_{K−1}`, and
     /// repairs `deg⁺` and `mcd` around it in one fused scan per dismissed
-    /// vertex. `queue_mark == self.epoch` (the pass's epoch) marks `V*`
-    /// during the scan.
+    /// vertex. The `QUEUED` mark of the pass's epoch, with each member's
+    /// index in `V*`, marks `V*` during the scan.
     fn finish_dismiss(&mut self, k: u32, stats: &mut UpdateStats) {
         let (epoch, vstar) = (self.epoch, &self.vstar);
         stats.changed += vstar.len();
@@ -86,7 +87,7 @@ impl<S: OrderSeq> OrderCore<S> {
         self.level_counts[k as usize] -= vstar.len();
         self.level_counts[k as usize - 1] += vstar.len();
 
-        // Process in dismissal order; vc_pos[w] = index lets the deg⁺
+        // Process in dismissal order; w's index in V* lets the deg⁺
         // recomputation see which V* members are still "remaining". One
         // scan per dismissed vertex repairs the stayers' deg⁺ *and* mcd
         // plus w's own deg⁺ and mcd: the mcd terms only read core values
@@ -94,11 +95,10 @@ impl<S: OrderSeq> OrderCore<S> {
         // into the order-repair scan is safe.
         for (i, &w) in vstar.iter().enumerate() {
             self.core[w as usize] = k - 1;
-            self.queue_mark[w as usize] = epoch;
-            self.vc_pos[w as usize] = i as u32;
+            self.scratch[w as usize].mark_at(epoch, PassScratch::QUEUED, i as u32);
         }
         let order = &mut self.order;
-        let (core, queue_mark, vc_pos) = (&self.core[..], &self.queue_mark[..], &self.vc_pos[..]);
+        let (core, scratch) = (&self.core[..], &self.scratch[..]);
         let (deg_plus, mcd) = (&mut self.deg_plus[..], &mut self.mcd[..]);
         for (idx, &w) in vstar.iter().enumerate() {
             let wi = w as usize;
@@ -127,8 +127,14 @@ impl<S: OrderSeq> OrderCore<S> {
                 }
                 // w's own deg⁺: stayers at level >= K are all after the
                 // end of O_{K−1}; so are the V* members not yet moved
-                // (they will be appended after w).
-                if cz >= k || (queue_mark[zi] == epoch && vc_pos[zi] as usize > idx) {
+                // (they will be appended after w). V* is at level K − 1
+                // now, so only those neighbours read their record.
+                if cz >= k
+                    || (cz == k - 1
+                        && scratch[zi]
+                            .pos_if(epoch, PassScratch::QUEUED)
+                            .is_some_and(|pos| pos as usize > idx))
+                {
                     dp += 1;
                 }
             }

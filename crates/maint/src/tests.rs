@@ -437,6 +437,46 @@ fn observation_6_1_demotions_occur_and_stay_valid() {
 }
 
 #[test]
+fn epoch_wraparound_closes_a_triangle() {
+    // The insert's apply phase wraps the epoch and its pass takes the
+    // next one. A wrapped epoch of 0 would read every record stamped 0 as
+    // fresh; the wrap resets the records and restarts at 1 instead.
+    let mut oc = order_core(&fixtures::path(3));
+    oc.epoch = u32::MAX;
+    oc.insert_edges(&[(0, 2)]);
+    assert_eq!(oc.cores(), &[2, 2, 2]);
+    assert_eq!(oc.epoch, 2);
+    oc.validate();
+}
+
+#[test]
+fn epoch_wraparound_mid_churn_stays_valid() {
+    // Records stamped in the last epochs before the wrap must not read
+    // as fresh after it: churn across the wrap, validating every step.
+    let mut state = 0x57A3u64;
+    let mut oc = order_core(&fixtures::PaperGraph::small().graph);
+    let n = oc.graph().num_vertices() as u64;
+    oc.epoch = u32::MAX - 8;
+    let mut wrapped = false;
+    for _ in 0..40 {
+        let a = (xorshift(&mut state) % n) as u32;
+        let b = (xorshift(&mut state) % n) as u32;
+        if a == b {
+            continue;
+        }
+        let before = oc.epoch;
+        if oc.graph().has_edge(a, b) {
+            oc.remove_edge(a, b).unwrap();
+        } else {
+            oc.insert_edge(a, b).unwrap();
+        }
+        wrapped |= oc.epoch < before;
+        oc.validate();
+    }
+    assert!(wrapped, "the churn never wrapped the epoch");
+}
+
+#[test]
 fn repeated_batches_reuse_scratch_without_growth() {
     // Steady-state batches must allocate nothing: after one warm-up
     // cycle, the reusable scratch buffers stop growing even across many

@@ -23,11 +23,16 @@
 //! move to strictly lower buckets, so each entry moves at most 64 times and
 //! usually far fewer.
 //!
+//! A bitmask of the buckets that hold entries lets a refill jump to the
+//! first non-empty one, and a clear touch only the buckets in use.
+//!
 //! Entries are removed **lazily**: instead of decrease-key, stale entries
 //! are filtered out at pop time by a caller supplied validity predicate.
-//! Each (re-)qualification of a vertex pushes a fresh entry, so the number
-//! of pushes is bounded by the number of `deg*` transitions, `O(Σ_{v∈V⁺}
-//! deg(v))` per pass (Theorem 5.2 without its `log` factor).
+//! A promotion pass pushes at most one entry per vertex per pass, on its
+//! first `deg*` grant, plus the seeds: a later copy would carry the same
+//! frozen key and could only pop stale. Grants come from candidates'
+//! neighbour scans, so the pushes stay within `O(Σ_{v∈V⁺} deg(v))` per
+//! pass (Theorem 5.2 without its `log` factor).
 
 /// Number of buckets: one per possible highest differing bit, plus the
 /// bucket of keys equal to the last popped key.
@@ -44,6 +49,11 @@ const RETAINED_PER_BUCKET: usize = 256;
 #[derive(Clone, Debug)]
 pub struct MinRankHeap {
     buckets: [Vec<(u64, u32)>; BUCKETS],
+    /// Bit `i`, for `i > 0`, is set exactly when bucket `i` holds
+    /// entries (a clear bucket was recycled when a refill drained it).
+    /// Pushes set bit 0 too, but it is never read: pops empty bucket 0
+    /// without touching the mask.
+    live: u128,
     /// The last popped key (0 before the first pop): the floor every push
     /// must respect.
     last: u64,
@@ -53,6 +63,7 @@ impl Default for MinRankHeap {
     fn default() -> Self {
         Self {
             buckets: std::array::from_fn(|_| Vec::new()),
+            live: 0,
             last: 0,
         }
     }
@@ -71,15 +82,21 @@ impl MinRankHeap {
 
     /// `true` when no entries are stored.
     pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(Vec::is_empty)
+        self.live & !1 == 0 && self.buckets[0].is_empty()
     }
 
     /// Removes all entries and resets the key floor to 0. Each bucket
     /// keeps at most 256 entries of capacity.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            recycle(b);
+        // Pops empty bucket 0 without recycling it; every other bucket
+        // outside `live` was recycled when a refill drained it.
+        recycle(&mut self.buckets[0]);
+        let mut live = self.live & !1;
+        while live != 0 {
+            recycle(&mut self.buckets[live.trailing_zeros() as usize]);
+            live &= live - 1;
         }
+        self.live = 0;
         self.last = 0;
     }
 
@@ -94,7 +111,9 @@ impl MinRankHeap {
             "monotone heap: key {key} pushed below the last popped key {}",
             self.last
         );
-        self.buckets[bucket_of(key, self.last)].push((key, vertex));
+        let b = bucket_of(key, self.last);
+        self.buckets[b].push((key, vertex));
+        self.live |= 1 << b;
     }
 
     /// Pops entries in key order until one satisfies `valid`; returns it,
@@ -121,9 +140,12 @@ impl MinRankHeap {
     /// Moves the first non-empty bucket's entries down, its minimum key
     /// becoming the new floor; returns `false` when every bucket is empty.
     fn refill(&mut self) -> bool {
-        let Some(i) = (1..BUCKETS).find(|&i| !self.buckets[i].is_empty()) else {
+        let live = self.live & !1;
+        if live == 0 {
             return false;
-        };
+        }
+        let i = live.trailing_zeros() as usize;
+        self.live &= !(1 << i);
         let mut drained = std::mem::take(&mut self.buckets[i]);
         self.last = drained
             .iter()
@@ -133,7 +155,9 @@ impl MinRankHeap {
         // Every key in bucket i shares the bits above bit i - 1 with the
         // new floor, so each lands in a bucket below i.
         for &(key, v) in &drained {
-            self.buckets[bucket_of(key, self.last)].push((key, v));
+            let b = bucket_of(key, self.last);
+            self.buckets[b].push((key, v));
+            self.live |= 1 << b;
         }
         recycle(&mut drained);
         self.buckets[i] = drained;
@@ -225,6 +249,86 @@ mod tests {
         // The key floor is back at 0: 1 is below the last popped key.
         h.push(1, 1);
         assert_eq!(h.pop_valid(|_| true), Some((1, 1)));
+    }
+
+    #[test]
+    fn keys_differing_in_bit_63_use_the_top_bucket() {
+        // Against the floor 0, a key with bit 63 set lands in bucket 64,
+        // the last one the mask covers.
+        let top = 1u64 << 63;
+        let mut h = MinRankHeap::new();
+        h.push(top + 5, 2);
+        h.push(3, 1);
+        h.push(u64::MAX, 3);
+        assert_eq!(h.live & (1 << 64), 1 << 64);
+        assert_eq!(h.pop_valid(|_| true), Some((3, 1)));
+        assert_eq!(h.pop_valid(|_| true), Some((top + 5, 2)));
+        assert_eq!(h.pop_valid(|_| true), Some((u64::MAX, 3)));
+        assert_eq!(h.pop_valid(|_| true), None);
+        assert!(h.is_empty());
+        // Only bucket 64 holds entries: a refill must still find it.
+        h.clear();
+        h.push(top, 9);
+        assert_eq!(h.live & !1, 1 << 64);
+        assert_eq!(h.pop_valid(|_| true), Some((top, 9)));
+    }
+
+    #[test]
+    fn clear_resets_the_live_mask() {
+        let mut h = MinRankHeap::new();
+        for k in [1u64, 1 << 10, 1 << 40, 1 << 63] {
+            h.push(k, k as u32);
+        }
+        assert_ne!(h.live & !1, 0);
+        h.clear();
+        assert_eq!(h.live, 0);
+        assert!(h.is_empty());
+        assert_eq!(h.len(), 0);
+        assert_eq!(h.pop_valid(|_| true), None);
+        // Entries pushed after the clear are all that pops.
+        h.push(7, 70);
+        h.push(2, 20);
+        assert_eq!(h.pop_valid(|_| true), Some((2, 20)));
+        assert_eq!(h.pop_valid(|_| true), Some((7, 70)));
+        assert_eq!(h.pop_valid(|_| true), None);
+    }
+
+    #[test]
+    fn pushes_after_a_partial_refill_pop_in_order() {
+        // The pops refill from the lowest live bucket and leave the one
+        // holding 1 << 50 untouched. Pushes above the new floor then land
+        // in buckets a refill emptied or none filled, and must still pop
+        // in order with the entries left behind.
+        let mut h = MinRankHeap::new();
+        for k in [100u64, 1 << 20, (1 << 20) + 3, 1 << 50] {
+            h.push(k, k as u32);
+        }
+        assert_eq!(h.pop_valid(|_| true), Some((100, 100)));
+        assert_eq!(h.pop_valid(|_| true), Some((1 << 20, 1 << 20)));
+        for k in [
+            (1u64 << 20) + 1,
+            (1 << 40) + 1,
+            (1 << 50) - 1,
+            (1 << 63) + 1,
+        ] {
+            h.push(k, k as u32);
+        }
+        let mut out = Vec::new();
+        while let Some((k, _)) = h.pop_valid(|_| true) {
+            out.push(k);
+        }
+        assert_eq!(
+            out,
+            vec![
+                (1 << 20) + 1,
+                (1 << 20) + 3,
+                (1 << 40) + 1,
+                (1 << 50) - 1,
+                1 << 50,
+                (1 << 63) + 1
+            ]
+        );
+        assert!(h.is_empty());
     }
 
     #[test]

@@ -191,8 +191,17 @@ impl TraversalCore {
         &self.cd[self.h - 1]
     }
 
+    /// Starts a new epoch and returns it. After `u32::MAX` epochs every
+    /// mark is reset and the count restarts at 1: a wrapped epoch would
+    /// meet old stamps and read them as fresh.
     #[inline]
     fn bump_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.visit_mark.fill(0);
+            self.evict_mark.fill(0);
+            self.touch_mark.fill(0);
+            self.epoch = 0;
+        }
         self.epoch += 1;
         self.epoch
     }
@@ -509,6 +518,23 @@ mod tests {
 
     fn assert_cores(tc: &TraversalCore, expected: &[u32]) {
         assert_eq!(tc.cores(), expected);
+    }
+
+    #[test]
+    fn epoch_wraparound_closes_a_triangle() {
+        // A wrapped epoch of 0 would read every mark stamped 0 as fresh;
+        // the wrap resets the marks and restarts at 1 instead.
+        for h in 1..=3 {
+            let mut tc = TraversalCore::new(fixtures::path(3), h);
+            tc.epoch = u32::MAX;
+            tc.insert_edge(0, 2).unwrap();
+            assert_cores(&tc, &[2, 2, 2]);
+            assert!(tc.epoch < 16, "the epoch did not restart");
+            tc.validate();
+            tc.remove_edge(0, 1).unwrap();
+            assert_cores(&tc, &[1, 1, 1]);
+            tc.validate();
+        }
     }
 
     #[test]

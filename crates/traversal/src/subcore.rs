@@ -78,8 +78,16 @@ impl SubCoreAlgo {
         v
     }
 
+    /// Starts a new epoch and returns it. After `u32::MAX` epochs every
+    /// mark is reset and the count restarts at 1: a wrapped epoch would
+    /// meet old stamps and read them as fresh.
     #[inline]
     fn bump_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.seen_mark.fill(0);
+            self.evict_mark.fill(0);
+            self.epoch = 0;
+        }
         self.epoch += 1;
         self.epoch
     }
@@ -265,6 +273,21 @@ impl SubCoreAlgo {
 mod tests {
     use super::*;
     use kcore_graph::fixtures;
+
+    #[test]
+    fn epoch_wraparound_closes_a_triangle() {
+        // A wrapped epoch of 0 would read every mark stamped 0 as fresh;
+        // the wrap resets the marks and restarts at 1 instead.
+        let mut sc = SubCoreAlgo::new(fixtures::path(3));
+        sc.epoch = u32::MAX;
+        sc.insert_edge(0, 2).unwrap();
+        assert_eq!(sc.cores(), &[2, 2, 2]);
+        assert_eq!(sc.epoch, 1);
+        sc.validate();
+        sc.remove_edge(0, 1).unwrap();
+        assert_eq!(sc.cores(), &[1, 1, 1]);
+        sc.validate();
+    }
 
     #[test]
     fn triangle_roundtrip() {
