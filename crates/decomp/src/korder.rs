@@ -262,8 +262,8 @@ pub fn korder_decomposition(g: &DynamicGraph, heuristic: Heuristic, seed: u64) -
 }
 
 /// Builds a k-order from **already computed** core numbers — the
-/// recompute→k-order bridge. After `core_decomposition` (or the parallel
-/// peel) has refreshed the cores, this emits a valid k-order in
+/// recompute→k-order bridge. After `core_decomposition` has refreshed
+/// the cores, this emits a valid k-order in
 /// `O(m + n)` without paying the victim-selection machinery of
 /// [`korder_decomposition`] again: the adaptive planner's recompute
 /// fallback uses it to restore the order index, and the persistence layer

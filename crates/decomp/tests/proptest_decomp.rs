@@ -6,8 +6,7 @@ use kcore_decomp::bucket::{core_histogram, kcore_subgraph, kcore_vertices};
 use kcore_decomp::regions::{ordercore_sizes, purecore_sizes, subcore_sizes};
 use kcore_decomp::validate::{compute_cd_levels, compute_mcd, compute_pcd};
 use kcore_decomp::{
-    core_decomposition, is_valid_korder, korder_decomposition, korder_from_cores,
-    par_core_decomposition, Heuristic, KOrder, Parallelism,
+    core_decomposition, is_valid_korder, korder_decomposition, korder_from_cores, Heuristic, KOrder,
 };
 use kcore_graph::{DynamicGraph, VertexId};
 use proptest::prelude::*;
@@ -63,23 +62,6 @@ fn korder_outputs_are_pinned() {
     }
     assert_eq!(digest(&peels), 0x8337_763d_b790_ccb3);
     assert_eq!(digest(&bridges), 0x2137_3164_d80b_195b);
-}
-
-/// Asserts the parallel peel (at 1, 2 and 4 threads, cutoff 0 so the
-/// threads actually engage) is bit-identical to the sequential
-/// decomposition.
-fn assert_par_matches_sequential(g: &DynamicGraph) -> Result<(), TestCaseError> {
-    let reference = core_decomposition(g);
-    for t in [1usize, 2, 4] {
-        let par = Parallelism::exact(t).with_cutoff(0);
-        prop_assert_eq!(
-            &par_core_decomposition(g, &par),
-            &reference,
-            "peel diverged at {} threads",
-            t
-        );
-    }
-    Ok(())
 }
 
 fn arb_graph() -> impl Strategy<Value = DynamicGraph> {
@@ -153,29 +135,6 @@ proptest! {
                 prop_assert!(false, "{e}");
             }
         }
-    }
-
-    /// The parallel peel equals the sequential decomposition on random
-    /// edge soups — `arb_graph` routinely yields isolated vertices and
-    /// several components, the cases a frontier seeding bug would miss.
-    #[test]
-    fn parallel_peel_matches_sequential(g in arb_graph()) {
-        assert_par_matches_sequential(&g)?;
-    }
-
-    /// Same contract on the generator families the benchmarks use:
-    /// Barabási–Albert (power-law, low degeneracy) and G(n, m) (flat
-    /// degrees), again with forced multi-threading.
-    #[test]
-    fn parallel_peel_matches_sequential_on_generators(
-        n in 12usize..120,
-        attach in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        let ba = kcore_gen::barabasi_albert(n, attach, seed);
-        assert_par_matches_sequential(&ba)?;
-        let gnm = kcore_gen::erdos_renyi_gnm(n, (n * attach) / 2, seed ^ 0x5EED);
-        assert_par_matches_sequential(&gnm)?;
     }
 
     /// Histogram accounts for every vertex; k-core extraction and

@@ -325,7 +325,7 @@ impl DynamicGraph {
     }
 
     /// Degrees of all vertices as a fresh `Vec` (the seed snapshot for
-    /// peeling decompositions and atomic degree views).
+    /// peeling decompositions).
     pub fn degree_vec(&self) -> Vec<u32> {
         self.vertices().map(|v| self.degree(v) as u32).collect()
     }

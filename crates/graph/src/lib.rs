@@ -24,13 +24,11 @@
 //!   hot-spot on integer keys; `rustc-hash` is not among the allowed
 //!   offline dependencies so the 20-line algorithm is implemented here);
 //! * [`io`] — plain text edge-list reading/writing;
-//! * [`atomic`] — the floored atomic degree counters of the parallel peel;
 //! * [`stats`] — degree statistics used when reporting Table I;
 //! * [`fixtures`] — the running-example graph of the paper (Fig 3) and a
 //!   handful of tiny graphs shared by unit tests across the workspace.
 
 pub mod arena;
-pub mod atomic;
 pub mod fixtures;
 pub mod graph;
 pub mod hash;
@@ -38,7 +36,6 @@ pub mod io;
 pub mod stats;
 
 pub use arena::AdjArena;
-pub use atomic::AtomicDegrees;
 pub use graph::{
     edge_key, key_edge, DynamicGraph, EdgeListError, VertexId, DEFAULT_MAX_HOLE_RATIO, NO_VERTEX,
 };

@@ -78,7 +78,6 @@ use crate::durability::{
     persist_framed_snapshot, recover, DurabilityConfig, JournalSink, Recovered, SNAP_HEADER_BYTES,
 };
 use crate::snapshot::{CoreSnapshot, SnapshotHandle, SnapshotReceiver};
-use kcore_decomp::Parallelism;
 use kcore_graph::{DynamicGraph, VertexId};
 use kcore_maint::journal::{replay_batched, GraphEvent, JournalEntry};
 use kcore_maint::{PlannedCore, PlannerConfig, UpdateStats};
@@ -203,7 +202,8 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// Service tunables.
+/// Service tunables. The writer runs every engine update, passes and
+/// recomputes alike, on its own thread; no option adds threads.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
     /// Bounded-queue capacity — the backpressure depth.
@@ -225,13 +225,6 @@ pub struct IngestConfig {
     /// self-healing `recover()` rebuilds. [`IngestService::spawn_recovered`]
     /// keeps the configuration its `recover()` call was given.
     pub planner: PlannerConfig,
-    /// Worker threads for the writer's recomputes: with more than one, a
-    /// recompute-priced batch runs the parallel peel
-    /// ([`kcore_maint::Strategy::ParRecompute`]); the order-based passes
-    /// stay on the writer thread. [`IngestService::spawn_planned`] sets
-    /// it, and a self-healing rebuild keeps the engine's setting. `None`
-    /// keeps the writer strictly serial (the default).
-    pub parallelism: Option<Parallelism>,
     /// Self-healing: rebuild a panicked engine through `recover()`
     /// (requires durability). `None` still catches the panic — the
     /// writer parks in [`ServiceHealth::Failed`] and keeps serving
@@ -248,7 +241,6 @@ impl Default for IngestConfig {
             clock: ClockMode::Wall,
             durability: None,
             planner: PlannerConfig::default(),
-            parallelism: None,
             recovery: None,
         }
     }
@@ -292,13 +284,6 @@ impl IngestConfig {
     /// Enables supervised self-healing under `policy`.
     pub fn self_healing(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = Some(policy);
-        self
-    }
-
-    /// Runs the spawned engine's recomputes on the parallel peel under
-    /// `par` (see [`IngestConfig::parallelism`]).
-    pub fn parallel(mut self, par: Parallelism) -> Self {
-        self.parallelism = Some(par);
         self
     }
 }
@@ -438,8 +423,7 @@ impl IngestService {
     /// leaves the writer [`ServiceHealth::Failed`] once the first ship or
     /// [`IngestService::flush`] barrier joins it.
     pub fn spawn_planned(graph: DynamicGraph, seed: u64, cfg: IngestConfig) -> io::Result<Self> {
-        let mut engine = PlannedCore::with_config(graph, seed, cfg.planner.clone());
-        engine.set_parallelism(cfg.parallelism);
+        let engine = PlannedCore::with_config(graph, seed, cfg.planner.clone());
         Self::spawn_with_engine(engine, 0, cfg)
     }
 
@@ -767,27 +751,31 @@ fn open_sink(d: &DurabilityConfig, n: usize, start_seq: u64) -> io::Result<Optio
 /// count are cumulative, so the writer exports deltas to keep the
 /// registry's counters true monotone counters.
 struct EngineObs {
-    counters: [Counter; 5],
-    last: [u64; 5],
+    counters: [Counter; 4],
+    last: [u64; 4],
 }
 
 impl EngineObs {
     fn new(reg: &MetricsRegistry) -> Self {
-        // No strategy adds to these two; they always read 0. They stay
+        // No strategy adds to these three; they always read 0. They stay
         // registered because perfbench's `drive.rs` is their only reader
         // and panics on a missing counter. Drop them once that reader
         // goes (ROADMAP item 1).
-        reg.counter("planner_split_total");
-        reg.counter("planner_par_split_total");
+        for name in [
+            "planner_split_total",
+            "planner_par_split_total",
+            "planner_par_recompute_total",
+        ] {
+            reg.counter(name);
+        }
         EngineObs {
             counters: [
                 reg.counter("planner_batched_total"),
                 reg.counter("planner_recompute_total"),
-                reg.counter("planner_par_recompute_total"),
                 reg.counter("planner_rebuilds_total"),
                 reg.counter("engine_korder_relabels_total"),
             ],
-            last: [0; 5],
+            last: [0; 4],
         }
     }
 
@@ -796,7 +784,6 @@ impl EngineObs {
         let now = [
             s.batched_chosen as u64,
             s.recompute_chosen as u64,
-            s.par_recompute_chosen as u64,
             s.rebuilds as u64,
             engine.korder_relabels(),
         ];
@@ -867,10 +854,6 @@ struct WriterObs {
     checkpoint_serialize: Histogram,
     checkpoint_write: Histogram,
     engine: EngineObs,
-    team_jobs: Gauge,
-    team_tasks: Gauge,
-    team_workers: Gauge,
-    team_busy: Gauge,
 }
 
 impl WriterObs {
@@ -900,10 +883,6 @@ impl WriterObs {
             checkpoint_serialize: reg.histogram("ingest_checkpoint_serialize_ns"),
             checkpoint_write: reg.histogram("ingest_checkpoint_write_ns"),
             engine: EngineObs::new(&reg),
-            team_jobs: reg.gauge("team_jobs"),
-            team_tasks: reg.gauge("team_tasks"),
-            team_workers: reg.gauge("team_workers_spawned"),
-            team_busy: reg.gauge("team_busy"),
             spans: SpanRecorder::with_capacity(SPAN_CAPACITY),
             registry: reg,
         }
@@ -1023,19 +1002,6 @@ impl Writer {
         self.pending.clear();
         self.batch_open_ns = None;
         self.set_health(ServiceHealth::Failed);
-    }
-
-    /// Exports the engine-side observables that live outside the writer:
-    /// planner decision counters, the k-order's relabel count and the
-    /// process-wide worker-team occupancy gauges. Called once per flush.
-    fn export_engine_obs(&mut self) {
-        let o = &mut self.obs;
-        o.engine.observe(&self.engine);
-        let ts = kcore_decomp::team::stats();
-        o.team_jobs.set(ts.jobs as f64);
-        o.team_tasks.set(ts.tasks as f64);
-        o.team_workers.set(ts.workers_spawned as f64);
-        o.team_busy.set(if ts.busy { 1.0 } else { 0.0 });
     }
 
     /// `Healthy → Degraded` (never downgrades `Recovering`/`Failed`).
@@ -1211,12 +1177,7 @@ impl Writer {
                 let next = rec.report.durable_ops;
                 let rung = rec.report.rung_metric();
                 let recovery_elapsed = rec.report.elapsed_ns;
-                // Recovery rebuilds the engine from journal + snapshot,
-                // which know nothing about its parallelism — re-apply it
-                // so a self-healed writer keeps its parallel peel.
-                let par = self.engine.parallelism();
                 self.engine = rec.engine;
-                self.engine.set_parallelism(par);
                 self.ops = next;
                 self.unshipped.clear();
                 self.sync_pending = false;
@@ -1385,7 +1346,7 @@ impl Writer {
             hist.record(dur);
             o.spans.record(trace, stage, start, dur, items);
         }
-        self.export_engine_obs();
+        self.obs.engine.observe(&self.engine);
         // The cadence counts events, so it does not depend on how the
         // queue happened to cut batches.
         self.events_since_persist += batch_len;

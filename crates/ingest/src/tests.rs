@@ -9,7 +9,7 @@ use crate::service::{
 };
 use crate::sources::{apply_events, churn_events, window_event};
 use crate::GraphEvent;
-use kcore_decomp::{core_decomposition, Parallelism};
+use kcore_decomp::core_decomposition;
 use kcore_gen::{barabasi_albert, churn_stream, timestamp_edges, SlidingWindow};
 use kcore_graph::DynamicGraph;
 use kcore_maint::PlannerConfig;
@@ -515,87 +515,6 @@ fn wall_clock_mode_flushes_when_the_queue_runs_dry() {
 }
 
 #[test]
-fn parallel_writer_matches_serial_writer_bit_identically() {
-    use kcore_maint::PlanPolicy;
-    let base = barabasi_albert(80, 3, 7);
-    let run = |cfg: IngestConfig, policy| {
-        let mut cfg = cfg.max_batch(32);
-        cfg.planner = PlannerConfig::with_policy(policy);
-        let svc = IngestService::spawn_planned(base.clone(), 11, cfg).unwrap();
-        for b in churn_stream(&base, 8, 12, 8, 23) {
-            for e in churn_events(&b) {
-                svc.submit(e).unwrap();
-            }
-        }
-        svc.shutdown()
-    };
-    // Strategy-matched comparison: both writers recompute every batch —
-    // the sequential peel without threads, the parallel peel with them
-    // (cutoff zero forces it even on this small graph). Everything the
-    // writer reports must be bit-identical.
-    let (sr, se) = run(IngestConfig::scripted(), PlanPolicy::ForceRecompute);
-    let par = Parallelism::exact(4).with_cutoff(0);
-    let (pr, mut pe) = run(
-        IngestConfig::scripted().parallel(par),
-        PlanPolicy::ForceRecompute,
-    );
-    assert_eq!(pe.parallelism(), Some(par));
-    assert_eq!(
-        pe.planner_stats().par_recompute_chosen,
-        se.planner_stats().recompute_chosen
-    );
-    assert_eq!(pr.events, sr.events);
-    assert_eq!(pr.batches, sr.batches);
-    assert_eq!(pr.update_stats, sr.update_stats);
-    assert_eq!(pe.cores(), se.cores());
-    pe.validate();
-}
-
-#[test]
-fn recovery_preserves_writer_parallelism() {
-    use crate::faults::FaultPlan;
-    // The 4th flush panics mid-batch; the self-healing rebuild replaces
-    // the engine wholesale, and the writer's parallelism (parallel peel +
-    // planner threads) must survive it.
-    let dir = tmpdir("par-recovery");
-    let d = DurabilityConfig::in_dir(&dir)
-        .snapshot_every(2)
-        .with_faults(FaultPlan::new().panic_at_flush(3));
-    let base = barabasi_albert(40, 3, 5);
-    let par = Parallelism::exact(2).with_cutoff(0);
-    let svc = IngestService::spawn_planned(
-        base.clone(),
-        5,
-        IngestConfig::scripted()
-            .max_batch(8)
-            .durable(d)
-            .parallel(par)
-            .self_healing(RecoveryPolicy::default()),
-    )
-    .unwrap();
-    for b in churn_stream(&base, 4, 8, 4, 9) {
-        for e in churn_events(&b) {
-            svc.submit(e).unwrap();
-        }
-        svc.flush().unwrap();
-    }
-    let (report, mut engine) = svc.shutdown();
-    assert_eq!((report.engine_panics, report.recoveries), (1, 1));
-    assert_eq!(engine.parallelism(), Some(par));
-    assert_eq!(engine.planner().threads(), 2);
-    let rec = recover(
-        &DurabilityConfig::in_dir(&dir),
-        99,
-        PlannerConfig::default(),
-        16,
-    )
-    .unwrap();
-    assert_eq!(engine.cores(), rec.engine.cores());
-    assert_eq!(engine.cores(), &core_decomposition(engine.graph())[..]);
-    engine.validate();
-}
-
-#[test]
 fn scripted_flush_trace_is_bit_exact_across_runs() {
     // Two identical scripted runs must produce byte-identical span
     // rings: writer-clock timestamps, deterministic item counts, stable
@@ -814,11 +733,37 @@ fn registry_counts_the_engines_korder_relabels() {
     let snap = metrics.snapshot();
     assert_eq!(snap.counter("engine_korder_relabels_total"), Some(relabels));
     assert!(snap.counter("planner_batched_total").unwrap() > 0);
-    // No strategy feeds the two split counters; they stay registered
-    // for perfbench's `drive.rs`, which panics on a missing counter.
-    for dead in ["planner_split_total", "planner_par_split_total"] {
+    // No strategy feeds these three counters; they stay registered for
+    // perfbench's `drive.rs`, which panics on a missing counter.
+    for dead in [
+        "planner_split_total",
+        "planner_par_split_total",
+        "planner_par_recompute_total",
+    ] {
         assert_eq!(snap.counter(dead), Some(0), "{dead}");
     }
+}
+
+#[test]
+fn fresh_registry_holds_every_planner_counter_perfbench_reads() {
+    // perfbench's `drive.rs` reads these five names into its planner mix
+    // and panics on a missing one, so they must be registered before the
+    // first flush, whichever strategies run.
+    let svc = IngestService::spawn_planned(path_graph(4), 1, IngestConfig::scripted()).unwrap();
+    let snap = svc
+        .metrics()
+        .expect("the registry always exists")
+        .snapshot();
+    for name in [
+        "planner_batched_total",
+        "planner_split_total",
+        "planner_par_split_total",
+        "planner_recompute_total",
+        "planner_par_recompute_total",
+    ] {
+        assert_eq!(snap.counter(name), Some(0), "{name}");
+    }
+    svc.shutdown();
 }
 
 #[test]

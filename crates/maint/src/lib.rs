@@ -33,9 +33,8 @@
 //! algorithm takes.
 //!
 //! Maintenance always runs on the calling thread. [`PlannedCore`] prices
-//! each batch against a full recompute; the recompute is the only
-//! multi-core path (the parallel peel, [`Strategy::ParRecompute`], when a
-//! `Parallelism` is set).
+//! each batch against a full recompute ([`Strategy::Recompute`]), which
+//! runs on the calling thread too.
 //!
 //! [`maintainer::CoreMaintainer`] unifies this engine with the traversal
 //! baseline and a naive recompute baseline for the benchmark harness.

@@ -10,11 +10,11 @@
 //!
 //! * the **passes**: [`Strategy::Batched`], one merged multi-seed
 //!   order-based pass per affected level ([`OrderCore::insert_edges`] /
-//!   [`OrderCore::remove_edges`]), always on the calling thread;
-//! * the **recompute family**: [`Strategy::Recompute`] /
-//!   [`Strategy::ParRecompute`] apply the batch raw, rerun the
-//!   decomposition ([`core_decomposition`], or the parallel peel), and
-//!   **defer** the k-order rebuild.
+//!   [`OrderCore::remove_edges`]);
+//! * the **recompute**: [`Strategy::Recompute`] applies the batch raw,
+//!   reruns [`core_decomposition`], and **defers** the k-order rebuild.
+//!
+//! Both run on the calling thread.
 //!
 //! ## The cost model
 //!
@@ -25,11 +25,9 @@
 //! deferred rebuild, `(n + m) · 40 ns` amortised over 16 batches: one
 //! rebuild re-enables order-based maintenance for every batch after it.
 //! [`PlanPolicy::Auto`] runs the passes unless they price strictly
-//! higher. With more than one worker thread a recompute runs the
-//! parallel peel ([`Strategy::ParRecompute`]); the passes stay serial.
-//! The prices are constants: the planner keeps no timing state, so a
-//! plan depends only on the policy, the thread count, the batch and
-//! graph sizes, and whether the order is fresh.
+//! higher. The prices are constants: the planner keeps no timing state,
+//! so a plan depends only on the policy, the batch and graph sizes, and
+//! whether the order is fresh.
 //!
 //! ## Deferred order rebuild
 //!
@@ -46,7 +44,7 @@
 //! [`PlanPolicy`]).
 
 use crate::order_core::OrderCore;
-use kcore_decomp::{core_decomposition, korder_from_cores, par_core_decomposition, Parallelism};
+use kcore_decomp::{core_decomposition, korder_from_cores};
 use kcore_graph::{DynamicGraph, EdgeListError, VertexId, DEFAULT_MAX_HOLE_RATIO};
 use kcore_order::{OrderSeq, TagList};
 use kcore_traversal::UpdateStats;
@@ -74,9 +72,6 @@ pub enum Strategy {
     Batched,
     /// Full recompute of core numbers; k-order rebuild deferred.
     Recompute,
-    /// Full recompute on the level-synchronous parallel peel
-    /// (`decomp::par`); k-order rebuild deferred.
-    ParRecompute,
 }
 
 /// Dispatch policy of a [`Planner`].
@@ -87,9 +82,7 @@ pub enum PlanPolicy {
     Auto,
     /// Always run the merged order-based passes.
     ForceBatch,
-    /// Always recompute (order rebuild stays deferred). With more than
-    /// one thread configured this executes — and is recorded as — the
-    /// parallel peel.
+    /// Always recompute (order rebuild stays deferred).
     ForceRecompute,
 }
 
@@ -116,8 +109,6 @@ pub struct PlannerStats {
     /// Recomputes actually executed (fully-skipped batches that changed
     /// nothing are not counted).
     pub recompute_chosen: usize,
-    /// Recomputes executed on the parallel peel.
-    pub par_recompute_chosen: usize,
     /// Deferred k-order rebuilds performed on re-entry to order-based
     /// work.
     pub rebuilds: usize,
@@ -128,7 +119,7 @@ pub struct PlannerStats {
 impl PlannerStats {
     /// Total dispatch decisions recorded (all strategies).
     pub fn decisions(&self) -> usize {
-        self.batched_chosen + self.recompute_chosen + self.par_recompute_chosen
+        self.batched_chosen + self.recompute_chosen
     }
 }
 
@@ -136,62 +127,31 @@ impl std::fmt::Display for PlannerStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} decisions (batched {}, recompute {}, par-recompute {}; {} rebuilds)",
+            "{} decisions (batched {}, recompute {}; {} rebuilds)",
             self.decisions(),
             self.batched_chosen,
             self.recompute_chosen,
-            self.par_recompute_chosen,
             self.rebuilds,
         )
     }
 }
 
-/// The cost model: policy, parallelism and decision counters. Usually
-/// owned by a [`PlannedCore`]; [`Planner::plan`] also prices batches
-/// standalone (e.g. for an external scheduler).
+/// The cost model: policy and decision counters. Usually owned by a
+/// [`PlannedCore`]; [`Planner::plan`] also prices batches standalone
+/// (e.g. for an external scheduler).
 #[derive(Debug)]
 pub struct Planner {
     cfg: PlannerConfig,
     stats: PlannerStats,
-    /// The recompute's worker threads, resolved when set; `None` is
-    /// serial. Both [`Planner::plan`] and the recompute a [`PlannedCore`]
-    /// runs read it, so the strategy recorded is the one run.
-    par: Option<Parallelism>,
 }
 
 impl Planner {
-    /// A serial planner with the given configuration.
+    /// A planner with the given configuration.
     pub fn new(cfg: PlannerConfig) -> Self {
         Planner {
             cfg,
             stats: PlannerStats::default(),
-            par: None,
         }
-    }
-
-    /// Sets the recompute's [`Parallelism`] (`None` = serial). With more
-    /// than one thread a recompute runs, and is recorded as, the
-    /// parallel peel ([`Strategy::ParRecompute`]).
-    pub fn set_parallelism(&mut self, par: Option<Parallelism>) {
-        self.par = par.map(|p| Parallelism {
-            threads: p.resolved_threads(),
-            ..p
-        });
-    }
-
-    /// The configured [`Parallelism`], its thread count resolved.
-    pub fn parallelism(&self) -> Option<Parallelism> {
-        self.par
-    }
-
-    /// Worker threads the planner dispatches for (1 = serial).
-    pub fn threads(&self) -> usize {
-        self.par.map_or(1, |p| p.threads.max(1))
-    }
-
-    /// The parallel peel's configuration, when a recompute runs on it.
-    fn peel(&self) -> Option<&Parallelism> {
-        self.par.as_ref().filter(|p| p.threads > 1)
     }
 
     /// Prices a batch of `inserts + removes` edges against a graph with
@@ -206,14 +166,9 @@ impl Planner {
         m: usize,
         order_fresh: bool,
     ) -> Strategy {
-        let recompute = if self.peel().is_some() {
-            Strategy::ParRecompute
-        } else {
-            Strategy::Recompute
-        };
         match self.cfg.policy {
             PlanPolicy::ForceBatch => Strategy::Batched,
-            PlanPolicy::ForceRecompute => recompute,
+            PlanPolicy::ForceRecompute => Strategy::Recompute,
             PlanPolicy::Auto => {
                 let (b, units) = ((inserts + removes) as u64, (n + m) as u64);
                 let mut est_pass = b * PASS_NS_PER_EDGE;
@@ -221,7 +176,7 @@ impl Planner {
                     est_pass += units * REBUILD_NS_PER_UNIT / REBUILD_HORIZON_BATCHES;
                 }
                 if est_pass > (units + b) * RECOMPUTE_NS_PER_UNIT {
-                    recompute
+                    Strategy::Recompute
                 } else {
                     Strategy::Batched
                 }
@@ -234,7 +189,6 @@ impl Planner {
         match strategy {
             Strategy::Batched => self.stats.batched_chosen += 1,
             Strategy::Recompute => self.stats.recompute_chosen += 1,
-            Strategy::ParRecompute => self.stats.par_recompute_chosen += 1,
         }
         self.stats.last = Some(strategy);
     }
@@ -278,7 +232,7 @@ impl<S: OrderSeq> PlannedCore<S> {
     }
 
     /// Wraps an existing index and planner (e.g. an index loaded from a
-    /// checkpoint); the planner's parallelism carries over.
+    /// checkpoint).
     pub fn from_parts(engine: OrderCore<S>, planner: Planner) -> Self {
         PlannedCore {
             engine,
@@ -290,26 +244,6 @@ impl<S: OrderSeq> PlannedCore<S> {
     /// The seed the index was built or loaded with.
     pub fn seed(&self) -> u64 {
         self.engine.seed
-    }
-
-    /// Recompute fallbacks run the level-synchronous parallel peel under
-    /// `par` (identical core numbers, more cores). The order-based passes
-    /// stay on the calling thread.
-    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.set_parallelism(Some(par));
-        self
-    }
-
-    /// The configured [`Parallelism`], if any (see
-    /// [`Planner::parallelism`]).
-    pub fn parallelism(&self) -> Option<Parallelism> {
-        self.planner.parallelism()
-    }
-
-    /// Re-points the engine at a (new) [`Parallelism`] — or back to
-    /// serial with `None` — keeping the decision counters.
-    pub fn set_parallelism(&mut self, par: Option<Parallelism>) {
-        self.planner.set_parallelism(par);
     }
 
     /// Decision counters.
@@ -454,9 +388,9 @@ impl<S: OrderSeq> PlannedCore<S> {
                     self.run_passes(removes, true, &mut stats);
                 }
             }
-            s => {
+            Strategy::Recompute => {
                 if self.recompute_batch(inserts, removes, &mut stats) {
-                    self.planner.record(s);
+                    self.planner.record(Strategy::Recompute);
                 }
             }
         }
@@ -523,10 +457,7 @@ impl<S: OrderSeq> PlannedCore<S> {
     /// Decomposes the current graph, refreshes cores + per-level counts,
     /// and marks the k-order stale.
     fn recompute_in_place(&mut self, stats: &mut UpdateStats) {
-        let new_core = match self.planner.peel() {
-            Some(par) => par_core_decomposition(&self.engine.graph, par),
-            None => core_decomposition(&self.engine.graph),
-        };
+        let new_core = core_decomposition(&self.engine.graph);
         // The diff both counts the churn for the stats and — when
         // core-change tracking is on — feeds the change log, at no extra
         // asymptotic cost (the recompute already paid O(n + m)).
@@ -581,19 +512,17 @@ mod tests {
             PlanPolicy::ForceBatch,
             PlanPolicy::ForceRecompute,
         ];
-        for (policy, threads) in policies.into_iter().flat_map(|p| [(p, 1), (p, 2)]) {
-            let mut pc = Planned::with_policy(fixtures::path(12), 9, policy)
-                .with_parallelism(Parallelism::exact(threads).with_cutoff(0));
+        for policy in policies {
+            let mut pc = Planned::with_policy(fixtures::path(12), 9, policy);
             let stats = pc.insert_edges(&batch);
             assert_eq!(stats.skipped, 2, "{policy:?} skip semantics diverged");
             if policy == PlanPolicy::ForceBatch {
-                // Threads never leave the passes.
                 assert_eq!(pc.planner_stats().last, Some(Strategy::Batched));
             }
             pc.validate();
             let cores = pc.cores().to_vec();
             if let Some(r) = &reference {
-                assert_eq!(&cores, r, "{policy:?} at {threads} threads: cores diverged");
+                assert_eq!(&cores, r, "{policy:?}: cores diverged");
             } else {
                 reference = Some(cores);
             }
@@ -615,7 +544,7 @@ mod tests {
     }
 
     /// The fixed prices pinned as a table of `(inserts, removes, n, m,
-    /// order_fresh) → Strategy` rows under `Auto` with one thread.
+    /// order_fresh) → Strategy` rows under `Auto`.
     #[test]
     fn plan_decisions_are_pinned() {
         let ba = kcore_gen::barabasi_albert(20_000, 4, 1);
@@ -666,118 +595,6 @@ mod tests {
         assert_eq!(plan(PlanPolicy::ForceRecompute, 321), Strategy::Recompute);
         assert_eq!(plan(PlanPolicy::ForceBatch, 322), Strategy::Batched);
         assert_eq!(plan(PlanPolicy::ForceBatch, 100_000), Strategy::Batched);
-    }
-
-    /// With threads a recompute runs the parallel peel and the passes
-    /// stay `Batched`; the crossover between the families does not move.
-    #[test]
-    fn parallel_members_are_priced_distinctly_with_threads() {
-        use Strategy::{Batched, ParRecompute, Recompute};
-        let ba = kcore_gen::barabasi_albert(20_000, 4, 1);
-        let (bn, bm) = (ba.num_vertices(), ba.num_edges());
-        let (n, m) = (20_000, 80_000);
-        let rows = [
-            (128, 128, bn, bm, true, Batched, Batched),
-            (321, 0, n, m, true, Batched, Batched),
-            (322, 0, n, m, true, Recompute, ParRecompute),
-            (300, 0, n, m, false, Recompute, ParRecompute),
-        ];
-        for (ins, rem, n, m, fresh, serial, parallel) in rows {
-            let mut p = Planner::new(PlannerConfig::default());
-            assert_eq!(p.plan(ins, rem, n, m, fresh), serial);
-            p.set_parallelism(Some(Parallelism::exact(4)));
-            assert_eq!(p.plan(ins, rem, n, m, fresh), parallel);
-        }
-    }
-
-    #[test]
-    fn single_thread_plan_never_prices_parallel_members() {
-        let p = Planner::new(PlannerConfig::default());
-        for b in [1usize, 8, 64, 512, 4096] {
-            for (n, m) in [(100usize, 200usize), (10_000, 80_000)] {
-                for fresh in [true, false] {
-                    let got = p.plan(b, b / 2, n, m, fresh);
-                    assert_ne!(got, Strategy::ParRecompute);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn force_policies_degrade_without_threads() {
-        let mk = |policy, threads| {
-            let mut p = Planner::new(PlannerConfig::with_policy(policy));
-            p.set_parallelism(Some(Parallelism::exact(threads)));
-            p.plan(10, 0, 100, 200, true)
-        };
-        assert_eq!(mk(PlanPolicy::ForceBatch, 1), Strategy::Batched);
-        assert_eq!(mk(PlanPolicy::ForceBatch, 4), Strategy::Batched);
-        // ForceRecompute rides the peel when threads are available.
-        assert_eq!(mk(PlanPolicy::ForceRecompute, 4), Strategy::ParRecompute);
-        assert_eq!(mk(PlanPolicy::ForceRecompute, 1), Strategy::Recompute);
-    }
-
-    #[test]
-    fn parallel_policies_agree_on_cores_and_record_choices() {
-        let batch: Vec<(u32, u32)> = vec![(0, 11), (1, 10), (2, 9), (3, 8), (4, 7)];
-        let par = Parallelism::exact(4).with_cutoff(0);
-        let mut reference = Planned::with_policy(fixtures::path(12), 9, PlanPolicy::ForceBatch);
-        reference.insert_edges(&batch);
-        reference.validate();
-
-        // Threads leave the passes serial: still recorded as `Batched`.
-        let mut ps = Planned::with_policy(fixtures::path(12), 9, PlanPolicy::ForceBatch)
-            .with_parallelism(par);
-        assert_eq!(ps.parallelism(), Some(par));
-        ps.insert_edges(&batch);
-        ps.validate();
-        assert_eq!(ps.cores(), reference.cores());
-        assert_eq!(ps.planner_stats().batched_chosen, 1);
-        assert_eq!(ps.planner_stats().last, Some(Strategy::Batched));
-
-        let mut pr = Planned::with_policy(fixtures::path(12), 9, PlanPolicy::ForceRecompute)
-            .with_parallelism(par);
-        pr.insert_edges(&batch);
-        pr.validate();
-        assert_eq!(pr.cores(), reference.cores());
-        assert_eq!(pr.planner_stats().par_recompute_chosen, 1);
-        assert_eq!(pr.planner_stats().last, Some(Strategy::ParRecompute));
-    }
-
-    #[test]
-    fn set_parallelism_drives_planner_threads() {
-        let mut pc = Planned::new(fixtures::triangle(), 1);
-        assert_eq!(pc.planner().threads(), 1);
-        assert_eq!(pc.parallelism(), None);
-        let par = Parallelism::exact(3);
-        pc.set_parallelism(Some(par));
-        assert_eq!(pc.planner().threads(), 3);
-        assert_eq!(pc.parallelism(), Some(par));
-        pc.set_parallelism(None);
-        assert_eq!(pc.planner().threads(), 1);
-        assert_eq!(pc.parallelism(), None);
-    }
-
-    /// A planner given threads before [`PlannedCore::from_parts`] keeps
-    /// them: the recompute it records is the one it runs.
-    #[test]
-    fn threaded_planner_from_parts_runs_the_strategy_it_records() {
-        let par = Parallelism::exact(4).with_cutoff(0);
-        let mut planner = Planner::new(PlannerConfig::with_policy(PlanPolicy::ForceRecompute));
-        planner.set_parallelism(Some(par));
-        let engine = OrderCore::new(fixtures::path(12), 9);
-        let mut pc: Planned = PlannedCore::from_parts(engine, planner);
-        assert_eq!(pc.parallelism(), Some(par));
-        let jobs = kcore_decomp::team::stats().jobs;
-        pc.insert_edges(&[(0, 11), (2, 9)]);
-        assert_eq!(pc.planner_stats().last, Some(Strategy::ParRecompute));
-        assert_eq!(pc.planner_stats().par_recompute_chosen, 1);
-        assert!(
-            kcore_decomp::team::stats().jobs > jobs,
-            "the parallel peel must dispatch to the worker team"
-        );
-        assert_eq!(pc.cores(), &core_decomposition(pc.graph())[..]);
-        pc.validate();
     }
 
     #[test]

@@ -2,32 +2,17 @@
 //! robustness (roundtrip + corruption), heuristic-built indices under
 //! churn, and batch-vs-incremental equivalence.
 
-use kcore_decomp::{Heuristic, Parallelism};
+use kcore_decomp::Heuristic;
 use kcore_graph::DynamicGraph;
 use kcore_maint::{CoreMaintainer, OrderCore, PlanPolicy, PlannedCore, RecomputeCore};
 use proptest::prelude::*;
 
-/// Every policy, plus `Auto` and `ForceRecompute` once more on a
-/// two-thread `Parallelism` (cutoff zeroed so the parallel peel genuinely
-/// runs even on tiny property-test graphs). With threads, `Auto`
-/// dispatches both `Batched` and `ParRecompute`.
-const ALL_POLICIES: [(PlanPolicy, bool); 5] = [
-    (PlanPolicy::Auto, false),
-    (PlanPolicy::Auto, true),
-    (PlanPolicy::ForceBatch, false),
-    (PlanPolicy::ForceRecompute, false),
-    (PlanPolicy::ForceRecompute, true),
+/// Every dispatch policy.
+const ALL_POLICIES: [PlanPolicy; 3] = [
+    PlanPolicy::Auto,
+    PlanPolicy::ForceBatch,
+    PlanPolicy::ForceRecompute,
 ];
-
-/// A planned engine for the given policy, threaded or serial.
-fn planned_with(g: DynamicGraph, seed: u64, (policy, threaded): (PlanPolicy, bool)) -> PlannedCore {
-    let pc: PlannedCore = PlannedCore::with_policy(g, seed, policy);
-    if threaded {
-        pc.with_parallelism(Parallelism::exact(2).with_cutoff(0))
-    } else {
-        pc
-    }
-}
 
 fn arb_graph(n: u32, max_edges: usize) -> impl Strategy<Value = DynamicGraph> {
     prop::collection::vec((0..n, 0..n), 0..max_edges).prop_map(move |pairs| {
@@ -267,7 +252,7 @@ proptest! {
     ) {
         let mut reference: Option<(Vec<u32>, usize, usize)> = None;
         for policy in ALL_POLICIES {
-            let mut pc = planned_with(g.clone(), seed, policy);
+            let mut pc: PlannedCore = PlannedCore::with_policy(g.clone(), seed, policy);
             let si = pc.insert_edges(&raw);
             let sr = pc.remove_edges(&picks);
             // After a recompute fallback the engine must remain
@@ -308,7 +293,7 @@ proptest! {
         let g = kcore_gen::barabasi_albert(n, attach, seed);
         let mut reference: Option<Vec<u32>> = None;
         for policy in ALL_POLICIES {
-            let mut pc = planned_with(g.clone(), seed ^ 1, policy);
+            let mut pc: PlannedCore = PlannedCore::with_policy(g.clone(), seed ^ 1, policy);
             pc.insert_edges(&extra);
             pc.validate();
             let cores = pc.cores().to_vec();
@@ -341,7 +326,7 @@ proptest! {
         }
         let stream = kcore_gen::churn_stream(&g, 5, ins, rem, seed);
         for policy in ALL_POLICIES {
-            let mut pc = planned_with(g.clone(), seed, policy);
+            let mut pc: PlannedCore = PlannedCore::with_policy(g.clone(), seed, policy);
             let mut oracle = RecomputeCore::new(g.clone());
             for b in &stream {
                 let s = pc.apply_churn(&b.inserts, &b.removes);
