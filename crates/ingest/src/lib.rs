@@ -11,20 +11,20 @@
 //!   [`IngestService::try_submit`] surfaces [`IngestError::QueueFull`]
 //!   when the writer falls behind; [`IngestService::submit`] blocks.
 //! * **Micro-batching** — under the wall clock events flush when the
-//!   queue runs dry (at most once per 500 µs) or the batch fills, so
-//!   batches grow with the backlog; [`ClockMode::Scripted`] flushes on
+//!   queue runs dry or the batch fills, so batches grow with the
+//!   backlog; [`ClockMode::Scripted`] flushes on
 //!   batch size or clock
 //!   tick and serialises time into the message stream so every test is
 //!   wall-clock-free and deterministic.
-//! * **Snapshot-isolated reads, published copy-on-write** — each flush
+//! * **Snapshot-isolated reads from recycled buffers** — each flush
 //!   publishes an immutable, epoch-versioned [`CoreSnapshot`] (cores,
 //!   histogram, degeneracy, k-core membership) through an
 //!   epoch-validated double buffer: any number of reader threads load
 //!   consistent state without waiting on the writer's batch work (a
 //!   publish can briefly wait on a slow load — see [`SnapshotHandle`]).
-//!   Publication is `O(changed)`, not `O(n)` — cores live in a chunked
-//!   persistent array ([`chunked::ChunkedCores`]) and consecutive epochs
-//!   share every chunk the flush did not dirty.
+//!   The cores are a flat buffer from a small pool ([`CoreMirror`]): a
+//!   publish rewrites only the cores that changed since that buffer's
+//!   last use, so a reader's cached lines stay valid where no core moved.
 //! * **Durability** — the writer appends each flushed batch's events to
 //!   an append-only, per-frame-checksummed journal file (KJRN v3) and
 //!   periodically persists the full index into a rotated set of
@@ -80,7 +80,7 @@ pub mod service;
 pub mod snapshot;
 pub mod sources;
 
-pub use chunked::{ChunkedCores, CoreMirror, CHUNK};
+pub use chunked::{CoreMirror, CHUNK};
 pub use durability::{
     persist_index_snapshot, read_journal, recover, snapshot_generation_path, DurabilityConfig,
     JournalContents, JournalSink, RecoverError, Recovered, RecoveryReport, RecoveryRung,

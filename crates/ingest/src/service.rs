@@ -10,10 +10,7 @@
 //! clock, flushes when the batch reaches its size cap or the queue runs
 //! dry ("smart batching", as in group commit), so the batch size follows
 //! the backlog: a lone event is applied and published at once, and a
-//! backlog goes through in `max_batch`-event batches. A flush the empty
-//! queue triggers starts at least 500 µs after the previous flush
-//! started, which caps snapshot publications under a steady light load
-//! (readers pay cache misses on every fresh snapshot). Under the
+//! backlog goes through in `max_batch`-event batches. Under the
 //! scripted clock the cap and a tick past the flush interval decide
 //! instead. A flush that cannot make progress (journal debt that did
 //! not ship, a writer that is `Recovering` or `Failed`) is not retried
@@ -114,8 +111,8 @@ impl std::error::Error for IngestError {}
 /// module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClockMode {
-    /// Real time: the writer flushes whenever its queue runs dry, at
-    /// most once per 500 µs unless the batch fills.
+    /// Real time: the writer flushes whenever its queue runs dry or the
+    /// batch fills.
     #[default]
     Wall,
     /// Time advances only via [`IngestService::tick`] messages, which
@@ -336,17 +333,17 @@ pub struct IngestReport {
     /// bounded log-bucketed histogram — O(1) memory however long the
     /// run, with p50/p99 exact to one bucket (≤ 12.5%).
     pub batch_apply: Histogram,
-    /// Chunks copy-on-written into the snapshot mirror, totalled over
-    /// every flush (the "publish cost is proportional to the diff"
-    /// witness; compare against `mirror_chunks` × flushes).
+    /// [`crate::CHUNK`]-core blocks written into snapshot buffers,
+    /// totalled over every publish (the "publish cost is proportional to
+    /// the diff" witness; compare against `mirror_chunks` × epochs).
     pub chunks_copied: u64,
-    /// Chunks backing the mirror at shutdown.
+    /// [`crate::CHUNK`]-core blocks per snapshot buffer.
     pub mirror_chunks: u64,
     /// Mirror syncs served from the engine's tracked change set
     /// (`O(changed)`): one per applied flush.
     pub tracked_drains: u64,
-    /// Mirror resyncs by chunk compare (`O(n)` compare, `O(changed)`
-    /// copy): one per successful recovery, against the rebuilt engine.
+    /// Mirror resyncs by full compare: one per successful recovery,
+    /// against the rebuilt engine.
     pub full_syncs: u64,
     /// Engine panics caught by the supervisor.
     pub engine_panics: u64,
@@ -370,16 +367,6 @@ pub struct IngestReport {
     /// Health at shutdown.
     pub final_health: ServiceHealth,
 }
-
-/// Wall clock: a flush that the queue running dry triggers starts at
-/// least this long after the previous flush started. Every flush
-/// publishes a snapshot, and a reader's first pass over a new snapshot
-/// misses cache on the lines the writer just wrote: with one flush per
-/// event at 8k events/s, 64-vertex reads of a 200k-vertex index went from
-/// 0.30 to 0.69 µs at the median on a 2-core host. The gap caps idle
-/// flushes at 2,000 a second; an event after a quiet spell still flushes
-/// at once, and a backlog still flushes full batches without waiting.
-const MIN_IDLE_FLUSH_GAP_NS: u64 = 500_000;
 
 /// While `Recovering`, buffered events are capped at this multiple of
 /// `max(queue_capacity, max_batch)`; overflow is dropped and counted in
@@ -473,8 +460,7 @@ impl IngestService {
                 }
             }
         };
-        // Core-change tracking feeds the copy-on-write snapshot mirror
-        // in O(changed).
+        // Core-change tracking feeds the snapshot mirror in O(changed).
         engine.enable_core_change_tracking();
         let mirror = CoreMirror::from_slice(engine.cores());
         // The fault suite's scripted engine panics; real storage scripts
@@ -487,7 +473,7 @@ impl IngestService {
         let obs = WriterObs::new();
         let (metrics, spans, health) =
             (obs.registry.clone(), obs.spans.clone(), obs.health.clone());
-        let writer = Writer {
+        let mut writer = Writer {
             engine,
             cfg,
             sink,
@@ -499,7 +485,6 @@ impl IngestService {
             ops: start_seq,
             published_ops: start_seq,
             events_since_persist: 0,
-            idle_flush_at_ns: 0,
             checkpoint: None,
             checkpoint_buf: Vec::new(),
             subscribers: Vec::new(),
@@ -840,6 +825,7 @@ struct WriterObs {
     checkpoint_failures: Counter,
     journal_ship_failures: Counter,
     chunks_copied: Counter,
+    buffers_unpooled: Counter,
     tracked_drains: Counter,
     full_syncs: Counter,
     /// `engine_{field}_total` per [`UpdateStats`] field (the paper's |V+|
@@ -873,6 +859,7 @@ impl WriterObs {
             checkpoint_failures: reg.counter("ingest_checkpoint_failures_total"),
             journal_ship_failures: reg.counter("ingest_journal_ship_failures_total"),
             chunks_copied: reg.counter("ingest_chunks_copied_total"),
+            buffers_unpooled: reg.counter("ingest_buffers_unpooled_total"),
             tracked_drains: reg.counter("ingest_tracked_drains_total"),
             full_syncs: reg.counter("ingest_full_syncs_total"),
             update: UpdateStats::FIELDS.map(|f| reg.counter(&format!("engine_{f}_total"))),
@@ -895,7 +882,7 @@ struct MirrorSync {
     drain_start: u64,
     drain_end: u64,
     drained: u64,
-    copied: u64,
+    changed: u64,
 }
 
 /// A background checkpoint write: its result, its wall-clock duration in
@@ -936,10 +923,6 @@ struct Writer {
     published_ops: u64,
     /// Events applied since the last checkpoint started.
     events_since_persist: u64,
-    /// Wall-clock time before which the queue running dry does not
-    /// trigger a flush (the last flush's start plus
-    /// [`MIN_IDLE_FLUSH_GAP_NS`]).
-    idle_flush_at_ns: u64,
     /// The checkpoint write in flight, if any (at most one).
     checkpoint: Option<CheckpointWrite>,
     /// The snapshot buffer, kept across checkpoints: `persist` serialises
@@ -947,8 +930,8 @@ struct Writer {
     /// checkpoint thread frames and writes it, and the join hands it back.
     checkpoint_buf: Vec<u8>,
     subscribers: Vec<mpsc::Sender<Arc<CoreSnapshot>>>,
-    /// Copy-on-write mirror of the engine's cores + incremental
-    /// histogram — what snapshots are composed from, in O(changed).
+    /// Mirror of the engine's cores + incremental histogram, and the
+    /// pool of snapshot buffers it publishes.
     mirror: CoreMirror,
     /// Reused drain buffer (no steady-state allocation per flush).
     change_buf: Vec<VertexId>,
@@ -1030,9 +1013,10 @@ impl Writer {
             .max(1)
     }
 
-    /// Cuts a snapshot from the mirror: O(chunks) `Arc` clones for the
-    /// cores plus the O(levels) histogram — never an O(n) copy.
-    fn compose_snapshot(&self) -> CoreSnapshot {
+    /// Cuts a snapshot from the mirror: a recycled buffer brought up to
+    /// date with the cores that changed since its last use, plus the
+    /// O(levels) histogram.
+    fn compose_snapshot(&mut self) -> CoreSnapshot {
         let graph = self.engine.graph();
         CoreSnapshot {
             epoch: self.epoch,
@@ -1060,31 +1044,31 @@ impl Writer {
         );
         let drain_end = self.now();
         let drained = buf.len() as u64;
-        let mut copied = 0u64;
+        let mut changed = 0u64;
         self.obs.tracked_drains.inc();
         let cores = self.engine.cores();
         for &v in &buf {
-            if self.mirror.apply(v, cores[v as usize]) {
-                copied += 1;
-            }
+            changed += self.mirror.apply(v, cores[v as usize]) as u64;
         }
         self.change_buf = buf;
-        self.obs.chunks_copied.add(copied);
         debug_assert!(
-            self.mirror.snapshot_cores().to_vec() == self.engine.cores(),
+            self.mirror.cores() == self.engine.cores(),
             "mirror diverged from the engine"
         );
         MirrorSync {
             drain_start,
             drain_end,
             drained,
-            copied,
+            changed,
         }
     }
 
     fn publish(&mut self, handle: &SnapshotHandle) {
         self.epoch += 1;
         let snap = Arc::new(self.compose_snapshot());
+        let cost = self.mirror.last_publish();
+        self.obs.chunks_copied.add(cost.blocks_written);
+        self.obs.buffers_unpooled.add(cost.unpooled as u64);
         handle.publish(snap.clone());
         self.subscribers.retain(|s| s.send(snap.clone()).is_ok());
         self.published_ops = self.ops;
@@ -1199,8 +1183,7 @@ impl Writer {
                 // index against the journal's vertex count, so the
                 // mirror's length still matches.
                 self.engine.enable_core_change_tracking();
-                let (_, copied) = self.mirror.sync_full(self.engine.cores());
-                self.obs.chunks_copied.add(copied as u64);
+                self.mirror.sync_full(self.engine.cores());
                 self.obs.full_syncs.inc();
                 self.publish(handle);
                 self.obs.recoveries.inc();
@@ -1249,7 +1232,6 @@ impl Writer {
         let trace = self.flushes + 1;
         let open_ns = self.batch_open_ns.take().unwrap_or_else(|| self.now());
         let t0 = self.now();
-        self.idle_flush_at_ns = t0.saturating_add(MIN_IDLE_FLUSH_GAP_NS);
         let batch_len = self.pending.len() as u64;
         // A scripted engine fault applies the first half of the batch,
         // then panics: the poisoned engine is ahead of the journal.
@@ -1328,7 +1310,7 @@ impl Writer {
         let pub_end = self.now();
         // Stage breakdown as `(start, end, items)`, in pipeline order:
         // the oldest event's wait in the micro-batcher, engine apply,
-        // core-change drain, journal append/ship, mirror sync, COW
+        // core-change drain, journal append/ship, mirror sync, buffer
         // publish. Spans carry writer-clock timestamps, so a scripted run
         // yields a bit-exact trace.
         let stages = [
@@ -1336,7 +1318,7 @@ impl Writer {
             (t0, apply_end, batch_len),
             (sync.drain_start, sync.drain_end, sync.drained),
             (apply_end, ship_end, batch_len),
-            (sync.drain_end, sync_end, sync.copied),
+            (sync.drain_end, sync_end, sync.changed),
             (sync_end, pub_end, published_items),
         ];
         for ((stage, hist), (start, end, items)) in
@@ -1481,10 +1463,9 @@ impl Writer {
         }
         let wall = self.cfg.clock == ClockMode::Wall;
         // Wall clock: set by every message (and every recovery wake-up),
-        // cleared by the flush it triggers once the queue is empty and
-        // `MIN_IDLE_FLUSH_GAP_NS` has passed. A flush that leaves events
-        // buffered therefore waits for the next message or recovery
-        // deadline instead of retrying in a loop.
+        // cleared by the flush it triggers once the queue is empty. A
+        // flush that leaves events buffered therefore waits for the next
+        // message or recovery deadline instead of retrying in a loop.
         let mut flush_when_idle = false;
         loop {
             // Deadline-driven work first: a due recovery attempt, or a
@@ -1503,51 +1484,42 @@ impl Writer {
             } else if self.interval_due() {
                 self.flush(&handle);
             }
+            // With events pending, a waiting message is taken first; an
+            // empty queue flushes them at once.
             let idle = flush_when_idle && !self.pending.is_empty();
-            // With events pending, a waiting message is taken before the
-            // clock is read: only an empty queue asks whether the
-            // idle-flush gap has passed.
             let polled = if idle {
                 rx.try_recv()
             } else {
                 Err(mpsc::TryRecvError::Empty)
             };
-            let msg = if let Ok(m) = polled {
-                m
-            } else if matches!(polled, Err(mpsc::TryRecvError::Disconnected)) {
-                break;
-            } else if idle && self.now() >= self.idle_flush_at_ns {
-                flush_when_idle = false;
-                self.flush(&handle);
-                continue;
-            } else {
-                // Wall mode parks until the idle-flush gap or the recovery
-                // backoff ends; scripted mode blocks (time only moves via
-                // Tick messages).
-                let wake = if idle {
-                    Some(self.idle_flush_at_ns)
-                } else if wall && self.health() == ServiceHealth::Recovering {
-                    Some(self.recovery_due_ns)
-                } else {
-                    None
-                };
-                match wake {
-                    Some(at) => {
-                        let wait = at.saturating_sub(self.now()).max(1);
-                        match rx.recv_timeout(Duration::from_nanos(wait)) {
-                            Ok(m) => m,
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                flush_when_idle = true;
-                                continue;
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                    None => match rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => break, // all handles gone: graceful drain
-                    },
+            let msg = match polled {
+                Ok(m) => m,
+                Err(mpsc::TryRecvError::Disconnected) => break,
+                Err(mpsc::TryRecvError::Empty) if idle => {
+                    flush_when_idle = false;
+                    self.flush(&handle);
+                    continue;
                 }
+                // Wall mode parks until the recovery backoff ends;
+                // otherwise the writer blocks (under the scripted clock
+                // time only moves via Tick messages).
+                Err(mpsc::TryRecvError::Empty)
+                    if wall && self.health() == ServiceHealth::Recovering =>
+                {
+                    let wait = self.recovery_due_ns.saturating_sub(self.now()).max(1);
+                    match rx.recv_timeout(Duration::from_nanos(wait)) {
+                        Ok(m) => m,
+                        Err(mpsc::RecvTimeoutError::Timeout) => {
+                            flush_when_idle = true;
+                            continue;
+                        }
+                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                    }
+                }
+                Err(mpsc::TryRecvError::Empty) => match rx.recv() {
+                    Ok(m) => m,
+                    Err(_) => break, // all handles gone: graceful drain
+                },
             };
             flush_when_idle = wall;
             match msg {

@@ -10,23 +10,26 @@
 //!
 //! Two layers keep both sides cheap:
 //!
-//! * **Publication** is copy-on-write: `cores` is a [`ChunkedCores`],
-//!   so consecutive epochs share every chunk no flush dirtied and the
-//!   writer pays `O(changed)` per epoch, not `O(n)` (see
-//!   [`crate::chunked`]).
+//! * **Publication** recycles flat buffers: `cores` is an `Arc<[u32]>`
+//!   from the writer's small pool, and a publish rewrites only the cores
+//!   that changed since that buffer was last published, so a reader's
+//!   cached lines of it stay valid wherever no core moved (see
+//!   [`crate::chunked`]). A held snapshot pins its buffer: the writer
+//!   never writes a buffer a snapshot still holds.
 //! * **Loading** goes through an epoch-validated double buffer
-//!   (seqlock-style): the writer alternates between two slots and bumps
-//!   an atomic version *after* the swap; a reader snapshots the
-//!   version, clones from the active slot, and retries on the (rare)
+//!   (seqlock-style): the writer stores into the inactive slot, bumps
+//!   an atomic version *after* the store, and then overwrites the slot
+//!   it just retired with the same snapshot, so the handle pins only
+//!   the newest epoch and its buffer (with readers that drop their
+//!   snapshots, two buffers alternate). A reader snapshots the
+//!   version, clones from the slot it names, and retries on the (rare)
 //!   torn window where the version moved mid-clone. The slots are
-//!   `Mutex`-held `Arc`s, and the writer only ever locks the *inactive*
-//!   slot, so a load never waits on the writer's batch work. The two
-//!   sides can still contend: the inactive slot is the one that was
-//!   active two publications ago, so a publish waits (for one `Arc`
-//!   clone) on a reader still cloning out of it, and that reader then
-//!   sees the version move and retries.
+//!   `Mutex`-held `Arc`s locked only for one `Arc` clone or store, so a
+//!   load never waits on the writer's batch work. The two sides can
+//!   still contend: a publish waits (for one `Arc` clone) on a reader
+//!   still cloning out of a slot it writes, and that reader then sees
+//!   the version move and retries.
 
-use crate::chunked::ChunkedCores;
 use kcore_graph::VertexId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -45,10 +48,9 @@ pub struct CoreSnapshot {
     pub num_vertices: usize,
     /// Live edges.
     pub num_edges: usize,
-    /// Core number per vertex — chunk-shared with neighbouring epochs
-    /// (copy-on-write), so holding many epochs costs the *diff*, not
-    /// `n` per epoch.
-    pub cores: ChunkedCores,
+    /// Core number per vertex, in a buffer the writer recycles once no
+    /// snapshot holds it: holding a snapshot pins one `n`-core buffer.
+    pub cores: Arc<[u32]>,
     /// `histogram[k]` = vertices with core exactly `k`
     /// (`histogram.len() == degeneracy + 1`); maintained incrementally
     /// from core deltas by the writer's mirror.
@@ -63,7 +65,7 @@ pub struct CoreSnapshot {
 impl CoreSnapshot {
     /// Core number of one vertex.
     pub fn core(&self, v: VertexId) -> u32 {
-        self.cores.get(v as usize)
+        self.cores[v as usize]
     }
 
     /// Members of the k-core at this epoch. The incrementally
@@ -76,7 +78,7 @@ impl CoreSnapshot {
         if total == 0 {
             return out;
         }
-        for (v, c) in self.cores.iter().enumerate() {
+        for (v, &c) in self.cores.iter().enumerate() {
             if c >= k {
                 out.push(v as VertexId);
             }
@@ -103,9 +105,8 @@ struct Slots {
 
 /// Shared slot pair the writer publishes through; clone freely across
 /// reader threads. Readers validate an atomic epoch around a slot clone.
-/// The writer only writes the slot readers are *not* directed at, so
-/// loads never wait on the writer's batch work; a publish can briefly
-/// wait on a reader still cloning from two publications ago.
+/// Loads never wait on the writer's batch work; a publish can briefly
+/// wait on a reader still cloning out of a slot it writes.
 #[derive(Debug, Clone)]
 pub struct SnapshotHandle {
     shared: Arc<Slots>,
@@ -149,15 +150,20 @@ impl SnapshotHandle {
         }
     }
 
-    /// Single-writer publication: writes the inactive slot, then flips
-    /// the version to direct readers at it.
+    /// Single-writer publication: writes the inactive slot, flips the
+    /// version to direct readers at it, then drops the retired epoch
+    /// from the other slot (a reader that read the old version and
+    /// clones from it gets the new epoch, then retries on the version).
     pub(crate) fn publish(&self, snap: Arc<CoreSnapshot>) {
         let v = self.shared.version.load(Ordering::Relaxed);
         let next = v + 1;
         *self.shared.slots[(next % 2) as usize]
             .lock()
-            .expect("snapshot slot poisoned") = snap;
+            .expect("snapshot slot poisoned") = snap.clone();
         self.shared.version.store(next, Ordering::Release);
+        *self.shared.slots[(v % 2) as usize]
+            .lock()
+            .expect("snapshot slot poisoned") = snap;
     }
 }
 
@@ -182,7 +188,7 @@ mod tests {
             ops: 0,
             num_vertices: cores.len(),
             num_edges: 0,
-            cores: ChunkedCores::from_slice(&cores),
+            cores: cores.into(),
             histogram,
             degeneracy,
             published_at_ns: 0,
@@ -242,7 +248,7 @@ mod tests {
                         );
                         // Payload must always match its epoch label —
                         // the torn-read guard this test exists for.
-                        assert_eq!(snap.cores.get(0), snap.epoch as u32);
+                        assert_eq!(snap.cores[0], snap.epoch as u32);
                         if snap.epoch != last {
                             distinct += 1;
                         }

@@ -14,6 +14,7 @@ use kcore_gen::{barabasi_albert, churn_stream, timestamp_edges, SlidingWindow};
 use kcore_graph::DynamicGraph;
 use kcore_maint::PlannerConfig;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn path_graph(n: usize) -> DynamicGraph {
     let mut g = DynamicGraph::with_vertices(n);
@@ -113,7 +114,7 @@ fn explicit_flush_is_a_barrier_covering_all_submitted() {
     assert_eq!(snap.cores.to_vec(), core_decomposition(&oracle));
     assert_eq!(snap.num_edges, oracle.num_edges());
     // Histogram and degeneracy agree with the cores they ship with.
-    let max = snap.cores.iter().max().unwrap();
+    let max = snap.cores.iter().copied().max().unwrap();
     assert_eq!(snap.degeneracy, max);
     assert_eq!(snap.histogram.iter().sum::<usize>(), snap.num_vertices);
     // Flushing again without new events republishes nothing.
@@ -366,81 +367,73 @@ fn crash_recovery_matches_never_crashed_run() {
     assert_eq!(rec2.engine.cores(), engine.cores());
 }
 
+/// A 4-chunk path whose two ends one event joins and the next splits
+/// again, so every flush moves every core (1 on the path, 2 on the
+/// cycle): a write into any buffer a snapshot holds would show.
+const RING_N: usize = 4 * crate::chunked::CHUNK;
+
+fn ring_toggle(applied: usize) -> GraphEvent {
+    let (u, v) = (0, RING_N as u32 - 1);
+    if applied.is_multiple_of(2) {
+        GraphEvent::EdgeInserted(u, v)
+    } else {
+        GraphEvent::EdgeRemoved(u, v)
+    }
+}
+
+fn ring_oracle(applied: usize) -> Vec<u32> {
+    let events: Vec<GraphEvent> = (0..applied).map(ring_toggle).collect();
+    core_decomposition(&apply_events(&path_graph(RING_N), &events))
+}
+
+fn counter(svc: &IngestService, name: &str) -> u64 {
+    let m = svc.metrics().expect("the registry always exists");
+    m.snapshot().counter(name).expect("registered at spawn")
+}
+
+/// A snapshot a reader holds stays bit-identical while the writer
+/// publishes more epochs than its pool has buffers.
 #[test]
-fn publication_shares_untouched_chunks_across_epochs() {
-    // COW publication: a flush whose changes all land in one chunk must
-    // republish every *other* chunk as the same allocation (pointer
-    // equality), and the report must witness the O(changed) cost.
-    use crate::chunked::CHUNK;
-    let n = 3 * CHUNK; // 3 chunks of core numbers
-    let svc = IngestService::spawn_planned(
-        DynamicGraph::with_vertices(n),
-        7,
-        IngestConfig::scripted().max_batch(1000),
-    )
-    .unwrap();
-
-    // Epoch 1: a triangle among vertices 0..3 (chunk 0 only).
-    svc.submit(GraphEvent::EdgeInserted(0, 1)).unwrap();
-    svc.submit(GraphEvent::EdgeInserted(1, 2)).unwrap();
-    svc.submit(GraphEvent::EdgeInserted(0, 2)).unwrap();
-    let s1 = svc.flush().unwrap();
-    assert_eq!(s1.cores.num_chunks(), 3);
-    assert_eq!(s1.core(0), 2);
-
-    // Epoch 2: a single edge inside chunk 2.
-    let far = (2 * CHUNK) as u32;
-    svc.submit(GraphEvent::EdgeInserted(far, far + 1)).unwrap();
-    let s2 = svc.flush().unwrap();
-    assert_eq!(s2.core(far), 1);
-
-    // Chunks 0 and 1 were untouched by the second flush: pointer-equal
-    // across the two epochs. Chunk 2 was dirtied: a fresh allocation.
-    assert!(
-        s1.cores.chunk_ptr_eq(&s2.cores, 0),
-        "chunk 0 must be shared"
-    );
-    assert!(
-        s1.cores.chunk_ptr_eq(&s2.cores, 1),
-        "chunk 1 must be shared"
-    );
-    assert!(
-        !s1.cores.chunk_ptr_eq(&s2.cores, 2),
-        "chunk 2 was rewritten"
-    );
-    assert_eq!(s1.cores.shared_chunks(&s2.cores), 2);
-
-    // Old epochs stay immutable and self-consistent.
-    assert_eq!(s1.core(far), 0);
-    assert_eq!(s1.histogram, vec![n - 3, 0, 3]);
-    assert_eq!(s2.histogram, vec![n - 5, 2, 3]);
+fn a_held_snapshot_stays_bit_identical_while_the_pool_turns_over() {
+    use crate::chunked::POOL;
+    let svc =
+        IngestService::spawn_planned(path_graph(RING_N), 7, IngestConfig::scripted()).unwrap();
+    let held = svc.snapshots().load();
+    let cores = held.cores.to_vec();
+    let histogram = held.histogram.clone();
+    for i in 0..POOL + 2 {
+        svc.submit(ring_toggle(i)).unwrap();
+        let snap = svc.flush().unwrap();
+        assert_eq!(
+            snap.cores.to_vec(),
+            ring_oracle(i + 1),
+            "epoch {}",
+            snap.epoch
+        );
+    }
+    assert_eq!((held.epoch, held.ops), (0, 0));
+    assert_eq!(held.cores.to_vec(), cores);
+    assert_eq!(held.histogram, histogram);
 
     let metrics = svc.metrics().expect("the registry always exists");
     let (report, _) = svc.shutdown();
-    assert_eq!(report.mirror_chunks, 3);
-    assert!(
-        report.tracked_drains >= 2,
-        "planner engine serves tracked drains"
-    );
+    assert_eq!(report.epochs_published, POOL as u64 + 2);
+    assert_eq!(report.mirror_chunks, 4);
+    assert_eq!(report.tracked_drains, report.batches);
     assert_eq!(report.full_syncs, 0);
-    // Two flushes, each dirtying one shared chunk => exactly one COW
-    // copy per flush (the flush()-barrier publish clones every chunk
-    // into the snapshot, forcing the next write to copy).
-    assert_eq!(report.chunks_copied, 2);
     let m = metrics.snapshot();
     let publishes = m.histogram("ingest_flush_publish_ns").unwrap();
     assert_eq!(publishes.count, report.batches);
 }
 
-/// Publish cost does not depend on the vertex count: the same churn
+/// With readers dropping their snapshots, publishes recycle the pool
+/// and never copy a buffer outside it; and once the pool is full,
+/// publish cost does not depend on the vertex count: the same churn
 /// over the same active region, inside universes of `n` and `16·n`
-/// vertices, leaves exactly the same chunks unshared between every two
-/// consecutive epochs — the chunks holding a changed core, never more
-/// than the vertices whose core changed. The rest of each universe is a
-/// ring of core-2 vertices, so a publish that rebuilt its chunks would
-/// unshare all of them.
+/// vertices, writes exactly the same blocks. The rest of each universe is a ring of core-2
+/// vertices, so a publish that rewrote whole buffers would show.
 #[test]
-fn publish_unshares_the_same_chunks_at_every_universe_size() {
+fn steady_state_publishes_allocate_no_buffer_outside_the_pool() {
     use crate::chunked::CHUNK;
     let active_n = 2 * CHUNK;
     let active = barabasi_albert(active_n, 4, 11);
@@ -448,7 +441,7 @@ fn publish_unshares_the_same_chunks_at_every_universe_size() {
         .iter()
         .flat_map(churn_events)
         .collect();
-    let unshared_per_epoch = |n: usize| {
+    let blocks_written = |n: usize| {
         let mut base = DynamicGraph::with_vertices(n);
         for (u, v) in active.edge_vec() {
             base.insert_edge_unchecked(u, v);
@@ -458,36 +451,121 @@ fn publish_unshares_the_same_chunks_at_every_universe_size() {
             base.insert_edge_unchecked(v as u32, next as u32);
         }
         let cfg = IngestConfig::scripted().max_batch(96);
-        let svc = IngestService::spawn_planned(base, 5, cfg).unwrap();
-        let mut prev = svc.snapshots().load();
-        let epochs = svc.subscribe().unwrap();
-        svc.submit_all(events.iter().copied()).unwrap();
-        svc.flush().unwrap();
-        let (report, _) = svc.shutdown();
-        let mut unshared = Vec::new();
-        for snap in epochs.try_iter() {
-            let chunks = snap.cores.num_chunks() - snap.cores.shared_chunks(&prev.cores);
-            let changed: Vec<usize> = (0..n)
-                .filter(|&v| snap.cores.get(v) != prev.cores.get(v))
-                .collect();
-            let mut dirty: Vec<usize> = changed.iter().map(|v| v / CHUNK).collect();
-            dirty.dedup();
-            let epoch = snap.epoch;
-            assert_eq!(
-                chunks,
-                dirty.len(),
-                "n = {n}, epoch {epoch}: unshared chunks"
-            );
-            assert!(chunks <= changed.len(), "n = {n}, epoch {epoch}");
-            unshared.push(chunks);
-            prev = snap;
+        let svc = IngestService::spawn_planned(base.clone(), 5, cfg).unwrap();
+        // The pool fills with whole-buffer copies over the first
+        // publishes; from then on only changed cores are written.
+        let mut warm = 0;
+        for (i, batch) in events.chunks(96).enumerate() {
+            svc.submit_all(batch.iter().copied()).unwrap();
+            let snap = svc.flush().unwrap();
+            assert_eq!(snap.ops, (i * 96 + batch.len()) as u64);
+            if i == 3 {
+                warm = counter(&svc, "ingest_chunks_copied_total");
+            }
         }
-        assert_eq!(unshared.len() as u64, report.epochs_published);
-        unshared
+        let last = svc.snapshots().load();
+        assert_eq!(
+            last.cores.to_vec(),
+            core_decomposition(&apply_events(&base, &events))
+        );
+        drop(last);
+        assert_eq!(counter(&svc, "ingest_buffers_unpooled_total"), 0, "n = {n}");
+        let (report, _) = svc.shutdown();
+        assert_eq!(report.mirror_chunks, n.div_ceil(CHUNK) as u64);
+        report.chunks_copied - warm
     };
-    let small = unshared_per_epoch(2 * active_n);
-    assert!(small.iter().sum::<usize>() > 0, "the churn changed no core");
-    assert_eq!(small, unshared_per_epoch(32 * active_n));
+    let small = blocks_written(2 * active_n);
+    assert!(small > 0, "the churn changed no core");
+    assert_eq!(small, blocks_written(32 * active_n));
+}
+
+/// A snapshot pinned while more cores change than the mirror's log
+/// keeps has fallen behind the log: when the writer next publishes into
+/// its buffer, the line compare rewrites it to the current cores.
+#[test]
+fn a_buffer_that_lags_past_the_log_is_republished_by_full_compare() {
+    let svc =
+        IngestService::spawn_planned(path_graph(RING_N), 7, IngestConfig::scripted()).unwrap();
+    let pinned = svc.snapshots().load();
+    let pinned_buf = Arc::as_ptr(&pinned.cores) as *const u32;
+    let mut held = Vec::new();
+    for i in 0..6 {
+        // Each flush moves all 4096 cores, past the log's cap.
+        svc.submit(ring_toggle(i)).unwrap();
+        let snap = svc.flush().unwrap();
+        if i >= 3 {
+            // The other three pooled buffers end up held.
+            held.push(snap);
+        }
+    }
+    drop(pinned);
+    let before = counter(&svc, "ingest_chunks_copied_total");
+    svc.submit(ring_toggle(6)).unwrap();
+    let snap = svc.flush().unwrap();
+    assert_eq!(Arc::as_ptr(&snap.cores) as *const u32, pinned_buf);
+    assert_eq!(snap.cores.to_vec(), ring_oracle(7));
+    assert_eq!(
+        counter(&svc, "ingest_chunks_copied_total") - before,
+        4,
+        "every block of the epoch-0 buffer differs from epoch 7"
+    );
+    assert_eq!(counter(&svc, "ingest_buffers_unpooled_total"), 0);
+    drop((snap, held));
+    svc.shutdown();
+}
+
+/// After a recovery the mirror resyncs in full and every pooled buffer
+/// falls behind its log: each is rewritten to the recovered cores the
+/// next time it is published.
+#[test]
+fn recovery_resyncs_every_pooled_buffer() {
+    use crate::chunked::POOL;
+    use crate::faults::FaultPlan;
+    let dir = tmpdir("pool_resync");
+    let d = DurabilityConfig::in_dir(&dir).with_faults(FaultPlan::new().panic_at_flush(3));
+    let cfg = IngestConfig::scripted()
+        .max_batch(1)
+        .durable(d)
+        .self_healing(RecoveryPolicy::default());
+    let svc = IngestService::spawn_planned(path_graph(RING_N), 3, cfg).unwrap();
+    // Fill the pool: every buffer held once.
+    let mut held = vec![svc.snapshots().load()];
+    for i in 0..POOL - 1 {
+        svc.submit(ring_toggle(i)).unwrap();
+        held.push(svc.flush().unwrap());
+    }
+    held.clear();
+    // The fourth flush panics; recovery restores the three journaled
+    // toggles and publishes them.
+    svc.submit(ring_toggle(POOL - 1)).unwrap();
+    let recovered = svc.flush().unwrap();
+    assert_eq!(recovered.ops, POOL as u64 - 1);
+    held.push(recovered);
+    // The lost toggle is not replayed: toggles resume from the
+    // recovered state.
+    for applied in POOL - 1..2 * POOL - 2 {
+        svc.submit(ring_toggle(applied)).unwrap();
+        held.push(svc.flush().unwrap());
+    }
+    let mut bufs: Vec<*const u32> = held
+        .iter()
+        .map(|s| Arc::as_ptr(&s.cores) as *const u32)
+        .collect();
+    for (i, s) in held.iter().enumerate() {
+        assert_eq!(
+            s.cores.to_vec(),
+            ring_oracle(POOL - 1 + i),
+            "epoch {}",
+            s.epoch
+        );
+    }
+    bufs.sort();
+    bufs.dedup();
+    assert_eq!(bufs.len(), POOL, "each pooled buffer published once");
+    assert_eq!(counter(&svc, "ingest_buffers_unpooled_total"), 0);
+    drop(held);
+    let (report, _) = svc.shutdown();
+    assert_eq!((report.recoveries, report.full_syncs), (1, 1));
 }
 
 #[test]

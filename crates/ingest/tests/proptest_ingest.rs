@@ -94,9 +94,9 @@ proptest! {
             last_ops = snap.ops;
             published += 1;
             let prefix = oracle_cores(&base, &events[..snap.ops as usize]);
-            // The COW-published chunked cores must be bit-identical to a
-            // full rebuild on the covered prefix — chunk sharing across
-            // epochs never leaks a stale or future value.
+            // The published cores must be bit-identical to a full
+            // rebuild on the covered prefix — a recycled snapshot buffer
+            // never leaks a stale or future value.
             prop_assert_eq!(
                 snap.cores.to_vec(),
                 prefix.clone(),

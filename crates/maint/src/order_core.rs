@@ -6,9 +6,10 @@ use kcore_graph::{DynamicGraph, VertexId};
 use kcore_order::{MinRankHeap, OrderSeq, TagList};
 
 /// Opt-in record of which vertices changed core number since the last
-/// drain — the `O(changed)` feed for copy-on-write snapshot publication
-/// (the streaming writer applies the drained ids to its chunked mirror
-/// instead of re-copying all `n` core numbers per epoch).
+/// drain — the `O(changed)` feed for snapshot publication (the
+/// streaming writer applies the drained ids to its core mirror and
+/// rewrites only those cores in a recycled snapshot buffer, instead of
+/// re-copying all `n` core numbers per epoch).
 ///
 /// Entries may repeat (a vertex promoted and later dismissed in one
 /// batch appears twice); consumers read the *final* core value per id,
@@ -378,7 +379,7 @@ impl<S: OrderSeq> OrderCore<S> {
     /// core number changes (promotion, dismissal, or recompute) is
     /// recorded, and [`OrderCore::drain_core_changes`] hands the set
     /// over in `O(changed)`. The streaming ingest writer uses this to
-    /// publish copy-on-write snapshots without an `O(n)` copy per epoch.
+    /// publish snapshots without an `O(n)` copy per epoch.
     pub fn enable_core_change_tracking(&mut self) {
         self.change_log.enabled = true;
         self.change_log.ids.clear();

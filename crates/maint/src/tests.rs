@@ -575,7 +575,7 @@ fn kcore_members_allocates_exact_capacity() {
 
 /// Applies drained change ids to a stale copy of the cores and checks it
 /// reaches the engine's current state — the exact contract the ingest
-/// writer's chunked mirror relies on.
+/// writer's core mirror relies on.
 fn assert_drain_covers<F: FnOnce(&mut OrderCore)>(g: &DynamicGraph, mutate: F) {
     let mut oc = order_core(g);
     oc.enable_core_change_tracking();

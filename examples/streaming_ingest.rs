@@ -118,8 +118,9 @@ fn main() {
         "writer: {} batches, {} journal entries shipped, {} checkpoints",
         report.batches, report.entries_shipped, report.snapshots_persisted
     );
-    // Publish-cost stats: snapshots are published copy-on-write, so each
-    // epoch costs the chunks the flush dirtied — not an O(n) rebuild.
+    // Publish-cost stats: a publish rewrites only the cores that changed
+    // since its recycled buffer was last published — not an O(n) copy —
+    // unless a reader held every pooled buffer.
     let stages = metrics.snapshot();
     let p50_us = |stage: &str| {
         stages
@@ -128,12 +129,14 @@ fn main() {
     };
     println!(
         "publish cost per epoch: mirror sync p50 {:.1}us + publish p50 {:.1}us, \
-         {} of {} x {} chunks copy-on-written ({} tracked drains, {} full syncs)",
+         {} of {} x {} blocks written into snapshot buffers, {} buffers copied \
+         outside the pool ({} tracked drains, {} full syncs)",
         p50_us("mirror_sync"),
         p50_us("publish"),
         report.chunks_copied,
-        report.batches,
+        report.epochs_published,
         report.mirror_chunks,
+        stages.counter("ingest_buffers_unpooled_total").unwrap_or(0),
         report.tracked_drains,
         report.full_syncs,
     );
